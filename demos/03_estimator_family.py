@@ -22,10 +22,10 @@ import romgrid as rg
 
 
 def krylov_basis(sys, freqs, q, dual=False):
-    block = rg.dual_krylov_block if dual else rg.krylov_block
+    target = sys.dual() if dual else sys
     V = rg.Basis.empty(sys.order)
     for f in freqs:
-        V = V.appended(block(sys, 2j * np.pi * f, q))
+        V = V.appended(rg.krylov_block(target, 2j * np.pi * f, q))
     return V
 
 

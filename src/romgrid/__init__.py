@@ -16,6 +16,7 @@ from .errors import (
     ManifestError,
     MissingParameterError,
     MissingWorkspaceRomError,
+    ProjectionMismatchError,
     RomgridError,
     SingularAtSampleError,
     SingularMatrixError,
@@ -30,7 +31,6 @@ from .estimators import (
     SensitivityReport,
     delta_r,
     evaluate,
-    evaluate_mimo,
     sensitivity_report,
     true_error,
 )
@@ -56,10 +56,8 @@ from .grids import DEFAULT_FREQUENCY_SPEC, frequency_grid, parse_grid
 from .linalg import LUFactorization, lu_factor, orthonormalize_append
 from .manifest import load_system, save_system
 from .moments import (
-    ExpansionRequest,
     expansion_block,
     krylov_block,
-    dual_krylov_block,
     multimoment_block,
 )
 from .projection import (
@@ -98,7 +96,6 @@ __all__ = [
     "EstimateBreakdown",
     "EstimatorKind",
     "EstimatorWorkspace",
-    "ExpansionRequest",
     "GreedyConfig",
     "GreedyResult",
     "InitialPoints",
@@ -110,6 +107,7 @@ __all__ = [
     "MissingWorkspaceRomError",
     "Monomial",
     "ParametricSystem",
+    "ProjectionMismatchError",
     "ReducedModel",
     "RomgridError",
     "SelectedPoints",
@@ -123,7 +121,6 @@ __all__ = [
     "delta_r",
     "dual_residual",
     "evaluate",
-    "evaluate_mimo",
     "expansion_block",
     "DEFAULT_FREQUENCY_SPEC",
     "frequency_grid",
@@ -132,7 +129,6 @@ __all__ = [
     "from_second_order",
     "generate_synthetic",
     "krylov_block",
-    "dual_krylov_block",
     "load_system",
     "lu_factor",
     "mimo_block",

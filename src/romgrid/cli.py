@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .errors import RomgridError
-from .estimators import EstimatorKind, EstimatorWorkspace
+from .estimators import REDUCED_MODELS, EstimatorKind, EstimatorWorkspace
 from .generators import generate_synthetic
 from .greedy import GreedyConfig, run_greedy, validate as validate_workspace
 from .grids import DEFAULT_FREQUENCY_SPEC, parse_grid
@@ -27,9 +27,7 @@ from .projection import Basis
 from .reports import write_report, write_trace_csv, write_trace_json
 from .system import ParametricSystem
 
-__all__ = ["main", "cli_run"]
-
-_BASIS_KEYS = ("V", "V_du", "V_rdu", "V_rpr", "V_rrpr")
+__all__ = ["main"]
 
 
 def _add_system_arguments(parser):
@@ -128,16 +126,11 @@ def _save_run(out_dir, system, source, args, result):
         },
     )
     ws = result.workspace
-    arrays = {}
-    for key, rom in (
-        ("V", ws.rom_primal),
-        ("V_du", ws.rom_dual),
-        ("V_rdu", ws.rom_dual_residual),
-        ("V_rpr", ws.rom_primal_residual),
-        ("V_rrpr", ws.rom_primal_residual_residual),
-    ):
-        if rom is not None:
-            arrays[key] = rom.V.columns
+    arrays = {
+        model.key: getattr(ws, model.field).V.columns
+        for model in REDUCED_MODELS
+        if getattr(ws, model.field) is not None
+    }
     np.savez(out / "bases.npz", **arrays)
     save_system(ws.rom_primal.system, out / "rom", name=f"{system.name}_reduced")
     run_meta = {
@@ -188,18 +181,12 @@ def _rebuild_workspace(run_dir):
         system = generate_synthetic(source["synthetic"])
     with np.load(run_dir / "bases.npz") as stored:
         bases = {
-            key: Basis(stored[key], label=key) for key in _BASIS_KEYS if key in stored.files
+            model.key: Basis(stored[model.key], label=model.key)
+            for model in REDUCED_MODELS
+            if model.key in stored.files
         }
     kind = EstimatorKind.from_name(meta["estimator"])
-    workspace = EstimatorWorkspace.from_bases(
-        system,
-        kind,
-        bases["V"],
-        V_du=bases.get("V_du"),
-        V_rdu=bases.get("V_rdu"),
-        V_rpr=bases.get("V_rpr"),
-        V_rrpr=bases.get("V_rrpr"),
-    )
+    workspace = EstimatorWorkspace.from_bases(system, kind, **bases)
     return system, workspace, meta
 
 
@@ -344,9 +331,6 @@ def main(argv=None):
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 
-
-#: Programmatic entry point: same as ``main``, returns the exit code.
-cli_run = main
 
 if __name__ == "__main__":
     raise SystemExit(main())

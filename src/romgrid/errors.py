@@ -41,6 +41,10 @@ class MissingWorkspaceRomError(RomgridError):
     """An estimator workspace lacks a reduced model its kind requires."""
 
 
+class ProjectionMismatchError(RomgridError):
+    """Projecting the assembled operator disagrees with assembling the projected one."""
+
+
 class AllSamplesSingularError(RomgridError):
     """Every training sample produced a singular full-order operator."""
 

@@ -10,28 +10,18 @@ factorization; full-order solves appear only in the diagnostic routines
 
 The exact error obeys ``H - H_hat = x_du^T r_pr`` with the full dual
 solution ``Q^T x_du = C^T``; every estimator replaces ``x_du`` (or the
-output functional applied to the error) by reduced surrogates:
+output functional applied to the error) by reduced surrogates. The table
+``ESTIMATORS`` holds everything that differs between the seven kinds: the
+reduced models each one needs, the formulas of its two parts, and the
+breakdown quantities its greedy expansion points chase.
 
-===========  ==================================================
-Delta1       ``|x_du_hat^T r_pr|``
-Delta2       ``Delta1 + |x_rdu_hat^T r_pr|``
-Delta2Pr     ``Delta1 + |r_du^T x_rpr_hat|``
-Delta1Pr     ``|C x_rpr_hat|``
-Delta3       ``Delta1Pr + |x_du_hat^T r_rpr|``
-Delta3Pr     ``Delta1Pr + |C x_rrpr_hat|``
-DeltaR       randomized sketch of Delta1 (seeded normal weights)
-===========  ==================================================
-
-where ``x_rdu_hat``, ``x_rpr_hat``, ``x_rrpr_hat`` solve reduced residual
-systems with right-hand sides ``W^T r_du``, ``W^T r_pr`` and
-``W^T r_rpr`` (``r_rpr = r_pr - Q x_rpr_hat``).
-
-For systems with several inputs/outputs every bilinear form above is an
+For systems with several inputs/outputs every bilinear form is an
 (n_outputs x n_inputs) matrix and estimates take the max over channels.
 """
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,11 +30,12 @@ from .projection import reduce_system
 
 __all__ = [
     "EstimatorKind",
+    "ESTIMATORS",
+    "REDUCED_MODELS",
     "EstimatorWorkspace",
     "EstimateBreakdown",
     "SensitivityReport",
     "evaluate",
-    "evaluate_mimo",
     "true_error",
     "delta_r",
     "sensitivity_report",
@@ -74,49 +65,176 @@ class EstimatorKind(enum.Enum):
             f"{[k.value for k in cls]}"
         )
 
-    @property
-    def needs_dual(self):
-        return self in _NEEDS_DUAL
 
-    @property
-    def needs_dual_residual(self):
-        return self is EstimatorKind.DELTA_2
+@dataclass(frozen=True)
+class ReducedModelRole:
+    """One reduced model an estimator can use, and how the greedy grows it.
 
-    @property
-    def needs_primal_residual(self):
-        return self in _NEEDS_PRIMAL_RESIDUAL
+    ``field`` is the EstimatorWorkspace attribute, ``key`` the basis name
+    (the ``bases.npz`` key and the ``from_bases`` keyword), ``side`` the
+    system it reduces (``"primal"`` or ``"dual"``, the transposed family).
+    ``point`` names the greedy expansion point that grows the basis; the
+    dual model's ``"gamma"`` point is the main point unless the symmetric
+    variant is on. ``contains`` lists the bases whose own blocks this basis
+    also receives, in order, so the span containments stay exact.
+    """
 
-    @property
-    def needs_primal_residual_residual(self):
-        return self is EstimatorKind.DELTA_3PR
-
-    @property
-    def two_part(self):
-        return self in (
-            EstimatorKind.DELTA_2,
-            EstimatorKind.DELTA_2PR,
-            EstimatorKind.DELTA_3,
-            EstimatorKind.DELTA_3PR,
-        )
+    field: str
+    key: str
+    side: str
+    point: str
+    contains: tuple = ()
 
 
-_NEEDS_DUAL = frozenset(
-    {
-        EstimatorKind.DELTA_R,
-        EstimatorKind.DELTA_1,
-        EstimatorKind.DELTA_2,
-        EstimatorKind.DELTA_2PR,
-        EstimatorKind.DELTA_3,
-    }
+PRIMAL = ReducedModelRole("rom_primal", "V", "primal", "main")
+DUAL = ReducedModelRole("rom_dual", "V_du", "dual", "gamma")
+DUAL_RESIDUAL = ReducedModelRole("rom_dual_residual", "V_rdu", "dual", "alpha", ("V_du",))
+PRIMAL_RESIDUAL = ReducedModelRole("rom_primal_residual", "V_rpr", "primal", "alpha", ("V",))
+PRIMAL_RESIDUAL_RESIDUAL = ReducedModelRole(
+    "rom_primal_residual_residual", "V_rrpr", "primal", "beta", ("V", "V_rpr")
 )
-_NEEDS_PRIMAL_RESIDUAL = frozenset(
-    {
-        EstimatorKind.DELTA_1PR,
-        EstimatorKind.DELTA_2PR,
-        EstimatorKind.DELTA_3,
-        EstimatorKind.DELTA_3PR,
-    }
-)
+#: Every reduced model, in the order bases are grown and stored.
+REDUCED_MODELS = (PRIMAL, DUAL, DUAL_RESIDUAL, PRIMAL_RESIDUAL, PRIMAL_RESIDUAL_RESIDUAL)
+
+
+class _SampleTerms:
+    """Full-order ingredients of the estimators at one sample point.
+
+    The operator, input and output maps and the primal residual are formed
+    on construction; every other term on first use, so each kind forms
+    exactly the products its row in ``ESTIMATORS`` reads.
+    """
+
+    def __init__(self, workspace, sys, point, n_random, rng_seed, xi):
+        self.workspace = workspace
+        self.point = point
+        self.Q = sys.Q.assemble(point)
+        self.B = sys.B.assemble(point)
+        self.C = sys.C.assemble(point)
+        self._n_random = n_random
+        self._rng_seed = rng_seed
+        self._xi = xi
+        _, xhat_pr = workspace.rom_primal.solve(point)
+        self.r_pr = self.B - self.Q @ xhat_pr
+
+    def solve(self, model, rhs=None):
+        """Lifted solution of one of the workspace's reduced models."""
+        return getattr(self.workspace, model.field).solve(self.point, rhs=rhs)[1]
+
+    @cached_property
+    def xhat_du(self):
+        return self.solve(DUAL)
+
+    @cached_property
+    def delta1(self):
+        return self.xhat_du.T @ self.r_pr
+
+    @cached_property
+    def r_du(self):
+        return self.C.T - self.Q.T @ self.xhat_du
+
+    @cached_property
+    def xhat_rpr(self):
+        return self.solve(PRIMAL_RESIDUAL, self.r_pr)
+
+    @cached_property
+    def r_rpr(self):
+        return self.r_pr - self.Q @ self.xhat_rpr
+
+    @cached_property
+    def xi(self):
+        if self._xi is None:
+            return np.random.default_rng(self._rng_seed).standard_normal(int(self._n_random))
+        return np.asarray(self._xi, dtype=np.float64)
+
+
+def _delta_r_parts(t):
+    accum = np.zeros(t.delta1.shape, dtype=np.float64)
+    for weight in t.xi:
+        accum += np.abs(weight * t.delta1) ** 2
+    return np.sqrt(accum) / t.xi.size, None
+
+
+@dataclass(frozen=True)
+class EstimatorSpec:
+    """What one estimator kind needs and computes; see ``ESTIMATORS``.
+
+    ``models`` are the reduced models beyond the primal one. ``parts`` maps
+    the sample terms to the (part1, part2) magnitude matrices, part2 None
+    for one-part kinds. ``residuals`` are the residuals whose worst-column
+    norms ``aux`` reports as ``<name>_norm``. ``alpha``, ``beta`` and
+    ``gamma`` name the breakdown quantity each greedy point maximizes
+    (None: the point is unused); a gamma of None also means the symmetric
+    variant is not defined for the kind.
+    """
+
+    models: tuple
+    parts: object
+    residuals: tuple
+    alpha: str | None = None
+    beta: str | None = None
+    gamma: str | None = None
+
+
+#: The estimator family. ``x_rdu_hat``, ``x_rpr_hat`` and ``x_rrpr_hat``
+#: solve reduced residual systems with right-hand sides ``W^T r_du``,
+#: ``W^T r_pr`` and ``W^T r_rpr`` (``r_rpr = r_pr - Q x_rpr_hat``).
+ESTIMATORS = {
+    # (1/K) sqrt(sum_i |xi_i x_du_hat^T r_pr|^2), seeded normal weights xi
+    EstimatorKind.DELTA_R: EstimatorSpec(
+        models=(DUAL,),
+        parts=_delta_r_parts,
+        residuals=("r_pr", "r_du"),
+    ),
+    # |x_du_hat^T r_pr|
+    EstimatorKind.DELTA_1: EstimatorSpec(
+        models=(DUAL,),
+        parts=lambda t: (np.abs(t.delta1), None),
+        residuals=("r_pr", "r_du"),
+        gamma="r_du_norm",
+    ),
+    # |C x_rpr_hat|
+    EstimatorKind.DELTA_1PR: EstimatorSpec(
+        models=(PRIMAL_RESIDUAL,),
+        parts=lambda t: (np.abs(t.C @ t.xhat_rpr), None),
+        residuals=("r_pr", "r_rpr"),
+        alpha="r_rpr_norm",
+    ),
+    # Delta1 + |x_rdu_hat^T r_pr|
+    EstimatorKind.DELTA_2: EstimatorSpec(
+        models=(DUAL, DUAL_RESIDUAL),
+        parts=lambda t: (np.abs(t.delta1), np.abs(t.solve(DUAL_RESIDUAL, t.r_du).T @ t.r_pr)),
+        residuals=("r_pr", "r_du"),
+        alpha="part2",
+        gamma="part1",
+    ),
+    # Delta1 + |r_du^T x_rpr_hat|
+    EstimatorKind.DELTA_2PR: EstimatorSpec(
+        models=(DUAL, PRIMAL_RESIDUAL),
+        parts=lambda t: (np.abs(t.delta1), np.abs(t.r_du.T @ t.xhat_rpr)),
+        residuals=("r_pr", "r_du"),
+        alpha="part2",
+        gamma="part1",
+    ),
+    # Delta1Pr + |x_du_hat^T r_rpr|
+    EstimatorKind.DELTA_3: EstimatorSpec(
+        models=(DUAL, PRIMAL_RESIDUAL),
+        parts=lambda t: (np.abs(t.C @ t.xhat_rpr), np.abs(t.xhat_du.T @ t.r_rpr)),
+        residuals=("r_pr", "r_du", "r_rpr"),
+        alpha="part1",
+    ),
+    # Delta1Pr + |C x_rrpr_hat|
+    EstimatorKind.DELTA_3PR: EstimatorSpec(
+        models=(PRIMAL_RESIDUAL, PRIMAL_RESIDUAL_RESIDUAL),
+        parts=lambda t: (
+            np.abs(t.C @ t.xhat_rpr),
+            np.abs(t.C @ t.solve(PRIMAL_RESIDUAL_RESIDUAL, t.r_rpr)),
+        ),
+        residuals=("r_pr", "r_rpr"),
+        alpha="part1",
+        beta="part2",
+    ),
+}
 
 
 @dataclass
@@ -138,24 +256,11 @@ class EstimatorWorkspace:
     def __post_init__(self):
         if isinstance(self.kind, str):
             object.__setattr__(self, "kind", EstimatorKind.from_name(self.kind))
-        missing = [name for name in self.required_roms(self.kind) if getattr(self, name) is None]
-        if missing:
-            raise MissingWorkspaceRomError(
-                f"estimator {self.kind.value} requires {missing} in the workspace"
-            )
+        _require_models(self, self.kind)
 
     @staticmethod
     def required_roms(kind):
-        required = []
-        if kind.needs_dual:
-            required.append("rom_dual")
-        if kind.needs_dual_residual:
-            required.append("rom_dual_residual")
-        if kind.needs_primal_residual:
-            required.append("rom_primal_residual")
-        if kind.needs_primal_residual_residual:
-            required.append("rom_primal_residual_residual")
-        return required
+        return [model.field for model in ESTIMATORS[kind].models]
 
     @classmethod
     def from_bases(
@@ -181,20 +286,20 @@ class EstimatorWorkspace:
         beyond the kind's requirements are projected too (diagnostics use
         them); missing required ones raise at construction.
         """
-        dual = sys.dual() if (V_du is not None or V_rdu is not None) else None
-
-        def maybe(system, trial, test):
-            if trial is None:
-                return None
-            return reduce_system(system, trial, W=test, validate=validate)
-
+        trial = {"V": V, "V_du": V_du, "V_rdu": V_rdu, "V_rpr": V_rpr, "V_rrpr": V_rrpr}
+        test = {"V": W, "V_du": W_du, "V_rdu": W_rdu, "V_rpr": W_rpr, "V_rrpr": W_rrpr}
+        supplied = [model for model in REDUCED_MODELS if trial[model.key] is not None]
+        systems = {"primal": sys}
+        if any(model.side == "dual" for model in supplied):
+            systems["dual"] = sys.dual()
         return cls(
             kind=kind,
-            rom_primal=reduce_system(sys, V, W=W, validate=validate),
-            rom_dual=maybe(dual, V_du, W_du),
-            rom_dual_residual=maybe(dual, V_rdu, W_rdu),
-            rom_primal_residual=maybe(sys, V_rpr, W_rpr),
-            rom_primal_residual_residual=maybe(sys, V_rrpr, W_rrpr),
+            **{
+                model.field: reduce_system(
+                    systems[model.side], trial[model.key], W=test[model.key], validate=validate
+                )
+                for model in supplied
+            },
         )
 
 
@@ -215,6 +320,12 @@ class EstimateBreakdown:
     part1: float
     part2: float = 0.0
     aux: dict = field(default_factory=dict)
+
+    def quantity(self, name):
+        """``total``, ``part1``, ``part2`` or an ``aux`` entry (None if absent)."""
+        if name in ("total", "part1", "part2"):
+            return getattr(self, name)
+        return self.aux.get(name)
 
 
 @dataclass
@@ -257,64 +368,23 @@ def _max_abs(matrix):
     return float(np.max(np.abs(matrix)))
 
 
-def _channel_parts(kind, workspace, sys, point, n_random=20, rng_seed=0, xi=None):
+def _require_models(workspace, kind):
+    missing = [
+        name for name in EstimatorWorkspace.required_roms(kind) if getattr(workspace, name) is None
+    ]
+    if missing:
+        raise MissingWorkspaceRomError(
+            f"estimator {kind.value} requires {missing} in the workspace"
+        )
+
+
+def _channel_parts(kind, workspace, sys, point, n_random, rng_seed, xi):
     """Magnitude matrices (n_outputs x n_inputs) of the estimator parts."""
-    ws = workspace
-    if not isinstance(kind, EstimatorKind):
-        kind = EstimatorKind.from_name(kind)
-    for name in EstimatorWorkspace.required_roms(kind):
-        if getattr(ws, name) is None:
-            raise MissingWorkspaceRomError(
-                f"estimator {kind.value} requires {name} in the workspace"
-            )
-    Qp = sys.Q.assemble(point)
-    Bp = sys.B.assemble(point)
-    Cp = sys.C.assemble(point)
-    aux = {}
-
-    _, xhat_pr = ws.rom_primal.solve(point)
-    r_pr = Bp - Qp @ xhat_pr
-    aux["r_pr_norm"] = _column_norm(r_pr)
-
-    delta1_mat = None
-    r_du = None
-    if kind.needs_dual:
-        _, xhat_du = ws.rom_dual.solve(point)
-        delta1_mat = xhat_du.T @ r_pr
-        r_du = Cp.T - Qp.T @ xhat_du
-        aux["r_du_norm"] = _column_norm(r_du)
-
-    part2_mat = None
-    if kind is EstimatorKind.DELTA_1:
-        part1_mat = np.abs(delta1_mat)
-    elif kind is EstimatorKind.DELTA_R:
-        if xi is None:
-            xi = np.random.default_rng(rng_seed).standard_normal(int(n_random))
-        xi = np.asarray(xi, dtype=np.float64)
-        accum = np.zeros(delta1_mat.shape, dtype=np.float64)
-        for weight in xi:
-            accum += np.abs(weight * delta1_mat) ** 2
-        part1_mat = np.sqrt(accum) / xi.size
-    elif kind is EstimatorKind.DELTA_2:
-        _, xhat_rdu = ws.rom_dual_residual.solve(point, rhs=r_du)
-        part1_mat = np.abs(delta1_mat)
-        part2_mat = np.abs(xhat_rdu.T @ r_pr)
-    elif kind is EstimatorKind.DELTA_2PR:
-        _, xhat_rpr = ws.rom_primal_residual.solve(point, rhs=r_pr)
-        part1_mat = np.abs(delta1_mat)
-        part2_mat = np.abs(r_du.T @ xhat_rpr)
-    elif kind in (EstimatorKind.DELTA_1PR, EstimatorKind.DELTA_3, EstimatorKind.DELTA_3PR):
-        _, xhat_rpr = ws.rom_primal_residual.solve(point, rhs=r_pr)
-        part1_mat = np.abs(Cp @ xhat_rpr)
-        r_rpr = r_pr - Qp @ xhat_rpr
-        aux["r_rpr_norm"] = _column_norm(r_rpr)
-        if kind is EstimatorKind.DELTA_3:
-            part2_mat = np.abs(xhat_du.T @ r_rpr)
-        elif kind is EstimatorKind.DELTA_3PR:
-            _, xhat_rrpr = ws.rom_primal_residual_residual.solve(point, rhs=r_rpr)
-            part2_mat = np.abs(Cp @ xhat_rrpr)
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unhandled estimator kind {kind!r}")
+    _require_models(workspace, kind)
+    spec = ESTIMATORS[kind]
+    terms = _SampleTerms(workspace, sys, point, n_random, rng_seed, xi)
+    part1_mat, part2_mat = spec.parts(terms)
+    aux = {f"{name}_norm": _column_norm(getattr(terms, name)) for name in spec.residuals}
     return part1_mat, part2_mat, aux
 
 
@@ -324,13 +394,14 @@ def evaluate(kind, workspace, sys, point, n_random=20, rng_seed=0, xi=None):
     ``n_random``/``rng_seed``/``xi`` only affect the randomized kind: the
     weights are drawn once from the seed (or taken verbatim from ``xi``),
     so a sweep with a fixed seed uses the same weights at every sample.
+    For several channels each field is the max over (output, input) pairs.
     """
-    part1_mat, part2_mat, aux = _channel_parts(
-        kind, workspace, sys, point, n_random=n_random, rng_seed=rng_seed, xi=xi
-    )
-    total_mat = part1_mat if part2_mat is None else part1_mat + part2_mat
     if not isinstance(kind, EstimatorKind):
         kind = EstimatorKind.from_name(kind)
+    part1_mat, part2_mat, aux = _channel_parts(
+        kind, workspace, sys, point, n_random, rng_seed, xi
+    )
+    total_mat = part1_mat if part2_mat is None else part1_mat + part2_mat
     return EstimateBreakdown(
         kind=kind,
         total=_max_abs(total_mat),
@@ -338,16 +409,6 @@ def evaluate(kind, workspace, sys, point, n_random=20, rng_seed=0, xi=None):
         part2=0.0 if part2_mat is None else _max_abs(part2_mat),
         aux=aux,
     )
-
-
-def evaluate_mimo(kind, workspace, sys, point, **kwargs):
-    """Estimate for a multi-channel system: max over (output, input) pairs.
-
-    Each channel is the scalar system (row of C, column of B) sharing the
-    workspace bases; for single-channel systems this equals
-    ``evaluate(...).total``.
-    """
-    return evaluate(kind, workspace, sys, point, **kwargs).total
 
 
 def delta_r(workspace, sys, point, n_samples=20, rng_seed=0, xi=None):
@@ -412,16 +473,7 @@ def sensitivity_report(sys, workspace, point):
     if sys.n_inputs != 1 or sys.n_outputs != 1:
         raise ValueError("sensitivity diagnostics are defined for single-channel systems")
     ws = workspace
-    missing = [
-        name
-        for name in (
-            "rom_dual",
-            "rom_dual_residual",
-            "rom_primal_residual",
-            "rom_primal_residual_residual",
-        )
-        if getattr(ws, name) is None
-    ]
+    missing = [model.field for model in REDUCED_MODELS if getattr(ws, model.field) is None]
     if missing:
         raise MissingWorkspaceRomError(f"sensitivity diagnostics require {missing}")
 

@@ -7,39 +7,41 @@ the estimate (or the relevant part of it) is worst:
 
 * the main point follows the full estimate and grows the primal basis V
   (and, in the standard variant, the dual basis V_du);
-* an alpha point grows the auxiliary basis behind the estimator's second
-  part (dual-residual basis for Delta2, primal-residual basis for
-  Delta1Pr/Delta2Pr/Delta3/Delta3Pr);
-* a beta point grows the primal-residual-residual basis (Delta3Pr only);
+* the alpha and beta points grow the auxiliary bases behind the
+  estimator's parts;
 * with ``symmetric_variant`` the dual basis gets its own gamma point
   instead of sharing the main point, the fix for (nearly) symmetric
   systems where shared points make the dual basis collapse onto the
   primal one and Delta1-type estimates vanish spuriously.
 
-Auxiliary bases always contain the bases they serve: the same raw blocks
-appended to V are appended to V_rpr and V_rrpr, and the raw dual blocks to
-V_rdu, before their own points contribute. That keeps the span-containment
-rules exact at every iteration.
+Which bases a kind grows, and which breakdown quantity each of its points
+maximizes, is read from ``estimators.ESTIMATORS``; which point grows which
+basis, from ``estimators.REDUCED_MODELS``. Auxiliary bases always contain
+the bases they serve: the same raw blocks appended to V are appended to
+V_rpr and V_rrpr, and the raw dual blocks to V_rdu, before their own points
+contribute. That keeps the span-containment rules exact at every iteration.
 """
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-
-import numpy as np
 
 from .errors import (
     AllSamplesSingularError,
     SingularAtSampleError,
     SingularReducedSystemError,
 )
-from .estimators import EstimatorKind, EstimatorWorkspace, evaluate, true_error
-from .moments import DEFAULT_MAX_BLOCK_COLUMNS, krylov_block, multimoment_block
+from .estimators import (
+    ESTIMATORS,
+    PRIMAL,
+    EstimatorKind,
+    EstimatorWorkspace,
+    evaluate,
+    true_error,
+)
+from .moments import DEFAULT_MAX_BLOCK_COLUMNS, expansion_block
 from .projection import Basis
 from .reports import EffectivityReport, EffectivityRow
-from .system import LAPLACE
 
 __all__ = [
     "GreedyConfig",
@@ -52,13 +54,6 @@ __all__ = [
     "select_points",
     "validate",
 ]
-
-_SYMMETRIC_KINDS = (
-    EstimatorKind.DELTA_1,
-    EstimatorKind.DELTA_2,
-    EstimatorKind.DELTA_2PR,
-)
-
 
 @dataclass(frozen=True)
 class InitialPoints:
@@ -95,10 +90,11 @@ class GreedyConfig:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.symmetric_variant and self.kind not in _SYMMETRIC_KINDS:
+        if self.symmetric_variant and ESTIMATORS[self.kind].gamma is None:
+            symmetric = [k.value for k, spec in ESTIMATORS.items() if spec.gamma is not None]
             raise ValueError(
                 "the separate-dual-point variant is only defined for "
-                f"{[k.value for k in _SYMMETRIC_KINDS]}, not {self.kind.value}"
+                f"{symmetric}, not {self.kind.value}"
             )
         m = len(self.training_set)
         for label, index in (
@@ -170,37 +166,22 @@ def select_points(kind, symmetric_variant, breakdowns):
     """
     if not isinstance(kind, EstimatorKind):
         kind = EstimatorKind.from_name(kind)
-    totals = [b.total if b is not None else None for b in breakdowns]
-    main = _argmax(totals)
+    spec = ESTIMATORS[kind]
+
+    def across(name):
+        if name is None:
+            return None
+        return _argmax([b.quantity(name) if b is not None else None for b in breakdowns])
+
+    main = across("total")
     if main is None:
         raise AllSamplesSingularError("no usable sample in the training set")
-
-    def across(getter):
-        return _argmax([getter(b) if b is not None else None for b in breakdowns])
-
-    alpha = beta = gamma = None
-    if kind in (EstimatorKind.DELTA_2, EstimatorKind.DELTA_2PR):
-        alpha = across(lambda b: b.part2)
-    elif kind is EstimatorKind.DELTA_1PR:
-        alpha = across(lambda b: b.aux.get("r_rpr_norm"))
-    elif kind in (EstimatorKind.DELTA_3, EstimatorKind.DELTA_3PR):
-        alpha = across(lambda b: b.part1)
-    if kind is EstimatorKind.DELTA_3PR:
-        beta = across(lambda b: b.part2)
-    if symmetric_variant:
-        if kind is EstimatorKind.DELTA_1:
-            gamma = across(lambda b: b.aux.get("r_du_norm"))
-        elif kind in (EstimatorKind.DELTA_2, EstimatorKind.DELTA_2PR):
-            gamma = across(lambda b: b.part1)
-    return SelectedPoints(main=main, alpha=alpha, beta=beta, gamma=gamma)
-
-
-def _sweep_threads():
-    raw = os.environ.get("ROMGRID_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
+    return SelectedPoints(
+        main=main,
+        alpha=across(spec.alpha),
+        beta=across(spec.beta),
+        gamma=across(spec.gamma) if symmetric_variant else None,
+    )
 
 
 class _GreedyState:
@@ -212,30 +193,34 @@ class _GreedyState:
         self.kind = config.kind
         self.samples = config.training_set
         self.active = [True] * len(self.samples)
-        self.parametric = sys.is_parametric
-        self.q = config.q if config.q is not None else (1 if self.parametric else 3)
-        if self.parametric and self.q < 0:
+        parametric = sys.is_parametric
+        self.q = config.q if config.q is not None else (1 if parametric else 3)
+        if parametric and self.q < 0:
             raise ValueError("parametric moment level must be >= 0")
-        if not self.parametric and self.q < 1:
+        if not parametric and self.q < 1:
             raise ValueError("frequency-only moment level count must be >= 1")
-        self.dual_sys = sys.dual() if self.kind.needs_dual else None
-
-        n = sys.order
-        self.V = Basis.empty(n, "V")
-        self.V_du = Basis.empty(n, "V_du") if self.kind.needs_dual else None
-        self.V_rdu = Basis.empty(n, "V_rdu") if self.kind.needs_dual_residual else None
-        self.V_rpr = Basis.empty(n, "V_rpr") if self.kind.needs_primal_residual else None
-        self.V_rrpr = (
-            Basis.empty(n, "V_rrpr") if self.kind.needs_primal_residual_residual else None
-        )
+        self.models = (PRIMAL,) + ESTIMATORS[self.kind].models
+        self.systems = {"primal": sys}
+        if any(model.side == "dual" for model in self.models):
+            self.systems["dual"] = sys.dual()
+        self.bases = {model.key: Basis.empty(sys.order, model.key) for model in self.models}
 
         init = config.initial_points
         last = len(self.samples) - 1
         middle = len(self.samples) // 2
-        self.main_i = init.main
-        self.alpha_i = init.alpha if init.alpha is not None else last
-        self.beta_i = init.beta if init.beta is not None else middle
-        self.gamma_i = init.gamma if init.gamma is not None else middle
+        self.points = {
+            "main": init.main,
+            "alpha": init.alpha if init.alpha is not None else last,
+            "beta": init.beta if init.beta is not None else middle,
+            "gamma": init.gamma if init.gamma is not None else middle,
+        }
+        # the expansion points this run uses; only these reach the trace
+        self.roles = {self._role(model) for model in self.models}
+
+    def _role(self, model):
+        if model.point == "gamma" and not self.config.symmetric_variant:
+            return "main"
+        return model.point
 
     def _mark_singular(self, index, where):
         if self.active[index]:
@@ -251,17 +236,6 @@ class _GreedyState:
                 "every training sample renders the operator singular"
             )
 
-    def _usable(self, index, where):
-        """Return a usable sample index, replacing singular ones."""
-        index = index if self.active[index] else self._fallback(index)
-        while True:
-            try:
-                self.sys.operator_lu(self.samples[index])
-                return index
-            except SingularAtSampleError:
-                self._mark_singular(index, where)
-                index = self._fallback(index)
-
     def _fallback(self, index):
         m = len(self.samples)
         for step in range(1, m):
@@ -270,74 +244,57 @@ class _GreedyState:
                     return candidate
         raise AllSamplesSingularError("every training sample renders the operator singular")
 
-    def _block(self, system, index):
-        point = self.samples[index]
-        if self.parametric:
-            return multimoment_block(system, point, self.q, self.config.max_block_columns)
-        return krylov_block(system, point[LAPLACE], self.q, self.config.max_block_columns)
+    def _block(self, model):
+        """Expansion block for ``model`` at its point, replacing singular samples.
+
+        A sample whose operator is singular is deactivated for good and the
+        nearest active sample takes its place as the model's point.
+        """
+        role = self._role(model)
+        index = self.points[role]
+        while True:
+            if not self.active[index]:
+                index = self._fallback(index)
+            try:
+                block = expansion_block(
+                    self.systems[model.side],
+                    self.samples[index],
+                    self.q,
+                    self.config.max_block_columns,
+                )
+            except SingularAtSampleError:
+                self._mark_singular(index, f"expansion of {model.key}")
+                continue
+            self.points[role] = index
+            return block
 
     def grow(self):
-        """Append this iteration's blocks; returns number of new columns."""
-        cfg = self.config
-        kind = self.kind
-        tol = cfg.deflation_tol
+        """Append this iteration's blocks; returns number of new columns.
+
+        Each basis first receives the blocks of the bases it contains, then
+        its own block, so auxiliary bases always contain the ones they serve.
+        """
+        tol = self.config.deflation_tol
         before = self._dimensions()
-
-        self.main_i = self._usable(self.main_i, "primal expansion")
-        raw_main = self._block(self.sys, self.main_i)
-        self.V = self.V.appended(raw_main, tol)
-        if self.V_rpr is not None:
-            self.V_rpr = self.V_rpr.appended(raw_main, tol)
-        if self.V_rrpr is not None:
-            self.V_rrpr = self.V_rrpr.appended(raw_main, tol)
-
-        if self.V_du is not None:
-            dual_i = self.gamma_i if cfg.symmetric_variant else self.main_i
-            dual_i = self._usable(dual_i, "dual expansion")
-            if cfg.symmetric_variant:
-                self.gamma_i = dual_i
-            raw_dual = self._block(self.dual_sys, dual_i)
-            self.V_du = self.V_du.appended(raw_dual, tol)
-            if self.V_rdu is not None:
-                self.V_rdu = self.V_rdu.appended(raw_dual, tol)
-
-        if self.V_rdu is not None:
-            self.alpha_i = self._usable(self.alpha_i, "dual-residual expansion")
-            raw_alpha = self._block(self.dual_sys, self.alpha_i)
-            self.V_rdu = self.V_rdu.appended(raw_alpha, tol)
-
-        raw_alpha_primal = None
-        if self.V_rpr is not None:
-            self.alpha_i = self._usable(self.alpha_i, "primal-residual expansion")
-            raw_alpha_primal = self._block(self.sys, self.alpha_i)
-            self.V_rpr = self.V_rpr.appended(raw_alpha_primal, tol)
-
-        if self.V_rrpr is not None:
-            if raw_alpha_primal is not None:
-                self.V_rrpr = self.V_rrpr.appended(raw_alpha_primal, tol)
-            self.beta_i = self._usable(self.beta_i, "second-residual expansion")
-            raw_beta = self._block(self.sys, self.beta_i)
-            self.V_rrpr = self.V_rrpr.appended(raw_beta, tol)
-
+        own = {}
+        for model in self.models:
+            basis = self.bases[model.key]
+            for key in model.contains:
+                if key in own:
+                    basis = basis.appended(own[key], tol)
+            own[model.key] = self._block(model)
+            self.bases[model.key] = basis.appended(own[model.key], tol)
         return self._dimensions() - before
 
     def _dimensions(self):
-        return sum(
-            basis.dim
-            for basis in (self.V, self.V_du, self.V_rdu, self.V_rpr, self.V_rrpr)
-            if basis is not None
-        )
+        return sum(basis.dim for basis in self.bases.values())
+
+    def point(self, role):
+        """The sample at expansion point ``role``, or None when it is unused."""
+        return dict(self.samples[self.points[role]]) if role in self.roles else None
 
     def workspace(self):
-        return EstimatorWorkspace.from_bases(
-            self.sys,
-            self.kind,
-            self.V,
-            V_du=self.V_du,
-            V_rdu=self.V_rdu,
-            V_rpr=self.V_rpr,
-            V_rrpr=self.V_rrpr,
-        )
+        return EstimatorWorkspace.from_bases(self.sys, self.kind, **self.bases)
 
     def sweep(self, ws):
         """Evaluate the estimator at every active sample (None where skipped).
@@ -347,46 +304,25 @@ class _GreedyState:
         resonances move as the basis grows).
         """
         cfg = self.config
-        _FULL, _REDUCED = "full-singular", "reduced-singular"
-
-        def one(index):
-            if not self.active[index]:
-                return None
-            try:
-                return evaluate(
-                    self.kind,
-                    ws,
-                    self.sys,
-                    self.samples[index],
-                    n_random=cfg.n_random,
-                    rng_seed=cfg.rng_seed,
-                )
-            except SingularReducedSystemError:
-                return _REDUCED
-            except SingularAtSampleError:
-                return _FULL
-
-        threads = min(_sweep_threads(), len(self.samples))
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(one, range(len(self.samples))))
-        else:
-            results = [one(i) for i in range(len(self.samples))]
         breakdowns = []
-        for index, outcome in enumerate(results):
-            if isinstance(outcome, str):
-                if outcome == _FULL:
-                    self._mark_singular(index, "estimator sweep")
-                else:
+        for index, point in enumerate(self.samples):
+            breakdown = None
+            if self.active[index]:
+                try:
+                    breakdown = evaluate(
+                        self.kind, ws, self.sys, point,
+                        n_random=cfg.n_random, rng_seed=cfg.rng_seed,
+                    )
+                except SingularReducedSystemError:
                     warnings.warn(
                         f"training sample {index}: reduced operator singular this "
                         f"iteration; sample skipped for the sweep",
                         RuntimeWarning,
                         stacklevel=2,
                     )
-                breakdowns.append(None)
-            else:
-                breakdowns.append(outcome)
+                except SingularAtSampleError:
+                    self._mark_singular(index, "estimator sweep")
+            breakdowns.append(breakdown)
         if all(b is None for b in breakdowns):
             raise AllSamplesSingularError(
                 "no training sample produced a usable estimate this iteration"
@@ -433,19 +369,13 @@ def run_greedy(sys, config):
         trace.append(
             IterationRecord(
                 iteration=iteration,
-                main_point=dict(state.samples[state.main_i]),
-                alpha_point=dict(state.samples[state.alpha_i])
-                if (state.V_rdu is not None or state.V_rpr is not None)
-                else None,
-                beta_point=dict(state.samples[state.beta_i])
-                if state.V_rrpr is not None
-                else None,
-                gamma_point=dict(state.samples[state.gamma_i])
-                if config.symmetric_variant
-                else None,
+                main_point=state.point("main"),
+                alpha_point=state.point("alpha"),
+                beta_point=state.point("beta"),
+                gamma_point=state.point("gamma"),
                 max_estimate=max_estimate,
                 max_true_error=max_true,
-                rom_dimension=state.V.dim,
+                rom_dimension=state.bases["V"].dim,
             )
         )
         if max_estimate <= config.tolerance:
@@ -453,14 +383,11 @@ def run_greedy(sys, config):
             stop_reason = StopReason.TOLERANCE_MET
             break
         chosen = select_points(config.kind, config.symmetric_variant, breakdowns)
-        previous_main = state.main_i
-        state.main_i = chosen.main
-        if chosen.alpha is not None:
-            state.alpha_i = chosen.alpha
-        if chosen.beta is not None:
-            state.beta_i = chosen.beta
-        if chosen.gamma is not None:
-            state.gamma_i = chosen.gamma
+        previous_main = state.points["main"]
+        for role in ("main", "alpha", "beta", "gamma"):
+            index = getattr(chosen, role)
+            if index is not None:
+                state.points[role] = index
         if chosen.main == previous_main and added == 0:
             stop_reason = StopReason.STAGNATION_ALL_POINTS_USED
             break

@@ -11,10 +11,9 @@ point for every level:
   series whose level-k blocks are products of ``M_j = -Q(p)^{-1} Q_j``
   applied to ``R_0 = Q(p)^{-1} [pieces of B]``; the block stacks levels 0..q.
 
-Dual-side blocks come from running the same builders on ``sys.dual()``.
+``expansion_block`` picks the builder for a system. Dual-side blocks come
+from running the same builders on ``sys.dual()``.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,30 +21,13 @@ from .errors import DimensionMismatchError
 from .system import LAPLACE
 
 __all__ = [
-    "ExpansionRequest",
     "krylov_block",
-    "dual_krylov_block",
     "multimoment_block",
     "expansion_block",
 ]
 
 #: Hard cap on the number of columns a single block may contribute.
 DEFAULT_MAX_BLOCK_COLUMNS = 64
-
-
-@dataclass(frozen=True)
-class ExpansionRequest:
-    """One basis-growth instruction: where, how deep, and which side."""
-
-    point: dict
-    order: int
-    direction: str = "primal"  # "primal" or "dual"
-
-    def __post_init__(self):
-        if self.direction not in ("primal", "dual"):
-            raise ValueError(f"direction must be primal or dual, got {self.direction!r}")
-        if self.order < 0:
-            raise ValueError(f"order must be nonnegative, got {self.order}")
 
 
 def krylov_block(sys, s, q, max_columns=DEFAULT_MAX_BLOCK_COLUMNS):
@@ -72,11 +54,6 @@ def krylov_block(sys, s, q, max_columns=DEFAULT_MAX_BLOCK_COLUMNS):
         levels.append(level)
         total += level.shape[1]
     return np.hstack(levels)[:, :max_columns]
-
-
-def dual_krylov_block(sys, s, q, max_columns=DEFAULT_MAX_BLOCK_COLUMNS):
-    """Krylov levels of the transposed family; columns span dual states."""
-    return krylov_block(sys.dual(), s, q, max_columns)
 
 
 def multimoment_block(sys, point, q, max_columns=DEFAULT_MAX_BLOCK_COLUMNS):
@@ -110,17 +87,13 @@ def multimoment_block(sys, point, q, max_columns=DEFAULT_MAX_BLOCK_COLUMNS):
     return np.hstack(blocks)
 
 
-def expansion_block(sys, request, q=None, max_columns=DEFAULT_MAX_BLOCK_COLUMNS):
-    """Build the block a request describes, picking the builder by system kind.
+def expansion_block(sys, point, q, max_columns=DEFAULT_MAX_BLOCK_COLUMNS):
+    """Moment block of ``sys`` at ``point``, picking the builder by system kind.
 
-    Frequency-only systems use the Krylov builder (order = level count);
-    parametric systems use the multimoment builder (order = highest level).
-    Dual requests run on the transposed family.
+    Frequency-only systems use the Krylov builder (``q`` counts levels, at
+    least one); parametric systems use the multimoment builder (``q`` is
+    the highest level). For a dual-side block pass ``sys.dual()``.
     """
-    target = sys.dual() if request.direction == "dual" else sys
-    order = request.order if q is None else q
-    if target.is_parametric:
-        return multimoment_block(target, request.point, order, max_columns)
-    if order < 1:
-        raise ValueError("frequency-only expansions need at least one level")
-    return krylov_block(target, request.point[LAPLACE], order, max_columns)
+    if sys.is_parametric:
+        return multimoment_block(sys, point, q, max_columns)
+    return krylov_block(sys, point[LAPLACE], q, max_columns)

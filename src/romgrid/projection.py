@@ -12,6 +12,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     DimensionMismatchError,
+    ProjectionMismatchError,
     SingularMatrixError,
     SingularReducedSystemError,
 )
@@ -157,8 +158,9 @@ def _check_commutation(sys, model, tol=1e-12):
     scale = max(float(np.max(np.abs(full))), 1.0)
     deviation = float(np.max(np.abs(full - small)))
     if deviation > tol * scale:
-        raise AssertionError(
-            f"projection/assembly commutation off by {deviation:.3e} (scale {scale:.3e})"
+        raise ProjectionMismatchError(
+            f"projection/assembly commutation off by {deviation:.3e} (scale {scale:.3e}) "
+            f"at {point!r}"
         )
 
 

@@ -108,7 +108,7 @@ def moment_bases(rng, sys, points, q=2, dims=None):
     V_du = rg.Basis.empty(n, "V_du")
     for pt in points:
         blk = rg.krylov_block(sys, pt[rg.LAPLACE], q)
-        dblk = rg.dual_krylov_block(sys, pt[rg.LAPLACE], q)
+        dblk = rg.krylov_block(sys.dual(), pt[rg.LAPLACE], q)
         V = V.appended(blk)
         V_du = V_du.appended(dblk)
     # auxiliary bases: perturbed copies so nothing degenerates to zero

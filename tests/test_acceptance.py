@@ -220,8 +220,7 @@ def test_criterion_6_interpolation_at_selected_points():
             nonlocal worst
             V = rg.Basis.empty(sys.order)
             for row in trace:
-                req = rg.ExpansionRequest(row.main_point, order=q)
-                V = V.appended(rg.expansion_block(sys, req))
+                V = V.appended(rg.expansion_block(sys, row.main_point, q))
                 rom = rg.reduce_system(sys, V)
                 H = sys.transfer_function(row.main_point)
                 dev = np.max(np.abs(H - rom.transfer_function(row.main_point)))

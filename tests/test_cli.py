@@ -152,6 +152,19 @@ def test_module_entry_point_runs():
     assert "validate" in proc.stdout
 
 
-def test_cli_run_alias():
-    from romgrid.cli import cli_run
-    assert cli_run is main
+@pytest.mark.parametrize("estimator", ["delta2", "delta_r"])
+def test_reduce_reruns_are_byte_identical(tmp_path, estimator):
+    args = [
+        "reduce",
+        "--synthetic", "random_stable:40,2",
+        "--estimator", estimator,
+        "--tol", "1e-6",
+        "--train", "f:1e-3:1e1:16:log",
+        "--seed", "5",
+    ]
+    first, second = tmp_path / "first", tmp_path / "second"
+    main([*args, "--out", str(first)])
+    main([*args, "--out", str(second)])
+    written = (first / "trace.csv").read_bytes()
+    assert len(read_trace(first / "trace.csv")) >= 2
+    assert written == (second / "trace.csv").read_bytes()

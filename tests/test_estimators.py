@@ -42,6 +42,19 @@ def test_required_roms_per_kind():
     assert req(K.DELTA_3PR) == ["rom_primal_residual", "rom_primal_residual_residual"]
 
 
+def test_estimator_table_points_match_bases():
+    # a row chases an alpha or beta point exactly when one of its bases is
+    # grown there, and only kinds with a dual basis have a gamma rule
+    from romgrid.estimators import DUAL, ESTIMATORS
+
+    assert set(ESTIMATORS) == set(rg.EstimatorKind)
+    for kind, spec in ESTIMATORS.items():
+        points = {model.point for model in spec.models}
+        assert (spec.alpha is not None) == ("alpha" in points), kind
+        assert (spec.beta is not None) == ("beta" in points), kind
+        assert spec.gamma is None or DUAL in spec.models, kind
+
+
 def test_missing_rom_raises(rng):
     sys = random_system(rng, 10)
     V = random_orthonormal(rng, 10, 3)
@@ -117,7 +130,7 @@ def test_mimo_estimates_are_channelwise(rng):
     Q, B, C = dense_at(sys, pt)
     for kind in ("delta1", "delta3pr"):
         ws = full_workspace(sys, kind, bases)
-        total = rg.evaluate_mimo(rg.EstimatorKind.from_name(kind), ws, sys, pt)
+        total = rg.evaluate(rg.EstimatorKind.from_name(kind), ws, sys, pt).total
         per_channel = np.zeros((n_out, n_in))
         for i in range(n_out):
             for k in range(n_in):

@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -254,14 +252,56 @@ def _resonant_system(n=12):
     return rg.from_first_order(np.eye(n), A, b, b.T)
 
 
-def test_singular_training_sample_is_skipped_with_warning():
+# The singular samples sit where the expansion points start: main at 0,
+# beta and gamma at the middle (4), alpha at the last index (8). Each case
+# names the basis whose block build first meets each of them.
+_SINGULAR_CASES = [
+    ("delta_r", False, {0: "V"}),
+    ("delta1", False, {0: "V"}),
+    ("delta1pr", False, {0: "V", 8: "V_rpr"}),
+    ("delta2", False, {0: "V", 8: "V_rdu"}),
+    ("delta2pr", False, {0: "V", 8: "V_rpr"}),
+    ("delta3", False, {0: "V", 8: "V_rpr"}),
+    ("delta3pr", False, {0: "V", 8: "V_rpr", 4: "V_rrpr"}),
+    ("delta1", True, {0: "V", 4: "V_du"}),
+    ("delta2", True, {0: "V", 4: "V_du", 8: "V_rdu"}),
+    ("delta2pr", True, {0: "V", 4: "V_du", 8: "V_rpr"}),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, symmetric, expansions",
+    [
+        pytest.param(kind, symmetric, expansions, id=kind + ("-symmetric" if symmetric else ""))
+        for kind, symmetric, expansions in _SINGULAR_CASES
+    ],
+)
+def test_singular_training_sample_is_skipped_with_warning(kind, symmetric, expansions):
     sys = _resonant_system()
-    grid = [{"s": 1.0}] + [{"s": 0.5 + 1j * w} for w in np.linspace(0.3, 4.0, 8)]
-    cfg = rg.GreedyConfig(kind="delta2", training_set=grid, tolerance=1e-6, max_iterations=6)
-    with pytest.warns(RuntimeWarning):
+    grid = [{"s": 0.5 + 1j * w} for w in np.linspace(0.3, 4.0, 9)]
+    grid[0], grid[len(grid) // 2], grid[-1] = {"s": 1.0}, {"s": 2.0}, {"s": 3.0}
+    cfg = rg.GreedyConfig(
+        kind=kind,
+        training_set=grid,
+        tolerance=1e-6,
+        max_iterations=6,
+        symmetric_variant=symmetric,
+    )
+    with pytest.warns(RuntimeWarning) as caught:
         res = rg.run_greedy(sys, cfg)
-    assert 0 in res.skipped_samples
     assert res.converged
+    assert res.skipped_samples == [0, 4, 8]
+    messages = [str(w.message) for w in caught]
+    for index, basis in expansions.items():
+        assert any(
+            m.startswith(f"skipping training sample {index} ")
+            and m.endswith(f"during expansion of {basis}")
+            for m in messages
+        ), (index, basis, messages)
+    singular = [grid[0], grid[4], grid[-1]]
+    for row in res.trace:
+        for point in (row.main_point, row.alpha_point, row.beta_point, row.gamma_point):
+            assert point not in singular
 
 
 def test_all_singular_samples_raise():
@@ -321,18 +361,3 @@ def test_validate_accepts_workspace_or_result():
     b = rg.validate(sys, res.workspace, grid, kind="delta1pr")
     assert [r.estimate for r in a.rows] == [r.estimate for r in b.rows]
 
-
-# ---------------------------------------------------------------------------
-# threading
-
-
-def test_threaded_sweep_matches_serial(monkeypatch):
-    sys = rg.rc_ladder(100)
-    cfg = rg.GreedyConfig(kind="delta2", training_set=_ladder_grid(16), tolerance=1e-4)
-    serial = rg.run_greedy(sys, cfg)
-    monkeypatch.setenv("ROMGRID_THREADS", "4")
-    threaded = rg.run_greedy(sys, cfg)
-    assert len(serial.trace) == len(threaded.trace)
-    for a, b in zip(serial.trace, threaded.trace):
-        assert a.max_estimate == b.max_estimate
-        assert a.main_point == b.main_point

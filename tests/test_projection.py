@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import romgrid as rg
-from romgrid.errors import DimensionMismatchError, SingularReducedSystemError
+from romgrid.errors import (
+    DimensionMismatchError,
+    ProjectionMismatchError,
+    RomgridError,
+    SingularReducedSystemError,
+)
+from romgrid.projection import _check_commutation
 
 import oracles
 from conftest import (
@@ -66,6 +72,20 @@ def test_reduced_system_keeps_affine_structure(rng):
     assert np.allclose(
         rom.system.Q.assemble(pt), V.T @ Q @ V, atol=1e-12
     )
+
+
+def test_corrupted_reduced_term_fails_commutation_check(rng):
+    # a reduced affine term that no longer matches its full-order term is
+    # reported as a romgrid error, not a bare AssertionError
+    sys = random_system(rng, 12)
+    rom = rg.reduce_system(sys, random_orthonormal(rng, 12, 3), validate=False)
+    _check_commutation(sys, rom)
+    _, term = rom.system.Q.terms[0]
+    term[0, 0] += 1e-3
+    with pytest.raises(ProjectionMismatchError) as err:
+        _check_commutation(sys, rom)
+    assert isinstance(err.value, RomgridError)
+    assert "commutation" in str(err.value)
 
 
 def test_reduce_rejects_wrong_rows(rng):
