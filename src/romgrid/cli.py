@@ -101,14 +101,13 @@ def _greedy_config(args, grid, kind=None):
     )
 
 
-def _print_trace(trace, stream=_sys.stdout):
-    print(f"{'iter':>4}  {'max estimate':>13}  {'max true err':>13}  {'rom dim':>7}", file=stream)
+def _print_trace(trace):
+    print(f"{'iter':>4}  {'max estimate':>13}  {'max true err':>13}  {'rom dim':>7}")
     for record in trace:
         true_text = "-" if record.max_true_error is None else f"{record.max_true_error:13.6e}"
         print(
             f"{record.iteration:>4}  {record.max_estimate:13.6e}  {true_text:>13}  "
-            f"{record.rom_dimension:>7}",
-            file=stream,
+            f"{record.rom_dimension:>7}"
         )
 
 

@@ -6,7 +6,7 @@ and approximate solutions of residual systems (linear systems whose
 right-hand side is one of those residuals). None of them needs an inf-sup
 or smallest-singular-value computation, and none needs a full-order
 factorization; full-order solves appear only in the diagnostic routines
-``true_error`` (optionally) and ``sensitivity_report``.
+``true_error`` and ``sensitivity_report``.
 
 The exact error obeys ``H - H_hat = x_du^T r_pr`` with the full dual
 solution ``Q^T x_du = C^T``; every estimator replaces ``x_du`` (or the
@@ -14,6 +14,28 @@ output functional applied to the error) by reduced surrogates. The table
 ``ESTIMATORS`` holds everything that differs between the seven kinds: the
 reduced models each one needs, the formulas of its two parts, and the
 breakdown quantities its greedy expansion points chase.
+
+Evaluation is split into an offline and an online step. Every residual is
+a stack of full-order pieces times a small coefficient block,
+``r(p) = P F(p)``: ``r_pr`` stacks ``[B_k | Q_j V]``, ``r_du`` stacks
+``[C_k^T | Q_j^T V_du]`` and ``r_rpr`` stacks the ``r_pr`` pieces and
+``[Q_j V_rpr]``. The offline step runs once per (workspace, kind, system),
+on the first ``evaluate``. It factors each stack as ``P = U R`` (``U``
+orthonormal, ``R`` triangular; a piece is dropped from ``U`` only where it
+depends on the others to roundoff of its own norm, so a tiny piece with a
+huge coefficient keeps its term) and keeps only small arrays: ``R``, the
+projections ``X^T U`` onto the bases that read the residual and the
+reduced output maps ``C_k V_X``; the n-row ``U`` is dropped again. The
+online step evaluates the monomial coefficients, solves the reduced
+models and multiplies small matrices, so its cost does not depend on the
+full order n: a residual is ``r = U y`` with coordinates ``y = R F``, a
+bilinear form ``X^T r`` is ``(X^T U) y`` and ``||r|| = ||y||``. That is
+the numerically stable form of Buhr, Engwer, Ohlberger & Rave (2014); the
+Gram form ``F^H P^H P F`` would lose all accuracy below about sqrt(eps)
+times the norm of the pieces. ``r_rpr`` extends the factorization of
+``r_pr`` block by block and its coordinates are formed from those of
+``r_pr``, so like the full-order chain ``r_rpr = r_pr - Q x_rpr_hat`` it
+stays accurate relative to ``r_pr``, not to the pieces.
 
 For systems with several inputs/outputs every bilinear form is an
 (n_outputs x n_inputs) matrix and estimates take the max over channels.
@@ -24,6 +46,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .errors import MissingWorkspaceRomError
 from .projection import reduce_system
@@ -76,7 +99,10 @@ class ReducedModelRole:
     ``point`` names the greedy expansion point that grows the basis; the
     dual model's ``"gamma"`` point is the main point unless the symmetric
     variant is on. ``contains`` lists the bases whose own blocks this basis
-    also receives, in order, so the span containments stay exact.
+    also receives, in order, so the span containments stay exact. ``rhs``
+    names the residual the model is solved against (None: the side's input
+    map), and ``residual`` the name of the model's own residual, if an
+    estimator reads it.
     """
 
     field: str
@@ -84,62 +110,215 @@ class ReducedModelRole:
     side: str
     point: str
     contains: tuple = ()
+    rhs: str | None = None
+    residual: str | None = None
 
 
-PRIMAL = ReducedModelRole("rom_primal", "V", "primal", "main")
-DUAL = ReducedModelRole("rom_dual", "V_du", "dual", "gamma")
-DUAL_RESIDUAL = ReducedModelRole("rom_dual_residual", "V_rdu", "dual", "alpha", ("V_du",))
-PRIMAL_RESIDUAL = ReducedModelRole("rom_primal_residual", "V_rpr", "primal", "alpha", ("V",))
+PRIMAL = ReducedModelRole("rom_primal", "V", "primal", "main", residual="r_pr")
+DUAL = ReducedModelRole("rom_dual", "V_du", "dual", "gamma", residual="r_du")
+DUAL_RESIDUAL = ReducedModelRole(
+    "rom_dual_residual", "V_rdu", "dual", "alpha", ("V_du",), rhs="r_du"
+)
+PRIMAL_RESIDUAL = ReducedModelRole(
+    "rom_primal_residual", "V_rpr", "primal", "alpha", ("V",), rhs="r_pr", residual="r_rpr"
+)
 PRIMAL_RESIDUAL_RESIDUAL = ReducedModelRole(
-    "rom_primal_residual_residual", "V_rrpr", "primal", "beta", ("V", "V_rpr")
+    "rom_primal_residual_residual", "V_rrpr", "primal", "beta", ("V", "V_rpr"), rhs="r_rpr"
 )
 #: Every reduced model, in the order bases are grown and stored.
 REDUCED_MODELS = (PRIMAL, DUAL, DUAL_RESIDUAL, PRIMAL_RESIDUAL, PRIMAL_RESIDUAL_RESIDUAL)
+#: The model whose residual each residual name denotes.
+_RESIDUAL_OF = {model.residual: model for model in REDUCED_MODELS if model.residual}
+
+
+def _side_by_side(blocks):
+    """The blocks' columns in one column-major array, which LAPACK factors in place."""
+    out = np.empty(
+        (blocks[0].shape[0], sum(block.shape[1] for block in blocks)),
+        dtype=np.complex128,
+        order="F",
+    )
+    start = 0
+    for block in blocks:
+        out[:, start : start + block.shape[1]] = block
+        start += block.shape[1]
+    return out
+
+
+def _orthonormal_factor(block, norms=None):
+    """``block = U T`` with orthonormal ``U`` of the block's numerical rank; overwrites ``block``.
+
+    Column-pivoted QR of the block with every column scaled by its entry of
+    ``norms`` (default: the column's own norm), truncated where the diagonal
+    falls below roundoff; the scales go back into ``T``. A column is so
+    dropped only where it depends on the kept ones to roundoff of its own
+    norm, however small that norm is beside the other columns' (an affine
+    piece can be tiny and still carry a huge coefficient). Being
+    rank-revealing, it pads ``U`` with no arbitrary unit columns, which need
+    not be orthogonal to an earlier block.
+    """
+    if norms is None:
+        norms = np.linalg.norm(block, axis=0)
+    norms = np.where(norms > 0.0, norms, 1.0)
+    block /= norms
+    U, T, order = scipy.linalg.qr(block, overwrite_a=True, mode="economic", pivoting=True)
+    rank = int(np.count_nonzero(np.abs(np.diag(T)) > max(block.shape) * _EPS))
+    return U[:, :rank], T[:rank, np.argsort(order)] * norms
+
+
+@dataclass
+class _OfflineTerms:
+    """Reduced images of one system's affine pieces, for one estimator kind.
+
+    ``systems`` maps each side to its system, ``monomials`` each (side,
+    family letter) to the coefficient monomials of its pieces. ``factors``
+    maps a residual to the blocks ``(R_B, S, T)`` of its triangular factor,
+    ``projections`` a (model field, ``"V"`` or ``"W"``, residual) key to
+    ``X^T [U_h | U]`` and ``outputs`` a primal-side model to ``C_k V_X`` for
+    every output piece; see ``_offline_terms``.
+    """
+
+    sys: object
+    systems: dict
+    monomials: dict
+    factors: dict
+    projections: dict
+    outputs: dict
+
+
+def _offline_terms(workspace, spec, sys):
+    """The offline step of one kind against ``sys``: every small array, in one pass.
+
+    The residual of model M is ``r = [h | Q_1 V_M | ... | Q_J V_M] F`` with
+    ``h`` the side's input pieces ``B_k`` (factored as ``U_h R_B``) or, for
+    a residual model, the residual M is solved against (its basis ``U_h``
+    and coordinates ``y_h``). The stack is factored block by block:
+    ``S = U_h^H Q_j V_M`` (one reorthogonalization pass) and ``U T`` the
+    rank-revealing QR factorization of what remains, so ``r = [U_h | U] y``
+    with orthonormal columns and coordinates ``y = [y_h + S F_tail; T
+    F_tail]``. The n-row bases ``[U_h | U]`` live only in this function.
+    What is kept of them is their projections onto the test basis of the
+    model solved against them, and onto the trial basis of every model of
+    the other side: a bilinear form ``x_hat^T r`` always weighs a residual
+    with a solution of the opposite side.
+    """
+    models = (PRIMAL,) + spec.models
+    wanted = set(spec.residuals) | {model.rhs for model in models if model.rhs}
+    systems = {"primal": sys}
+    if any(_RESIDUAL_OF[name].side == "dual" for name in wanted):
+        systems["dual"] = sys.dual()
+    monomials, factors, bases = {}, {}, {}
+    for side, system in systems.items():
+        for letter in "BQC":
+            monomials[side, letter] = [m for m, _ in getattr(system, letter).monomial_pieces()]
+    for model in REDUCED_MODELS:
+        name = model.residual
+        if name not in wanted:
+            continue
+        side = systems[model.side]
+        R_B = None
+        if model.rhs is None:
+            head, R_B = _orthonormal_factor(
+                _side_by_side([matrix for _, matrix in side.B.monomial_pieces()])
+            )
+        else:
+            head = bases[model.rhs]
+        V = getattr(workspace, model.field).V.columns
+        rest = _side_by_side([matrix @ V for _, matrix in side.Q.monomial_pieces()])
+        norms = np.linalg.norm(rest, axis=0)
+        S = np.zeros((head.shape[1], rest.shape[1]), dtype=np.complex128)
+        for _ in range(2):
+            step = head.conj().T @ rest
+            rest -= head @ step
+            S += step
+        U, T = _orthonormal_factor(rest, norms)
+        del rest
+        bases[name] = np.hstack([head, U])
+        factors[name] = (R_B, S, T)
+    projections, outputs = {}, {}
+    for model in spec.models:
+        rom = getattr(workspace, model.field)
+        for name, basis in bases.items():
+            if _RESIDUAL_OF[name].side != model.side:
+                projections[model.field, "V", name] = rom.V.columns.T @ basis
+        if model.rhs is not None:
+            projections[model.field, "W", model.rhs] = rom.W.columns.T @ bases[model.rhs]
+        if model.side == "primal":
+            outputs[model.field] = [matrix @ rom.V.columns for _, matrix in sys.C.monomial_pieces()]
+    return _OfflineTerms(sys, systems, monomials, factors, projections, outputs)
 
 
 class _SampleTerms:
-    """Full-order ingredients of the estimators at one sample point.
+    """Online ingredients of the estimators at one sample point.
 
-    The operator, input and output maps and the primal residual are formed
-    on construction; every other term on first use, so each kind forms
-    exactly the products its row in ``ESTIMATORS`` reads.
+    Reduced solutions ``z``, residual coordinates ``y`` and the bilinear
+    forms built from them, each formed on first use so every kind forms
+    exactly what its row in ``ESTIMATORS`` reads. Nothing here has n rows.
     """
 
-    def __init__(self, workspace, sys, point, n_random, rng_seed, xi):
+    def __init__(self, workspace, offline, point, n_random, rng_seed, xi):
         self.workspace = workspace
+        self.offline = offline
         self.point = point
-        self.Q = sys.Q.assemble(point)
-        self.B = sys.B.assemble(point)
-        self.C = sys.C.assemble(point)
         self._n_random = n_random
         self._rng_seed = rng_seed
         self._xi = xi
-        _, xhat_pr = workspace.rom_primal.solve(point)
-        self.r_pr = self.B - self.Q @ xhat_pr
+        self._coefficients = {}
+        self._z = {}
+        self._y = {}
 
-    def solve(self, model, rhs=None):
-        """Lifted solution of one of the workspace's reduced models."""
-        return getattr(self.workspace, model.field).solve(self.point, rhs=rhs)[1]
+    def coefficients(self, side, letter):
+        """Values at the point of the monomials of one family's pieces."""
+        key = (side, letter)
+        if key not in self._coefficients:
+            monomials = self.offline.monomials[key]
+            self._coefficients[key] = [m(self.point) for m in monomials]
+        return self._coefficients[key]
 
-    @cached_property
-    def xhat_du(self):
-        return self.solve(DUAL)
+    def z(self, model):
+        """Reduced coordinates of the model's solution at the point."""
+        if model.field not in self._z:
+            rom = getattr(self.workspace, model.field)
+            rhs = None
+            if model.rhs is not None:
+                rhs = self.offline.projections[model.field, "W", model.rhs] @ self.y(model.rhs)
+            self._z[model.field], _ = rom.solve(self.point, rhs, reduced=True)
+        return self._z[model.field]
+
+    def y(self, name):
+        """Coordinates of residual ``name`` in its orthonormal basis."""
+        if name not in self._y:
+            model = _RESIDUAL_OF[name]
+            R_B, S, T = self.offline.factors[name]
+            if model.rhs is None:
+                ports = np.eye(self.offline.systems[model.side].n_inputs)
+                head = R_B @ np.vstack([c * ports for c in self.coefficients(model.side, "B")])
+            else:
+                head = self.y(model.rhs)
+            z = self.z(model)
+            tail = np.vstack([-c * z for c in self.coefficients(model.side, "Q")])
+            self._y[name] = np.vstack([head + S @ tail, T @ tail])
+        return self._y[name]
+
+    def pair(self, model, name):
+        """``x_hat^T r`` of the model's solution and a residual, (n_out x n_in)."""
+        tested = self.offline.projections[model.field, "V", name] @ self.y(name)
+        value = self.z(model).T @ tested
+        return value.T if model.side == "primal" else value
+
+    def output(self, model):
+        """``C x_hat`` of a primal-side model's solution."""
+        maps = self.offline.outputs[model.field]
+        C_V = sum(c * m for c, m in zip(self.coefficients("primal", "C"), maps))
+        return C_V @ self.z(model)
+
+    def norm(self, name):
+        """Worst column 2-norm of the residual: the norm of its coordinates."""
+        return _column_norm(self.y(name))
 
     @cached_property
     def delta1(self):
-        return self.xhat_du.T @ self.r_pr
-
-    @cached_property
-    def r_du(self):
-        return self.C.T - self.Q.T @ self.xhat_du
-
-    @cached_property
-    def xhat_rpr(self):
-        return self.solve(PRIMAL_RESIDUAL, self.r_pr)
-
-    @cached_property
-    def r_rpr(self):
-        return self.r_pr - self.Q @ self.xhat_rpr
+        return self.pair(DUAL, "r_pr")
 
     @cached_property
     def xi(self):
@@ -160,8 +339,8 @@ class EstimatorSpec:
     """What one estimator kind needs and computes; see ``ESTIMATORS``.
 
     ``models`` are the reduced models beyond the primal one. ``parts`` maps
-    the sample terms to the (part1, part2) magnitude matrices, part2 None
-    for one-part kinds. ``residuals`` are the residuals whose worst-column
+    the online sample terms to the (part1, part2) magnitude matrices, part2
+    None for one-part kinds. ``residuals`` are the residuals whose worst-column
     norms ``aux`` reports as ``<name>_norm``. ``alpha``, ``beta`` and
     ``gamma`` name the breakdown quantity each greedy point maximizes
     (None: the point is unused); a gamma of None also means the symmetric
@@ -178,13 +357,15 @@ class EstimatorSpec:
 
 #: The estimator family. ``x_rdu_hat``, ``x_rpr_hat`` and ``x_rrpr_hat``
 #: solve reduced residual systems with right-hand sides ``W^T r_du``,
-#: ``W^T r_pr`` and ``W^T r_rpr`` (``r_rpr = r_pr - Q x_rpr_hat``).
+#: ``W^T r_pr`` and ``W^T r_rpr`` (``r_rpr = r_pr - Q x_rpr_hat``). In the
+#: formulas, ``t.pair(X, r)`` is ``x_X_hat^T r`` and ``t.output(X)`` is
+#: ``C x_X_hat``.
 ESTIMATORS = {
     # (1/K) sqrt(sum_i |xi_i x_du_hat^T r_pr|^2), seeded normal weights xi
     EstimatorKind.DELTA_R: EstimatorSpec(
         models=(DUAL,),
         parts=_delta_r_parts,
-        residuals=("r_pr", "r_du"),
+        residuals=("r_pr",),
     ),
     # |x_du_hat^T r_pr|
     EstimatorKind.DELTA_1: EstimatorSpec(
@@ -196,14 +377,14 @@ ESTIMATORS = {
     # |C x_rpr_hat|
     EstimatorKind.DELTA_1PR: EstimatorSpec(
         models=(PRIMAL_RESIDUAL,),
-        parts=lambda t: (np.abs(t.C @ t.xhat_rpr), None),
+        parts=lambda t: (np.abs(t.output(PRIMAL_RESIDUAL)), None),
         residuals=("r_pr", "r_rpr"),
         alpha="r_rpr_norm",
     ),
     # Delta1 + |x_rdu_hat^T r_pr|
     EstimatorKind.DELTA_2: EstimatorSpec(
         models=(DUAL, DUAL_RESIDUAL),
-        parts=lambda t: (np.abs(t.delta1), np.abs(t.solve(DUAL_RESIDUAL, t.r_du).T @ t.r_pr)),
+        parts=lambda t: (np.abs(t.delta1), np.abs(t.pair(DUAL_RESIDUAL, "r_pr"))),
         residuals=("r_pr", "r_du"),
         alpha="part2",
         gamma="part1",
@@ -211,7 +392,7 @@ ESTIMATORS = {
     # Delta1 + |r_du^T x_rpr_hat|
     EstimatorKind.DELTA_2PR: EstimatorSpec(
         models=(DUAL, PRIMAL_RESIDUAL),
-        parts=lambda t: (np.abs(t.delta1), np.abs(t.r_du.T @ t.xhat_rpr)),
+        parts=lambda t: (np.abs(t.delta1), np.abs(t.pair(PRIMAL_RESIDUAL, "r_du"))),
         residuals=("r_pr", "r_du"),
         alpha="part2",
         gamma="part1",
@@ -219,16 +400,16 @@ ESTIMATORS = {
     # Delta1Pr + |x_du_hat^T r_rpr|
     EstimatorKind.DELTA_3: EstimatorSpec(
         models=(DUAL, PRIMAL_RESIDUAL),
-        parts=lambda t: (np.abs(t.C @ t.xhat_rpr), np.abs(t.xhat_du.T @ t.r_rpr)),
-        residuals=("r_pr", "r_du", "r_rpr"),
+        parts=lambda t: (np.abs(t.output(PRIMAL_RESIDUAL)), np.abs(t.pair(DUAL, "r_rpr"))),
+        residuals=("r_pr", "r_rpr"),
         alpha="part1",
     ),
     # Delta1Pr + |C x_rrpr_hat|
     EstimatorKind.DELTA_3PR: EstimatorSpec(
         models=(PRIMAL_RESIDUAL, PRIMAL_RESIDUAL_RESIDUAL),
         parts=lambda t: (
-            np.abs(t.C @ t.xhat_rpr),
-            np.abs(t.C @ t.solve(PRIMAL_RESIDUAL_RESIDUAL, t.r_rpr)),
+            np.abs(t.output(PRIMAL_RESIDUAL)),
+            np.abs(t.output(PRIMAL_RESIDUAL_RESIDUAL)),
         ),
         residuals=("r_pr", "r_rpr"),
         alpha="part1",
@@ -243,7 +424,9 @@ class EstimatorWorkspace:
 
     ``rom_primal`` approximates the state equation; the optional members
     approximate the dual equation and the residual equations. Which are
-    required depends on the kind and is checked at construction.
+    required depends on the kind and is checked at construction. The
+    workspace also caches, per kind, the offline terms of the last system
+    it was evaluated against (see the module docstring).
     """
 
     kind: EstimatorKind
@@ -252,6 +435,7 @@ class EstimatorWorkspace:
     rom_dual_residual: object = None
     rom_primal_residual: object = None
     rom_primal_residual_residual: object = None
+    _offline: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.kind, str):
@@ -261,6 +445,13 @@ class EstimatorWorkspace:
     @staticmethod
     def required_roms(kind):
         return [model.field for model in ESTIMATORS[kind].models]
+
+    def _offline_terms(self, kind, sys):
+        """The kind's offline terms against ``sys``, rebuilt when the system changes."""
+        terms = self._offline.get(kind)
+        if terms is None or terms.sys is not sys:
+            terms = self._offline[kind] = _offline_terms(self, ESTIMATORS[kind], sys)
+        return terms
 
     @classmethod
     def from_bases(
@@ -382,9 +573,10 @@ def _channel_parts(kind, workspace, sys, point, n_random, rng_seed, xi):
     """Magnitude matrices (n_outputs x n_inputs) of the estimator parts."""
     _require_models(workspace, kind)
     spec = ESTIMATORS[kind]
-    terms = _SampleTerms(workspace, sys, point, n_random, rng_seed, xi)
+    offline = workspace._offline_terms(kind, sys)
+    terms = _SampleTerms(workspace, offline, point, n_random, rng_seed, xi)
     part1_mat, part2_mat = spec.parts(terms)
-    aux = {f"{name}_norm": _column_norm(getattr(terms, name)) for name in spec.residuals}
+    aux = {f"{name}_norm": terms.norm(name) for name in spec.residuals}
     return part1_mat, part2_mat, aux
 
 
@@ -395,6 +587,8 @@ def evaluate(kind, workspace, sys, point, n_random=20, rng_seed=0, xi=None):
     weights are drawn once from the seed (or taken verbatim from ``xi``),
     so a sweep with a fixed seed uses the same weights at every sample.
     For several channels each field is the max over (output, input) pairs.
+    The first call for a (workspace, kind, system) also runs the offline
+    step; later calls work on reduced quantities only.
     """
     if not isinstance(kind, EstimatorKind):
         kind = EstimatorKind.from_name(kind)
@@ -430,18 +624,27 @@ def delta_r(workspace, sys, point, n_samples=20, rng_seed=0, xi=None):
     ).total
 
 
-def true_error(sys, workspace, point, verify_identity=False):
+def true_error(sys, workspace, point, verify_identity=False, cache=None):
     """Exact output error ``max_ij |H_ij - H_hat_ij|`` at one sample point.
 
     Needs a full-order factorization. With ``verify_identity`` the direct
     difference of transfer functions is cross-checked against the exact
     identity ``H - H_hat = x_du^T r_pr`` (full dual solution against the
     reduced primal residual); disagreement beyond rounding raises.
+    ``cache`` is a dict the caller keeps for one system: it maps sample
+    points to the full-order ``H(p)``, so a point seen before costs no
+    full-order work.
     """
-    lu = sys.operator_lu(point)
-    Bp = sys.B.assemble(point)
-    Cp = sys.C.assemble(point)
-    H = Cp @ lu.solve(Bp)
+    key = tuple(sorted(point.items()))
+    if cache is not None and key in cache and not verify_identity:
+        H = cache[key]
+    else:
+        lu = sys.operator_lu(point)
+        Bp = sys.B.assemble(point)
+        Cp = sys.C.assemble(point)
+        H = Cp @ lu.solve(Bp)
+        if cache is not None:
+            cache[key] = H
     H_hat = workspace.rom_primal.transfer_function(point)
     err_mat = H - H_hat
     direct = _max_abs(err_mat)

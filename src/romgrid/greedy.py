@@ -344,6 +344,7 @@ def run_greedy(sys, config):
 
     trace = []
     skipped = []
+    exact = {}  # full-order H(p) per training sample, computed once per run
     converged = False
     stop_reason = StopReason.MAX_ITERATIONS
     ws = None
@@ -362,7 +363,7 @@ def run_greedy(sys, config):
                 if b is None:
                     continue
                 try:
-                    true_values.append(true_error(sys, ws, state.samples[i]))
+                    true_values.append(true_error(sys, ws, state.samples[i], cache=exact))
                 except SingularAtSampleError:
                     state._mark_singular(i, "true-error recording")
             max_true = max(true_values) if true_values else None

@@ -5,8 +5,6 @@ this module: LU with an explicit singularity threshold, block solves with
 plain-transpose support, and append-only orthonormalization with deflation.
 """
 
-import warnings
-
 import numpy as np
 import scipy.linalg
 
@@ -15,6 +13,10 @@ from .errors import DimensionMismatchError, SingularMatrixError
 __all__ = ["LUFactorization", "lu_factor", "orthonormalize_append", "gram_deviation"]
 
 _EPS = np.finfo(np.float64).eps
+# The LAPACK routines behind scipy.linalg.lu_factor/lu_solve, called directly:
+# the same arithmetic without the per-call wrapper cost, which dominates the
+# small reduced systems solved at every estimator sample.
+_GETRF, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
 
 
 def _as_complex_matrix(a, name="matrix"):
@@ -24,7 +26,7 @@ def _as_complex_matrix(a, name="matrix"):
     if a.ndim != 2:
         raise DimensionMismatchError(f"{name} must be 2-d, got shape {a.shape}")
     a = a.astype(np.complex128, copy=False)
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
@@ -52,7 +54,10 @@ class LUFactorization:
             raise DimensionMismatchError(
                 f"right-hand side has {b.shape[0]} rows, factorization has dimension {self.dim}"
             )
-        x = scipy.linalg.lu_solve((self._lu, self._piv), b, trans=1 if transpose else 0)
+        if self.dim == 0:
+            x = b
+        else:
+            x, _ = _GETRS(self._lu, self._piv, b, trans=1 if transpose else 0)
         return x[:, 0] if squeeze else x
 
 
@@ -72,10 +77,8 @@ def lu_factor(a):
         return LUFactorization(np.zeros((0, 0), dtype=np.complex128), np.zeros(0, dtype=np.int32), 0, 0.0)
     if max_abs == 0.0:
         raise SingularMatrixError(f"matrix of dimension {n} is identically zero")
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        # exact zero pivots are reported through the exception below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+    # exact zero pivots (LAPACK info > 0) are reported through the exception below
+    lu, piv, _ = _GETRF(a)
     min_pivot = float(np.min(np.abs(np.diag(lu))))
     threshold = n * _EPS * max_abs
     if not np.isfinite(min_pivot) or min_pivot < threshold:

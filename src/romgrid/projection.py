@@ -90,13 +90,15 @@ class ReducedModel:
                 f"reduced operator ({self.dim} dofs) is singular at {point!r}: {exc}"
             ) from exc
 
-    def solve(self, point, rhs=None):
+    def solve(self, point, rhs=None, reduced=False):
         """Solve the reduced system and lift.
 
         With ``rhs=None`` the right-hand side is the reduced input map
         evaluated at ``point``; otherwise ``rhs`` is a full-order block that
         is compressed as ``W^T rhs``. Returns ``(z, lifted)`` where
-        ``lifted = V z``.
+        ``lifted = V z``. With ``reduced=True`` the call stays in reduced
+        coordinates: ``rhs`` is an already compressed block (``dim`` rows)
+        and ``lifted`` is None, so nothing of full-order size is formed.
         """
         lu = self.operator_lu(point)
         if rhs is None:
@@ -105,9 +107,9 @@ class ReducedModel:
             rhs = np.asarray(rhs, dtype=np.complex128)
             if rhs.ndim == 1:
                 rhs = rhs.reshape(-1, 1)
-            reduced_rhs = self.W.columns.T @ rhs
+            reduced_rhs = rhs if reduced else self.W.columns.T @ rhs
         z = lu.solve(reduced_rhs)
-        return z, self.V.columns @ z
+        return z, None if reduced else self.V.columns @ z
 
     def transfer_function(self, point):
         return self.system.transfer_function(point)

@@ -7,6 +7,8 @@ sweeps pass sample points like ``{"s": 2j*pi*f}`` and parametric systems
 simply add more names.
 """
 
+import weakref
+
 import numpy as np
 
 from . import linalg
@@ -175,8 +177,8 @@ class AffineMatrix:
         return AffineMatrix(base.shape, base=base, terms=terms)
 
     def transposed(self):
-        """Termwise plain transpose (no conjugation)."""
-        return self.map_matrices(lambda m: m.T.copy())
+        """Termwise plain transpose (no conjugation), as views of this family's matrices."""
+        return self.map_matrices(lambda m: m.T)
 
     def diff(self, name):
         """Termwise partial derivative with respect to one parameter."""
@@ -207,13 +209,20 @@ class AffineMatrix:
         terms += [(monomial.scaled(factor), matrix) for monomial, matrix in other.terms]
         return AffineMatrix(self.shape, base=base, terms=terms)
 
+    def monomial_pieces(self):
+        """(monomial, matrix) pairs summing to the family at every point.
+
+        The base comes first, with the constant monomial 1, when it is
+        nonzero or the family has no terms (so there is always a piece);
+        then every term.
+        """
+        if np.any(self.base) or not self.terms:
+            return [(Monomial(), self.base)] + list(self.terms)
+        return list(self.terms)
+
     def pieces(self):
         """Constituent matrices: base (when nonzero) then every term matrix."""
-        out = []
-        if np.any(self.base):
-            out.append(self.base)
-        out.extend(matrix for _, matrix in self.terms)
-        return out
+        return [m for _, m in self.monomial_pieces() if m is not self.base or np.any(m)]
 
     def __repr__(self):
         return f"AffineMatrix(shape={self.shape}, terms={len(self.terms)})"
@@ -251,6 +260,8 @@ class ParametricSystem:
                 f"coefficients use undeclared parameters {sorted(unknown)}"
             )
         self.parameter_names = tuple(parameter_names)
+        self._dual = None  # the transposed system, once built
+        self._origin = None  # weak reference to the system this one is the dual of
 
     @property
     def order(self):
@@ -274,15 +285,25 @@ class ParametricSystem:
 
         The dual of the dual is the original family, and reducing the dual
         system is exactly building a dual reduced model, so every dual-side
-        computation reuses the primal code path.
+        computation reuses the primal code path. The dual is built once, from
+        transposed views of this system's matrices: ``sys.dual() is
+        sys.dual()`` and ``sys.dual().dual() is sys`` (systems are not
+        modified after construction). It refers back to its origin weakly,
+        so the pair forms no reference cycle.
         """
-        return ParametricSystem(
-            self.Q.transposed(),
-            self.C.transposed(),
-            self.B.transposed(),
-            parameter_names=self.parameter_names,
-            name=f"{self.name}:dual",
-        )
+        origin = self._origin() if self._origin is not None else None
+        if origin is not None:
+            return origin
+        if self._dual is None:
+            self._dual = ParametricSystem(
+                self.Q.transposed(),
+                self.C.transposed(),
+                self.B.transposed(),
+                parameter_names=self.parameter_names,
+                name=f"{self.name}:dual",
+            )
+            self._dual._origin = weakref.ref(self)
+        return self._dual
 
     def operator_lu(self, point):
         """LU of ``Q(p)``, raising SingularAtSampleError on rank loss."""

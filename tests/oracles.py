@@ -112,10 +112,32 @@ PART_FUNCS = {
 }
 
 
+def parts_delta_r(Q, B, C, b, xi):
+    """Seeded sketch of delta1: (1/K) sqrt(sum_i |xi_i delta1|^2)."""
+    p1, _ = parts_delta1(Q, B, C, b)
+    return np.sqrt(sum(np.abs(w * p1) ** 2 for w in xi)) / len(xi), None
+
+
 def estimate(kind, Q, B, C, b):
     p1, p2 = PART_FUNCS[kind](Q, B, C, b)
     total = p1 if p2 is None else p1 + p2
     return float(np.max(total))
+
+
+def residual_norms(Q, B, C, b):
+    """Worst column 2-norms of r_pr, r_du (with V_du) and r_rpr (with V_rpr)."""
+
+    def worst(block):
+        return float(np.max(np.linalg.norm(block, axis=0)))
+
+    _, r_pr = _primal_pieces(Q, B, b)
+    out = {"r_pr_norm": worst(r_pr)}
+    if b.get("V_du") is not None:
+        out["r_du_norm"] = worst(_dual_pieces(Q, C, b)[1])
+    if b.get("V_rpr") is not None:
+        xhat_rpr = lifted_solve(Q, r_pr, b["V_rpr"], b["W_rpr"])
+        out["r_rpr_norm"] = worst(r_pr - Q @ xhat_rpr)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -44,6 +46,20 @@ def test_reduce_synthetic_writes_run_directory(tmp_path, capsys):
     # the stored reduced system reproduces the workspace transfer function
     rom = rg.load_system(out / "rom" / "manifest.json")
     assert rom.order == meta["rom_dim"]
+
+
+def test_reduce_trace_table_follows_redirected_stdout():
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = main([
+            "reduce", "--synthetic", "rc_ladder:40", "--tol", "1e-3",
+            "--train", "f:1e-3:1e1:10:log",
+        ])
+    assert code == 0
+    lines = buffer.getvalue().splitlines()
+    assert lines[0].split() == ["iter", "max", "estimate", "max", "true", "err", "rom", "dim"]
+    assert lines[1].split()[0] == "1"
+    assert "converged" in lines[-1]
 
 
 def test_reduce_exit_code_on_no_convergence(tmp_path):

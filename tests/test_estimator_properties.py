@@ -1,0 +1,211 @@
+"""Property tests: the online estimators against the full-order oracle chains.
+
+``evaluate`` works on reduced quantities only (projections of the affine
+pieces made once per workspace); ``oracles`` assembles the dense operator
+and forms every residual in full. Hypothesis draws the system family,
+port count, basis dimensions, Galerkin or Petrov-Galerkin test bases and
+the sample point; every kind must agree with its chain.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import romgrid as rg
+
+import oracles
+from conftest import complex_randn, dense_at, full_workspace, random_orthonormal
+
+KINDS = ["delta_r", "delta1", "delta1pr", "delta2", "delta2pr", "delta3", "delta3pr"]
+BASIS_KEYS = ("V", "V_du", "V_rdu", "V_rpr", "V_rrpr")
+_EPS = np.finfo(np.float64).eps
+
+PROPERTY = settings(
+    max_examples=30,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def affine_system(rng, n, ports, parametric):
+    """Well-conditioned family: identity plus small affine pieces.
+
+    Frequency-only: ``Q = Q0 + s Q1`` with constant B and C. Parametric:
+    ``Q = Q0 + s Q1 + d Q2 + s d^-1 Q3``, ``B = B0 + d B1`` and ``C = C0 +
+    s C1``, so input and output pieces carry coefficients too.
+    """
+
+    def small(scale):
+        return scale * complex_randn(rng, n, n) / np.sqrt(n)
+
+    s = rg.Monomial(1.0, {"s": 1})
+    Q_terms = [(s, small(0.2))]
+    B_terms, C_terms = [], []
+    names = ["s"]
+    if parametric:
+        d = rg.Monomial(1.0, {"d": 1})
+        Q_terms += [(d, small(0.15)), (rg.Monomial(1.0, {"s": 1, "d": -1}), small(0.1))]
+        B_terms = [(d, complex_randn(rng, n, ports))]
+        C_terms = [(s, complex_randn(rng, ports, n))]
+        names.append("d")
+    Q = rg.AffineMatrix((n, n), base=np.eye(n) + small(0.35), terms=Q_terms)
+    B = rg.AffineMatrix((n, ports), base=complex_randn(rng, n, ports), terms=B_terms)
+    C = rg.AffineMatrix((ports, n), base=complex_randn(rng, ports, n), terms=C_terms)
+    return rg.ParametricSystem(Q, B, C, parameter_names=names)
+
+
+def sample_point(rng, parametric):
+    point = {"s": (0.5 + rng.uniform()) * np.exp(2j * np.pi * rng.uniform())}
+    if parametric:
+        point["d"] = complex(0.6 + 0.8 * rng.uniform(), 0.3 * rng.standard_normal())
+    return point
+
+
+def draw_bases(rng, n, petrov, first=None):
+    """Random orthonormal bases; ``first`` maps keys to columns they must contain."""
+    out = {}
+    for key in BASIS_KEYS:
+        k = int(rng.integers(1, 6))
+        extra = complex_randn(rng, n, k)
+        if first and key in first:
+            extra = np.hstack([first[key], extra])
+        out[key] = np.linalg.qr(extra)[0]
+        out["W" + key[1:]] = random_orthonormal(rng, n, out[key].shape[1]) if petrov else out[key]
+    return out
+
+
+def oracle_parts(kind, Q, B, C, bases, xi):
+    if kind == "delta_r":
+        return oracles.parts_delta_r(Q, B, C, bases, xi)
+    return oracles.PART_FUNCS[kind](Q, B, C, bases)
+
+
+cases = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "n": st.integers(16, 40),
+    "ports": st.integers(1, 3),
+    "parametric": st.booleans(),
+    "petrov": st.booleans(),
+})
+
+
+@PROPERTY
+@given(case=cases, kind=st.sampled_from(KINDS))
+def test_online_evaluate_matches_oracle_chains(case, kind):
+    rng = np.random.default_rng(case["seed"])
+    sys = affine_system(rng, case["n"], case["ports"], case["parametric"])
+    bases = draw_bases(rng, case["n"], case["petrov"])
+    point = sample_point(rng, case["parametric"])
+    ws = full_workspace(sys, kind, bases)
+    got = rg.evaluate(rg.EstimatorKind.from_name(kind), ws, sys, point, rng_seed=case["seed"] % 97)
+
+    Q, B, C = dense_at(sys, point)
+    xi = np.random.default_rng(case["seed"] % 97).standard_normal(20)
+    p1, p2 = oracle_parts(kind, Q, B, C, bases, xi)
+    scale = max(np.max(p1), 0.0 if p2 is None else np.max(p2))
+    tol = 1e-10 * scale
+    assert got.part1 == pytest.approx(np.max(p1), abs=tol)
+    assert got.part2 == pytest.approx(0.0 if p2 is None else np.max(p2), abs=tol)
+    assert got.total == pytest.approx(np.max(p1 if p2 is None else p1 + p2), abs=tol)
+    norms = oracles.residual_norms(Q, B, C, bases)
+    for name, value in got.aux.items():
+        assert value == pytest.approx(norms[name], rel=1e-10), name
+
+
+@PROPERTY
+@given(case=cases)
+def test_residual_norms_near_convergence(case):
+    # bases that contain the exact primal and dual solutions at the sample:
+    # every residual is roundoff, and the reduced norms must stay at that
+    # level instead of the sqrt(eps) floor of a Gram-matrix form
+    rng = np.random.default_rng(case["seed"])
+    n = case["n"]
+    sys = affine_system(rng, n, case["ports"], case["parametric"])
+    point = sample_point(rng, case["parametric"])
+    Q, B, C = dense_at(sys, point)
+    x_pr = np.linalg.solve(Q, B)
+    x_du = np.linalg.solve(Q.T, C.T)
+    bases = draw_bases(rng, n, False, first={"V": x_pr, "V_du": x_du, "V_rpr": x_pr})
+    got = {}
+    for kind in ("delta1", "delta1pr"):
+        ws = full_workspace(sys, kind, bases)
+        got.update(rg.evaluate(rg.EstimatorKind.from_name(kind), ws, sys, point).aux)
+    norms = oracles.residual_norms(Q, B, C, bases)
+    floor = 1e3 * n * _EPS * max(np.linalg.norm(B, 2), np.linalg.norm(C, 2))
+    for name in ("r_pr_norm", "r_du_norm", "r_rpr_norm"):
+        assert abs(got[name] - norms[name]) <= floor, name
+        assert got[name] <= floor, name
+
+
+def test_workspace_evaluated_against_two_systems(rng):
+    # system b differs from a only off the span of every basis: both give
+    # the same reduced models, but different full-order residuals. Each
+    # evaluation must answer for the system it is given, in any order.
+    n, ports = 30, 2
+    sys_a = affine_system(rng, n, ports, parametric=True)
+    bases = draw_bases(rng, n, False)
+    U = np.linalg.qr(np.hstack([bases[key] for key in BASIS_KEYS]))[0]
+    left = np.eye(n) - U.conj() @ U.T  # W^T left = 0 for W in span(U)
+    right = np.eye(n) - U @ U.conj().T  # right V = 0 for V in span(U)
+    sys_b = rg.ParametricSystem(
+        rg.AffineMatrix((n, n), base=sys_a.Q.base + left @ complex_randn(rng, n, n) @ right,
+                        terms=sys_a.Q.terms),
+        rg.AffineMatrix((n, ports), base=sys_a.B.base + left @ complex_randn(rng, n, ports),
+                        terms=sys_a.B.terms),
+        rg.AffineMatrix((ports, n), base=sys_a.C.base + complex_randn(rng, ports, n) @ right,
+                        terms=sys_a.C.terms),
+        parameter_names=sys_a.parameter_names,
+    )
+    point = sample_point(rng, True)
+    for kind in KINDS[1:]:
+        ws = full_workspace(sys_a, kind, bases)
+        answers = {}
+        for label, system in (("a", sys_a), ("b", sys_b), ("a", sys_a), ("b", sys_b)):
+            got = rg.evaluate(rg.EstimatorKind.from_name(kind), ws, system, point)
+            Q, B, C = dense_at(system, point)
+            p1, p2 = oracle_parts(kind, Q, B, C, bases, None)
+            total = np.max(p1 if p2 is None else p1 + p2)
+            assert got.total == pytest.approx(total, rel=1e-10), (kind, label)
+            norms = oracles.residual_norms(Q, B, C, bases)
+            for name, value in got.aux.items():
+                assert value == pytest.approx(norms[name], rel=1e-10), (kind, label, name)
+            answers[label] = got.aux["r_pr_norm"]
+        assert abs(answers["a"] - answers["b"]) > 1e-3 * answers["a"], kind
+
+
+@pytest.mark.parametrize("petrov", [False, True])
+def test_tiny_pieces_with_huge_coefficients(rng, petrov):
+    # every s-piece is 1e-14 of its family's base but is evaluated at
+    # |s| = 1e14, so its term is as large as the base's: no piece may be
+    # cut from the factorization of a residual for being small beside another
+    n, ports, tiny = 24, 2, 1e-14
+    s, d = rg.Monomial(1.0, {"s": 1}), rg.Monomial(1.0, {"d": 1})
+
+    def small(*shape):
+        return 0.2 * complex_randn(rng, *shape) / np.sqrt(n)
+
+    sys = rg.ParametricSystem(
+        rg.AffineMatrix((n, n), base=np.eye(n) + small(n, n),
+                        terms=[(s, tiny * small(n, n)), (d, small(n, n))]),
+        rg.AffineMatrix((n, ports), base=complex_randn(rng, n, ports),
+                        terms=[(s, tiny * complex_randn(rng, n, ports))]),
+        rg.AffineMatrix((ports, n), base=complex_randn(rng, ports, n),
+                        terms=[(s, tiny * complex_randn(rng, ports, n))]),
+        parameter_names=["s", "d"],
+    )
+    point = {"s": 1.5e14 * np.exp(0.7j), "d": 0.8 + 0.1j}
+    bases = draw_bases(rng, n, petrov)
+    Q, B, C = dense_at(sys, point)
+    norms = oracles.residual_norms(Q, B, C, bases)
+    for kind in KINDS:
+        ws = full_workspace(sys, kind, bases)
+        got = rg.evaluate(rg.EstimatorKind.from_name(kind), ws, sys, point, rng_seed=3)
+        xi = np.random.default_rng(3).standard_normal(20)
+        p1, p2 = oracle_parts(kind, Q, B, C, bases, xi)
+        total = np.max(p1 if p2 is None else p1 + p2)
+        assert got.total == pytest.approx(total, rel=1e-10), kind
+        for name, value in got.aux.items():
+            assert value == pytest.approx(norms[name], rel=1e-10), (kind, name)

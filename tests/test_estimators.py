@@ -81,6 +81,20 @@ def test_estimate_matches_oracle(kind, seed, petrov):
     assert got == pytest.approx(ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("zero", ["B", "C"])
+def test_zero_port_map_gives_zero_estimates(rng, zero):
+    # a family with no nonzero piece still has its (zero) base as a piece
+    sys = random_system(rng, 12)
+    maps = {"B": sys.B, "C": sys.C}
+    maps[zero] = rg.AffineMatrix(maps[zero].shape)
+    sys = rg.ParametricSystem(sys.Q, maps["B"], maps["C"])
+    bases = random_bases(rng, 12)
+    pt = random_point(rng)
+    for kind in DETERMINISTIC_KINDS + ["delta_r"]:
+        b = rg.evaluate(rg.EstimatorKind.from_name(kind), full_workspace(sys, kind, bases), sys, pt)
+        assert b.total == 0.0, kind
+
+
 def test_breakdown_parts_sum_for_single_channel(rng):
     sys = random_system(rng, 20)
     bases = random_bases(rng, 20)
@@ -114,6 +128,25 @@ def test_aux_contains_residual_norms(rng):
     assert "r_rpr_norm" in b.aux
     ws1 = full_workspace(sys, "delta1", bases)
     assert "r_du_norm" in rg.evaluate(rg.EstimatorKind.DELTA_1, ws1, sys, pt).aux
+
+
+def test_kinds_without_dual_residual_rules_skip_it(rng, monkeypatch):
+    # delta_r and delta3 read x_du_hat but no point rule reads r_du, so
+    # their evaluation never touches the transposed system
+    sys = random_system(rng, 16)
+    bases = random_bases(rng, 16)
+    pt = random_point(rng)
+    workspaces = {kind: full_workspace(sys, kind, bases) for kind in ("delta_r", "delta3", "delta1")}
+
+    def no_dual():
+        raise AssertionError("dual system requested")
+
+    monkeypatch.setattr(sys, "dual", no_dual)
+    for kind in ("delta_r", "delta3"):
+        b = rg.evaluate(rg.EstimatorKind.from_name(kind), workspaces[kind], sys, pt)
+        assert "r_du_norm" not in b.aux
+    with pytest.raises(AssertionError):
+        rg.evaluate(rg.EstimatorKind.DELTA_1, workspaces["delta1"], sys, pt)
 
 
 # ---------------------------------------------------------------------------

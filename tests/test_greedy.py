@@ -172,6 +172,43 @@ def test_greedy_true_error_recording_switch():
     assert all(row.max_true_error is None for row in res.trace)
 
 
+def test_true_errors_factor_each_training_sample_once(monkeypatch):
+    # H(p) of a training sample never changes, so a run factors the
+    # full-order operator once per sample for true-error recording
+    import romgrid.greedy as greedy_module
+
+    sys = rg.rc_ladder(60)
+    grid = _ladder_grid(10)
+    inside, factored = [], []
+    operator_lu = sys.operator_lu
+
+    def counting_lu(point):
+        if inside:
+            factored.append(tuple(sorted(point.items())))
+        return operator_lu(point)
+
+    true_error = greedy_module.true_error
+
+    def tracked(*args, **kwargs):
+        inside.append(True)
+        try:
+            return true_error(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(sys, "operator_lu", counting_lu)
+    monkeypatch.setattr(greedy_module, "true_error", tracked)
+    cfg = rg.GreedyConfig(
+        kind="delta2", training_set=grid, tolerance=1e-8, record_true_errors=True
+    )
+    res = rg.run_greedy(sys, cfg)
+    assert len(res.trace) >= 2
+    assert len(factored) == len(set(factored)) == len(grid)
+    monkeypatch.undo()
+    fresh = max(rg.true_error(sys, res.workspace, p) for p in grid)
+    assert res.trace[-1].max_true_error == fresh
+
+
 def test_greedy_bases_stay_orthonormal_and_nested():
     sys = rg.rc_ladder(120)
     cfg = rg.GreedyConfig(kind="delta3pr", training_set=_ladder_grid(20), tolerance=1e-5)

@@ -104,8 +104,15 @@ def test_reduced_solve_with_and_without_rhs(rng):
     _, lifted = rom.solve(pt)
     assert np.allclose(lifted, oracles.lifted_solve(Q, B, V, W), atol=1e-11)
     rhs = complex_randn(rng, 16, 1)
-    _, lifted = rom.solve(pt, rhs=rhs)
+    z, lifted = rom.solve(pt, rhs=rhs)
     assert np.allclose(lifted, oracles.lifted_solve(Q, rhs, V, W), atol=1e-11)
+    # an already compressed right-hand side stays in reduced coordinates
+    z_reduced, nothing = rom.solve(pt, W.T @ rhs, reduced=True)
+    assert nothing is None
+    assert np.array_equal(z_reduced, z)
+    z_input, nothing = rom.solve(pt, reduced=True)
+    assert nothing is None
+    assert np.array_equal(z_input, rom.solve(pt)[0])
 
 
 def test_singular_reduced_operator_raises():

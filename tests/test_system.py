@@ -122,6 +122,14 @@ def test_dual_swaps_roles(rng):
     assert np.allclose(dual.transfer_function(pt), sys.transfer_function(pt).T, atol=1e-12)
 
 
+def test_dual_is_built_once(rng):
+    sys = random_system(rng, 8)
+    dual = sys.dual()
+    assert sys.dual() is dual
+    assert dual.dual() is sys
+    assert dual.dual().dual() is dual
+
+
 def test_solves_match_dense(rng):
     sys = random_system(rng, 15, n_in=2, n_out=2)
     pt = random_point(rng)
