@@ -27,8 +27,9 @@ def main():
     H = sys.transfer_function(point)
     print(f"H at f=0.5 Hz: {H[0, 0]:.6f}")
 
-    # the same number computed by hand from the assembled dense matrices
-    Q = sys.Q.assemble(point)
+    # the same number computed by hand; the ladder's operator is sparse,
+    # so densify it for numpy's dense solver
+    Q = sys.Q.assemble(point).toarray()
     B = sys.B.assemble(point)
     C = sys.C.assemble(point)
     print(f"by hand:       {(C @ np.linalg.solve(Q, B))[0, 0]:.6f}")

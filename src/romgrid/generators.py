@@ -7,6 +7,7 @@ proportional damping, and a multi-port variant.
 """
 
 import numpy as np
+import scipy.sparse
 
 from .system import AffineMatrix, Monomial, from_first_order, from_second_order
 
@@ -19,26 +20,23 @@ __all__ = [
 ]
 
 
-def _tridiag(n, off, diag):
-    m = np.zeros((n, n))
-    np.fill_diagonal(m, diag)
-    idx = np.arange(n - 1)
-    m[idx, idx + 1] = off
-    m[idx + 1, idx] = off
-    return m
-
-
 def rc_ladder(n, conductance=1.0, capacitance=1.0, coupling=0.3):
     """Grounded resistor/capacitor chain, driven and measured at node 1.
 
     ``Q(s) = s*C_mat + G`` with both matrices symmetric tridiagonal and
     positive definite, ``B = e_1`` and ``C = B^T``, so ``Q(s)^T = Q(s)``
     exactly: the estimator-degeneracy regime for shared expansion points.
+    ``G`` and ``C_mat`` are real sparse (CSC) matrices, so the operator
+    family is sparse and every full-order step (assembly, LU, products)
+    costs O(n) per sample.
     """
     if n < 2:
         raise ValueError("ladder needs at least 2 nodes")
-    G = conductance * _tridiag(n, -1.0, 2.0)
-    C_mat = capacitance * np.eye(n) + coupling * _tridiag(n, -1.0, 2.0)
+    laplacian = scipy.sparse.diags_array(
+        [-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(n, n), format="csc"
+    )
+    G = conductance * laplacian
+    C_mat = capacitance * scipy.sparse.eye_array(n, format="csc") + coupling * laplacian
     b = np.zeros((n, 1))
     b[0, 0] = 1.0
     return from_first_order(C_mat, -G, b, b.T, name=f"rc_ladder_{n}")

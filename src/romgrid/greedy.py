@@ -409,6 +409,8 @@ def validate(sys, result, validation_set, kind=None, n_random=20, rng_seed=0):
     EffectivityReport with per-sample rows and min/max effectivities, both
     overall and restricted to samples whose true error exceeds the
     rounding-noise threshold 1e-11 (below it, ratios measure noise).
+    Samples where the full or the reduced operator is singular or not
+    finite are skipped and counted in ``skipped_singular``.
     """
     ws = getattr(result, "workspace", result)
     if kind is None:
@@ -419,7 +421,7 @@ def validate(sys, result, validation_set, kind=None, n_random=20, rng_seed=0):
         try:
             estimate = evaluate(kind, ws, sys, point, n_random=n_random, rng_seed=rng_seed).total
             exact = true_error(sys, ws, point)
-        except SingularAtSampleError:
+        except (SingularAtSampleError, SingularReducedSystemError):
             skipped += 1
             continue
         effectivity = estimate / exact if exact > 0 else None

@@ -7,6 +7,8 @@ monomial coefficient (scalar factor plus integer exponents over the
 declared parameters). Several entries may share a role; they accumulate
 into one affine family, so e.g. a mass matrix ``M_1 + d*M_2`` is two
 ``M`` entries. The Laplace variable ``s`` is always available.
+Coordinate-format files load as sparse matrices and array-format files
+as dense ones, so a family read from coordinate files alone stays sparse.
 
 Example::
 
@@ -51,22 +53,33 @@ _FORMS = {
 
 
 def read_matrix(path):
-    """Read a Matrix Market file (coordinate or array; symmetric expanded)."""
+    """Read a Matrix Market file, symmetric storage expanded.
+
+    Coordinate data comes back as a sparse CSC array (real stays real),
+    array data as a dense complex ndarray.
+    """
     try:
         matrix = scipy.io.mmread(str(path))
     except (OSError, ValueError) as exc:
         raise ManifestError(f"cannot read matrix file {path}: {exc}") from exc
     if scipy.sparse.issparse(matrix):
-        matrix = matrix.toarray()
+        return scipy.sparse.csc_array(matrix)
     return np.asarray(matrix, dtype=np.complex128)
 
 
 def write_matrix(path, matrix):
-    """Write a matrix as Matrix Market coordinate data (real when possible)."""
-    matrix = np.asarray(matrix)
-    if np.iscomplexobj(matrix) and not np.any(matrix.imag):
-        matrix = matrix.real
-    scipy.io.mmwrite(str(path), scipy.sparse.coo_matrix(matrix), precision=17)
+    """Write a dense or sparse matrix as Matrix Market coordinate data (real when possible)."""
+    if scipy.sparse.issparse(matrix):
+        # entries in row-major order, the order written for dense data
+        matrix = scipy.sparse.csr_matrix(matrix).tocoo()
+        if np.iscomplexobj(matrix.data) and not np.any(matrix.data.imag):
+            matrix = matrix.real
+    else:
+        matrix = np.asarray(matrix)
+        if np.iscomplexobj(matrix) and not np.any(matrix.imag):
+            matrix = matrix.real
+        matrix = scipy.sparse.coo_matrix(matrix)
+    scipy.io.mmwrite(str(path), matrix, precision=17)
 
 
 def _entry_monomial(entry, declared, path):
@@ -89,7 +102,7 @@ def _entry_monomial(entry, declared, path):
 
 
 def _build_family(entries, shape, declared, directory, path):
-    base = np.zeros(shape, dtype=np.complex128)
+    base = None
     terms = []
     for entry in entries:
         matrix = read_matrix(directory / entry["file"])
@@ -99,7 +112,10 @@ def _build_family(entries, shape, declared, directory, path):
             )
         monomial = _entry_monomial(entry, declared, path)
         if monomial.is_constant:
-            base += monomial.coefficient * matrix
+            # a real coefficient keeps real (sparse) data real
+            c = monomial.coefficient
+            part = (c.real if c.imag == 0 else c) * matrix
+            base = part if base is None else base + part
         else:
             terms.append((monomial, matrix))
     return AffineMatrix(shape, base=base, terms=terms)
@@ -181,7 +197,7 @@ def load_system(manifest_path):
 
 def _family_entries(role, family, directory, stem):
     entries = []
-    if np.any(family.base):
+    if family.has_base:
         filename = f"{stem}_base.mtx"
         write_matrix(directory / filename, family.base)
         entries.append({"role": role, "file": filename})

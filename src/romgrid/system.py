@@ -10,6 +10,7 @@ simply add more names.
 import weakref
 
 import numpy as np
+import scipy.sparse
 
 from . import linalg
 from .errors import (
@@ -40,13 +41,32 @@ def frequency_point(f):
     return {LAPLACE: 2j * np.pi * f}
 
 
+def _dense_piece(matrix, name):
+    if scipy.sparse.issparse(matrix):
+        matrix = matrix.toarray()
+    return linalg._as_complex_matrix(matrix, name)
+
+
+def _sparse_piece(matrix, name):
+    # CSR stays CSR: the transpose of a CSC piece is a CSR view, not a copy
+    if matrix.format == "csr":
+        matrix = scipy.sparse.csr_array(matrix)
+    else:
+        matrix = scipy.sparse.csc_array(matrix)
+    matrix = matrix.astype(np.result_type(matrix.dtype, np.float64), copy=False)
+    if not np.isfinite(matrix.data).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return matrix
+
+
 class Monomial:
     """Scalar coefficient ``c * prod(p[name] ** exponent)``.
 
     Exponents are signed integers over parameter names, so rational terms
     like ``s**2 * d ** -1`` are single monomials. Evaluation raises
     MissingParameterError for absent names and ZeroToNegativePowerError
-    when a negative power meets a zero value.
+    when a negative power meets a zero value; a power beyond the float
+    range gives an infinite coefficient.
     """
 
     __slots__ = ("coefficient", "exponents")
@@ -71,7 +91,12 @@ class Monomial:
                 raise ZeroToNegativePowerError(
                     f"parameter {name!r} is zero but appears with exponent {power}"
                 )
-            value *= base**power
+            try:
+                value *= base**power
+            except OverflowError:
+                # beyond the float range: an infinite coefficient, which the
+                # LU's finiteness check reports as an unusable sample
+                value *= complex(np.inf, np.inf)
         return value
 
     @property
@@ -118,30 +143,44 @@ class Monomial:
 class AffineMatrix:
     """Matrix family ``M(p) = base + sum_j h_j(p) * M_j`` with monomial h_j.
 
+    Pieces are dense ndarrays (stored complex) or ``scipy.sparse`` matrices
+    (stored CSC or CSR, keeping a real dtype real; only the coefficients
+    are complex). A family is sparse when every piece given is sparse, and
+    then ``assemble`` returns a ``linalg.SparseOperator``; a family with any
+    dense piece stores every piece dense. The storage alone decides which
+    LU kernel factors an assembled operator.
+
     Parameters
     ----------
     shape : tuple
         Matrix dimensions, fixed across all terms.
-    base : ndarray or None
+    base : ndarray, sparse matrix or None
         Constant part; None means zero.
-    terms : sequence of (Monomial, ndarray)
+    terms : sequence of (Monomial, ndarray or sparse matrix)
         Parameter-dependent terms. Constant monomials are allowed but the
         canonical constructors fold them into ``base``.
     """
 
     def __init__(self, shape, base=None, terms=()):
         self.shape = (int(shape[0]), int(shape[1]))
+        terms = list(terms)
+        given = [m for _, m in terms] + ([] if base is None else [base])
+        self.is_sparse = bool(given) and all(scipy.sparse.issparse(m) for m in given)
+        piece = _sparse_piece if self.is_sparse else _dense_piece
         if base is None:
-            self.base = np.zeros(self.shape, dtype=np.complex128)
-        else:
-            self.base = linalg._as_complex_matrix(base, "base term")
-            if self.base.shape != self.shape:
-                raise DimensionMismatchError(
-                    f"base term has shape {self.base.shape}, expected {self.shape}"
-                )
+            base = (
+                scipy.sparse.csc_array(self.shape)
+                if self.is_sparse
+                else np.zeros(self.shape, dtype=np.complex128)
+            )
+        self.base = piece(base, "base term")
+        if self.base.shape != self.shape:
+            raise DimensionMismatchError(
+                f"base term has shape {self.base.shape}, expected {self.shape}"
+            )
         checked = []
         for monomial, matrix in terms:
-            matrix = linalg._as_complex_matrix(matrix, "affine term")
+            matrix = piece(matrix, "affine term")
             if matrix.shape != self.shape:
                 raise DimensionMismatchError(
                     f"affine term has shape {matrix.shape}, expected {self.shape}"
@@ -151,18 +190,35 @@ class AffineMatrix:
 
     @classmethod
     def constant(cls, matrix):
-        matrix = linalg._as_complex_matrix(matrix, "matrix")
+        if not scipy.sparse.issparse(matrix):
+            matrix = linalg._as_complex_matrix(matrix, "matrix")
         return cls(matrix.shape, base=matrix)
 
     def __call__(self, point):
         return self.assemble(point)
 
     def assemble(self, point):
-        """Evaluate ``M(p)`` at a sample point."""
+        """Evaluate ``M(p)`` at a sample point (a SparseOperator for a sparse family)."""
+        if self.is_sparse:
+            out = self.base.astype(np.complex128)
+            for monomial, matrix in self.terms:
+                out = out + monomial(point) * matrix
+            return linalg.SparseOperator(out)
         out = self.base.copy()
         for monomial, matrix in self.terms:
             out += monomial(point) * matrix
         return out
+
+    @property
+    def has_base(self):
+        """True when the constant part is nonzero."""
+        if self.is_sparse:
+            return bool(np.any(self.base.data))
+        return bool(np.any(self.base))
+
+    def densified(self):
+        """The same family with dense pieces (this family itself if it is dense)."""
+        return self.map_matrices(lambda m: m.toarray()) if self.is_sparse else self
 
     def parameter_names(self):
         names = set()
@@ -172,7 +228,7 @@ class AffineMatrix:
 
     def map_matrices(self, f):
         """Apply ``f`` to the base and every term matrix, keeping coefficients."""
-        base = linalg._as_complex_matrix(f(self.base), "mapped base")
+        base = f(self.base)
         terms = [(monomial, f(matrix)) for monomial, matrix in self.terms]
         return AffineMatrix(base.shape, base=base, terms=terms)
 
@@ -192,7 +248,7 @@ class AffineMatrix:
     def scaled_by(self, monomial):
         """Multiply the whole family by a monomial; base becomes a term."""
         terms = []
-        if np.any(self.base):
+        if self.has_base:
             terms.append((monomial, self.base))
         for own, matrix in self.terms:
             terms.append((own.times(monomial), matrix))
@@ -216,13 +272,13 @@ class AffineMatrix:
         nonzero or the family has no terms (so there is always a piece);
         then every term.
         """
-        if np.any(self.base) or not self.terms:
+        if self.has_base or not self.terms:
             return [(Monomial(), self.base)] + list(self.terms)
         return list(self.terms)
 
     def pieces(self):
         """Constituent matrices: base (when nonzero) then every term matrix."""
-        return [m for _, m in self.monomial_pieces() if m is not self.base or np.any(m)]
+        return [m for _, m in self.monomial_pieces() if m is not self.base or self.has_base]
 
     def __repr__(self):
         return f"AffineMatrix(shape={self.shape}, terms={len(self.terms)})"
@@ -234,7 +290,9 @@ class ParametricSystem:
     Attributes
     ----------
     Q, B, C : AffineMatrix
-        Operator (n x n), input (n x n_inputs), output (n_outputs x n).
+        Operator (n x n), input (n x n_inputs), output (n_outputs x n). The
+        operator may be sparse; the thin input and output maps are stored
+        dense.
     parameter_names : tuple of str
         Declared parameters; every coefficient must draw from these.
     """
@@ -248,8 +306,8 @@ class ParametricSystem:
         if C.shape[1] != n:
             raise DimensionMismatchError(f"output map has {C.shape[1]} columns, expected {n}")
         self.Q = Q
-        self.B = B
-        self.C = C
+        self.B = B.densified()
+        self.C = C.densified()
         self.name = name
         used = set(Q.parameter_names()) | set(B.parameter_names()) | set(C.parameter_names())
         if parameter_names is None:
@@ -332,9 +390,9 @@ class ParametricSystem:
 def from_first_order(E, A, B, C, parameter_names=None, name="system"):
     """System from a first-order realization ``(s E(p) - A(p)) x = B(p) u``.
 
-    E and A may be ndarrays (constant) or AffineMatrix families; the operator
-    becomes ``Q = s * E - A`` with the Laplace factor folded into the
-    coefficients.
+    E and A may be ndarrays or sparse matrices (constant) or AffineMatrix
+    families; the operator becomes ``Q = s * E - A`` with the Laplace factor
+    folded into the coefficients.
     """
     E = E if isinstance(E, AffineMatrix) else AffineMatrix.constant(E)
     A = A if isinstance(A, AffineMatrix) else AffineMatrix.constant(A)

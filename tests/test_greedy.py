@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 import romgrid as rg
-from romgrid.errors import AllSamplesSingularError
+from romgrid.errors import (
+    AllSamplesSingularError,
+    SingularAtSampleError,
+    SingularReducedSystemError,
+)
 
 from conftest import random_system
 
@@ -348,6 +352,58 @@ def test_all_singular_samples_raise():
     with pytest.warns(RuntimeWarning):
         with pytest.raises(AllSamplesSingularError):
             rg.run_greedy(sys, cfg)
+
+
+# An operator that overflows in assembly: s * C_mat is infinite at this s.
+_EXTREME = {"s": 1.5e308j}
+
+
+def _ladder(storage, n=40):
+    sys = rg.rc_ladder(n)
+    if storage == "dense":
+        sys = rg.ParametricSystem(sys.Q.densified(), sys.B, sys.C, name=sys.name)
+    assert sys.Q.is_sparse == (storage == "sparse")
+    return sys
+
+
+@pytest.mark.parametrize("storage", ["sparse", "dense"])
+def test_nonfinite_operator_is_a_sample_error_naming_the_point(storage):
+    sys = _ladder(storage)
+    with pytest.warns(RuntimeWarning):  # numpy reports the overflow itself
+        with pytest.raises(SingularAtSampleError, match=r"1\.5e\+308j.*non-finite"):
+            sys.operator_lu(_EXTREME)
+        # on the first two nodes the reduced C_mat has diagonal 1.6, so s * C_r overflows too
+        rom = rg.reduce_system(sys, rg.Basis(np.eye(sys.order)[:, :2]))
+        with pytest.raises(SingularReducedSystemError, match=r"1\.5e\+308j.*non-finite"):
+            rom.operator_lu(_EXTREME)
+
+
+def test_overflowing_coefficient_is_a_sample_error():
+    # s**2 overflows in the coefficient itself, before any matrix is touched
+    sys = rg.symmetric_second_order(6)
+    point = {"s": 1.5e308j, "d": 1.0, "alpha": 0.01, "beta": 0.01}
+    with pytest.raises(SingularAtSampleError, match="non-finite"):
+        sys.operator_lu(point)
+
+
+@pytest.mark.parametrize("storage", ["sparse", "dense"])
+def test_nonfinite_samples_are_skipped_by_sweep_and_validation(storage):
+    sys = _ladder(storage)
+    grid = _ladder_grid(12)
+    # index 0 is the first main point (its expansion fails for good);
+    # index 3 is no initial point, so only the sweep meets it, every iteration
+    grid[0] = grid[3] = _EXTREME
+    cfg = rg.GreedyConfig(kind="delta2", training_set=grid, tolerance=1e-6)
+    with pytest.warns(RuntimeWarning) as caught:
+        res = rg.run_greedy(sys, cfg)
+        report = rg.validate(sys, res, [_EXTREME] + _ladder_grid(4))
+    assert res.converged
+    assert res.skipped_samples == [0]
+    messages = [str(w.message) for w in caught]
+    assert any(m.startswith("skipping training sample 0 ") for m in messages)
+    assert any(m.startswith("training sample 3: reduced operator singular") for m in messages)
+    assert report.skipped_singular == 1
+    assert len(report.rows) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -208,7 +208,7 @@ def test_matrix_round_trip_dense_complex(tmp_path, rng):
     m = complex_randn(rng, 5, 3)
     path = tmp_path / "m.mtx"
     write_matrix(path, m)
-    assert np.array_equal(read_matrix(path), m)
+    assert np.array_equal(read_matrix(path).toarray(), m)
 
 
 def test_matrix_round_trip_real_downcast(tmp_path):
@@ -217,7 +217,7 @@ def test_matrix_round_trip_real_downcast(tmp_path):
     write_matrix(path, m.astype(np.complex128))
     text = path.read_text()
     assert "complex" not in text
-    assert np.array_equal(read_matrix(path), m.astype(np.complex128))
+    assert np.array_equal(read_matrix(path).toarray(), m.astype(np.complex128))
 
 
 def test_symmetric_matrix_market_expands_both_triangles(tmp_path):
@@ -230,7 +230,7 @@ def test_symmetric_matrix_market_expands_both_triangles(tmp_path):
         "2 2 2.0\n"
         "3 2 -0.5\n"
     )
-    m = read_matrix(path)
+    m = read_matrix(path).toarray()
     assert np.array_equal(m, m.T)
     assert m[0, 1] == -1.0 and m[1, 0] == -1.0
     assert m[1, 2] == -0.5
@@ -319,7 +319,7 @@ def test_first_order_manifest_with_parameter_terms(tmp_path):
     sys = rg.load_system(tmp_path / "manifest.json")
     pt = {"s": 1.0j, "d": 0.7}
     expected = 1.0j * (np.eye(n) + 0.7 * K) - A
-    assert np.allclose(sys.Q.assemble(pt), expected, atol=1e-13)
+    assert np.allclose(sys.Q.assemble(pt).toarray(), expected, atol=1e-13)
 
 
 def test_manifest_error_paths(tmp_path):
@@ -380,3 +380,81 @@ def test_manifest_shape_mismatch(tmp_path):
     }))
     with pytest.raises(DimensionMismatchError):
         rg.load_system(tmp_path / "manifest.json")
+
+
+def _same_files(first, second):
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_sparse_system_round_trip_stays_sparse(tmp_path):
+    sys = rg.rc_ladder(30)
+    loaded = rg.load_system(rg.save_system(sys, tmp_path / "a"))
+    assert loaded.Q.is_sparse
+    assert all(m.dtype == np.float64 for m in loaded.Q.pieces())  # real data stays real
+    assert not loaded.B.is_sparse and not loaded.C.is_sparse
+    for pt in ({"s": 0.3 + 0.7j}, {"s": 2j * np.pi * 1e-3}):
+        got, want = loaded.Q.assemble(pt), sys.Q.assemble(pt)
+        assert isinstance(got, rg.linalg.SparseOperator)
+        assert (got != want).nnz == 0
+        assert np.array_equal(loaded.transfer_function(pt), sys.transfer_function(pt))
+    rg.save_system(loaded, tmp_path / "b")
+    _same_files(tmp_path / "a", tmp_path / "b")
+
+
+def test_dense_system_round_trip_writes_identical_files(tmp_path, rng):
+    # matrix files hold coordinate data, so the loaded operator is sparse;
+    # its pieces equal the dense ones, and saving it again writes the same bytes
+    sys = random_system(rng, 9, n_in=2, n_out=2)
+    loaded = rg.load_system(rg.save_system(sys, tmp_path / "a"))
+    assert loaded.Q.is_sparse
+    for (m_got, got), (m_want, want) in zip(loaded.Q.monomial_pieces(), sys.Q.monomial_pieces()):
+        assert m_got == m_want
+        assert np.array_equal(got.toarray(), want)
+    assert np.array_equal(loaded.B.base, sys.B.base)
+    assert np.array_equal(loaded.C.base, sys.C.base)
+    pt = {"s": 0.3 + 0.7j}
+    want = sys.Q.assemble(pt)
+    eps = np.finfo(np.float64).eps
+    # elementwise products may round differently in numpy's vector and scalar loops
+    assert np.max(np.abs(loaded.Q.assemble(pt).toarray() - want)) <= 2 * eps * np.max(np.abs(want))
+    rg.save_system(loaded, tmp_path / "b")
+    _same_files(tmp_path / "a", tmp_path / "b")
+
+
+def test_reduced_manifest_round_trip_writes_identical_files(tmp_path):
+    from romgrid.cli import main
+
+    out = tmp_path / "run"
+    assert main([
+        "reduce", "--synthetic", "mimo_block:30,2", "--estimator", "delta1",
+        "--tol", "1e-4", "--train", "f:1e-2:1e1:8:log", "--out", str(out),
+    ]) == 0
+    rom = rg.load_system(out / "rom" / "manifest.json")
+    rg.save_system(rom, tmp_path / "again")
+    _same_files(out / "rom", tmp_path / "again")
+
+
+def test_write_matrix_accepts_sparse(tmp_path):
+    import scipy.sparse
+
+    dense = np.array([[0.0, 1.5, 0.0], [-2.0, 0.0, 0.25]])
+    write_matrix(tmp_path / "dense.mtx", dense)
+    write_matrix(tmp_path / "csc.mtx", scipy.sparse.csc_array(dense))
+    write_matrix(tmp_path / "csr.mtx", scipy.sparse.csr_array(dense.astype(np.complex128)))
+    reference = (tmp_path / "dense.mtx").read_bytes()
+    assert (tmp_path / "csc.mtx").read_bytes() == reference
+    assert (tmp_path / "csr.mtx").read_bytes() == reference
+    back = read_matrix(tmp_path / "csc.mtx")
+    assert scipy.sparse.issparse(back) and back.dtype == np.float64
+    assert np.array_equal(back.toarray(), dense)
+
+
+def test_array_format_reads_dense(tmp_path):
+    path = tmp_path / "array.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n2 2\n1.0\n0.0\n-3.0\n4.5\n")
+    m = read_matrix(path)
+    assert isinstance(m, np.ndarray) and m.dtype == np.complex128
+    assert np.array_equal(m, [[1.0, -3.0], [0.0, 4.5]])
