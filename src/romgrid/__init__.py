@@ -44,7 +44,6 @@ from .generators import (
 from .greedy import (
     GreedyConfig,
     GreedyResult,
-    InitialPoints,
     IterationRecord,
     SelectedPoints,
     StopReason,
@@ -98,7 +97,6 @@ __all__ = [
     "EstimatorWorkspace",
     "GreedyConfig",
     "GreedyResult",
-    "InitialPoints",
     "IterationRecord",
     "LAPLACE",
     "LUFactorization",

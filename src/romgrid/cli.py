@@ -13,12 +13,13 @@ import argparse
 import json
 import pathlib
 import sys as _sys
+import zipfile
 
 import numpy as np
 
 from . import __version__
 from .errors import RomgridError
-from .estimators import REDUCED_MODELS, EstimatorKind, EstimatorWorkspace
+from .estimators import ESTIMATORS, PRIMAL, REDUCED_MODELS, EstimatorKind, EstimatorWorkspace
 from .generators import generate_synthetic
 from .greedy import GreedyConfig, run_greedy, validate as validate_workspace
 from .grids import DEFAULT_FREQUENCY_SPEC, parse_grid
@@ -173,18 +174,35 @@ def _rebuild_workspace(run_dir):
         meta = json.loads((run_dir / "run.json").read_text())
     except OSError as exc:
         raise RomgridError(f"not a run directory (missing run.json): {exc}") from exc
+    except ValueError as exc:
+        raise RomgridError(f"run directory {run_dir}: unreadable run.json: {exc}") from exc
+    missing = [key for key in ("system", "estimator") if key not in meta]
+    if missing:
+        raise RomgridError(f"run directory {run_dir}: run.json lacks {missing}")
     source = meta["system"]
     if "manifest" in source:
         system = load_system(source["manifest"])
-    else:
+    elif "synthetic" in source:
         system = generate_synthetic(source["synthetic"])
-    with np.load(run_dir / "bases.npz") as stored:
-        bases = {
-            model.key: Basis(stored[model.key], label=model.key)
-            for model in REDUCED_MODELS
-            if model.key in stored.files
-        }
+    else:
+        raise RomgridError(f"run directory {run_dir}: run.json names no system source")
     kind = EstimatorKind.from_name(meta["estimator"])
+    needed = [model.key for model in (PRIMAL,) + ESTIMATORS[kind].models]
+    try:
+        with np.load(run_dir / "bases.npz") as stored:
+            missing = [key for key in needed if key not in stored.files]
+            if missing:
+                raise RomgridError(
+                    f"run directory {run_dir}: bases.npz lacks {missing}, "
+                    f"which estimator {kind.value} needs"
+                )
+            bases = {
+                model.key: Basis(stored[model.key], label=model.key)
+                for model in REDUCED_MODELS
+                if model.key in stored.files
+            }
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        raise RomgridError(f"run directory {run_dir}: unreadable bases.npz: {exc}") from exc
     workspace = EstimatorWorkspace.from_bases(system, kind, **bases)
     return system, workspace, meta
 

@@ -39,13 +39,12 @@ from .estimators import (
     evaluate,
     true_error,
 )
-from .moments import DEFAULT_MAX_BLOCK_COLUMNS, expansion_block
+from .moments import expansion_block
 from .projection import Basis
-from .reports import EffectivityReport, EffectivityRow
+from .reports import ROLES, EffectivityReport, EffectivityRow, IterationRecord
 
 __all__ = [
     "GreedyConfig",
-    "InitialPoints",
     "IterationRecord",
     "GreedyResult",
     "StopReason",
@@ -55,16 +54,6 @@ __all__ = [
     "validate",
 ]
 
-@dataclass(frozen=True)
-class InitialPoints:
-    """Training-set indices seeding the expansion points (None = default)."""
-
-    main: int = 0
-    alpha: int | None = None  # default: last sample
-    beta: int | None = None  # default: middle sample
-    gamma: int | None = None  # default: middle sample
-
-
 @dataclass
 class GreedyConfig:
     kind: EstimatorKind
@@ -73,11 +62,7 @@ class GreedyConfig:
     max_iterations: int = 30
     q: int | None = None
     symmetric_variant: bool = False
-    initial_points: InitialPoints = field(default_factory=InitialPoints)
     record_true_errors: bool | None = None
-    deflation_tol: float = 1e-10
-    max_block_columns: int = DEFAULT_MAX_BLOCK_COLUMNS
-    n_random: int = 20
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -96,27 +81,6 @@ class GreedyConfig:
                 "the separate-dual-point variant is only defined for "
                 f"{symmetric}, not {self.kind.value}"
             )
-        m = len(self.training_set)
-        for label, index in (
-            ("main", self.initial_points.main),
-            ("alpha", self.initial_points.alpha),
-            ("beta", self.initial_points.beta),
-            ("gamma", self.initial_points.gamma),
-        ):
-            if index is not None and not 0 <= index < m:
-                raise ValueError(f"initial {label} index {index} outside training set of size {m}")
-
-
-@dataclass
-class IterationRecord:
-    iteration: int
-    main_point: dict
-    alpha_point: dict | None
-    beta_point: dict | None
-    gamma_point: dict | None
-    max_estimate: float
-    max_true_error: float | None
-    rom_dimension: int
 
 
 class StopReason(Enum):
@@ -205,15 +169,9 @@ class _GreedyState:
             self.systems["dual"] = sys.dual()
         self.bases = {model.key: Basis.empty(sys.order, model.key) for model in self.models}
 
-        init = config.initial_points
-        last = len(self.samples) - 1
-        middle = len(self.samples) // 2
-        self.points = {
-            "main": init.main,
-            "alpha": init.alpha if init.alpha is not None else last,
-            "beta": init.beta if init.beta is not None else middle,
-            "gamma": init.gamma if init.gamma is not None else middle,
-        }
+        # main starts at the first sample, alpha at the last, beta and gamma at the middle one
+        last, middle = len(self.samples) - 1, len(self.samples) // 2
+        self.points = dict(zip(ROLES, (0, last, middle, middle)))
         # the expansion points this run uses; only these reach the trace
         self.roles = {self._role(model) for model in self.models}
 
@@ -256,12 +214,7 @@ class _GreedyState:
             if not self.active[index]:
                 index = self._fallback(index)
             try:
-                block = expansion_block(
-                    self.systems[model.side],
-                    self.samples[index],
-                    self.q,
-                    self.config.max_block_columns,
-                )
+                block = expansion_block(self.systems[model.side], self.samples[index], self.q)
             except SingularAtSampleError:
                 self._mark_singular(index, f"expansion of {model.key}")
                 continue
@@ -274,16 +227,15 @@ class _GreedyState:
         Each basis first receives the blocks of the bases it contains, then
         its own block, so auxiliary bases always contain the ones they serve.
         """
-        tol = self.config.deflation_tol
         before = self._dimensions()
         own = {}
         for model in self.models:
             basis = self.bases[model.key]
             for key in model.contains:
                 if key in own:
-                    basis = basis.appended(own[key], tol)
+                    basis = basis.appended(own[key])
             own[model.key] = self._block(model)
-            self.bases[model.key] = basis.appended(own[model.key], tol)
+            self.bases[model.key] = basis.appended(own[model.key])
         return self._dimensions() - before
 
     def _dimensions(self):
@@ -303,15 +255,13 @@ class _GreedyState:
         reduced operator only skips the sample for this iteration (reduced
         resonances move as the basis grows).
         """
-        cfg = self.config
         breakdowns = []
         for index, point in enumerate(self.samples):
             breakdown = None
             if self.active[index]:
                 try:
                     breakdown = evaluate(
-                        self.kind, ws, self.sys, point,
-                        n_random=cfg.n_random, rng_seed=cfg.rng_seed,
+                        self.kind, ws, self.sys, point, rng_seed=self.config.rng_seed
                     )
                 except SingularReducedSystemError:
                     warnings.warn(
@@ -370,10 +320,7 @@ def run_greedy(sys, config):
         trace.append(
             IterationRecord(
                 iteration=iteration,
-                main_point=state.point("main"),
-                alpha_point=state.point("alpha"),
-                beta_point=state.point("beta"),
-                gamma_point=state.point("gamma"),
+                **{f"{role}_point": state.point(role) for role in ROLES},
                 max_estimate=max_estimate,
                 max_true_error=max_true,
                 rom_dimension=state.bases["V"].dim,
@@ -385,7 +332,7 @@ def run_greedy(sys, config):
             break
         chosen = select_points(config.kind, config.symmetric_variant, breakdowns)
         previous_main = state.points["main"]
-        for role in ("main", "alpha", "beta", "gamma"):
+        for role in ROLES:
             index = getattr(chosen, role)
             if index is not None:
                 state.points[role] = index
@@ -402,7 +349,7 @@ def run_greedy(sys, config):
     )
 
 
-def validate(sys, result, validation_set, kind=None, n_random=20, rng_seed=0):
+def validate(sys, result, validation_set, kind=None, rng_seed=0):
     """Measure estimate vs true error on an independent sample set.
 
     ``result`` may be a GreedyResult or a bare workspace. Returns an
@@ -419,7 +366,7 @@ def validate(sys, result, validation_set, kind=None, n_random=20, rng_seed=0):
     skipped = 0
     for point in validation_set:
         try:
-            estimate = evaluate(kind, ws, sys, point, n_random=n_random, rng_seed=rng_seed).total
+            estimate = evaluate(kind, ws, sys, point, rng_seed=rng_seed).total
             exact = true_error(sys, ws, point)
         except (SingularAtSampleError, SingularReducedSystemError):
             skipped += 1

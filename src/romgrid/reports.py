@@ -5,7 +5,9 @@ Trace CSVs use the fixed header
 with sample points rendered one parameter per ``name=<re><+im>i`` token,
 semicolon-separated, all floats at 17 significant digits so a write/read
 round trip is exact and reruns are byte-identical. A JSON mirror carries
-the same rows with points as ``{name: [re, im]}`` pairs.
+the same rows with points as ``{name: [re, im]}`` pairs. Each row type has
+one field schema; a (point, number) codec per format turns it into CSV or
+JSON values and back.
 """
 
 import csv
@@ -14,6 +16,8 @@ import re as _re
 from dataclasses import dataclass, field
 
 __all__ = [
+    "ROLES",
+    "IterationRecord",
     "EffectivityRow",
     "EffectivityReport",
     "TRACE_HEADER",
@@ -26,16 +30,53 @@ __all__ = [
     "read_report",
 ]
 
-TRACE_HEADER = [
-    "iteration",
-    "main_point",
-    "alpha_point",
-    "beta_point",
-    "gamma_point",
-    "max_estimate",
-    "max_true_error",
-    "rom_dim",
-]
+#: The greedy expansion points, in trace-column order.
+ROLES = ("main", "alpha", "beta", "gamma")
+
+
+@dataclass
+class IterationRecord:
+    """One greedy iteration, as the loop records it and the trace files hold it.
+
+    A point is the sample the role expanded at this iteration, or None when
+    the run uses no such point; ``max_true_error`` is None when true errors
+    were not recorded. ``rom_dimension`` is the dimension of V.
+    """
+
+    iteration: int
+    main_point: dict | None
+    alpha_point: dict | None
+    beta_point: dict | None
+    gamma_point: dict | None
+    max_estimate: float
+    max_true_error: float | None
+    rom_dimension: int
+
+
+@dataclass
+class EffectivityRow:
+    sample: dict
+    estimate: float
+    true_error: float
+    effectivity: float | None  # None when true_error is 0 (nothing to divide by)
+
+
+# (name on disk, attribute, value kind) per row type, in column order
+_TRACE_FIELDS = (
+    ("iteration", "iteration", "int"),
+    *((f"{role}_point", f"{role}_point", "point") for role in ROLES),
+    ("max_estimate", "max_estimate", "number"),
+    ("max_true_error", "max_true_error", "number"),
+    ("rom_dim", "rom_dimension", "int"),
+)
+_EFFECTIVITY_FIELDS = (
+    ("sample", "sample", "point"),
+    ("estimate", "estimate", "number"),
+    ("true_error", "true_error", "number"),
+    ("effectivity", "effectivity", "number"),
+)
+
+TRACE_HEADER = [name for name, _, _ in _TRACE_FIELDS]
 
 _FLOAT = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = _re.compile(rf"^({_FLOAT})({_FLOAT})i$")
@@ -84,30 +125,8 @@ def parse_point(text):
     return point
 
 
-def _trace_rows(trace):
-    for record in trace:
-        yield {
-            "iteration": record.iteration,
-            "main_point": format_point(record.main_point),
-            "alpha_point": format_point(record.alpha_point),
-            "beta_point": format_point(record.beta_point),
-            "gamma_point": format_point(record.gamma_point),
-            "max_estimate": _fmt(record.max_estimate),
-            "max_true_error": "" if record.max_true_error is None else _fmt(record.max_true_error),
-            "rom_dim": record.rom_dimension,
-        }
-
-
-def write_trace_csv(path, trace):
-    """Trace rows as CSV under the fixed header (header-only when empty)."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=TRACE_HEADER, lineterminator="\n")
-        writer.writeheader()
-        for row in _trace_rows(trace):
-            writer.writerow(row)
-
-
 def _point_json(point):
+    """``{"s": 1+2j}`` -> ``{"s": [1.0, 2.0]}`` (sorted names); None stays None."""
     if point is None:
         return None
     return {
@@ -116,100 +135,76 @@ def _point_json(point):
     }
 
 
-def write_trace_json(path, trace, extra=None):
-    payload = {
-        "trace": [
-            {
-                "iteration": record.iteration,
-                "main_point": _point_json(record.main_point),
-                "alpha_point": _point_json(record.alpha_point),
-                "beta_point": _point_json(record.beta_point),
-                "gamma_point": _point_json(record.gamma_point),
-                "max_estimate": record.max_estimate,
-                "max_true_error": record.max_true_error,
-                "rom_dim": record.rom_dimension,
-            }
-            for record in trace
-        ]
-    }
-    if extra:
-        payload.update(extra)
+def _point_from_json(value):
+    """Inverse of _point_json."""
+    if value is None:
+        return None
+    return {name: complex(re, im) for name, (re, im) in value.items()}
+
+
+def _codec(point, number):
+    """Converter per value kind of a row schema; integers are ``int`` in every format."""
+    return {"int": int, "point": point, "number": number}
+
+
+# None numbers are empty CSV cells and JSON nulls
+_CSV_WRITE = _codec(format_point, lambda value: "" if value is None else _fmt(value))
+_CSV_READ = _codec(parse_point, lambda text: float(text) if text else None)
+_JSON_WRITE = _codec(_point_json, lambda value: value)
+_JSON_READ = _codec(_point_from_json, lambda value: None if value is None else float(value))
+
+
+def _fields(record, schema, codec):
+    """``record``'s fields by name on disk, in column order, encoded by ``codec``."""
+    return {name: codec[kind](getattr(record, attr)) for name, attr, kind in schema}
+
+
+def _record(cls, row, schema, codec):
+    """Inverse of _fields: a ``cls`` from one row of disk fields, decoded by ``codec``."""
+    return cls(**{attr: codec[kind](row[name]) for name, attr, kind in schema})
+
+
+def _write_csv(path, schema, records):
+    with open(path, "w", newline="") as handle:
+        writer = csv.DictWriter(
+            handle, fieldnames=[name for name, _, _ in schema], lineterminator="\n"
+        )
+        writer.writeheader()
+        writer.writerows(_fields(record, schema, _CSV_WRITE) for record in records)
+
+
+def _write_json(path, payload):
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
 
 
-@dataclass
-class TraceRow:
-    """One parsed trace row (points as dicts of complex, or None)."""
+def write_trace_csv(path, trace):
+    """Trace rows as CSV under the fixed header (header-only when empty)."""
+    _write_csv(path, _TRACE_FIELDS, trace)
 
-    iteration: int
-    main_point: dict | None
-    alpha_point: dict | None
-    beta_point: dict | None
-    gamma_point: dict | None
-    max_estimate: float
-    max_true_error: float | None
-    rom_dimension: int
+
+def write_trace_json(path, trace, extra=None):
+    payload = {"trace": [_fields(record, _TRACE_FIELDS, _JSON_WRITE) for record in trace]}
+    if extra:
+        payload.update(extra)
+    _write_json(path, payload)
 
 
 def read_trace(path):
-    """Read a trace CSV (or the JSON mirror) back into TraceRow objects."""
+    """Read a trace CSV (or the JSON mirror) back into IterationRecord objects."""
     path = str(path)
     if path.endswith(".json"):
         with open(path) as handle:
-            payload = json.load(handle)
-        rows = []
-        for row in payload["trace"]:
-            def from_json(p):
-                if p is None:
-                    return None
-                return {name: complex(re_im[0], re_im[1]) for name, re_im in p.items()}
-
-            rows.append(
-                TraceRow(
-                    iteration=int(row["iteration"]),
-                    main_point=from_json(row["main_point"]),
-                    alpha_point=from_json(row["alpha_point"]),
-                    beta_point=from_json(row["beta_point"]),
-                    gamma_point=from_json(row["gamma_point"]),
-                    max_estimate=float(row["max_estimate"]),
-                    max_true_error=None
-                    if row["max_true_error"] is None
-                    else float(row["max_true_error"]),
-                    rom_dimension=int(row["rom_dim"]),
-                )
-            )
-        return rows
+            rows = json.load(handle)["trace"]
+        return [_record(IterationRecord, row, _TRACE_FIELDS, _JSON_READ) for row in rows]
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames != TRACE_HEADER:
             raise ValueError(
                 f"unexpected trace header {reader.fieldnames!r}, expected {TRACE_HEADER!r}"
             )
-        rows = []
-        for row in reader:
-            rows.append(
-                TraceRow(
-                    iteration=int(row["iteration"]),
-                    main_point=parse_point(row["main_point"]),
-                    alpha_point=parse_point(row["alpha_point"]),
-                    beta_point=parse_point(row["beta_point"]),
-                    gamma_point=parse_point(row["gamma_point"]),
-                    max_estimate=float(row["max_estimate"]),
-                    max_true_error=float(row["max_true_error"]) if row["max_true_error"] else None,
-                    rom_dimension=int(row["rom_dim"]),
-                )
-            )
-        return rows
-
-
-@dataclass
-class EffectivityRow:
-    sample: dict
-    estimate: float
-    true_error: float
-    effectivity: float | None  # None when true_error is 0 (nothing to divide by)
+        return [_record(IterationRecord, row, _TRACE_FIELDS, _CSV_READ) for row in reader]
 
 
 @dataclass
@@ -269,34 +264,10 @@ class EffectivityReport:
 def write_report(report, csv_path=None, json_path=None):
     """Write an EffectivityReport as row CSV and/or JSON (rows + summary)."""
     if csv_path is not None:
-        with open(csv_path, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["sample", "estimate", "true_error", "effectivity"])
-            for row in report.rows:
-                writer.writerow(
-                    [
-                        format_point(row.sample),
-                        _fmt(row.estimate),
-                        _fmt(row.true_error),
-                        "" if row.effectivity is None else _fmt(row.effectivity),
-                    ]
-                )
+        _write_csv(csv_path, _EFFECTIVITY_FIELDS, report.rows)
     if json_path is not None:
-        payload = {
-            "summary": report.summary(),
-            "rows": [
-                {
-                    "sample": _point_json(row.sample),
-                    "estimate": row.estimate,
-                    "true_error": row.true_error,
-                    "effectivity": row.effectivity,
-                }
-                for row in report.rows
-            ],
-        }
-        with open(json_path, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+        rows = [_fields(row, _EFFECTIVITY_FIELDS, _JSON_WRITE) for row in report.rows]
+        _write_json(json_path, {"summary": report.summary(), "rows": rows})
 
 
 def read_report(json_path):
@@ -304,18 +275,11 @@ def read_report(json_path):
     with open(json_path) as handle:
         payload = json.load(handle)
     rows = [
-        EffectivityRow(
-            sample={name: complex(v[0], v[1]) for name, v in row["sample"].items()},
-            estimate=row["estimate"],
-            true_error=row["true_error"],
-            effectivity=row["effectivity"],
-        )
-        for row in payload["rows"]
+        _record(EffectivityRow, row, _EFFECTIVITY_FIELDS, _JSON_READ) for row in payload["rows"]
     ]
     summary = payload["summary"]
-    report = EffectivityReport.from_rows(
+    return EffectivityReport.from_rows(
         rows,
         skipped_singular=summary["skipped_singular"],
         filter_threshold=summary["filter_threshold"],
     )
-    return report

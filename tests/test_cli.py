@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import shutil
 import subprocess
 import sys
 
@@ -184,3 +185,69 @@ def test_reduce_reruns_are_byte_identical(tmp_path, estimator):
     written = (first / "trace.csv").read_bytes()
     assert len(read_trace(first / "trace.csv")) >= 2
     assert written == (second / "trace.csv").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("finished") / "run"
+    assert main([
+        "reduce", "--synthetic", "rc_ladder:40", "--estimator", "delta2",
+        "--train", "f:1e-3:1e1:10:log", "--out", str(out),
+    ]) == 0
+    return out
+
+
+def _edit_run_json(edit):
+    def damage(run_dir):
+        meta = json.loads((run_dir / "run.json").read_text())
+        edit(meta)
+        (run_dir / "run.json").write_text(json.dumps(meta))
+    return damage
+
+
+def _drop_basis(run_dir):
+    with np.load(run_dir / "bases.npz") as stored:
+        kept = {key: stored[key] for key in stored.files if key != "V_du"}
+    np.savez(run_dir / "bases.npz", **kept)
+
+
+@pytest.mark.parametrize(
+    "damage, named",
+    [
+        (lambda run_dir: (run_dir / "bases.npz").unlink(), "bases.npz"),
+        (lambda run_dir: (run_dir / "bases.npz").write_bytes(b"not an archive"), "bases.npz"),
+        (_edit_run_json(lambda meta: meta.pop("system")), "system"),
+        (_edit_run_json(lambda meta: meta.update(system={})), "system"),
+        (_edit_run_json(lambda meta: meta.pop("estimator")), "estimator"),
+        (_drop_basis, "V_du"),
+    ],
+    ids=[
+        "bases_missing", "bases_unreadable", "no_system", "empty_system", "no_estimator",
+        "basis_missing",
+    ],
+)
+def test_validate_reports_damaged_run_directory(tmp_path, capsys, finished_run, damage, named):
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    damage(run_dir)
+    capsys.readouterr()
+    assert main(["validate", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(run_dir) in err and named in err
+    assert "Traceback" not in err
+
+
+def test_validate_after_manifest_moved(tmp_path, capsys):
+    saved = rg.save_system(rg.rc_ladder(40), tmp_path / "model")
+    out = tmp_path / "run"
+    assert main([
+        "reduce", "--manifest", str(saved), "--train", "f:1e-3:1e1:10:log", "--out", str(out),
+    ]) == 0
+    stored = json.loads((out / "run.json").read_text())["system"]["manifest"]
+    (tmp_path / "model").rename(tmp_path / "moved")
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"cannot read manifest {stored}" in err

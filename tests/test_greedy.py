@@ -35,12 +35,6 @@ def test_config_validation():
         rg.GreedyConfig(kind="delta2", training_set=grid, max_iterations=0)
     with pytest.raises(ValueError):
         rg.GreedyConfig(kind="delta3", training_set=grid, symmetric_variant=True)
-    with pytest.raises(ValueError):
-        rg.GreedyConfig(
-            kind="delta2",
-            training_set=grid,
-            initial_points=rg.InitialPoints(main=5),
-        )
     cfg = rg.GreedyConfig(kind="delta2", training_set=grid)
     assert cfg.kind is rg.EstimatorKind.DELTA_2
 
