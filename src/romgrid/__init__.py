@@ -62,8 +62,6 @@ from .moments import (
 from .projection import (
     Basis,
     ReducedModel,
-    dual_residual,
-    primal_residual,
     reduce_system,
 )
 from .reports import (
@@ -117,7 +115,6 @@ __all__ = [
     "UnknownParameterNameError",
     "ZeroToNegativePowerError",
     "delta_r",
-    "dual_residual",
     "evaluate",
     "expansion_block",
     "DEFAULT_FREQUENCY_SPEC",
@@ -133,7 +130,6 @@ __all__ = [
     "multimoment_block",
     "orthonormalize_append",
     "parse_grid",
-    "primal_residual",
     "random_stable",
     "rc_ladder",
     "read_trace",

@@ -627,29 +627,31 @@ def delta_r(workspace, sys, point, n_samples=20, rng_seed=0, xi=None):
 def true_error(sys, workspace, point, verify_identity=False, cache=None):
     """Exact output error ``max_ij |H_ij - H_hat_ij|`` at one sample point.
 
-    Needs a full-order factorization. With ``verify_identity`` the direct
-    difference of transfer functions is cross-checked against the exact
-    identity ``H - H_hat = x_du^T r_pr`` (full dual solution against the
-    reduced primal residual); disagreement beyond rounding raises.
-    ``cache`` is a dict the caller keeps for one system: it maps sample
-    points to the full-order ``H(p)``, so a point seen before costs no
-    full-order work.
+    ``H`` comes from ``sys.transfer_function``: one triangular solve on a
+    dense frequency-only system (its Schur form is built once), one
+    full-order factorization on any other. With ``verify_identity`` the
+    direct difference of transfer functions is cross-checked against the
+    exact identity ``H - H_hat = x_du^T r_pr`` (full dual solution from a
+    full-order LU, against the reduced primal residual); disagreement
+    beyond rounding raises. ``cache`` is a dict the caller keeps for one
+    system: it maps sample points to the full-order ``H(p)``, so a point
+    seen before costs no full-order work.
     """
     key = tuple(sorted(point.items()))
     if cache is not None and key in cache and not verify_identity:
         H = cache[key]
     else:
-        lu = sys.operator_lu(point)
-        Bp = sys.B.assemble(point)
-        Cp = sys.C.assemble(point)
-        H = Cp @ lu.solve(Bp)
+        H = sys.transfer_function(point)
         if cache is not None:
             cache[key] = H
     H_hat = workspace.rom_primal.transfer_function(point)
     err_mat = H - H_hat
     direct = _max_abs(err_mat)
     if verify_identity:
+        lu = sys.operator_lu(point)
         Qp = sys.Q.assemble(point)
+        Bp = sys.B.assemble(point)
+        Cp = sys.C.assemble(point)
         _, xhat_pr = workspace.rom_primal.solve(point)
         r_pr = Bp - Qp @ xhat_pr
         x_du = lu.solve(Cp.T, transpose=True)

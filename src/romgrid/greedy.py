@@ -251,9 +251,10 @@ class _GreedyState:
     def sweep(self, ws):
         """Evaluate the estimator at every active sample (None where skipped).
 
-        Full-order singularity deactivates a sample for good; a singular
-        reduced operator only skips the sample for this iteration (reduced
-        resonances move as the basis grows).
+        The sweep factors reduced operators only: a singular one skips the
+        sample for this iteration (reduced resonances move as the basis
+        grows). Full-order singularity is met, and deactivates a sample for
+        good, in the block builds and the true-error recording.
         """
         breakdowns = []
         for index, point in enumerate(self.samples):
@@ -270,8 +271,6 @@ class _GreedyState:
                         RuntimeWarning,
                         stacklevel=2,
                     )
-                except SingularAtSampleError:
-                    self._mark_singular(index, "estimator sweep")
             breakdowns.append(breakdown)
         if all(b is None for b in breakdowns):
             raise AllSamplesSingularError(

@@ -9,8 +9,11 @@ by LAPACK ``getrf``, a ``scipy.sparse`` matrix by SuperLU (``splu``, sparse
 LU with partial pivoting). Both return the same ``LUFactorization`` and
 obey the same singularity rule, so callers never branch on the storage.
 Sparse operators stay sparse: ``SparseOperator`` is the CSC type assembled
-full-order operators come in.
+full-order operators come in. ``ShiftedSchur`` serves many shifts of one
+dense matrix from a single Schur form, under the same singularity rule.
 """
+
+import threading
 
 import numpy as np
 import scipy.linalg
@@ -20,6 +23,7 @@ from .errors import DimensionMismatchError, SingularMatrixError
 
 __all__ = [
     "LUFactorization",
+    "ShiftedSchur",
     "SparseOperator",
     "lu_factor",
     "orthonormalize_append",
@@ -30,7 +34,9 @@ _EPS = np.finfo(np.float64).eps
 # The LAPACK routines behind scipy.linalg.lu_factor/lu_solve, called directly:
 # the same arithmetic without the per-call wrapper cost, which dominates the
 # small reduced systems solved at every estimator sample.
-_GETRF, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
+_GETRF, _GETRS, _TRTRS = scipy.linalg.get_lapack_funcs(
+    ("getrf", "getrs", "trtrs"), dtype=np.complex128
+)
 
 
 def _as_complex_matrix(a, name="matrix", finite=True):
@@ -93,10 +99,9 @@ class LUFactorization:
 def lu_factor(a):
     """Factor a square dense or sparse matrix, raising SingularMatrixError on rank loss.
 
-    The factorization is rejected when the smallest pivot magnitude falls
-    below ``dim * eps * max|A|``, which catches exact and numerical
-    singularity alike (scipy alone only warns on exact zero pivots), and
-    when an entry is not finite (an overflow in assembly, say).
+    The factorization is rejected by ``_check_nonsingular``: when an entry
+    is not finite, or the smallest pivot magnitude falls below
+    ``dim * eps * max|A|``.
     """
     sparse = scipy.sparse.issparse(a)
     if sparse:
@@ -107,13 +112,11 @@ def lu_factor(a):
     n, m = a.shape
     if n != m:
         raise DimensionMismatchError(f"cannot factor a {n}x{m} matrix")
-    if not np.isfinite(entries).all():
-        raise SingularMatrixError(f"matrix of dimension {n} has non-finite entries")
+    # NaN propagates through the max, so a non-finite entry makes max_abs non-finite
     max_abs = float(np.max(np.abs(entries))) if entries.size else 0.0
     if n == 0:
         return LUFactorization(None, 0, 0.0)
-    if max_abs == 0.0:
-        raise SingularMatrixError(f"matrix of dimension {n} is identically zero")
+    _check_nonsingular(n, max_abs)
     if sparse:
         # imported here, so dense-only runs never load scipy.sparse.linalg
         from scipy.sparse.linalg import splu
@@ -124,9 +127,29 @@ def lu_factor(a):
             raise SingularMatrixError(f"matrix of dimension {n} is singular ({exc})") from exc
         pivots = factors.U.diagonal()
     else:
-        # exact zero pivots (LAPACK info > 0) are reported through the exception below
+        # exact zero pivots (LAPACK info > 0) are reported through the rule below
         lu, piv, _ = _GETRF(a)
         factors, pivots = (lu, piv), np.diag(lu)
+    _check_nonsingular(n, max_abs, pivots)
+    return LUFactorization(factors, n, max_abs)
+
+
+def _check_nonsingular(n, max_abs, pivots=None):
+    """The singularity rule of every factorization here.
+
+    A matrix of dimension ``n`` with largest entry magnitude ``max_abs`` is
+    rejected when that magnitude is not finite (an overflow in assembly,
+    say) or zero, and, once ``pivots`` are known, when the smallest pivot
+    magnitude falls below ``n * eps * max_abs``. That catches exact and
+    numerical singularity alike (scipy alone only warns on exact zero
+    pivots). Raises SingularMatrixError.
+    """
+    if not np.isfinite(max_abs):
+        raise SingularMatrixError(f"matrix of dimension {n} has non-finite entries")
+    if max_abs == 0.0:
+        raise SingularMatrixError(f"matrix of dimension {n} is identically zero")
+    if pivots is None:
+        return
     min_pivot = float(np.min(np.abs(pivots)))
     threshold = n * _EPS * max_abs
     if not np.isfinite(min_pivot) or min_pivot < threshold:
@@ -134,7 +157,57 @@ def lu_factor(a):
             f"matrix of dimension {n} is singular to working precision "
             f"(min pivot {min_pivot:.3e} < threshold {threshold:.3e})"
         )
-    return LUFactorization(factors, n, max_abs)
+
+
+class ShiftedSchur:
+    """Schur form ``A = Z T Z^H`` of a dense square matrix, for many shifted solves.
+
+    Laub's frequency-response method (Laub 1981, "Efficient multivariable
+    frequency response computations"): one O(n^3) reduction, after which
+    ``A + shift*I = Z (T + shift*I) Z^H`` is triangular in the coordinates
+    ``Z^H x``, so each shift costs an O(n^2) triangular solve per column.
+    A real ``A`` takes the real Schur form and ``rsf2csf``, which is faster
+    than the complex reduction; a complex one takes the complex Schur form.
+    Only ``T`` (Fortran order, as LAPACK reads it) and ``Z`` are kept, plus
+    O(n) data for the singularity rule.
+
+    ``solve`` writes the shifted pivots onto the diagonal of the stored
+    ``T`` in place, under a lock, so threads may share one form.
+    """
+
+    def __init__(self, a):
+        a = _as_complex_matrix(a, "matrix")
+        if np.any(a.imag):
+            t, z = scipy.linalg.schur(a, output="complex")
+        else:
+            t, z = scipy.linalg.rsf2csf(*scipy.linalg.schur(a.real, output="real"))
+        self._T = np.asfortranarray(t, dtype=np.complex128)
+        self.Z = z
+        self.dim = a.shape[0]
+        self._eigenvalues = np.diag(t).copy()
+        # max|A + shift*I| in O(n): the diagonal moves with the shift, the rest does not
+        self._diagonal = np.diag(a).copy()
+        off_diagonal = np.abs(a)
+        np.fill_diagonal(off_diagonal, 0.0)
+        self._off_diagonal_max = float(np.max(off_diagonal, initial=0.0))
+        self._lock = threading.Lock()
+
+    def solve(self, shift, rhs):
+        """Solve ``(T + shift*I) y = rhs`` for a block given in Schur coordinates.
+
+        ``rhs`` is ``Z^H b`` and ``Z y`` solves ``(A + shift*I) x = b``.
+        Raises SingularMatrixError by the rule ``lu_factor`` applies to
+        ``A + shift*I``, with pivots ``diag(T) + shift``; a shift that is not
+        finite makes the matrix non-finite.
+        """
+        b = _as_complex_matrix(rhs, "right-hand side")
+        max_abs = float(np.max(np.abs(self._diagonal + shift), initial=self._off_diagonal_max))
+        pivots = self._eigenvalues + shift
+        _check_nonsingular(self.dim, max_abs, pivots)
+        with self._lock:
+            self._T[np.diag_indices(self.dim)] = pivots
+            y, _ = _TRTRS(self._T, b)
+        return y
 
 
 def orthonormalize_append(basis, block, deflation_tol=1e-10):

@@ -22,8 +22,6 @@ __all__ = [
     "Basis",
     "ReducedModel",
     "reduce_system",
-    "primal_residual",
-    "dual_residual",
 ]
 
 
@@ -112,7 +110,10 @@ class ReducedModel:
         return z, None if reduced else self.V.columns @ z
 
     def transfer_function(self, point):
-        return self.system.transfer_function(point)
+        """Reduced ``H_hat(p) = C_r(p) Q_r(p)^{-1} B_r(p)``; a singular reduced
+        operator raises SingularReducedSystemError."""
+        z, _ = self.solve(point, reduced=True)
+        return self.system.C.assemble(point) @ z
 
 
 def reduce_system(sys, V, W=None, validate=True):
@@ -165,16 +166,3 @@ def _check_commutation(sys, model, tol=1e-12):
             f"at {point!r}"
         )
 
-
-def primal_residual(sys, point, lifted_state, Q_at=None, B_at=None):
-    """Residual ``B(p) - Q(p) x_hat`` of a lifted approximate state block."""
-    Q_at = sys.Q.assemble(point) if Q_at is None else Q_at
-    B_at = sys.B.assemble(point) if B_at is None else B_at
-    return B_at - Q_at @ lifted_state
-
-
-def dual_residual(sys, point, lifted_dual, Q_at=None, C_at=None):
-    """Residual ``C(p)^T - Q(p)^T x_du_hat`` of a lifted approximate dual block."""
-    Q_at = sys.Q.assemble(point) if Q_at is None else Q_at
-    C_at = sys.C.assemble(point) if C_at is None else C_at
-    return C_at.T - Q_at.T @ lifted_dual

@@ -35,6 +35,8 @@ __all__ = [
 #: Conventional name of the Laplace variable among the parameters.
 LAPLACE = "s"
 
+_NOT_BUILT = object()
+
 
 def frequency_point(f):
     """Sample point on the imaginary axis at frequency ``f`` in Hz: s = 2*pi*f*1j."""
@@ -320,6 +322,7 @@ class ParametricSystem:
         self.parameter_names = tuple(parameter_names)
         self._dual = None  # the transposed system, once built
         self._origin = None  # weak reference to the system this one is the dual of
+        self._response = _NOT_BUILT  # the Schur-form frequency response, once looked for
 
     @property
     def order(self):
@@ -363,14 +366,17 @@ class ParametricSystem:
             self._dual._origin = weakref.ref(self)
         return self._dual
 
+    def _singular_at(self, point, exc):
+        return SingularAtSampleError(
+            f"operator of {self.name!r} is singular at {point!r}: {exc}", point
+        )
+
     def operator_lu(self, point):
         """LU of ``Q(p)``, raising SingularAtSampleError on rank loss."""
         try:
             return linalg.lu_factor(self.Q.assemble(point))
         except SingularMatrixError as exc:
-            raise SingularAtSampleError(
-                f"operator of {self.name!r} is singular at {point!r}: {exc}", point
-            ) from exc
+            raise self._singular_at(point, exc) from exc
 
     def solve_primal(self, point, lu=None):
         """Full-order state block ``x = Q(p)^{-1} B(p)`` (n x n_inputs)."""
@@ -383,8 +389,61 @@ class ParametricSystem:
         return lu.solve(self.C.assemble(point).T, transpose=True)
 
     def transfer_function(self, point):
-        """Transfer matrix ``H(p) = C(p) Q(p)^{-1} B(p)`` (n_outputs x n_inputs)."""
-        return self.C.assemble(point) @ self.solve_primal(point)
+        """Transfer matrix ``H(p) = C(p) Q(p)^{-1} B(p)`` (n_outputs x n_inputs).
+
+        A dense frequency-only family ``Q(s) = A0 + c*s*I`` is solved from one
+        Schur form of ``A0``, built at the first call and kept: O(n^2) per
+        point after one O(n^3) reduction (see ``_SchurResponse``). Every other
+        family factors ``Q(p)`` at each point. Both raise SingularAtSampleError
+        by the same singularity rule.
+        """
+        if self._response is _NOT_BUILT:
+            self._response = _SchurResponse.of(self)
+        if self._response is None:
+            return self.C.assemble(point) @ self.solve_primal(point)
+        try:
+            return self._response(self, point)
+        except SingularMatrixError as exc:
+            raise self._singular_at(point, exc) from exc
+
+
+class _SchurResponse:
+    """``H(s) = C(s) (A0 + c*s*I)^{-1} B(s)`` from one Schur form ``A0 = Z T Z^H``.
+
+    Serves a system whose operator is dense, depends on the Laplace variable
+    alone and has exactly two pieces: a base ``A0`` and one term ``c*s``
+    times the identity (a first-order realization with ``E = I``). Each point
+    then costs one triangular solve with ``T + c*s*I``. Constant input and
+    output maps are kept projected, as the thin ``Z^H B`` and ``C Z``.
+    """
+
+    def __init__(self, sys, shift):
+        self.shift = shift
+        self.schur = linalg.ShiftedSchur(sys.Q.base)
+        z = self.schur.Z
+        self.ZhB = None if sys.B.terms else z.conj().T @ sys.B.base
+        self.CZ = None if sys.C.terms else sys.C.base @ z
+
+    @classmethod
+    def of(cls, sys):
+        """The response of ``sys``, or None when its operator has another form."""
+        Q = sys.Q
+        if Q.is_sparse or sys.parameter_names != (LAPLACE,) or len(Q.terms) != 1:
+            return None
+        shift, matrix = Q.terms[0]
+        identity = np.array_equal(matrix, np.eye(sys.order))
+        if Q.has_base and shift.exponents == {LAPLACE: 1} and identity:
+            return cls(sys, shift)
+        return None
+
+    def __call__(self, sys, point):
+        # the system comes in per call, not held, so the cached response
+        # forms no reference cycle with the system that caches it
+        z = self.schur.Z
+        zhb = self.ZhB if self.ZhB is not None else z.conj().T @ sys.B.assemble(point)
+        y = self.schur.solve(self.shift(point), zhb)
+        cz = self.CZ if self.CZ is not None else sys.C.assemble(point) @ z
+        return cz @ y
 
 
 def from_first_order(E, A, B, C, parameter_names=None, name="system"):

@@ -61,6 +61,17 @@ def random_system(rng, n, n_in=1, n_out=1, symmetric=False):
     )
 
 
+def reduced_resonance_system():
+    """``Q(s) = (s - 1) I + [[0, 1], [1, 0]]`` with ``B = C^T = e1``.
+
+    ``Q(1)`` is regular, but on ``V = e2`` the reduced operator is ``s - 1``:
+    a reduced model that is singular where the full system is not.
+    """
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    e1 = np.array([[1.0], [0.0]])
+    return rg.from_first_order(np.eye(2), np.eye(2) - swap, e1, e1.T, name="swap")
+
+
 def random_orthonormal(rng, n, k):
     q, _ = np.linalg.qr(complex_randn(rng, n, k))
     return q

@@ -39,6 +39,16 @@ def lifted_dual_solve(Q, rhs, V, W):
     return V @ np.linalg.solve(W.T @ Q.T @ V, W.T @ rhs)
 
 
+def primal_residual(sys, point, lifted_state):
+    """Residual ``B(p) - Q(p) x_hat`` of a lifted approximate state block."""
+    return sys.B.assemble(point) - sys.Q.assemble(point) @ lifted_state
+
+
+def dual_residual(sys, point, lifted_dual):
+    """Residual ``C(p)^T - Q(p)^T x_du_hat`` of a lifted approximate dual block."""
+    return sys.C.assemble(point).T - sys.Q.assemble(point).T @ lifted_dual
+
+
 # ---------------------------------------------------------------------------
 # estimator chains
 #

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import romgrid as rg
-from romgrid.errors import MissingWorkspaceRomError
+from romgrid.errors import MissingWorkspaceRomError, SingularReducedSystemError
 
 import oracles
 from conftest import (
@@ -14,6 +14,7 @@ from conftest import (
     random_orthonormal,
     random_point,
     random_system,
+    reduced_resonance_system,
 )
 
 DETERMINISTIC_KINDS = ["delta1", "delta2", "delta2pr", "delta1pr", "delta3", "delta3pr"]
@@ -300,6 +301,18 @@ def test_true_error_identity_guard_trips_on_inconsistency(rng):
     mixed = rg.ParametricSystem(sys.Q, sys.B, other.C)
     with pytest.raises(ArithmeticError):
         rg.true_error(mixed, ws, random_point(rng), verify_identity=True)
+
+
+def test_true_error_reports_a_singular_reduced_operator():
+    sys = reduced_resonance_system()
+    e1, e2 = np.eye(2)[:, :1], np.eye(2)[:, 1:]
+    ws = rg.EstimatorWorkspace.from_bases(sys, "delta1", e2, V_du=e1)
+    point = {"s": 1.0}
+    sys.transfer_function(point)  # the full operator is regular here
+    with pytest.raises(SingularReducedSystemError, match=r"reduced operator .* \{'s': 1\.0\}"):
+        rg.true_error(sys, ws, point)
+    with pytest.raises(SingularReducedSystemError):
+        rg.evaluate("delta1", ws, sys, point)
 
 
 def test_exact_dual_rom_makes_delta1_exact(rng):

@@ -8,7 +8,7 @@ from romgrid.errors import (
     SingularReducedSystemError,
 )
 
-from conftest import random_system
+from conftest import random_system, reduced_resonance_system
 
 
 def _breakdown(kind, total, part1=None, part2=0.0, aux=None):
@@ -346,6 +346,21 @@ def test_all_singular_samples_raise():
     with pytest.warns(RuntimeWarning):
         with pytest.raises(AllSamplesSingularError):
             rg.run_greedy(sys, cfg)
+
+
+def test_sweep_with_every_reduced_operator_singular_raises():
+    # the only sample's full operator is regular, its reduced one is not
+    sys = reduced_resonance_system()
+    cfg = rg.GreedyConfig(kind="delta1pr", training_set=[{"s": 1.0}], tolerance=1e-6, q=1)
+    with pytest.warns(RuntimeWarning) as caught:
+        with pytest.raises(
+            AllSamplesSingularError,
+            match="no training sample produced a usable estimate this iteration",
+        ):
+            rg.run_greedy(sys, cfg)
+    assert [str(w.message) for w in caught] == [
+        "training sample 0: reduced operator singular this iteration; sample skipped for the sweep"
+    ]
 
 
 # An operator that overflows in assembly: s * C_mat is infinite at this s.

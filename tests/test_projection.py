@@ -137,11 +137,11 @@ def test_residual_helpers_match_definitions(rng):
     pt = random_point(rng)
     Q, B, C = dense_at(sys, pt)
     _, lifted = rom.solve(pt)
-    r_pr = rg.primal_residual(sys, pt, lifted)
+    r_pr = oracles.primal_residual(sys, pt, lifted)
     assert np.allclose(r_pr, B - Q @ lifted, atol=1e-12)
     dual = rg.reduce_system(sys.dual(), V)
     _, lifted_du = dual.solve(pt)
-    r_du = rg.dual_residual(sys, pt, lifted_du)
+    r_du = oracles.dual_residual(sys, pt, lifted_du)
     assert np.allclose(r_du, C.T - Q.T @ lifted_du, atol=1e-12)
 
 

@@ -1,0 +1,269 @@
+"""The Schur-form frequency response against the LU oracle.
+
+A dense frequency-only system ``Q(s) = A0 + c*s*I`` gets ``H(s)`` from one
+Schur form of ``A0`` (``ParametricSystem.transfer_function``); every other
+family factors ``Q(s)`` at each point. Hypothesis draws real and complex
+``A0``, the coefficient ``c`` and 1-3 ports: the response and the true
+error must match ``C @ lu_factor(Q).solve(B)``, and both singularity rules
+must give the same verdict at exact eigenvalues and where ``c*s``
+overflows. Spies on ``linalg.ShiftedSchur`` and ``linalg.lu_factor`` show
+which families build a form and that validation factors nothing per sample.
+"""
+
+import contextlib
+import re
+import threading
+from sys import getswitchinterval, setswitchinterval
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import romgrid as rg
+from romgrid import greedy, linalg
+from romgrid.errors import SingularAtSampleError, SingularMatrixError
+
+from conftest import complex_randn, random_orthonormal
+
+_EPS = np.finfo(np.float64).eps
+
+PROPERTY = settings(
+    max_examples=30,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def shifted_system(A0, c, B, C):
+    """``Q(s) = A0 + c*s*I`` with constant input and output maps."""
+    n = A0.shape[0]
+    Q = rg.AffineMatrix((n, n), base=A0, terms=[(rg.Monomial(c, {"s": 1}), np.eye(n))])
+    return rg.ParametricSystem(Q, rg.AffineMatrix.constant(B), rg.AffineMatrix.constant(C))
+
+
+def draw_system(seed, n, complex_base, n_in, n_out, c):
+    # spectrum of A0 in a disc of radius about 1 around 2, so Q(s) stays
+    # well conditioned for Re(c*s) >= 0
+    rng = np.random.default_rng(seed)
+    g = complex_randn(rng, n, n) if complex_base else rng.standard_normal((n, n))
+    A0 = 2.0 * np.eye(n) + g / np.sqrt(n)
+    return shifted_system(A0, c, complex_randn(rng, n, n_in), complex_randn(rng, n_out, n))
+
+
+def lu_response(sys, point):
+    return sys.C.assemble(point) @ rg.lu_factor(sys.Q.assemble(point)).solve(sys.B.assemble(point))
+
+
+def verdict(f):
+    """None when ``f`` runs, else the message of the singularity it raised."""
+    try:
+        f()
+    except SingularMatrixError as exc:
+        return str(exc)
+    return None
+
+
+@contextlib.contextmanager
+def spies(order):
+    """Count Schur forms built, and full-order LUs made inside ``true_error``."""
+    counts = {"forms": 0, "lu_under_true_error": 0}
+    inside = []
+    build, factor, true_error = linalg.ShiftedSchur, linalg.lu_factor, greedy.true_error
+
+    class CountingSchur(build):
+        def __init__(self, a):
+            counts["forms"] += 1
+            super().__init__(a)
+
+    def counting_lu(a):
+        if inside and a.shape[0] == order:
+            counts["lu_under_true_error"] += 1
+        return factor(a)
+
+    def tracked_true_error(*args, **kwargs):
+        inside.append(True)
+        try:
+            return true_error(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "ShiftedSchur", CountingSchur)
+        mp.setattr(linalg, "lu_factor", counting_lu)
+        mp.setattr(greedy, "true_error", tracked_true_error)
+        yield counts
+
+
+systems = st.tuples(
+    st.integers(0, 2**31 - 1),
+    st.integers(2, 24),
+    st.booleans(),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.floats(0.25, 4.0),
+)
+
+
+@PROPERTY
+@given(
+    drawn=systems,
+    shifts=st.lists(
+        st.tuples(st.floats(0.0, 2.0), st.floats(-6.0, 6.0)), min_size=1, max_size=4
+    ),
+)
+def test_schur_response_matches_lu_oracle(drawn, shifts):
+    seed, n, complex_base, n_in, n_out, c = drawn
+    sys = draw_system(seed, n, complex_base, n_in, n_out, c)
+    V = random_orthonormal(np.random.default_rng(seed + 1), n, max(1, n // 3))
+    ws = rg.EstimatorWorkspace.from_bases(sys, "delta1", V, V_du=V)
+    with spies(n) as counts:
+        for real, imag in shifts:
+            point = {"s": complex(real, imag)}
+            H = lu_response(sys, point)
+            bound = 1e3 * n * _EPS * np.max(np.abs(H))
+            assert np.max(np.abs(sys.transfer_function(point) - H)) <= bound
+            H_hat = ws.rom_primal.transfer_function(point)
+            exact = float(np.max(np.abs(H - H_hat)))
+            assert abs(rg.true_error(sys, ws, point) - exact) <= bound
+            assert abs(rg.true_error(sys, ws, point, verify_identity=True) - exact) <= bound
+    assert counts["forms"] == 1
+
+
+def _resonant_system(n=12):
+    # s I - diag(1..n) is exactly singular at integer frequencies
+    A = np.diag(np.arange(1.0, n + 1.0))
+    b = np.ones((n, 1))
+    return rg.from_first_order(np.eye(n), A, b, b.T)
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0, 12.0, 2.5, 0.5 + 1j])
+def test_rules_agree_on_the_resonant_family(s):
+    sys = _resonant_system()
+    point = {"s": s}
+    lu = verdict(lambda: sys.operator_lu(point))
+    schur = verdict(lambda: sys.transfer_function(point))
+    assert (lu is None) == (schur is None) == (s not in (1.0, 2.0, 12.0))
+    if lu is None:
+        assert np.max(np.abs(sys.transfer_function(point) - lu_response(sys, point))) <= (
+            1e3 * sys.order * _EPS * np.max(np.abs(lu_response(sys, point)))
+        )
+    else:
+        with pytest.raises(SingularAtSampleError, match=re.escape(repr(point))):
+            sys.transfer_function(point)
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(1, 12),
+    complex_base=st.booleans(),
+    c=st.sampled_from([0.5, 1.0, 2.0]),
+)
+def test_rules_agree_at_eigenvalues_of_a_diagonal_base(seed, n, complex_base, c):
+    rng = np.random.default_rng(seed)
+    d = complex_randn(rng, n) if complex_base else rng.standard_normal(n)
+    sys = shifted_system(np.diag(d), c, np.ones((n, 1)), np.ones((1, n)))
+    # c is a power of two, so c * s == -d[k] exactly: a zero pivot on both paths
+    for k in range(n):
+        point = {"s": complex(-d[k] / c)}
+        assert verdict(lambda: sys.operator_lu(point)) is not None
+        assert verdict(lambda: sys.transfer_function(point)) is not None
+
+
+@pytest.mark.parametrize("s, singular", [(1e-12, True), (1e-8, False)])
+def test_rules_agree_where_the_scale_is_off_the_diagonal(s, singular):
+    # Q(s) = [[1 + s, 1e6], [0, s]]: the pivot s is tiny against the
+    # diagonal but, at s = 1e-12, below the threshold 2 * eps * 1e6
+    sys = shifted_system(np.array([[1.0, 1e6], [0.0, 0.0]]), 1.0, np.ones((2, 1)), np.ones((1, 2)))
+    point = {"s": s}
+    assert (verdict(lambda: sys.operator_lu(point)) is not None) == singular
+    assert (verdict(lambda: sys.transfer_function(point)) is not None) == singular
+
+
+@PROPERTY
+@given(drawn=systems)
+def test_rules_agree_where_the_coefficient_overflows(drawn):
+    seed, n, complex_base, n_in, n_out, c = drawn
+    sys = draw_system(seed, n, complex_base, n_in, n_out, c)
+    point = {"s": 1.5e308j}
+    with np.errstate(over="ignore", invalid="ignore"):
+        lu = verdict(lambda: sys.operator_lu(point))
+        schur = verdict(lambda: sys.transfer_function(point))
+    assert (lu is None) == (schur is None)
+    if c * 1.5e308 > np.finfo(np.float64).max:
+        assert "non-finite" in lu and "non-finite" in schur
+
+
+def test_threads_share_one_form():
+    # solve writes shifted pivots onto the stored triangle; with the lock
+    # taken away, a switch between that write and the solve mixes shifts
+    rng = np.random.default_rng(5)
+    n = 40
+    form = linalg.ShiftedSchur(2.0 * np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n))
+    rhs = complex_randn(rng, n, 2)
+    shifts = [1j * k for k in range(8)]
+    expected = [form.solve(shift, rhs) for shift in shifts]
+    mismatches = []
+
+    def work(offset):
+        for step in range(300):
+            k = (offset + step) % len(shifts)
+            if not np.array_equal(form.solve(shifts[k], rhs), expected[k]):
+                mismatches.append(k)
+
+    interval = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+
+
+def _dense_ladder():
+    sys = rg.rc_ladder(30)
+    return rg.ParametricSystem(sys.Q.densified(), sys.B, sys.C, name=sys.name)
+
+
+@pytest.mark.parametrize(
+    "build, point",
+    [
+        (_dense_ladder, {"s": 0.3j}),
+        (lambda: rg.rc_ladder(30), {"s": 0.3j}),
+        (
+            lambda: rg.symmetric_second_order(20),
+            {"s": 0.3j, "d": 1.0, "alpha": 0.01, "beta": 0.01},
+        ),
+    ],
+    ids=["dense-ladder", "sparse-ladder", "symmetric-second-order"],
+)
+def test_other_families_build_no_form(build, point):
+    sys = build()
+    V = random_orthonormal(np.random.default_rng(0), sys.order, 3)
+    ws = rg.EstimatorWorkspace.from_bases(sys, "delta1", V, V_du=V)
+    with spies(sys.order) as counts:
+        H = sys.transfer_function(point)
+        rg.true_error(sys, ws, point)
+    assert counts["forms"] == 0
+    np.testing.assert_allclose(H, lu_response(sys, point), rtol=1e-12)
+
+
+def test_validate_factors_nothing_per_sample():
+    sys = rg.mimo_block(60, 2)
+    train = rg.parse_grid("f:1e-2:1e1:12:log")
+    cfg = rg.GreedyConfig(
+        kind="delta1pr", training_set=train, tolerance=1e-6, record_true_errors=False
+    )
+    result = rg.run_greedy(sys, cfg)
+    with spies(sys.order) as counts:
+        report = rg.validate(sys, result, rg.parse_grid("f:1.07e-2:9.3e0:20:log"))
+    assert len(report.rows) == 20
+    assert counts == {"forms": 1, "lu_under_true_error": 0}
