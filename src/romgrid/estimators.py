@@ -37,18 +37,37 @@ times the norm of the pieces. ``r_rpr`` extends the factorization of
 ``r_pr``, so like the full-order chain ``r_rpr = r_pr - Q x_rpr_hat`` it
 stays accurate relative to ``r_pr``, not to the pieces.
 
+The online step runs on a stack of sample points, so a greedy sweep or a
+validation is one ``evaluate`` call. The monomial coefficients are
+evaluated once per call, as a (samples x pieces) array per family; every
+online quantity then carries a leading sample axis. Reduced operators are
+assembled as a stack and factored with one LAPACK ``getrf`` and ``getrs``
+per sample (``linalg.lu_solve_stack``); products are ``np.matmul`` over the
+stack, which calls the same BLAS kernel per sample as a 2-d product. Each
+sample thus sees the same operations in the same order as when it is
+evaluated alone, and its breakdown does not depend on the other points,
+to the bit. A sample whose reduced operator is singular, or whose reduced
+quantities are not finite, is masked instead of raising. The points are
+taken in chunks of ``_CHUNK`` samples. A chunk bounds the memory of the
+stacked operators: the 150-sample validation of a model with r = 78
+peaks near 3 MB in chunks of 16, against 28 MB in one stack. A chunk is
+still large enough to spread the fixed Python cost of a pass, about 0.25
+ms on a ladder with r = 15, where a sample's own work is about 0.045 ms.
+
 For systems with several inputs/outputs every bilinear form is an
 (n_outputs x n_inputs) matrix and estimates take the max over channels.
 """
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .errors import MissingWorkspaceRomError
+from .errors import MissingWorkspaceRomError, SingularReducedSystemError
+from .linalg import lu_solve_stack, scaled_stack
 from .projection import reduce_system
 
 __all__ = [
@@ -65,6 +84,8 @@ __all__ = [
 ]
 
 _EPS = np.finfo(np.float64).eps
+#: Samples per stacked pass of ``evaluate``.
+_CHUNK = 16
 
 
 class EstimatorKind(enum.Enum):
@@ -170,8 +191,8 @@ def _orthonormal_factor(block, norms=None):
 class _OfflineTerms:
     """Reduced images of one system's affine pieces, for one estimator kind.
 
-    ``systems`` maps each side to its system, ``monomials`` each (side,
-    family letter) to the coefficient monomials of its pieces. ``factors``
+    ``systems`` maps each side to its system, ``monomials`` each primal
+    family letter to the coefficient monomials of its pieces. ``factors``
     maps a residual to the blocks ``(R_B, S, T)`` of its triangular factor,
     ``projections`` a (model field, ``"V"`` or ``"W"``, residual) key to
     ``X^T [U_h | U]`` and ``outputs`` a primal-side model to ``C_k V_X`` for
@@ -207,10 +228,10 @@ def _offline_terms(workspace, spec, sys):
     systems = {"primal": sys}
     if any(_RESIDUAL_OF[name].side == "dual" for name in wanted):
         systems["dual"] = sys.dual()
-    monomials, factors, bases = {}, {}, {}
-    for side, system in systems.items():
-        for letter in "BQC":
-            monomials[side, letter] = [m for m, _ in getattr(system, letter).monomial_pieces()]
+    monomials = {
+        letter: [m for m, _ in getattr(sys, letter).monomial_pieces()] for letter in "BQC"
+    }
+    factors, bases = {}, {}
     for model in REDUCED_MODELS:
         name = model.residual
         if name not in wanted:
@@ -248,41 +269,52 @@ def _offline_terms(workspace, spec, sys):
     return _OfflineTerms(sys, systems, monomials, factors, projections, outputs)
 
 
-class _SampleTerms:
-    """Online ingredients of the estimators at one sample point.
+class _StackTerms:
+    """Online ingredients of the estimators at a stack of sample points.
 
     Reduced solutions ``z``, residual coordinates ``y`` and the bilinear
-    forms built from them, each formed on first use so every kind forms
-    exactly what its row in ``ESTIMATORS`` reads. Nothing here has n rows.
+    forms built from them, each with a leading sample axis and formed on
+    first use, so every kind forms exactly what its row in ``ESTIMATORS``
+    reads. ``coefficients`` maps each primal family letter to its (samples
+    x pieces) monomial values; the dual side reads the same arrays, since
+    its ``Q``, ``B`` and ``C`` are the primal ``Q``, ``C`` and ``B``
+    transposed piece by piece. ``usable`` marks the samples whose reduced
+    solves have all succeeded. Nothing here has n rows.
     """
 
-    def __init__(self, workspace, offline, point, n_random, rng_seed, xi):
+    def __init__(self, workspace, offline, coefficients, n_random, rng_seed, xi):
         self.workspace = workspace
         self.offline = offline
-        self.point = point
+        self._coefficients = coefficients
         self._n_random = n_random
         self._rng_seed = rng_seed
         self._xi = xi
-        self._coefficients = {}
+        self.usable = np.ones(len(coefficients["Q"]), dtype=bool)
         self._z = {}
         self._y = {}
 
     def coefficients(self, side, letter):
-        """Values at the point of the monomials of one family's pieces."""
-        key = (side, letter)
-        if key not in self._coefficients:
-            monomials = self.offline.monomials[key]
-            self._coefficients[key] = [m(self.point) for m in monomials]
-        return self._coefficients[key]
+        """Values at the points of the monomials of one family's pieces."""
+        if side == "dual":
+            letter = {"B": "C", "C": "B"}.get(letter, letter)
+        return self._coefficients[letter]
+
+    def _assembled(self, family, side, letter):
+        # the family's terms are its trailing pieces (see monomial_pieces)
+        values = self.coefficients(side, letter)
+        return family.assemble_stack(values[:, values.shape[1] - len(family.terms) :])
 
     def z(self, model):
-        """Reduced coordinates of the model's solution at the point."""
+        """Reduced coordinates of the model's solutions at the points."""
         if model.field not in self._z:
-            rom = getattr(self.workspace, model.field)
-            rhs = None
-            if model.rhs is not None:
+            system = getattr(self.workspace, model.field).system
+            if model.rhs is None:
+                rhs = self._assembled(system.B, model.side, "B")
+            else:
                 rhs = self.offline.projections[model.field, "W", model.rhs] @ self.y(model.rhs)
-            self._z[model.field], _ = rom.solve(self.point, rhs, reduced=True)
+            operators = self._assembled(system.Q, model.side, "Q")
+            self._z[model.field], usable = lu_solve_stack(operators, rhs)
+            self.usable &= usable
         return self._z[model.field]
 
     def y(self, name):
@@ -292,29 +324,33 @@ class _SampleTerms:
             R_B, S, T = self.offline.factors[name]
             if model.rhs is None:
                 ports = np.eye(self.offline.systems[model.side].n_inputs)
-                head = R_B @ np.vstack([c * ports for c in self.coefficients(model.side, "B")])
+                head = R_B @ np.concatenate(
+                    [scaled_stack(c, ports) for c in self.coefficients(model.side, "B").T], axis=1
+                )
             else:
                 head = self.y(model.rhs)
             z = self.z(model)
-            tail = np.vstack([-c * z for c in self.coefficients(model.side, "Q")])
-            self._y[name] = np.vstack([head + S @ tail, T @ tail])
+            tail = np.concatenate(
+                [-c[:, None, None] * z for c in self.coefficients(model.side, "Q").T], axis=1
+            )
+            self._y[name] = np.concatenate([head + S @ tail, T @ tail], axis=1)
         return self._y[name]
 
     def pair(self, model, name):
-        """``x_hat^T r`` of the model's solution and a residual, (n_out x n_in)."""
+        """``x_hat^T r`` of the model's solutions and a residual, (samples x n_out x n_in)."""
         tested = self.offline.projections[model.field, "V", name] @ self.y(name)
-        value = self.z(model).T @ tested
-        return value.T if model.side == "primal" else value
+        value = np.swapaxes(self.z(model), -1, -2) @ tested
+        return np.swapaxes(value, -1, -2) if model.side == "primal" else value
 
     def output(self, model):
-        """``C x_hat`` of a primal-side model's solution."""
+        """``C x_hat`` of a primal-side model's solutions."""
         maps = self.offline.outputs[model.field]
-        C_V = sum(c * m for c, m in zip(self.coefficients("primal", "C"), maps))
+        C_V = sum(scaled_stack(c, m) for c, m in zip(self.coefficients("primal", "C").T, maps))
         return C_V @ self.z(model)
 
     def norm(self, name):
         """Worst column 2-norm of the residual: the norm of its coordinates."""
-        return _column_norm(self.y(name))
+        return np.max(np.linalg.norm(self.y(name), axis=-2), axis=-1)
 
     @cached_property
     def delta1(self):
@@ -339,8 +375,9 @@ class EstimatorSpec:
     """What one estimator kind needs and computes; see ``ESTIMATORS``.
 
     ``models`` are the reduced models beyond the primal one. ``parts`` maps
-    the online sample terms to the (part1, part2) magnitude matrices, part2
-    None for one-part kinds. ``residuals`` are the residuals whose worst-column
+    the online terms of a stack of samples to the (part1, part2) stacks of
+    magnitude matrices (samples x n_outputs x n_inputs), part2 None for
+    one-part kinds. ``residuals`` are the residuals whose worst-column
     norms ``aux`` reports as ``<name>_norm``. ``alpha``, ``beta`` and
     ``gamma`` name the breakdown quantity each greedy point maximizes
     (None: the point is unused); a gamma of None also means the symmetric
@@ -548,15 +585,12 @@ class SensitivityReport:
     true_error: float
 
 
-def _column_norm(block):
-    # residual "norm" convention for blocks: worst column 2-norm
-    if block.size == 0:
-        return 0.0
-    return float(np.max(np.linalg.norm(block, axis=0)))
-
-
 def _max_abs(matrix):
     return float(np.max(np.abs(matrix)))
+
+
+def _stack_max_abs(matrices):
+    return np.max(np.abs(matrices), axis=(-2, -1))
 
 
 def _require_models(workspace, kind):
@@ -569,19 +603,39 @@ def _require_models(workspace, kind):
         )
 
 
-def _channel_parts(kind, workspace, sys, point, n_random, rng_seed, xi):
-    """Magnitude matrices (n_outputs x n_inputs) of the estimator parts."""
-    _require_models(workspace, kind)
+def _stack_breakdowns(kind, terms):
+    """The breakdowns at one stack of samples, None where a sample is unusable."""
     spec = ESTIMATORS[kind]
-    offline = workspace._offline_terms(kind, sys)
-    terms = _SampleTerms(workspace, offline, point, n_random, rng_seed, xi)
-    part1_mat, part2_mat = spec.parts(terms)
-    aux = {f"{name}_norm": terms.norm(name) for name in spec.residuals}
-    return part1_mat, part2_mat, aux
+    # an unusable sample carries infinities and NaNs through the stack; it is dropped below
+    with np.errstate(over="ignore", invalid="ignore"):
+        part1, part2 = spec.parts(terms)
+        total = part1 if part2 is None else part1 + part2
+        fields = {"total": _stack_max_abs(total), "part1": _stack_max_abs(part1)}
+        if part2 is not None:
+            fields["part2"] = _stack_max_abs(part2)
+        aux = {f"{name}_norm": terms.norm(name) for name in spec.residuals}
+    usable = terms.usable & np.isfinite([*fields.values(), *aux.values()]).all(axis=0)
+    return [
+        EstimateBreakdown(
+            kind=kind,
+            **{key: float(values[i]) for key, values in fields.items()},
+            aux={key: float(values[i]) for key, values in aux.items()},
+        )
+        if ok
+        else None
+        for i, ok in enumerate(usable)
+    ]
 
 
 def evaluate(kind, workspace, sys, point, n_random=20, rng_seed=0, xi=None):
-    """Evaluate one estimator at one sample point.
+    """Evaluate one estimator at one sample point or at a sequence of them.
+
+    Given one point (a mapping), returns its EstimateBreakdown; a reduced
+    operator that is singular there, or a reduced quantity that is not
+    finite, raises SingularReducedSystemError naming the point. Given a
+    sequence of points, returns a list aligned with it, None where a point
+    would raise. Both go through the same stacked pass, so a point's
+    breakdown does not depend on the points evaluated with it.
 
     ``n_random``/``rng_seed``/``xi`` only affect the randomized kind: the
     weights are drawn once from the seed (or taken verbatim from ``xi``),
@@ -592,17 +646,29 @@ def evaluate(kind, workspace, sys, point, n_random=20, rng_seed=0, xi=None):
     """
     if not isinstance(kind, EstimatorKind):
         kind = EstimatorKind.from_name(kind)
-    part1_mat, part2_mat, aux = _channel_parts(
-        kind, workspace, sys, point, n_random, rng_seed, xi
-    )
-    total_mat = part1_mat if part2_mat is None else part1_mat + part2_mat
-    return EstimateBreakdown(
-        kind=kind,
-        total=_max_abs(total_mat),
-        part1=_max_abs(part1_mat),
-        part2=0.0 if part2_mat is None else _max_abs(part2_mat),
-        aux=aux,
-    )
+    _require_models(workspace, kind)
+    offline = workspace._offline_terms(kind, sys)
+    single = isinstance(point, Mapping)
+    points = [point] if single else list(point)
+    coefficients = {
+        letter: np.array(
+            [[monomial(p) for monomial in monomials] for p in points], dtype=np.complex128
+        ).reshape(len(points), len(monomials))
+        for letter, monomials in offline.monomials.items()
+    }
+    breakdowns = []
+    for start in range(0, len(points), _CHUNK):
+        chunk = {letter: values[start : start + _CHUNK] for letter, values in coefficients.items()}
+        terms = _StackTerms(workspace, offline, chunk, n_random, rng_seed, xi)
+        breakdowns += _stack_breakdowns(kind, terms)
+    if not single:
+        return breakdowns
+    if breakdowns[0] is None:
+        raise SingularReducedSystemError(
+            f"estimator {kind.value}: a reduced operator is singular or a reduced quantity "
+            f"is not finite at {point!r}"
+        )
+    return breakdowns[0]
 
 
 def delta_r(workspace, sys, point, n_samples=20, rng_seed=0, xi=None):

@@ -251,27 +251,25 @@ class _GreedyState:
     def sweep(self, ws):
         """Evaluate the estimator at every active sample (None where skipped).
 
-        The sweep factors reduced operators only: a singular one skips the
+        One stacked ``evaluate`` call covers the active samples. The sweep
+        factors reduced operators only: a singular or non-finite one skips the
         sample for this iteration (reduced resonances move as the basis
         grows). Full-order singularity is met, and deactivates a sample for
         good, in the block builds and the true-error recording.
         """
-        breakdowns = []
-        for index, point in enumerate(self.samples):
-            breakdown = None
-            if self.active[index]:
-                try:
-                    breakdown = evaluate(
-                        self.kind, ws, self.sys, point, rng_seed=self.config.rng_seed
-                    )
-                except SingularReducedSystemError:
-                    warnings.warn(
-                        f"training sample {index}: reduced operator singular this "
-                        f"iteration; sample skipped for the sweep",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-            breakdowns.append(breakdown)
+        active = [index for index, ok in enumerate(self.active) if ok]
+        points = [self.samples[index] for index in active]
+        evaluated = evaluate(self.kind, ws, self.sys, points, rng_seed=self.config.rng_seed)
+        breakdowns = [None] * len(self.samples)
+        for index, breakdown in zip(active, evaluated):
+            if breakdown is None:
+                warnings.warn(
+                    f"training sample {index}: reduced operator singular this "
+                    f"iteration; sample skipped for the sweep",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            breakdowns[index] = breakdown
         if all(b is None for b in breakdowns):
             raise AllSamplesSingularError(
                 "no training sample produced a usable estimate this iteration"
@@ -355,21 +353,29 @@ def validate(sys, result, validation_set, kind=None, rng_seed=0):
     EffectivityReport with per-sample rows and min/max effectivities, both
     overall and restricted to samples whose true error exceeds the
     rounding-noise threshold 1e-11 (below it, ratios measure noise).
+    The estimates come from one stacked ``evaluate`` call over the set.
     Samples where the full or the reduced operator is singular or not
-    finite are skipped and counted in ``skipped_singular``.
+    finite, or an input or output map is not finite, are skipped and
+    counted in ``skipped_singular``.
     """
     ws = getattr(result, "workspace", result)
     if kind is None:
         kind = ws.kind
+    points = list(validation_set)
+    breakdowns = evaluate(kind, ws, sys, points, rng_seed=rng_seed)
     rows = []
     skipped = 0
-    for point in validation_set:
-        try:
-            estimate = evaluate(kind, ws, sys, point, rng_seed=rng_seed).total
-            exact = true_error(sys, ws, point)
-        except (SingularAtSampleError, SingularReducedSystemError):
+    for point, breakdown in zip(points, breakdowns):
+        exact = None
+        if breakdown is not None:
+            try:
+                exact = true_error(sys, ws, point)
+            except (SingularAtSampleError, SingularReducedSystemError):
+                pass
+        if exact is None:
             skipped += 1
             continue
+        estimate = breakdown.total
         effectivity = estimate / exact if exact > 0 else None
         rows.append(
             EffectivityRow(

@@ -10,7 +10,8 @@ LU with partial pivoting). Both return the same ``LUFactorization`` and
 obey the same singularity rule, so callers never branch on the storage.
 Sparse operators stay sparse: ``SparseOperator`` is the CSC type assembled
 full-order operators come in. ``ShiftedSchur`` serves many shifts of one
-dense matrix from a single Schur form, under the same singularity rule.
+dense matrix from a single Schur form, and ``lu_solve_stack`` a stack of
+small systems, one per sample point, both under the same singularity rule.
 """
 
 import threading
@@ -26,6 +27,8 @@ __all__ = [
     "ShiftedSchur",
     "SparseOperator",
     "lu_factor",
+    "lu_solve_stack",
+    "scaled_stack",
     "orthonormalize_append",
     "gram_deviation",
 ]
@@ -99,8 +102,8 @@ class LUFactorization:
 def lu_factor(a):
     """Factor a square dense or sparse matrix, raising SingularMatrixError on rank loss.
 
-    The factorization is rejected by ``_check_nonsingular``: when an entry
-    is not finite, or the smallest pivot magnitude falls below
+    The factorization is rejected by the rule of ``_nonsingular``: when an
+    entry is not finite, or the smallest pivot magnitude falls below
     ``dim * eps * max|A|``.
     """
     sparse = scipy.sparse.issparse(a)
@@ -134,29 +137,76 @@ def lu_factor(a):
     return LUFactorization(factors, n, max_abs)
 
 
-def _check_nonsingular(n, max_abs, pivots=None):
-    """The singularity rule of every factorization here.
+def _nonsingular(n, max_abs, min_pivot=None):
+    """The singularity rule of every factorization here, elementwise over arrays.
 
     A matrix of dimension ``n`` with largest entry magnitude ``max_abs`` is
     rejected when that magnitude is not finite (an overflow in assembly,
-    say) or zero, and, once ``pivots`` are known, when the smallest pivot
-    magnitude falls below ``n * eps * max_abs``. That catches exact and
-    numerical singularity alike (scipy alone only warns on exact zero
-    pivots). Raises SingularMatrixError.
+    say) or zero, and, once its smallest pivot magnitude ``min_pivot`` is
+    known, when that pivot is not finite or falls below ``n * eps *
+    max_abs``. That catches exact and numerical singularity alike (scipy
+    alone only warns on exact zero pivots). Returns True where a matrix
+    passes.
     """
+    usable = np.isfinite(max_abs) & (max_abs != 0.0)
+    if min_pivot is not None:
+        usable &= np.isfinite(min_pivot) & (min_pivot >= n * _EPS * max_abs)
+    return usable
+
+
+def _check_nonsingular(n, max_abs, pivots=None):
+    """Raise SingularMatrixError, naming the reason, where ``_nonsingular`` rejects one matrix."""
+    min_pivot = None if pivots is None else float(np.min(np.abs(pivots)))
+    if _nonsingular(n, max_abs, min_pivot):
+        return
     if not np.isfinite(max_abs):
         raise SingularMatrixError(f"matrix of dimension {n} has non-finite entries")
     if max_abs == 0.0:
         raise SingularMatrixError(f"matrix of dimension {n} is identically zero")
-    if pivots is None:
-        return
-    min_pivot = float(np.min(np.abs(pivots)))
-    threshold = n * _EPS * max_abs
-    if not np.isfinite(min_pivot) or min_pivot < threshold:
-        raise SingularMatrixError(
-            f"matrix of dimension {n} is singular to working precision "
-            f"(min pivot {min_pivot:.3e} < threshold {threshold:.3e})"
-        )
+    raise SingularMatrixError(
+        f"matrix of dimension {n} is singular to working precision "
+        f"(min pivot {min_pivot:.3e} < threshold {n * _EPS * max_abs:.3e})"
+    )
+
+
+def scaled_stack(values, matrix, out=None):
+    """The stack ``values[i] * matrix`` over samples ``i``, an (m, rows, cols) array.
+
+    Each sample is bitwise ``complex(values[i]) * matrix``. The matrix gets an
+    explicit unit sample axis before it is broadcast: broadcast from 2-d
+    against a single 1 x 1 sample, numpy's one-element path multiplies
+    without the fused multiply-add of its vector loops, and the product
+    would depend on how many samples are stacked. ``out`` as in numpy.
+    """
+    return np.multiply(values[:, None, None], matrix[None], out=out)
+
+
+def lu_solve_stack(a, b):
+    """Solve ``a[i] x[i] = b[i]`` for every sample ``i`` of a stack of small systems.
+
+    ``a`` is (m, n, n), every sample laid out Fortran-contiguous (as
+    ``AffineMatrix.assemble_stack`` builds it), and is overwritten by the LU
+    factors; ``b`` is (m, n, p). A sample is usable when its matrix passes
+    the rule of ``lu_factor`` and its right-hand side is finite. Only usable
+    samples reach LAPACK, one ``getrf`` and one ``getrs`` each, so each
+    solution is bitwise the one ``lu_factor(a[i]).solve(b[i])`` gives.
+    Returns the solutions, laid out per sample as ``getrs`` returns them and
+    zero where a sample is unusable, and the boolean usable mask.
+    """
+    m, n, p = b.shape
+    x = np.zeros((m, p, n), dtype=np.complex128).transpose(0, 2, 1)
+    if n == 0:
+        return x, np.ones(m, dtype=bool)
+    max_abs = np.max(np.abs(a), axis=(1, 2))
+    usable = _nonsingular(n, max_abs) & np.isfinite(b).all(axis=(1, 2))
+    pivots = {}
+    for i in np.flatnonzero(usable):
+        _, pivots[i], _ = _GETRF(a[i], overwrite_a=True)
+    min_pivot = np.min(np.abs(np.diagonal(a, axis1=1, axis2=2)), axis=1)
+    usable &= _nonsingular(n, max_abs, min_pivot)
+    for i in np.flatnonzero(usable):
+        x[i], _ = _GETRS(a[i], pivots[i], b[i])
+    return x, usable
 
 
 class ShiftedSchur:

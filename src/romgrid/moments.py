@@ -44,7 +44,7 @@ def krylov_block(sys, s, q, max_columns=DEFAULT_MAX_BLOCK_COLUMNS):
     point = {LAPLACE: complex(s)}
     lu = sys.operator_lu(point)
     e_matrix = sys.Q.diff(LAPLACE).assemble(point)
-    level = lu.solve(sys.B.assemble(point))
+    level = sys.solve_primal(point, lu)
     levels = [level]
     total = level.shape[1]
     for _ in range(1, q):

@@ -96,11 +96,17 @@ class ReducedModel:
         is compressed as ``W^T rhs``. Returns ``(z, lifted)`` where
         ``lifted = V z``. With ``reduced=True`` the call stays in reduced
         coordinates: ``rhs`` is an already compressed block (``dim`` rows)
-        and ``lifted`` is None, so nothing of full-order size is formed.
+        and ``lifted`` is None, so nothing of full-order size is formed. A
+        singular operator, or a non-finite input map where ``rhs`` is None,
+        raises SingularReducedSystemError naming the point.
         """
         lu = self.operator_lu(point)
         if rhs is None:
             reduced_rhs = self.system.B.assemble(point)
+            if not np.isfinite(reduced_rhs).all():
+                raise SingularReducedSystemError(
+                    f"reduced input map ({self.dim} dofs) has non-finite entries at {point!r}"
+                )
         else:
             rhs = np.asarray(rhs, dtype=np.complex128)
             if rhs.ndim == 1:

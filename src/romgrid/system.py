@@ -211,6 +211,27 @@ class AffineMatrix:
             out += monomial(point) * matrix
         return out
 
+    def assemble_stack(self, coefficients):
+        """A dense family at a stack of sample points, as one (m, rows, cols) array.
+
+        ``coefficients[i, j]`` is term j's monomial at point i. Every sample
+        is bitwise what ``assemble`` returns: the sums are formed in its order,
+        except that the first term's product is written first and the base
+        added to it, which saves one stack-sized temporary and changes no bit
+        (floating-point addition commutes). Each sample is laid out
+        Fortran-contiguous, as LAPACK reads it.
+        """
+        rows, cols = self.shape
+        out = np.empty((len(coefficients), cols, rows), dtype=np.complex128).transpose(0, 2, 1)
+        if not self.terms:
+            out[...] = self.base
+            return out
+        linalg.scaled_stack(coefficients[:, 0], self.terms[0][1], out=out)
+        out += self.base
+        for j, (_, matrix) in enumerate(self.terms[1:], start=1):
+            out += linalg.scaled_stack(coefficients[:, j], matrix)
+        return out
+
     @property
     def has_base(self):
         """True when the constant part is nonzero."""
@@ -371,6 +392,21 @@ class ParametricSystem:
             f"operator of {self.name!r} is singular at {point!r}: {exc}", point
         )
 
+    def _map_at(self, letter, point):
+        """The input map ``B(p)`` (letter ``"B"``) or output map ``C(p)`` (``"C"``).
+
+        A non-finite entry, from an overflowing coefficient say, makes the
+        sample as unusable as a singular operator does: it raises
+        SingularAtSampleError naming the point.
+        """
+        value = getattr(self, letter).assemble(point)
+        if not np.isfinite(value).all():
+            role = "input" if letter == "B" else "output"
+            raise SingularAtSampleError(
+                f"{role} map of {self.name!r} has non-finite entries at {point!r}", point
+            )
+        return value
+
     def operator_lu(self, point):
         """LU of ``Q(p)``, raising SingularAtSampleError on rank loss."""
         try:
@@ -381,12 +417,12 @@ class ParametricSystem:
     def solve_primal(self, point, lu=None):
         """Full-order state block ``x = Q(p)^{-1} B(p)`` (n x n_inputs)."""
         lu = lu or self.operator_lu(point)
-        return lu.solve(self.B.assemble(point))
+        return lu.solve(self._map_at("B", point))
 
     def solve_dual(self, point, lu=None):
         """Full-order dual block ``x_du = Q(p)^{-T} C(p)^T`` (n x n_outputs)."""
         lu = lu or self.operator_lu(point)
-        return lu.solve(self.C.assemble(point).T, transpose=True)
+        return lu.solve(self._map_at("C", point).T, transpose=True)
 
     def transfer_function(self, point):
         """Transfer matrix ``H(p) = C(p) Q(p)^{-1} B(p)`` (n_outputs x n_inputs).
@@ -395,12 +431,13 @@ class ParametricSystem:
         Schur form of ``A0``, built at the first call and kept: O(n^2) per
         point after one O(n^3) reduction (see ``_SchurResponse``). Every other
         family factors ``Q(p)`` at each point. Both raise SingularAtSampleError
-        by the same singularity rule.
+        by the same singularity rule, and where ``B(p)`` or ``C(p)`` is not
+        finite.
         """
         if self._response is _NOT_BUILT:
             self._response = _SchurResponse.of(self)
         if self._response is None:
-            return self.C.assemble(point) @ self.solve_primal(point)
+            return self._map_at("C", point) @ self.solve_primal(point)
         try:
             return self._response(self, point)
         except SingularMatrixError as exc:
@@ -440,9 +477,9 @@ class _SchurResponse:
         # the system comes in per call, not held, so the cached response
         # forms no reference cycle with the system that caches it
         z = self.schur.Z
-        zhb = self.ZhB if self.ZhB is not None else z.conj().T @ sys.B.assemble(point)
+        zhb = self.ZhB if self.ZhB is not None else z.conj().T @ sys._map_at("B", point)
         y = self.schur.solve(self.shift(point), zhb)
-        cz = self.CZ if self.CZ is not None else sys.C.assemble(point) @ z
+        cz = self.CZ if self.CZ is not None else sys._map_at("C", point) @ z
         return cz @ y
 
 

@@ -4,7 +4,9 @@
 pieces made once per workspace); ``oracles`` assembles the dense operator
 and forms every residual in full. Hypothesis draws the system family,
 port count, basis dimensions, Galerkin or Petrov-Galerkin test bases and
-the sample point; every kind must agree with its chain.
+the sample point; every kind must agree with its chain. The last two
+properties hold ``evaluate`` on a list of points to exactly what it gives
+one point at a time, whatever else the list holds.
 """
 
 import numpy as np
@@ -13,6 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import romgrid as rg
+from romgrid.errors import SingularReducedSystemError
+from romgrid.estimators import _CHUNK, ESTIMATORS
 
 import oracles
 from conftest import complex_randn, dense_at, full_workspace, random_orthonormal
@@ -209,3 +213,77 @@ def test_tiny_pieces_with_huge_coefficients(rng, petrov):
         assert got.total == pytest.approx(total, rel=1e-10), kind
         for name, value in got.aux.items():
             assert value == pytest.approx(norms[name], rel=1e-10), (kind, name)
+
+
+def one_at_a_time(kind, ws, sys, points, seed):
+    """``evaluate`` at each point on its own, None where it raises."""
+    out = []
+    for point in points:
+        try:
+            out.append(rg.evaluate(kind, ws, sys, point, rng_seed=seed))
+        except SingularReducedSystemError:
+            out.append(None)
+    return out
+
+
+def assert_batch_independent(kind, ws, sys, points, seed, rng):
+    """Whole, shuffled and sliced lists give each point's own breakdown, field by field."""
+    single = one_at_a_time(kind, ws, sys, points, seed)
+    assert rg.evaluate(kind, ws, sys, points, rng_seed=seed) == single
+    order = rng.permutation(len(points))
+    shuffled = rg.evaluate(kind, ws, sys, [points[i] for i in order], rng_seed=seed)
+    assert shuffled == [single[i] for i in order]
+    lo, hi = sorted(int(i) for i in rng.integers(0, len(points) + 1, size=2))
+    assert rg.evaluate(kind, ws, sys, points[lo:hi], rng_seed=seed) == single[lo:hi]
+    return single
+
+
+@PROPERTY
+@given(case=cases, kind=st.sampled_from(KINDS), count=st.integers(1, 2 * _CHUNK + 3))
+def test_batch_evaluation_matches_one_point_at_a_time(case, kind, count):
+    rng = np.random.default_rng(case["seed"])
+    sys = affine_system(rng, case["n"], case["ports"], case["parametric"])
+    bases = draw_bases(rng, case["n"], case["petrov"])
+    ws = full_workspace(sys, kind, bases)
+    points = [sample_point(rng, case["parametric"]) for _ in range(count)]
+    for index in rng.choice(count, size=count // 8, replace=False):
+        points[index] = dict(points[index], s=1.5e308j)
+    assert_batch_independent(kind, ws, sys, points, case["seed"] % 97, rng)
+
+
+def resonant_system(n, ports, rng):
+    """``2 s I - diag(1..n)``: on coordinate bases each reduced operator is
+    ``diag(2 s - k)`` over the basis's indices k, singular exactly at s = k/2,
+    and ``2 s`` overflows at ``s = 1.5e308j``."""
+    b = rng.standard_normal((n, ports))
+    return rg.from_first_order(2.0 * np.eye(n), np.diag(np.arange(1.0, n + 1.0)), b, b.T)
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ports=st.integers(1, 3),
+    kind=st.sampled_from(KINDS),
+    count=st.integers(1, 2 * _CHUNK + 3),
+)
+def test_singular_and_nonfinite_samples_are_none_in_place(seed, ports, kind, count):
+    rng = np.random.default_rng(seed)
+    n = 12
+    sys = resonant_system(n, ports, rng)
+    indices = {key: rng.choice(n, int(rng.integers(1, 5)), replace=False) for key in BASIS_KEYS}
+    bases = {key: np.eye(n)[:, chosen] for key, chosen in indices.items()}
+    ws = full_workspace(sys, kind, bases)
+    used = ["V"] + [model.key for model in ESTIMATORS[rg.EstimatorKind.from_name(kind)].models]
+    resonant = {int(k) + 1 for key in used for k in indices[key]}
+    points = [{"s": complex(0.3, w)} for w in rng.uniform(0.1, 4.0, count)]
+    expected = set()
+    for index in rng.choice(count, size=count // 3, replace=False):
+        if rng.random() < 0.5:
+            points[index] = {"s": 1.5e308j}
+        else:
+            points[index] = {"s": complex(int(rng.integers(1, n + 1)) / 2.0)}
+            if int(2 * points[index]["s"].real) not in resonant:
+                continue
+        expected.add(int(index))
+    single = assert_batch_independent(kind, ws, sys, points, seed % 97, rng)
+    assert {i for i, breakdown in enumerate(single) if breakdown is None} == expected

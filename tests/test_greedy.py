@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -395,17 +397,59 @@ def test_overflowing_coefficient_is_a_sample_error():
         sys.operator_lu(point)
 
 
-@pytest.mark.parametrize("storage", ["sparse", "dense"])
-def test_nonfinite_samples_are_skipped_by_sweep_and_validation(storage):
-    sys = _ladder(storage)
+def _overflowing_map(letter):
+    """Dense ``Q = -A0 + s I`` whose input (``"B"``) or output (``"C"``) map is
+    ``M + 1e-3 s^2 M``: at ``s = 1.5e200j`` only that map overflows."""
+    base = rg.random_stable(40)
+    maps = {"B": base.B, "C": base.C}
+    M = maps[letter].base
+    maps[letter] = rg.AffineMatrix(M.shape, base=M, terms=[(rg.Monomial(1e-3, {"s": 2}), M)])
+    return rg.ParametricSystem(base.Q, maps["B"], maps["C"], name="overflowing"), {"s": 1.5e200j}
+
+
+def _nonfinite_case(case):
+    if case == "input_map":
+        return _overflowing_map("B")
+    return _ladder(case), _EXTREME
+
+
+@pytest.mark.parametrize("letter, role", [("B", "input"), ("C", "output")])
+def test_nonfinite_map_is_a_sample_error_naming_the_point(letter, role):
+    sys, point = _overflowing_map(letter)
+    assert np.isfinite(sys.Q.assemble(point)).all()
+    named = rf"{role} map .*1\.5e\+200j"
+    with pytest.raises(SingularAtSampleError, match=named):
+        sys.transfer_function(point)  # the Schur-form path
+    with pytest.raises(SingularAtSampleError, match=named):
+        if letter == "B":
+            rg.krylov_block(sys, point["s"], 2)  # a block build
+        else:
+            sys.solve_dual(point)
+    V = np.linalg.qr(rg.krylov_block(sys, 1j, 2))[0]
+    if letter == "B":
+        rom = rg.reduce_system(sys, V)
+        with pytest.raises(SingularReducedSystemError, match=r"1\.5e\+200j"):
+            rom.solve(point)
+    for kind in ("delta1pr", "delta2"):  # C enters as an output map, and as the dual input map
+        ws = rg.EstimatorWorkspace.from_bases(sys, kind, V, V_du=V, V_rdu=V, V_rpr=V)
+        with pytest.raises(SingularAtSampleError, match=named):
+            rg.true_error(sys, ws, point)
+        with pytest.raises(SingularReducedSystemError, match=r"1\.5e\+200j"):
+            rg.evaluate(kind, ws, sys, point)
+        assert rg.evaluate(kind, ws, sys, [point, {"s": 1j}])[0] is None
+
+
+@pytest.mark.parametrize("case", ["sparse", "dense", "input_map"])
+def test_nonfinite_samples_are_skipped_by_sweep_and_validation(case):
+    sys, extreme = _nonfinite_case(case)
     grid = _ladder_grid(12)
     # index 0 is the first main point (its expansion fails for good);
     # index 3 is no initial point, so only the sweep meets it, every iteration
-    grid[0] = grid[3] = _EXTREME
+    grid[0] = grid[3] = extreme
     cfg = rg.GreedyConfig(kind="delta2", training_set=grid, tolerance=1e-6)
     with pytest.warns(RuntimeWarning) as caught:
         res = rg.run_greedy(sys, cfg)
-        report = rg.validate(sys, res, [_EXTREME] + _ladder_grid(4))
+        report = rg.validate(sys, res, [extreme] + _ladder_grid(4))
     assert res.converged
     assert res.skipped_samples == [0]
     messages = [str(w.message) for w in caught]
@@ -452,6 +496,27 @@ def test_validate_counts_singular_validation_samples():
     report = rg.validate(sys, res, [{"s": 2.0}, {"s": 0.5 + 1j}])
     assert report.skipped_singular == 1
     assert len(report.rows) == 1
+
+
+def test_validation_sweep_memory_is_bounded_by_the_chunk():
+    # The benchmark's mimo_validate workspace (r = 60/68/78) on its 150-sample
+    # grid. One stack over all 150 samples peaks near 28 MB, chunks of 16
+    # samples near 3 MB, and one sample at a time near 0.3 MB.
+    sys = rg.mimo_block(300, 4)
+    train = rg.parse_grid(["f:1e-2:1e1:40:log"])
+    cfg = rg.GreedyConfig(kind="delta3pr", training_set=train, tolerance=1e-6,
+                          record_true_errors=False)
+    res = rg.run_greedy(sys, cfg)
+    grid = rg.parse_grid(["f:1.07e-2:9.3e0:150:log"])
+    rg.validate(sys, res, grid[:1])  # builds the Schur form the true errors share
+    tracemalloc.start()
+    try:
+        report = rg.validate(sys, res, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.rows) == 150
+    assert peak < 4e6, f"validation sweep peaked at {peak / 1e6:.2f} MB"
 
 
 def test_validate_accepts_workspace_or_result():

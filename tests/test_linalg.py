@@ -6,6 +6,7 @@ from romgrid.linalg import (
     _as_complex_matrix,
     gram_deviation,
     lu_factor,
+    lu_solve_stack,
     orthonormalize_append,
 )
 
@@ -33,6 +34,48 @@ def test_lu_transpose_solve_is_plain_transpose(seed):
     got = lu.solve(rhs, transpose=True)
     assert np.allclose(got, np.linalg.solve(a.T, rhs), atol=1e-12)
     assert not np.allclose(got, np.linalg.solve(a.conj().T, rhs), atol=1e-8)
+
+
+def _fortran_stack(matrices):
+    # the layout AffineMatrix.assemble_stack gives: every sample Fortran-contiguous
+    m, n = len(matrices), matrices[0].shape[0]
+    out = np.empty((m, n, n), dtype=np.complex128).transpose(0, 2, 1)
+    out[...] = matrices
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 6])
+def test_lu_solve_stack_is_lu_factor_per_sample(n):
+    rng = np.random.default_rng(n)
+    regular = [np.eye(n) + 0.4 * complex_randn(rng, n, n) / np.sqrt(n) for _ in range(3)]
+    overflowed = regular[0].copy()
+    overflowed[0, 0] = np.inf
+    rank_deficient = regular[1].copy()
+    rank_deficient[:, 0] = 0.0
+    matrices = [regular[0], np.zeros((n, n)), overflowed, rank_deficient, regular[1], regular[2]]
+    rhs = complex_randn(rng, len(matrices), n, 2)
+    rhs[5, 0, 1] = np.nan  # a regular operator with a non-finite right-hand side
+    x, usable = lu_solve_stack(_fortran_stack(matrices), rhs)
+    assert usable.tolist() == [True, False, False, False, True, False]
+    for i, a in enumerate(matrices):
+        if usable[i]:
+            assert np.array_equal(x[i], lu_factor(a).solve(rhs[i]))
+        else:
+            assert not np.any(x[i])
+            if np.isfinite(rhs[i]).all():
+                with pytest.raises(SingularMatrixError):
+                    lu_factor(a)
+
+
+def test_lu_solve_stack_applies_the_pivot_threshold():
+    # a pivot just below n*eps*max|A| is rejected by both paths, one above it by neither
+    n, eps = 3, np.finfo(float).eps
+    near = [np.diag([1.0, 1.0, factor * n * eps]) for factor in (0.5, 2.0)]
+    _, usable = lu_solve_stack(_fortran_stack(near), np.ones((2, n, 1), dtype=complex))
+    assert usable.tolist() == [False, True]
+    with pytest.raises(SingularMatrixError, match="singular to working precision"):
+        lu_factor(near[0])
+    lu_factor(near[1])
 
 
 def test_lu_vector_rhs_keeps_shape():

@@ -74,6 +74,25 @@ def test_affine_assemble_is_hand_sum():
     assert fam.parameter_names() == ("d", "s")
 
 
+@pytest.mark.parametrize("shape, terms", [((1, 1), 1), ((1, 1), 3), ((4, 4), 0), ((5, 2), 2)])
+@pytest.mark.parametrize("samples", [1, 3])
+def test_affine_assemble_stack_is_assemble_bitwise(shape, terms, samples):
+    rng = np.random.default_rng(terms + 10 * samples)
+    monomials = [rg.Monomial(complex(*rng.standard_normal(2)), {"s": k + 1}) for k in range(terms)]
+    fam = rg.AffineMatrix(
+        shape,
+        base=complex_randn(rng, *shape),
+        terms=[(m, complex_randn(rng, *shape)) for m in monomials],
+    )
+    points = [{"s": complex(*rng.standard_normal(2))} for _ in range(samples)]
+    coefficients = np.array([[m(p) for m in monomials] for p in points], dtype=complex)
+    stack = fam.assemble_stack(coefficients.reshape(samples, terms))
+    assert stack.shape == (samples, *shape)
+    for i, point in enumerate(points):
+        assert stack[i].flags.f_contiguous
+        assert np.array_equal(stack[i], fam.assemble(point))
+
+
 def test_affine_transpose_and_scale_and_plus():
     rng = np.random.default_rng(4)
     a = rg.AffineMatrix.constant(complex_randn(rng, 3, 3))
