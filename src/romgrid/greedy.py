@@ -202,39 +202,51 @@ class _GreedyState:
                     return candidate
         raise AllSamplesSingularError("every training sample renders the operator singular")
 
-    def _block(self, model):
+    def _block(self, model, lus, blocks):
         """Expansion block for ``model`` at its point, replacing singular samples.
 
-        A sample whose operator is singular is deactivated for good and the
-        nearest active sample takes its place as the model's point.
+        ``lus`` maps a sample index to the LU of ``Q`` there and ``blocks`` a
+        (side, index) pair to its block; both are filled on first use, so
+        one grow step factors each sample once and builds each block once.
+        A dual block solves with the primal LU transposed. A sample whose
+        operator is singular is deactivated for good and the nearest active
+        sample takes its place as the model's point.
         """
         role = self._role(model)
         index = self.points[role]
         while True:
             if not self.active[index]:
                 index = self._fallback(index)
+            key = (model.side, index)
             try:
-                block = expansion_block(self.systems[model.side], self.samples[index], self.q)
+                if key not in blocks:
+                    point = self.samples[index]
+                    if index not in lus:
+                        lus[index] = self.sys.operator_lu(point)
+                    lu = lus[index] if model.side == "primal" else lus[index].transposed()
+                    blocks[key] = expansion_block(self.systems[model.side], point, self.q, lu=lu)
             except SingularAtSampleError:
                 self._mark_singular(index, f"expansion of {model.key}")
                 continue
             self.points[role] = index
-            return block
+            return blocks[key]
 
     def grow(self):
         """Append this iteration's blocks; returns number of new columns.
 
         Each basis first receives the blocks of the bases it contains, then
         its own block, so auxiliary bases always contain the ones they serve.
+        The factorizations and blocks shared between bases live only for
+        this call.
         """
         before = self._dimensions()
-        own = {}
+        lus, blocks, own = {}, {}, {}
         for model in self.models:
             basis = self.bases[model.key]
             for key in model.contains:
                 if key in own:
                     basis = basis.appended(own[key])
-            own[model.key] = self._block(model)
+            own[model.key] = self._block(model, lus, blocks)
             self.bases[model.key] = basis.appended(own[model.key])
         return self._dimensions() - before
 

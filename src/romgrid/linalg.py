@@ -2,7 +2,9 @@
 
 Everything downstream funnels its factorizations and basis growth through
 this module: LU with an explicit singularity threshold, block solves with
-plain-transpose support, and append-only orthonormalization with deflation.
+plain-transpose support (one factorization serves ``A`` and ``A^T``), and
+append-only orthonormalization with deflation by block classical
+Gram-Schmidt run twice, so basis growth runs in matrix-matrix products.
 
 The storage type of the operator picks the LU: a 2-d ndarray is factored
 by LAPACK ``getrf``, a ``scipy.sparse`` matrix by SuperLU (``splu``, sparse
@@ -73,15 +75,22 @@ class LUFactorization:
     SuperLU object, and exposes block solves for ``A X = B`` and, with
     ``transpose=True``, for ``A^T X = B`` (plain transpose, no
     conjugation), so one factorization serves both a system and its dual.
+    ``transposed()`` is the factorization of ``A^T`` on the same factors.
     """
 
-    def __init__(self, factors, dim, max_abs):
+    def __init__(self, factors, dim, max_abs, transposed=False):
         self._factors = factors
         self.dim = dim
         self.max_abs = max_abs
+        self._transposed = transposed
+
+    def transposed(self):
+        """The factorization of ``A^T``: the same factors, solved the other way round."""
+        return LUFactorization(self._factors, self.dim, self.max_abs, not self._transposed)
 
     def solve(self, rhs, transpose=False):
         """Solve ``A X = rhs`` (or ``A^T X = rhs``) for a vector or block."""
+        transpose = transpose != self._transposed
         rhs = np.asarray(rhs)
         squeeze = rhs.ndim == 1
         b = _as_complex_matrix(rhs, "right-hand side")
@@ -263,17 +272,24 @@ class ShiftedSchur:
 def orthonormalize_append(basis, block, deflation_tol=1e-10):
     """Extend an orthonormal basis by the directions a block adds.
 
-    Modified Gram-Schmidt with one re-orthogonalization pass. Existing
-    columns of ``basis`` are returned unchanged; each column of ``block``
-    is orthogonalized against everything accepted so far and dropped when
-    its remaining norm is at most ``deflation_tol`` times its original
-    norm. ``basis`` may be None or have zero columns.
+    Block classical Gram-Schmidt run twice (CGS2; Giraud, Langou &
+    Rozložník 2005): the whole block is projected against the existing
+    columns in two matrix-matrix passes. Its columns are then taken in order
+    and each is projected twice against the block's columns accepted before
+    it. When that in-block step removes more than half of a column's norm,
+    the roundoff it leaves along the existing columns is no longer small
+    relative to what remains, so the column gets one more pass against the
+    whole basis ("twice is enough"). A column is dropped when its remaining
+    norm is at most ``deflation_tol`` times its original norm; zero columns
+    are skipped. ``basis`` may be None or have zero columns.
 
-    Returns the extended matrix with unitarily orthonormal columns
-    (``V^H V = I``).
+    Existing columns come back bitwise unchanged, and ``basis`` itself comes
+    back when the block adds nothing. Otherwise the result is the leading
+    columns of one new Fortran-ordered array, sized for the whole block, with
+    unitarily orthonormal columns (``V^H V = I``).
     """
     block = _as_complex_matrix(block, "block")
-    n = block.shape[0]
+    n, m = block.shape
     if basis is None:
         basis = np.zeros((n, 0), dtype=np.complex128)
     else:
@@ -282,23 +298,41 @@ def orthonormalize_append(basis, block, deflation_tol=1e-10):
             raise DimensionMismatchError(
                 f"basis has {basis.shape[0]} rows, block has {n}"
             )
-    columns = [basis[:, j] for j in range(basis.shape[1])]
-    n_existing = len(columns)
-    for j in range(block.shape[1]):
-        v = block[:, j].copy()
-        original_norm = np.linalg.norm(v)
-        if original_norm == 0.0:
+    k = basis.shape[1]
+    original_norms = np.linalg.norm(block, axis=0)
+    out = np.empty((n, k + m), dtype=np.complex128, order="F")
+    out[:, :k] = basis
+    out[:, k:] = block
+    for _ in range(2):
+        _project_out(out[:, k:], out[:, :k])
+    kept = k
+    for j in range(m):
+        if original_norms[j] == 0.0:
             continue
+        v = out[:, k + j]
+        before = np.linalg.norm(v)
         for _ in range(2):
-            for u in columns:
-                v -= (u.conj() @ v) * u
+            _project_out(v, out[:, k:kept])
         remaining = np.linalg.norm(v)
-        if remaining <= deflation_tol * original_norm:
+        if remaining < 0.5 * before:
+            _project_out(v, out[:, :kept])
+            remaining = np.linalg.norm(v)
+        if remaining <= deflation_tol * original_norms[j]:
             continue
-        columns.append(v / remaining)
-    if len(columns) == n_existing:
+        out[:, kept] = v / remaining
+        kept += 1
+    if kept == k:
         return basis
-    return np.column_stack(columns)
+    return out[:, :kept]
+
+
+def _project_out(v, q):
+    """One classical Gram-Schmidt pass in place: ``v -= q (q^H v)``.
+
+    ``q^H v`` is formed as ``(v^H q)^H``, which conjugates a copy of ``v``
+    rather than of the (larger) ``q``.
+    """
+    v -= q @ (v.conj().T @ q).conj().T
 
 
 def gram_deviation(v):

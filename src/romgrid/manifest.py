@@ -79,7 +79,33 @@ def write_matrix(path, matrix):
         if np.iscomplexobj(matrix) and not np.any(matrix.imag):
             matrix = matrix.real
         matrix = scipy.sparse.coo_matrix(matrix)
-    scipy.io.mmwrite(str(path), matrix, precision=17)
+    scipy.io.mmwrite(str(path), matrix, precision=17, symmetry=_symmetry(matrix))
+
+
+def _symmetry(matrix):
+    """The Matrix Market symmetry ``scipy.io.mmwrite`` would pick for ``matrix`` itself.
+
+    scipy looks for symmetry only in square matrices under 100 rows, and
+    there walks the entries one by one in Python, which on a complex
+    symmetric reduced operator never stops early. The same precedence is
+    decided here by whole-array comparisons: symmetric, skew-symmetric,
+    hermitian, general. One difference: scipy's walk does not test the first
+    nonzero diagonal entry it meets for being real while the matrix may still
+    be skew-symmetric, so it calls some matrices with a non-real diagonal
+    hermitian; here they are general, as the format defines.
+    """
+    rows, cols = matrix.shape
+    if rows != cols or rows >= 100:
+        return "general"
+    dense = matrix.toarray()
+    for symmetry, mirror in (
+        ("symmetric", dense.T),
+        ("skew-symmetric", -dense.T),
+        ("hermitian", dense.conj().T),
+    ):
+        if np.array_equal(dense, mirror):
+            return symmetry
+    return "general"
 
 
 def _entry_monomial(entry, declared, path):

@@ -12,7 +12,11 @@ point for every level:
   applied to ``R_0 = Q(p)^{-1} [pieces of B]``; the block stacks levels 0..q.
 
 ``expansion_block`` picks the builder for a system. Dual-side blocks come
-from running the same builders on ``sys.dual()``.
+from running the same builders on ``sys.dual()``. Every builder takes the
+factorization of the operator at the point, as ``solve_primal`` does, so a
+caller can factor once and serve several blocks: a dual block reuses the
+primal LU of ``Q(p)`` through its ``transposed()`` view, a solve with
+``Q(p)^T`` on the same factors, instead of factoring ``Q(p)^T`` again.
 """
 
 import numpy as np
@@ -30,19 +34,21 @@ __all__ = [
 DEFAULT_MAX_BLOCK_COLUMNS = 64
 
 
-def krylov_block(sys, s, q, max_columns=DEFAULT_MAX_BLOCK_COLUMNS):
+def krylov_block(sys, s, q, max_columns=DEFAULT_MAX_BLOCK_COLUMNS, lu=None):
     """Levels 0..q-1 of the shifted Krylov sequence at frequency ``s``.
 
     Requires a system whose only parameter is the Laplace variable. Level 0
     is ``Q(s)^{-1} B``; each next level multiplies by ``Q(s)^{-1} E`` where
     ``E`` is the s-derivative of the operator family (the descriptor matrix
     for first-order realizations). ``q >= 1`` counts levels, so the block has
-    ``q * n_inputs`` columns before the cap.
+    ``q * n_inputs`` columns before the cap. ``lu`` is the factorization of
+    ``Q(s)``, computed here when not given.
     """
     if q < 1:
         raise ValueError(f"level count q must be >= 1, got {q}")
     point = {LAPLACE: complex(s)}
-    lu = sys.operator_lu(point)
+    if lu is None:
+        lu = sys.operator_lu(point)
     e_matrix = sys.Q.diff(LAPLACE).assemble(point)
     level = sys.solve_primal(point, lu)
     levels = [level]
@@ -56,7 +62,7 @@ def krylov_block(sys, s, q, max_columns=DEFAULT_MAX_BLOCK_COLUMNS):
     return np.hstack(levels)[:, :max_columns]
 
 
-def multimoment_block(sys, point, q, max_columns=DEFAULT_MAX_BLOCK_COLUMNS):
+def multimoment_block(sys, point, q, max_columns=DEFAULT_MAX_BLOCK_COLUMNS, lu=None):
     """Levels 0..q of the multi-parameter moment recursion at ``point``.
 
     Level 0 solves the operator against every constituent matrix of the
@@ -64,11 +70,13 @@ def multimoment_block(sys, point, q, max_columns=DEFAULT_MAX_BLOCK_COLUMNS):
     applies every ``M_j = -Q(p)^{-1} Q_j`` to level k-1, one j per affine
     term of the operator. ``q >= 0`` is the highest level index; q=0 keeps
     only level 0. Column growth is geometric in the number of operator
-    terms, so the cap truncates the highest level.
+    terms, so the cap truncates the highest level. ``lu`` is the
+    factorization of ``Q(p)``, computed here when not given.
     """
     if q < 0:
         raise ValueError(f"highest level index q must be >= 0, got {q}")
-    lu = sys.operator_lu(point)
+    if lu is None:
+        lu = sys.operator_lu(point)
     r0_pieces = sys.B.pieces()
     if not r0_pieces:
         raise DimensionMismatchError("input family has no nonzero pieces")
@@ -87,13 +95,14 @@ def multimoment_block(sys, point, q, max_columns=DEFAULT_MAX_BLOCK_COLUMNS):
     return np.hstack(blocks)
 
 
-def expansion_block(sys, point, q, max_columns=DEFAULT_MAX_BLOCK_COLUMNS):
+def expansion_block(sys, point, q, max_columns=DEFAULT_MAX_BLOCK_COLUMNS, lu=None):
     """Moment block of ``sys`` at ``point``, picking the builder by system kind.
 
     Frequency-only systems use the Krylov builder (``q`` counts levels, at
     least one); parametric systems use the multimoment builder (``q`` is
-    the highest level). For a dual-side block pass ``sys.dual()``.
+    the highest level). For a dual-side block pass ``sys.dual()``, and, to
+    reuse a factorization of the primal operator, its ``transposed()``.
     """
     if sys.is_parametric:
-        return multimoment_block(sys, point, q, max_columns)
-    return krylov_block(sys, point[LAPLACE], q, max_columns)
+        return multimoment_block(sys, point, q, max_columns, lu)
+    return krylov_block(sys, point[LAPLACE], q, max_columns, lu)

@@ -50,6 +50,38 @@ def dual_residual(sys, point, lifted_dual):
 
 
 # ---------------------------------------------------------------------------
+# basis growth
+
+
+def orthonormalize_append(basis, block, deflation_tol=1e-10):
+    """Modified Gram-Schmidt, one column at a time, two passes over every kept column.
+
+    The column-by-column reference for ``linalg.orthonormalize_append``:
+    same contract (existing columns unchanged, a column dropped when its
+    remaining norm is at most ``deflation_tol`` times its original norm,
+    zero columns skipped, ``basis`` itself returned when nothing is added).
+    """
+    block = np.asarray(block, dtype=np.complex128).reshape(np.shape(block)[0], -1)
+    columns = [basis[:, j] for j in range(basis.shape[1])]
+    n_existing = len(columns)
+    for j in range(block.shape[1]):
+        v = block[:, j].copy()
+        original_norm = np.linalg.norm(v)
+        if original_norm == 0.0:
+            continue
+        for _ in range(2):
+            for u in columns:
+                v -= (u.conj() @ v) * u
+        remaining = np.linalg.norm(v)
+        if remaining <= deflation_tol * original_norm:
+            continue
+        columns.append(v / remaining)
+    if len(columns) == n_existing:
+        return basis
+    return np.column_stack(columns)
+
+
+# ---------------------------------------------------------------------------
 # estimator chains
 #
 # Each function returns the two nonnegative part matrices (n_O x n_I); the

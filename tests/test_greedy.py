@@ -172,6 +172,47 @@ def test_greedy_true_error_recording_switch():
     assert all(row.max_true_error is None for row in res.trace)
 
 
+@pytest.mark.parametrize(
+    "kind, symmetric, points, lus, blocks",
+    [
+        # V and V_du at the main point share one LU; V_rdu has its own point
+        ("delta2", False, {"main": 0, "alpha": 5}, 2, 3),
+        # V and V_rpr at one sample share the LU and the block
+        ("delta3pr", False, {"main": 3, "alpha": 3, "beta": 7}, 2, 2),
+        # V_du and V_rdu at the gamma point share the LU and the dual block
+        ("delta2", True, {"main": 0, "alpha": 4, "gamma": 4}, 2, 2),
+    ],
+)
+def test_grow_factors_each_sample_once_and_builds_each_block_once(
+    monkeypatch, kind, symmetric, points, lus, blocks
+):
+    import romgrid.greedy as greedy_module
+    import romgrid.linalg as linalg_module
+
+    sys = rg.rc_ladder(60)
+    cfg = rg.GreedyConfig(kind=kind, training_set=_ladder_grid(10), symmetric_variant=symmetric)
+    state = greedy_module._GreedyState(sys, cfg)
+    state.points.update(points)
+    factored, built = [], []
+    lu_factor, expansion_block = linalg_module.lu_factor, greedy_module.expansion_block
+
+    def counting_lu(a):
+        if a.shape[0] == sys.order:
+            factored.append(a)
+        return lu_factor(a)
+
+    def counting_block(side_sys, point, *args, **kwargs):
+        built.append((side_sys is sys, tuple(point.items())))
+        return expansion_block(side_sys, point, *args, **kwargs)
+
+    monkeypatch.setattr(linalg_module, "lu_factor", counting_lu)
+    monkeypatch.setattr(greedy_module, "expansion_block", counting_block)
+    state.grow()
+    assert len(factored) == lus == len({state.points[state._role(m)] for m in state.models})
+    assert len(built) == blocks == len(set(built))
+    assert state.bases["V"].dim > 0
+
+
 def test_true_errors_factor_each_training_sample_once(monkeypatch):
     # H(p) of a training sample never changes, so a run factors the
     # full-order operator once per sample for true-error recording

@@ -251,6 +251,41 @@ def test_symmetric_matrix_market_expands_both_triangles(tmp_path):
     assert m[1, 2] == -0.5
 
 
+def _symmetry_classes(rng, n):
+    a = complex_randn(rng, n, n)
+    return {
+        "symmetric": a + a.T,
+        "skew-symmetric": a - a.T,
+        "hermitian": a + a.conj().T,
+        "general": a,
+        "real symmetric": (a + a.T).real,
+        "real skew-symmetric": (a - a.T).real,
+        "real general": a.real,
+        "triangular": np.triu(a),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 5, 99])
+def test_write_matrix_symmetry_matches_scipys_own_choice(tmp_path, rng, n):
+    # the symmetry is decided by whole-array comparisons and passed to mmwrite;
+    # the files must be the bytes scipy writes when it decides by itself
+    import scipy.io
+    import scipy.sparse
+
+    headers = set()
+    for name, matrix in _symmetry_classes(rng, n).items():
+        ours, scipys = tmp_path / f"{name}-ours.mtx", tmp_path / f"{name}-scipy.mtx"
+        write_matrix(ours, matrix)
+        coo = scipy.sparse.coo_matrix(matrix.real if not np.any(matrix.imag) else matrix)
+        scipy.io.mmwrite(str(scipys), coo, precision=17)
+        assert ours.read_bytes() == scipys.read_bytes(), name
+        headers.add(ours.read_text().splitlines()[0])
+    if n > 1:
+        assert {header.split()[-1] for header in headers} == {
+            "symmetric", "skew-symmetric", "hermitian", "general"
+        }
+
+
 def test_read_matrix_reports_bad_files(tmp_path):
     path = tmp_path / "junk.mtx"
     path.write_text("not a matrix market file\n")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from romgrid.errors import SingularMatrixError
 from romgrid.linalg import (
@@ -10,7 +12,10 @@ from romgrid.linalg import (
     orthonormalize_append,
 )
 
+import oracles
 from conftest import complex_randn, random_orthonormal
+
+_EPS = np.finfo(np.float64).eps
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -34,6 +39,10 @@ def test_lu_transpose_solve_is_plain_transpose(seed):
     got = lu.solve(rhs, transpose=True)
     assert np.allclose(got, np.linalg.solve(a.T, rhs), atol=1e-12)
     assert not np.allclose(got, np.linalg.solve(a.conj().T, rhs), atol=1e-8)
+    # the transposed view is the factorization of A^T on the same factors
+    assert np.array_equal(lu.transposed().solve(rhs), got)
+    assert np.array_equal(lu.transposed().solve(rhs, transpose=True), lu.solve(rhs))
+    assert np.array_equal(lu.transposed().transposed().solve(rhs), lu.solve(rhs))
 
 
 def _fortran_stack(matrices):
@@ -168,3 +177,78 @@ def test_gram_deviation_detects_skew():
     q = random_orthonormal(rng, 15, 5)
     assert gram_deviation(q) < 1e-12
     assert gram_deviation(1.01 * q) > 1e-3
+
+
+# How a drawn block column relates to what comes before it: a random
+# direction, zero, or a unit combination of the existing basis ("basis") or
+# of the basis and the block's earlier columns ("block") plus ``gap`` times
+# a unit vector orthogonal to the basis and all earlier columns. Gap 0 puts
+# the column in the span (it must be dropped); 1.1e-10 is 1.1 times the
+# deflation tolerance.
+_RELATIONS = ("random", "zero", "basis", "block")
+_GAPS = (0.0, 1.1e-10, 1e-7, 1e-3, 0.5)
+
+
+@st.composite
+def append_cases(draw):
+    n = draw(st.integers(4, 40))
+    k = draw(st.integers(0, n // 2))
+    m = draw(st.integers(1, min(6, n - k - 1)))
+    column = st.tuples(st.sampled_from(_RELATIONS), st.sampled_from(_GAPS))
+    columns = draw(st.lists(column, min_size=m, max_size=m))
+    return n, k, draw(st.booleans()), tuple(columns), draw(st.integers(0, 2**32 - 1))
+
+
+def _append_case(n, k, is_complex, columns, seed):
+    """The basis (complex storage, real values unless ``is_complex``) and block of a case."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return complex_randn(rng, *shape) if is_complex else rng.standard_normal(shape)
+
+    basis = np.linalg.qr(draw(n, k))[0].astype(np.complex128)
+    block = np.zeros((n, len(columns)), dtype=basis.dtype if is_complex else float)
+    for j, (relation, gap) in enumerate(columns):
+        if relation == "zero":
+            continue
+        before = np.hstack([basis, block[:, :j]])
+        if not is_complex:
+            before = before.real
+        span = before[:, :k] if relation == "basis" else before
+        if relation == "random" or not np.any(span):
+            column = draw(n)
+        else:
+            inside = span @ draw(span.shape[1])
+            outside = np.linalg.qr(before, mode="complete")[0][:, before.shape[1]]
+            column = inside / np.linalg.norm(inside) + gap * outside
+        block[:, j] = 10.0 ** rng.uniform(-6, 6) * column
+    return basis, block
+
+
+# a block whose second column repeats its first up to 1.1 times the deflation
+# tolerance: the in-block step removes nearly all of it, and without a last pass
+# against the whole basis the column keeps roundoff along the existing columns
+_IN_BLOCK_NEAR_DEPENDENT = (40, 12, True, (("basis", 0.5), ("block", 1.1e-10), ("block", 1e-7)), 3)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@example(case=_IN_BLOCK_NEAR_DEPENDENT)
+@given(case=append_cases())
+def test_orthonormalize_append_matches_column_by_column_oracle(case):
+    basis, block = _append_case(*case)
+    k = basis.shape[1]
+    got = orthonormalize_append(basis, block)
+    expected = oracles.orthonormalize_append(basis, block)
+    # every drawn column is in the span or 1.1 x the tolerance clear of it
+    assert got.shape == expected.shape
+    if expected is basis:
+        assert got is basis
+        return
+    assert np.array_equal(got[:, :k], basis)
+    assert gram_deviation(got) <= 1e-14
+    # equal spans, up to the roundoff the narrowest kept gap amplifies
+    kept_gaps = [gap for relation, gap in case[3] if relation in ("basis", "block") and gap > 0]
+    narrowest = min(kept_gaps, default=1.0)
+    difference = got @ got.conj().T - expected @ expected.conj().T
+    assert np.linalg.norm(difference, 2) <= 1e3 * _EPS / narrowest

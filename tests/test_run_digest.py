@@ -2,10 +2,13 @@
 
 ``tools/run_digest.py`` prints one SHA-256 per fixed reduce + validate
 scenario, so two checkouts can be compared run by run. Here one scenario
-runs twice in one process and must give the same digest.
+runs twice in one process and must give the same digest and the same
+values, and the values comparator must flag a point that moved.
 """
 
+import copy
 import importlib.util
+import json
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -25,3 +28,25 @@ def test_scenario_rerun_has_the_same_digest():
     first = tool.digest(name)
     assert len(first) == 64
     assert tool.digest(name) == first
+
+
+def test_scenario_values_are_reproducible_and_a_moved_point_is_flagged():
+    tool = _run_digest()
+    name = "rc_ladder:300 delta2 symmetric"
+    first = tool.values(name)
+    # the dump survives JSON, as --values writes it and --compare reads it
+    assert json.loads(json.dumps(first)) == first
+    assert tool.values(name) == first
+    assert first["iterations"] and first["validation_estimates"]
+    same = tool.compare({name: first}, {name: first})[name]
+    assert same["structure"] == [] and same["points"] == []
+    assert same["max_estimate"] == same["validation_true_errors"] == 0.0
+    assert same["gram_deviation"] <= 1e-13
+
+    moved = copy.deepcopy(first)
+    moved["iterations"][1]["points"]["alpha"] = moved["iterations"][0]["points"]["main"]
+    moved["iterations"][-1]["max_estimate"] *= 1.5
+    found = tool.compare({name: first}, {name: moved})[name]
+    assert found["points"] == [(2, "alpha")]
+    assert found["structure"] == []
+    assert 0.0 < found["max_estimate"] < 1.0

@@ -127,6 +127,21 @@ def test_sparse_and_dense_twins_agree(case):
         assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-10 * scale)
 
 
+@PROPERTY
+@given(case=cases)
+def test_dual_block_from_the_primal_lu_matches_its_own_lu(case):
+    # the greedy loop builds dual blocks on the transposed primal LU; the
+    # block must be the one a factorization of Q^T gives, to roundoff
+    rng = np.random.default_rng(case["seed"])
+    q = 1 if case["parametric"] else 2
+    for sys in twin_systems(rng, case["n"], case["ports"], case["parametric"]):
+        point = sample_point(rng, case["parametric"])
+        shared = rg.expansion_block(sys.dual(), point, q, lu=sys.operator_lu(point).transposed())
+        own = rg.expansion_block(sys.dual(), point, q)
+        assert shared.shape == own.shape
+        assert np.max(np.abs(shared - own)) <= 1e-12 * np.max(np.abs(own))
+
+
 def _random_sparse(rng, n, density=0.3):
     """Complex sparse matrix with a dominant diagonal, as a CSC array."""
     mask = rng.random((n, n)) < density

@@ -1,6 +1,8 @@
-"""Print one SHA-256 digest per fixed reduce + validate scenario.
+"""Print one SHA-256 digest per fixed reduce + validate scenario, or their values.
 
     python tools/run_digest.py
+    python tools/run_digest.py --values > change.json
+    python tools/run_digest.py --compare parent.json change.json
 
 Run it from the root of a checkout; it imports romgrid from ``src/``. Each
 scenario is a ``romgrid reduce`` followed by ``romgrid validate``, both run
@@ -12,6 +14,19 @@ whose entries carry the time they were written). The output is one
 are equal produce byte-identical run results on this machine. Run as a
 script it pins BLAS to one thread, as the benchmark does: a threaded BLAS
 sums in another order, and every digest changes with the thread count.
+
+``--values`` prints, as one JSON object keyed by scenario, the numbers a
+change that reorders arithmetic may move: per iteration the points of every
+role, ``rom_dim``, ``max_estimate`` and ``max_true_error``; the final
+``rom_dim``, convergence and stop reason; every validation estimate and
+true error; and the dimension and ``gram_deviation`` of every stored basis.
+``--compare`` reads two such dumps and prints one line per scenario:
+structural mismatches (iteration count, ``rom_dim`` per iteration,
+convergence, stop reason, final basis dimensions), the (iteration, role)
+pairs whose points differ, the largest
+deviation of the estimates (per iteration and in validation) relative to
+the run's largest estimate, the same for the true errors, and the largest
+``gram_deviation``.
 
 The set:
 
@@ -29,14 +44,23 @@ it, and cannot be held to a 1e-12 relative tolerance either: on the
 symmetric ``delta2`` ladder run over ``f:1e-3:1e1:40:log`` at tolerance
 1e-8, changing the ladder's ``coupling`` by one ulp moves the iteration-2
 maximum estimate by about 7e-9 of itself, because near convergence the
-estimate is a difference of nearly equal reduced quantities. Such a change
-needs its own stated roundoff bound and a check that the greedy picks the
-same points.
+estimate is a difference of nearly equal reduced quantities. The MIMO
+scenario is more sensitive still: changing one entry of its ``A`` or ``B``
+by one ulp (``np.nextafter``; entries ``A[0,0]``, ``A[17,123]``,
+``A[299,1]``, ``B[0,0]``) moves its iteration-3 maximum estimate by 7.4e-6
+to 6.7e-5 of itself, 1.1e-8 to 9.5e-8 of the run's largest estimate, and
+its last estimate by 2.5% to 7.4% of itself, while the points stay the same
+and the true errors agree to 1.6e-13 of the largest. Such a change needs
+its own stated roundoff bound, measured against this sensitivity, and a
+check that the greedy picks the same points: ``--values`` and
+``--compare`` give both.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import pathlib
 import sys
@@ -50,7 +74,11 @@ if __name__ == "__main__":  # before numpy is loaded; an importer keeps its own 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+import numpy as np  # noqa: E402
+
 from romgrid import cli  # noqa: E402
+from romgrid.linalg import gram_deviation  # noqa: E402
+from romgrid.reports import ROLES  # noqa: E402
 
 KINDS = ("delta_r", "delta1", "delta1pr", "delta2", "delta2pr", "delta3", "delta3pr")
 _LADDER = (["--train", "f:1e-3:1e1:40:log", "--tol", "1e-8"], ["--grid", "f:1.3e-3:8e0:25:log"])
@@ -87,10 +115,10 @@ def _scenarios():
 SCENARIOS = _scenarios()
 
 
-def digest(name):
-    """SHA-256 of one scenario's run results (see the module docstring)."""
+@contextlib.contextmanager
+def _run(name):
+    """Reduce and validate one scenario into a temporary run directory; yields its path."""
     reduce_args, validate_args = SCENARIOS[name]
-    sha = hashlib.sha256()
     with tempfile.TemporaryDirectory(prefix="run-digest-") as run_dir:
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["reduce", *reduce_args, "--out", run_dir])
@@ -99,7 +127,13 @@ def digest(name):
             code = cli.main(["validate", run_dir, *validate_args])
             if code != 0:
                 raise RuntimeError(f"{name}: romgrid validate exited with {code}")
-        run = pathlib.Path(run_dir)
+        yield pathlib.Path(run_dir)
+
+
+def digest(name):
+    """SHA-256 of one scenario's run results (see the module docstring)."""
+    sha = hashlib.sha256()
+    with _run(name) as run:
         for file_name in ("trace.csv", "trace.json", "effectivity.json"):
             sha.update(file_name.encode() + b"\0" + (run / file_name).read_bytes())
         with zipfile.ZipFile(run / "bases.npz") as stored:
@@ -108,9 +142,138 @@ def digest(name):
     return sha.hexdigest()
 
 
+def values(name):
+    """One scenario's run results as plain JSON values (see the module docstring)."""
+    with _run(name) as run:
+        trace = json.loads((run / "trace.json").read_text())
+        report = json.loads((run / "effectivity.json").read_text())
+        with np.load(run / "bases.npz") as stored:
+            bases = {key: stored[key] for key in sorted(stored.files)}
+    rows = trace["trace"]
+    return {
+        "iterations": [
+            {
+                "points": {role: row[f"{role}_point"] for role in ROLES},
+                "rom_dim": row["rom_dim"],
+                "max_estimate": row["max_estimate"],
+                "max_true_error": row["max_true_error"],
+            }
+            for row in rows
+        ],
+        "rom_dim": rows[-1]["rom_dim"],
+        "converged": trace["converged"],
+        "stop_reason": trace["stop_reason"],
+        "validation_estimates": [row["estimate"] for row in report["rows"]],
+        "validation_true_errors": [row["true_error"] for row in report["rows"]],
+        "basis_dims": {key: basis.shape[1] for key, basis in bases.items()},
+        "gram_deviation": {key: gram_deviation(basis) for key, basis in bases.items()},
+    }
+
+
+def _largest(*series):
+    """Largest magnitude in the given value series, None entries skipped; 0.0 if none."""
+    return max((abs(v) for values in series for v in values if v is not None), default=0.0)
+
+
+def _deviation(first, second, scale):
+    """Largest ``|a - b|`` over aligned entries, divided by ``scale``.
+
+    Entries that are None on both sides are skipped; None on one side only
+    counts as an infinite deviation. 0.0 when ``scale`` is zero.
+    """
+    worst = 0.0
+    for a, b in zip(first, second):
+        if a is None and b is None:
+            continue
+        if a is None or b is None:
+            return float("inf")
+        worst = max(worst, abs(a - b))
+    return worst / scale if scale else 0.0
+
+
+def compare(parent, change):
+    """Scenario name -> the differences between two ``values`` dumps.
+
+    Each entry holds ``structure`` (list of mismatch descriptions),
+    ``points`` (list of ``(iteration, role)`` pairs whose points differ),
+    the deviations of ``max_estimate`` and the validation estimates relative
+    to the run's largest estimate, those of ``max_true_error`` and the
+    validation true errors relative to the run's largest true error (largest
+    over trace and validation, both dumps), and ``gram_deviation``, the
+    largest over both dumps' bases.
+    """
+    out = {}
+    for name in parent:
+        a, b = parent[name], change[name]
+        structure = [
+            f"{key} {a[key]!r} != {b[key]!r}"
+            for key in ("converged", "stop_reason", "rom_dim", "basis_dims")
+            if a[key] != b[key]
+        ]
+        if len(a["iterations"]) != len(b["iterations"]):
+            structure.append(f"iterations {len(a['iterations'])} != {len(b['iterations'])}")
+        pairs = list(zip(a["iterations"], b["iterations"]))
+        points = []
+        for iteration, (row_a, row_b) in enumerate(pairs, start=1):
+            if row_a["rom_dim"] != row_b["rom_dim"]:
+                structure.append(
+                    f"iteration {iteration} rom_dim {row_a['rom_dim']} != {row_b['rom_dim']}"
+                )
+            points += [
+                (iteration, role)
+                for role in ROLES
+                if row_a["points"][role] != row_b["points"][role]
+            ]
+        found = {"structure": structure, "points": points}
+        for trace_key, validation_key in (
+            ("max_estimate", "validation_estimates"),
+            ("max_true_error", "validation_true_errors"),
+        ):
+            trace_a = [row[trace_key] for row in a["iterations"]]
+            trace_b = [row[trace_key] for row in b["iterations"]]
+            scale = _largest(trace_a, trace_b, a[validation_key], b[validation_key])
+            found[trace_key] = _deviation(trace_a, trace_b, scale)
+            found[validation_key] = _deviation(a[validation_key], b[validation_key], scale)
+        found["gram_deviation"] = max(
+            [*a["gram_deviation"].values(), *b["gram_deviation"].values()]
+        )
+        out[name] = found
+    return out
+
+
+def _print_comparison(parent_path, change_path):
+    with open(parent_path) as handle:
+        parent = json.load(handle)
+    with open(change_path) as handle:
+        change = json.load(handle)
+    for name, found in compare(parent, change).items():
+        structure = "; ".join(found["structure"]) or "same"
+        points = ", ".join(f"{role}@{iteration}" for iteration, role in found["points"]) or "same"
+        print(
+            f"{name}: structure {structure}; points {points}; "
+            f"max_estimate {found['max_estimate']:.2e}; "
+            f"max_true_error {found['max_true_error']:.2e}; "
+            f"validation estimates {found['validation_estimates']:.2e}, "
+            f"true errors {found['validation_true_errors']:.2e}; "
+            f"gram_deviation {found['gram_deviation']:.1e}"
+        )
+
+
 def main():
-    for name in SCENARIOS:
-        print(f"{digest(name)}  {name}", flush=True)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--values", action="store_true", help="print every scenario's values as JSON")
+    mode.add_argument(
+        "--compare", nargs=2, metavar=("PARENT", "CHANGE"), help="compare two --values dumps"
+    )
+    args = parser.parse_args()
+    if args.compare:
+        _print_comparison(*args.compare)
+    elif args.values:
+        print(json.dumps({name: values(name) for name in SCENARIOS}, indent=1))
+    else:
+        for name in SCENARIOS:
+            print(f"{digest(name)}  {name}", flush=True)
 
 
 if __name__ == "__main__":
