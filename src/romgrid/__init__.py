@@ -44,14 +44,13 @@ from .generators import (
 from .greedy import (
     GreedyConfig,
     GreedyResult,
-    IterationRecord,
     SelectedPoints,
     StopReason,
     run_greedy,
     select_points,
     validate,
 )
-from .grids import DEFAULT_FREQUENCY_SPEC, frequency_grid, parse_grid
+from .grids import DEFAULT_FREQUENCY_SPEC, parse_grid
 from .linalg import LUFactorization, lu_factor, orthonormalize_append
 from .manifest import load_system, save_system
 from .moments import (
@@ -67,6 +66,7 @@ from .projection import (
 from .reports import (
     EffectivityReport,
     EffectivityRow,
+    IterationRecord,
     read_trace,
     write_report,
     write_trace_csv,
@@ -118,7 +118,6 @@ __all__ = [
     "evaluate",
     "expansion_block",
     "DEFAULT_FREQUENCY_SPEC",
-    "frequency_grid",
     "frequency_point",
     "from_first_order",
     "from_second_order",

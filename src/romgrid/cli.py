@@ -30,6 +30,9 @@ from .system import ParametricSystem
 
 __all__ = ["main"]
 
+#: The run.json fields ``validate`` reads, with the type ``reduce`` writes each as.
+_RUN_FIELDS = {"system": dict, "estimator": str, "train": list, "seed": int}
+
 
 def _add_system_arguments(parser):
     source = parser.add_mutually_exclusive_group(required=True)
@@ -176,16 +179,18 @@ def _rebuild_workspace(run_dir):
         raise RomgridError(f"not a run directory (missing run.json): {exc}") from exc
     except ValueError as exc:
         raise RomgridError(f"run directory {run_dir}: unreadable run.json: {exc}") from exc
-    missing = [key for key in ("system", "estimator") if key not in meta]
-    if missing:
-        raise RomgridError(f"run directory {run_dir}: run.json lacks {missing}")
+    if not isinstance(meta, dict):
+        meta = {}
+    wrong = [key for key, kind in _RUN_FIELDS.items() if not isinstance(meta.get(key), kind)]
+    if wrong:
+        raise RomgridError(f"run directory {run_dir}: run.json lacks valid fields {wrong}")
     source = meta["system"]
     if "manifest" in source:
         system = load_system(source["manifest"])
     elif "synthetic" in source:
         system = generate_synthetic(source["synthetic"])
     else:
-        raise RomgridError(f"run directory {run_dir}: run.json names no system source")
+        raise RomgridError(f"run directory {run_dir}: run.json field 'system' names no source")
     kind = EstimatorKind.from_name(meta["estimator"])
     needed = [model.key for model in (PRIMAL,) + ESTIMATORS[kind].models]
     try:
@@ -210,10 +215,7 @@ def _rebuild_workspace(run_dir):
 def _cmd_validate(args):
     system, workspace, meta = _rebuild_workspace(args.run_dir)
     specs = args.grid if args.grid else meta["train"]
-    grid = parse_grid(specs)
-    report = validate_workspace(
-        system, workspace, grid, rng_seed=int(meta.get("seed", 0))
-    )
+    report = validate_workspace(system, workspace, parse_grid(specs), rng_seed=meta["seed"])
     out = pathlib.Path(args.run_dir)
     write_report(report, csv_path=out / "effectivity.csv", json_path=out / "effectivity.json")
     summary = report.summary()
@@ -341,10 +343,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except RomgridError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (RomgridError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

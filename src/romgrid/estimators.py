@@ -23,11 +23,11 @@ a stack of full-order pieces times a small coefficient block,
 on the first ``evaluate``. It factors each stack as ``P = U R`` (``U``
 orthonormal, ``R`` triangular; a piece is dropped from ``U`` only where it
 depends on the others to roundoff of its own norm, so a tiny piece with a
-huge coefficient keeps its term) and keeps only small arrays: ``R``, the
-projections ``X^T U`` onto the bases that read the residual and the
-reduced output maps ``C_k V_X``; the n-row ``U`` is dropped again. The
-online step evaluates the monomial coefficients, solves the reduced
-models and multiplies small matrices, so its cost does not depend on the
+huge coefficient keeps its term) and keeps only small arrays: ``R`` and
+the projections ``X^T U`` onto the bases that read the residual; the n-row
+``U`` is dropped again. The online step evaluates the monomial
+coefficients, solves the reduced models, assembling their own reduced
+maps, and multiplies small matrices, so its cost does not depend on the
 full order n: a residual is ``r = U y`` with coordinates ``y = R F``, a
 bilinear form ``X^T r`` is ``(X^T U) y`` and ``||r|| = ||y||``. That is
 the numerically stable form of Buhr, Engwer, Ohlberger & Rave (2014); the
@@ -101,6 +101,9 @@ class EstimatorKind(enum.Enum):
 
     @classmethod
     def from_name(cls, name):
+        """The kind whose CLI name is ``name``; a kind comes back as it is."""
+        if isinstance(name, cls):
+            return name
         for kind in cls:
             if kind.value == name:
                 return kind
@@ -133,6 +136,10 @@ class ReducedModelRole:
     contains: tuple = ()
     rhs: str | None = None
     residual: str | None = None
+
+    def system_of(self, sys):
+        """The system this model reduces: ``sys`` itself, or ``sys.dual()`` on the dual side."""
+        return sys if self.side == "primal" else sys.dual()
 
 
 PRIMAL = ReducedModelRole("rom_primal", "V", "primal", "main", residual="r_pr")
@@ -191,20 +198,17 @@ def _orthonormal_factor(block, norms=None):
 class _OfflineTerms:
     """Reduced images of one system's affine pieces, for one estimator kind.
 
-    ``systems`` maps each side to its system, ``monomials`` each primal
-    family letter to the coefficient monomials of its pieces. ``factors``
-    maps a residual to the blocks ``(R_B, S, T)`` of its triangular factor,
-    ``projections`` a (model field, ``"V"`` or ``"W"``, residual) key to
-    ``X^T [U_h | U]`` and ``outputs`` a primal-side model to ``C_k V_X`` for
-    every output piece; see ``_offline_terms``.
+    ``monomials`` maps each primal family letter to the coefficient
+    monomials of its pieces. ``factors`` maps a residual to the blocks
+    ``(R_B, S, T)`` of its triangular factor and ``projections`` a (model
+    field, ``"V"`` or ``"W"``, residual) key to ``X^T [U_h | U]``; see
+    ``_offline_terms``. The reduced output maps are the models' own.
     """
 
     sys: object
-    systems: dict
     monomials: dict
     factors: dict
     projections: dict
-    outputs: dict
 
 
 def _offline_terms(workspace, spec, sys):
@@ -225,9 +229,6 @@ def _offline_terms(workspace, spec, sys):
     """
     models = (PRIMAL,) + spec.models
     wanted = set(spec.residuals) | {model.rhs for model in models if model.rhs}
-    systems = {"primal": sys}
-    if any(_RESIDUAL_OF[name].side == "dual" for name in wanted):
-        systems["dual"] = sys.dual()
     monomials = {
         letter: [m for m, _ in getattr(sys, letter).monomial_pieces()] for letter in "BQC"
     }
@@ -236,7 +237,7 @@ def _offline_terms(workspace, spec, sys):
         name = model.residual
         if name not in wanted:
             continue
-        side = systems[model.side]
+        side = model.system_of(sys)
         R_B = None
         if model.rhs is None:
             head, R_B = _orthonormal_factor(
@@ -256,7 +257,7 @@ def _offline_terms(workspace, spec, sys):
         del rest
         bases[name] = np.hstack([head, U])
         factors[name] = (R_B, S, T)
-    projections, outputs = {}, {}
+    projections = {}
     for model in spec.models:
         rom = getattr(workspace, model.field)
         for name, basis in bases.items():
@@ -264,9 +265,7 @@ def _offline_terms(workspace, spec, sys):
                 projections[model.field, "V", name] = rom.V.columns.T @ basis
         if model.rhs is not None:
             projections[model.field, "W", model.rhs] = rom.W.columns.T @ bases[model.rhs]
-        if model.side == "primal":
-            outputs[model.field] = [matrix @ rom.V.columns for _, matrix in sys.C.monomial_pieces()]
-    return _OfflineTerms(sys, systems, monomials, factors, projections, outputs)
+    return _OfflineTerms(sys, monomials, factors, projections)
 
 
 class _StackTerms:
@@ -323,7 +322,7 @@ class _StackTerms:
             model = _RESIDUAL_OF[name]
             R_B, S, T = self.offline.factors[name]
             if model.rhs is None:
-                ports = np.eye(self.offline.systems[model.side].n_inputs)
+                ports = np.eye(model.system_of(self.offline.sys).n_inputs)
                 head = R_B @ np.concatenate(
                     [scaled_stack(c, ports) for c in self.coefficients(model.side, "B").T], axis=1
                 )
@@ -343,10 +342,9 @@ class _StackTerms:
         return np.swapaxes(value, -1, -2) if model.side == "primal" else value
 
     def output(self, model):
-        """``C x_hat`` of a primal-side model's solutions."""
-        maps = self.offline.outputs[model.field]
-        C_V = sum(scaled_stack(c, m) for c, m in zip(self.coefficients("primal", "C").T, maps))
-        return C_V @ self.z(model)
+        """``C x_hat`` of the model's solutions, by its own reduced output map."""
+        system = getattr(self.workspace, model.field).system
+        return self._assembled(system.C, model.side, "C") @ self.z(model)
 
     def norm(self, name):
         """Worst column 2-norm of the residual: the norm of its coordinates."""
@@ -475,8 +473,7 @@ class EstimatorWorkspace:
     _offline: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if isinstance(self.kind, str):
-            object.__setattr__(self, "kind", EstimatorKind.from_name(self.kind))
+        self.kind = EstimatorKind.from_name(self.kind)
         _require_models(self, self.kind)
 
     @staticmethod
@@ -505,7 +502,6 @@ class EstimatorWorkspace:
         W_rdu=None,
         W_rpr=None,
         W_rrpr=None,
-        validate=True,
     ):
         """Project the system onto whichever bases are supplied.
 
@@ -517,15 +513,10 @@ class EstimatorWorkspace:
         trial = {"V": V, "V_du": V_du, "V_rdu": V_rdu, "V_rpr": V_rpr, "V_rrpr": V_rrpr}
         test = {"V": W, "V_du": W_du, "V_rdu": W_rdu, "V_rpr": W_rpr, "V_rrpr": W_rrpr}
         supplied = [model for model in REDUCED_MODELS if trial[model.key] is not None]
-        systems = {"primal": sys}
-        if any(model.side == "dual" for model in supplied):
-            systems["dual"] = sys.dual()
         return cls(
             kind=kind,
             **{
-                model.field: reduce_system(
-                    systems[model.side], trial[model.key], W=test[model.key], validate=validate
-                )
+                model.field: reduce_system(model.system_of(sys), trial[model.key], test[model.key])
                 for model in supplied
             },
         )
@@ -644,8 +635,7 @@ def evaluate(kind, workspace, sys, point, n_random=20, rng_seed=0, xi=None):
     The first call for a (workspace, kind, system) also runs the offline
     step; later calls work on reduced quantities only.
     """
-    if not isinstance(kind, EstimatorKind):
-        kind = EstimatorKind.from_name(kind)
+    kind = EstimatorKind.from_name(kind)
     _require_models(workspace, kind)
     offline = workspace._offline_terms(kind, sys)
     single = isinstance(point, Mapping)
@@ -714,13 +704,7 @@ def true_error(sys, workspace, point, verify_identity=False, cache=None):
     err_mat = H - H_hat
     direct = _max_abs(err_mat)
     if verify_identity:
-        lu = sys.operator_lu(point)
-        Qp = sys.Q.assemble(point)
-        Bp = sys.B.assemble(point)
-        Cp = sys.C.assemble(point)
-        _, xhat_pr = workspace.rom_primal.solve(point)
-        r_pr = Bp - Qp @ xhat_pr
-        x_du = lu.solve(Cp.T, transpose=True)
+        *_, r_pr, x_du = _full_order_chain(sys, workspace, point)
         identity_mat = x_du.T @ r_pr
         deviation = _max_abs(err_mat - identity_mat)
         scale = max(_max_abs(H), _max_abs(H_hat))
@@ -734,12 +718,29 @@ def true_error(sys, workspace, point, verify_identity=False, cache=None):
     return direct
 
 
+def _full_order_chain(sys, workspace, point):
+    """``(lu, Q(p), C(p), r_pr, x_du)``: the full-order terms of ``H - H_hat = x_du^T r_pr``.
+
+    The maps are assembled before the reduced solve, so a singular operator
+    or a map that is not finite raises SingularAtSampleError naming the point.
+    """
+    lu = sys.operator_lu(point)
+    Bp = sys._map_at("B", point)
+    Cp = sys._map_at("C", point)
+    Qp = sys.Q.assemble(point)
+    _, xhat_pr = workspace.rom_primal.solve(point)
+    r_pr = Bp - Qp @ xhat_pr
+    x_du = lu.transposed().solve(Cp.T)
+    return lu, Qp, Cp, r_pr, x_du
+
+
 def sensitivity_report(sys, workspace, point):
     """All envelope diagnostics at one sample point (single-channel systems).
 
-    Solves the full primal, dual, and residual systems once each (sharing
-    one LU) and returns every epsilon/delta scalar alongside the true
-    error. Requires a workspace carrying all four optional reduced models.
+    Solves the full dual and residual systems once each (sharing one LU)
+    and returns every epsilon/delta scalar alongside the true error, taken
+    as ``|C x_rpr|``. Requires a workspace carrying all four optional
+    reduced models.
     """
     if sys.n_inputs != 1 or sys.n_outputs != 1:
         raise ValueError("sensitivity diagnostics are defined for single-channel systems")
@@ -748,20 +749,12 @@ def sensitivity_report(sys, workspace, point):
     if missing:
         raise MissingWorkspaceRomError(f"sensitivity diagnostics require {missing}")
 
-    lu = sys.operator_lu(point)
-    Qp = sys.Q.assemble(point)
-    Bp = sys.B.assemble(point)
-    Cp = sys.C.assemble(point)
+    lu, Qp, Cp, r_pr, x_du = _full_order_chain(sys, ws, point)
 
-    x_pr = lu.solve(Bp)
-    _, xhat_pr = ws.rom_primal.solve(point)
-    r_pr = Bp - Qp @ xhat_pr
-
-    x_du = lu.solve(Cp.T, transpose=True)
     _, xhat_du = ws.rom_dual.solve(point)
     r_du = Cp.T - Qp.T @ xhat_du
 
-    x_rdu = lu.solve(r_du, transpose=True)
+    x_rdu = lu.transposed().solve(r_du)
     _, xhat_rdu = ws.rom_dual_residual.solve(point, rhs=r_du)
 
     x_rpr = lu.solve(r_pr)
@@ -788,5 +781,5 @@ def sensitivity_report(sys, workspace, point):
         delta2_pr_term=scalar(r_du.T @ xhat_rpr),
         delta3_term=scalar(xhat_du.T @ r_rpr),
         delta3_pr_term=scalar(Cp @ xhat_rrpr),
-        true_error=scalar((Cp @ x_pr) - (Cp @ xhat_pr)),
+        true_error=scalar(Cp @ x_rpr),
     )

@@ -45,7 +45,6 @@ from .reports import ROLES, EffectivityReport, EffectivityRow, IterationRecord
 
 __all__ = [
     "GreedyConfig",
-    "IterationRecord",
     "GreedyResult",
     "StopReason",
     "SelectedPoints",
@@ -66,8 +65,7 @@ class GreedyConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.kind, EstimatorKind):
-            self.kind = EstimatorKind.from_name(self.kind)
+        self.kind = EstimatorKind.from_name(self.kind)
         self.training_set = [dict(p) for p in self.training_set]
         if not self.training_set:
             raise ValueError("training set must not be empty")
@@ -128,8 +126,7 @@ def select_points(kind, symmetric_variant, breakdowns):
     meant to improve (the estimator's second part, a residual norm, or
     its first part).
     """
-    if not isinstance(kind, EstimatorKind):
-        kind = EstimatorKind.from_name(kind)
+    kind = EstimatorKind.from_name(kind)
     spec = ESTIMATORS[kind]
 
     def across(name):
@@ -157,16 +154,8 @@ class _GreedyState:
         self.kind = config.kind
         self.samples = config.training_set
         self.active = [True] * len(self.samples)
-        parametric = sys.is_parametric
-        self.q = config.q if config.q is not None else (1 if parametric else 3)
-        if parametric and self.q < 0:
-            raise ValueError("parametric moment level must be >= 0")
-        if not parametric and self.q < 1:
-            raise ValueError("frequency-only moment level count must be >= 1")
+        self.q = config.q if config.q is not None else (1 if sys.is_parametric else 3)
         self.models = (PRIMAL,) + ESTIMATORS[self.kind].models
-        self.systems = {"primal": sys}
-        if any(model.side == "dual" for model in self.models):
-            self.systems["dual"] = sys.dual()
         self.bases = {model.key: Basis.empty(sys.order, model.key) for model in self.models}
 
         # main starts at the first sample, alpha at the last, beta and gamma at the middle one
@@ -224,7 +213,7 @@ class _GreedyState:
                     if index not in lus:
                         lus[index] = self.sys.operator_lu(point)
                     lu = lus[index] if model.side == "primal" else lus[index].transposed()
-                    blocks[key] = expansion_block(self.systems[model.side], point, self.q, lu=lu)
+                    blocks[key] = expansion_block(model.system_of(self.sys), point, self.q, lu=lu)
             except SingularAtSampleError:
                 self._mark_singular(index, f"expansion of {model.key}")
                 continue
@@ -302,7 +291,6 @@ def run_greedy(sys, config):
         record_true = sys.order <= 1000
 
     trace = []
-    skipped = []
     exact = {}  # full-order H(p) per training sample, computed once per run
     converged = False
     stop_reason = StopReason.MAX_ITERATIONS
@@ -348,13 +336,12 @@ def run_greedy(sys, config):
         if chosen.main == previous_main and added == 0:
             stop_reason = StopReason.STAGNATION_ALL_POINTS_USED
             break
-    skipped = [i for i, ok in enumerate(state.active) if not ok]
     return GreedyResult(
         workspace=ws,
         trace=trace,
         converged=converged,
         stop_reason=stop_reason,
-        skipped_samples=skipped,
+        skipped_samples=[i for i, ok in enumerate(state.active) if not ok],
     )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .reports import parse_scalar
 from .system import LAPLACE
 
-__all__ = ["parse_grid", "frequency_grid", "DEFAULT_FREQUENCY_SPEC"]
+__all__ = ["parse_grid", "DEFAULT_FREQUENCY_SPEC"]
 
 #: Default sweep for frequency-only systems (used when no grid is given).
 DEFAULT_FREQUENCY_SPEC = "f:1e-3:1e1:60:log"
@@ -71,7 +71,3 @@ def parse_grid(specs):
         value_lists.append(values)
     return [dict(zip(names, combo)) for combo in itertools.product(*value_lists)]
 
-
-def frequency_grid(start, stop, count, spacing="log"):
-    """Shorthand for a pure frequency sweep (points on the imaginary axis)."""
-    return parse_grid([f"f:{start!r}:{stop!r}:{count}:{spacing}"])

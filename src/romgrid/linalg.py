@@ -1,10 +1,10 @@
 """Complex linear algebra kernel, dense and sparse.
 
 Everything downstream funnels its factorizations and basis growth through
-this module: LU with an explicit singularity threshold, block solves with
-plain-transpose support (one factorization serves ``A`` and ``A^T``), and
-append-only orthonormalization with deflation by block classical
-Gram-Schmidt run twice, so basis growth runs in matrix-matrix products.
+this module: LU with an explicit singularity threshold, block solves whose
+``transposed()`` view solves with ``A^T`` on the same factors, and
+append-only orthonormalization, deflating at ``DEFLATION_TOL``, by block
+classical Gram-Schmidt run twice, so basis growth runs in matrix products.
 
 The storage type of the operator picks the LU: a 2-d ndarray is factored
 by LAPACK ``getrf``, a ``scipy.sparse`` matrix by SuperLU (``splu``, sparse
@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 _EPS = np.finfo(np.float64).eps
+#: A column keeping at most this fraction of its norm adds no direction.
+DEFLATION_TOL = 1e-10
 # The LAPACK routines behind scipy.linalg.lu_factor/lu_solve, called directly:
 # the same arithmetic without the per-call wrapper cost, which dominates the
 # small reduced systems solved at every estimator sample.
@@ -72,10 +74,10 @@ class LUFactorization:
     """LU factorization with partial pivoting of a square complex matrix.
 
     Holds the factors, either packed LAPACK factors ``(lu, piv)`` or a
-    SuperLU object, and exposes block solves for ``A X = B`` and, with
-    ``transpose=True``, for ``A^T X = B`` (plain transpose, no
-    conjugation), so one factorization serves both a system and its dual.
-    ``transposed()`` is the factorization of ``A^T`` on the same factors.
+    SuperLU object, and exposes block solves for ``A X = B``.
+    ``transposed()`` is the factorization of ``A^T`` (plain transpose, no
+    conjugation) on the same factors, so one factorization serves both a
+    system and its dual.
     """
 
     def __init__(self, factors, dim, max_abs, transposed=False):
@@ -88,9 +90,8 @@ class LUFactorization:
         """The factorization of ``A^T``: the same factors, solved the other way round."""
         return LUFactorization(self._factors, self.dim, self.max_abs, not self._transposed)
 
-    def solve(self, rhs, transpose=False):
-        """Solve ``A X = rhs`` (or ``A^T X = rhs``) for a vector or block."""
-        transpose = transpose != self._transposed
+    def solve(self, rhs):
+        """Solve ``A X = rhs`` for a vector or block."""
         rhs = np.asarray(rhs)
         squeeze = rhs.ndim == 1
         b = _as_complex_matrix(rhs, "right-hand side")
@@ -102,9 +103,9 @@ class LUFactorization:
             x = b
         elif isinstance(self._factors, tuple):
             lu, piv = self._factors
-            x, _ = _GETRS(lu, piv, b, trans=1 if transpose else 0)
+            x, _ = _GETRS(lu, piv, b, trans=1 if self._transposed else 0)
         else:
-            x = self._factors.solve(b, trans="T" if transpose else "N")
+            x = self._factors.solve(b, trans="T" if self._transposed else "N")
         return x[:, 0] if squeeze else x
 
 
@@ -269,7 +270,7 @@ class ShiftedSchur:
         return y
 
 
-def orthonormalize_append(basis, block, deflation_tol=1e-10):
+def orthonormalize_append(basis, block):
     """Extend an orthonormal basis by the directions a block adds.
 
     Block classical Gram-Schmidt run twice (CGS2; Giraud, Langou &
@@ -280,7 +281,7 @@ def orthonormalize_append(basis, block, deflation_tol=1e-10):
     the roundoff it leaves along the existing columns is no longer small
     relative to what remains, so the column gets one more pass against the
     whole basis ("twice is enough"). A column is dropped when its remaining
-    norm is at most ``deflation_tol`` times its original norm; zero columns
+    norm is at most ``DEFLATION_TOL`` times its original norm; zero columns
     are skipped. ``basis`` may be None or have zero columns.
 
     Existing columns come back bitwise unchanged, and ``basis`` itself comes
@@ -317,7 +318,7 @@ def orthonormalize_append(basis, block, deflation_tol=1e-10):
         if remaining < 0.5 * before:
             _project_out(v, out[:, :kept])
             remaining = np.linalg.norm(v)
-        if remaining <= deflation_tol * original_norms[j]:
+        if remaining <= DEFLATION_TOL * original_norms[j]:
             continue
         out[:, kept] = v / remaining
         kept += 1

@@ -49,15 +49,12 @@ class Basis:
     def dim(self):
         return self.columns.shape[1]
 
-    def appended(self, block, deflation_tol=1e-10):
+    def appended(self, block):
         """New basis extended by the directions ``block`` adds (may be none)."""
-        extended = linalg.orthonormalize_append(self.columns, block, deflation_tol)
+        extended = linalg.orthonormalize_append(self.columns, block)
         if extended is self.columns:
             return self
         return Basis(extended, label=self.label)
-
-    def orthonormality_deviation(self):
-        return linalg.gram_deviation(self.columns)
 
     def __repr__(self):
         return f"Basis({self.label!r}, {self.rows}x{self.dim})"
@@ -108,9 +105,7 @@ class ReducedModel:
                     f"reduced input map ({self.dim} dofs) has non-finite entries at {point!r}"
                 )
         else:
-            rhs = np.asarray(rhs, dtype=np.complex128)
-            if rhs.ndim == 1:
-                rhs = rhs.reshape(-1, 1)
+            rhs = linalg._as_complex_matrix(rhs, "right-hand side", finite=False)
             reduced_rhs = rhs if reduced else self.W.columns.T @ rhs
         z = lu.solve(reduced_rhs)
         return z, None if reduced else self.V.columns @ z
@@ -122,12 +117,12 @@ class ReducedModel:
         return self.system.C.assemble(point) @ z
 
 
-def reduce_system(sys, V, W=None, validate=True):
+def reduce_system(sys, V, W=None):
     """Project a system onto trial basis V (and test basis W, default V).
 
     Every affine piece is compressed with the plain transpose of W; the
-    reduced input map is ``W^T B`` and the reduced output map ``C V``. When
-    ``validate`` is set, assembly-then-projection is checked against
+    reduced input map is ``W^T B`` and the reduced output map ``C V``. The
+    build is always checked: assembly-then-projection must match
     projection-then-assembly at one nonzero sample point.
     """
     if not isinstance(V, Basis):
@@ -149,7 +144,7 @@ def reduce_system(sys, V, W=None, validate=True):
         Q_r, B_r, C_r, parameter_names=sys.parameter_names, name=f"{sys.name}:reduced"
     )
     model = ReducedModel(reduced, V, W)
-    if validate and V.dim > 0:
+    if V.dim > 0:
         _check_commutation(sys, model)
     return model
 

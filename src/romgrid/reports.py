@@ -13,7 +13,7 @@ JSON values and back.
 import csv
 import json
 import re as _re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 __all__ = [
     "ROLES",
@@ -249,16 +249,8 @@ class EffectivityReport:
         )
 
     def summary(self):
-        return {
-            "min_eff_all": self.min_eff_all,
-            "max_eff_all": self.max_eff_all,
-            "min_eff_filtered": self.min_eff_filtered,
-            "max_eff_filtered": self.max_eff_filtered,
-            "filter_threshold": self.filter_threshold,
-            "max_true_error": self.max_true_error,
-            "skipped_singular": self.skipped_singular,
-            "all_below_threshold": self.all_below_threshold,
-        }
+        """Every field but ``rows``, by name, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "rows"}
 
 
 def write_report(report, csv_path=None, json_path=None):

@@ -196,9 +196,6 @@ class AffineMatrix:
             matrix = linalg._as_complex_matrix(matrix, "matrix")
         return cls(matrix.shape, base=matrix)
 
-    def __call__(self, point):
-        return self.assemble(point)
-
     def assemble(self, point):
         """Evaluate ``M(p)`` at a sample point (a SparseOperator for a sparse family)."""
         if self.is_sparse:
@@ -422,7 +419,7 @@ class ParametricSystem:
     def solve_dual(self, point, lu=None):
         """Full-order dual block ``x_du = Q(p)^{-T} C(p)^T`` (n x n_outputs)."""
         lu = lu or self.operator_lu(point)
-        return lu.solve(self._map_at("C", point).T, transpose=True)
+        return lu.transposed().solve(self._map_at("C", point).T)
 
     def transfer_function(self, point):
         """Transfer matrix ``H(p) = C(p) Q(p)^{-1} B(p)`` (n_outputs x n_inputs).
@@ -483,6 +480,19 @@ class _SchurResponse:
         return cz @ y
 
 
+def _family(matrix):
+    return matrix if isinstance(matrix, AffineMatrix) else AffineMatrix.constant(matrix)
+
+
+def _with_laplace(Q, B, C, parameter_names, name):
+    """``Q x = B u``, ``y = C x``; parameters default to the ones used, plus ``s``."""
+    B, C = _family(B), _family(C)
+    if parameter_names is None:
+        used = set(Q.parameter_names()) | set(B.parameter_names()) | set(C.parameter_names())
+        parameter_names = sorted(used | {LAPLACE})
+    return ParametricSystem(Q, B, C, parameter_names=parameter_names, name=name)
+
+
 def from_first_order(E, A, B, C, parameter_names=None, name="system"):
     """System from a first-order realization ``(s E(p) - A(p)) x = B(p) u``.
 
@@ -490,16 +500,9 @@ def from_first_order(E, A, B, C, parameter_names=None, name="system"):
     families; the operator becomes ``Q = s * E - A`` with the Laplace factor
     folded into the coefficients.
     """
-    E = E if isinstance(E, AffineMatrix) else AffineMatrix.constant(E)
-    A = A if isinstance(A, AffineMatrix) else AffineMatrix.constant(A)
-    B = B if isinstance(B, AffineMatrix) else AffineMatrix.constant(B)
-    C = C if isinstance(C, AffineMatrix) else AffineMatrix.constant(C)
     s = Monomial(1.0, {LAPLACE: 1})
-    Q = E.scaled_by(s).plus(A, factor=-1.0)
-    if parameter_names is None:
-        used = set(Q.parameter_names()) | set(B.parameter_names()) | set(C.parameter_names())
-        parameter_names = sorted(used | {LAPLACE})
-    return ParametricSystem(Q, B, C, parameter_names=parameter_names, name=name)
+    Q = _family(E).scaled_by(s).plus(_family(A), factor=-1.0)
+    return _with_laplace(Q, B, C, parameter_names, name)
 
 
 def from_second_order(M, D, T, B, C, parameter_names=None, name="system"):
@@ -508,15 +511,7 @@ def from_second_order(M, D, T, B, C, parameter_names=None, name="system"):
     The operator keeps second-order structure (no companion linearization);
     M, D, T may themselves be affine in further parameters.
     """
-    M = M if isinstance(M, AffineMatrix) else AffineMatrix.constant(M)
-    D = D if isinstance(D, AffineMatrix) else AffineMatrix.constant(D)
-    T = T if isinstance(T, AffineMatrix) else AffineMatrix.constant(T)
-    B = B if isinstance(B, AffineMatrix) else AffineMatrix.constant(B)
-    C = C if isinstance(C, AffineMatrix) else AffineMatrix.constant(C)
     s = Monomial(1.0, {LAPLACE: 1})
     s2 = Monomial(1.0, {LAPLACE: 2})
-    Q = T.plus(D.scaled_by(s)).plus(M.scaled_by(s2))
-    if parameter_names is None:
-        used = set(Q.parameter_names()) | set(B.parameter_names()) | set(C.parameter_names())
-        parameter_names = sorted(used | {LAPLACE})
-    return ParametricSystem(Q, B, C, parameter_names=parameter_names, name=name)
+    Q = _family(T).plus(_family(D).scaled_by(s)).plus(_family(M).scaled_by(s2))
+    return _with_laplace(Q, B, C, parameter_names, name)

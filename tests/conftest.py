@@ -94,10 +94,10 @@ def random_bases(rng, n, dims=(4, 3, 3, 4, 3), petrov=False):
     return out
 
 
-def full_workspace(sys, kind, bases, validate=True):
+def full_workspace(sys, kind, bases):
     if isinstance(kind, str):
         kind = rg.EstimatorKind.from_name(kind)
-    return rg.EstimatorWorkspace.from_bases(sys, kind, validate=validate, **bases)
+    return rg.EstimatorWorkspace.from_bases(sys, kind, **bases)
 
 
 def dense_at(sys, point):

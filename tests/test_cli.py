@@ -218,12 +218,16 @@ def _drop_basis(run_dir):
         (lambda run_dir: (run_dir / "bases.npz").write_bytes(b"not an archive"), "bases.npz"),
         (_edit_run_json(lambda meta: meta.pop("system")), "system"),
         (_edit_run_json(lambda meta: meta.update(system={})), "system"),
+        (_edit_run_json(lambda meta: meta.update(system="my_synthetic_case")), "system"),
         (_edit_run_json(lambda meta: meta.pop("estimator")), "estimator"),
+        (_edit_run_json(lambda meta: meta.pop("train")), "train"),
+        (_edit_run_json(lambda meta: meta.update(seed=None)), "seed"),
+        (lambda run_dir: (run_dir / "run.json").write_text("[]\n"), "run.json"),
         (_drop_basis, "V_du"),
     ],
     ids=[
-        "bases_missing", "bases_unreadable", "no_system", "empty_system", "no_estimator",
-        "basis_missing",
+        "bases_missing", "bases_unreadable", "no_system", "empty_system", "string_system",
+        "no_estimator", "no_train", "null_seed", "not_an_object", "basis_missing",
     ],
 )
 def test_validate_reports_damaged_run_directory(tmp_path, capsys, finished_run, damage, named):

@@ -9,6 +9,7 @@ from romgrid.errors import (
     SingularAtSampleError,
     SingularReducedSystemError,
 )
+from romgrid.linalg import gram_deviation
 
 from conftest import random_system, reduced_resonance_system
 
@@ -256,10 +257,10 @@ def test_greedy_bases_stay_orthonormal_and_nested():
     res = rg.run_greedy(sys, cfg)
     ws = res.workspace
     V = ws.rom_primal.V
-    assert V.orthonormality_deviation() <= 1e-10
+    assert gram_deviation(V.columns) <= 1e-10
     for rom in (ws.rom_primal_residual, ws.rom_primal_residual_residual):
         U = rom.V
-        assert U.orthonormality_deviation() <= 1e-10
+        assert gram_deviation(U.columns) <= 1e-10
         # the primal span is contained in every downstream residual span
         proj = U.columns @ (U.columns.conj().T @ V.columns)
         assert np.linalg.norm(proj - V.columns) <= 1e-9
@@ -418,6 +419,34 @@ def _ladder(storage, n=40):
     return sys
 
 
+def test_primal_only_kinds_never_build_the_dual(monkeypatch):
+    # delta1pr and delta3pr grow, reduce and evaluate primal-side models only,
+    # so neither the greedy loop nor validation may reach the transposed system
+    grid = _ladder_grid(12)
+    config = dict(training_set=grid, tolerance=1e-8, max_iterations=3)
+
+    def no_dual():
+        raise AssertionError("dual system requested")
+
+    for kind in ("delta1pr", "delta3pr"):
+        sys = _ladder("dense")
+        monkeypatch.setattr(sys, "dual", no_dual)
+        result = rg.run_greedy(sys, rg.GreedyConfig(kind=kind, **config))
+        assert rg.validate(sys, result, grid).rows
+    # a kind with a dual-side model builds the dual, once, and reuses it
+    sys = _ladder("dense")
+    original, duals = sys.dual, []
+
+    def counted_dual():
+        duals.append(original())
+        return duals[-1]
+
+    monkeypatch.setattr(sys, "dual", counted_dual)
+    rg.run_greedy(sys, rg.GreedyConfig(kind="delta2", **config))
+    assert duals and all(dual is duals[0] for dual in duals)
+    assert duals[0].dual() is sys
+
+
 @pytest.mark.parametrize("storage", ["sparse", "dense"])
 def test_nonfinite_operator_is_a_sample_error_naming_the_point(storage):
     sys = _ladder(storage)
@@ -478,6 +507,12 @@ def test_nonfinite_map_is_a_sample_error_naming_the_point(letter, role):
         with pytest.raises(SingularReducedSystemError, match=r"1\.5e\+200j"):
             rg.evaluate(kind, ws, sys, point)
         assert rg.evaluate(kind, ws, sys, [point, {"s": 1j}])[0] is None
+    # the full-order diagnostics name the point too, whichever map overflows
+    ws = rg.EstimatorWorkspace.from_bases(sys, "delta3pr", V, V_du=V, V_rdu=V, V_rpr=V, V_rrpr=V)
+    with pytest.raises(SingularAtSampleError, match=named):
+        rg.sensitivity_report(sys, ws, point)
+    with pytest.raises(SingularAtSampleError, match=named):
+        rg.true_error(sys, ws, point, verify_identity=True)
 
 
 @pytest.mark.parametrize("case", ["sparse", "dense", "input_map"])

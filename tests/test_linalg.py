@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -36,12 +37,12 @@ def test_lu_transpose_solve_is_plain_transpose(seed):
     a = np.eye(n) + 0.5 * complex_randn(rng, n, n) / np.sqrt(n)
     rhs = complex_randn(rng, n, 2)
     lu = lu_factor(a)
-    got = lu.solve(rhs, transpose=True)
+    # the transposed view is the factorization of A^T on the same factors
+    got = lu.transposed().solve(rhs)
     assert np.allclose(got, np.linalg.solve(a.T, rhs), atol=1e-12)
     assert not np.allclose(got, np.linalg.solve(a.conj().T, rhs), atol=1e-8)
-    # the transposed view is the factorization of A^T on the same factors
-    assert np.array_equal(lu.transposed().solve(rhs), got)
-    assert np.array_equal(lu.transposed().solve(rhs, transpose=True), lu.solve(rhs))
+    # bitwise LAPACK's own transposed solve (getrs, trans=1) on the same factors
+    assert np.array_equal(got, scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), rhs, trans=1))
     assert np.array_equal(lu.transposed().transposed().solve(rhs), lu.solve(rhs))
 
 

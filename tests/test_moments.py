@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import romgrid as rg
-from romgrid.moments import DEFAULT_MAX_BLOCK_COLUMNS
+from romgrid import moments
 
 import oracles
 from conftest import complex_randn, random_orthonormal, random_system
@@ -23,13 +23,14 @@ def test_krylov_block_levels_are_resolvent_directions(rng):
     assert np.allclose(block, np.hstack([lvl0, lvl1, lvl2]), atol=1e-12)
 
 
-def test_krylov_block_validates_and_caps(rng):
+def test_krylov_block_validates_and_caps(rng, monkeypatch):
     sys = random_system(rng, 10)
     with pytest.raises(ValueError):
         rg.krylov_block(sys, 1.0j, 0)
-    capped = rg.krylov_block(sys, 1.0j, 50, max_columns=7)
+    assert rg.krylov_block(sys, 1.0j, 200).shape[1] <= moments.MAX_BLOCK_COLUMNS
+    monkeypatch.setattr(moments, "MAX_BLOCK_COLUMNS", 7)
+    capped = rg.krylov_block(sys, 1.0j, 50)
     assert capped.shape == (10, 7)
-    assert rg.krylov_block(sys, 1.0j, 200).shape[1] <= DEFAULT_MAX_BLOCK_COLUMNS
 
 
 def test_dual_krylov_block_is_transposed_family(rng):
@@ -121,10 +122,11 @@ def test_multimoment_block_levels(rng):
         rg.multimoment_block(sys, pt, -1)
 
 
-def test_multimoment_cap_truncates_levels(rng):
+def test_multimoment_cap_truncates_levels(rng, monkeypatch):
+    monkeypatch.setattr(moments, "MAX_BLOCK_COLUMNS", 9)
     sys = _toy_parametric(rng, 12)
     pt = {"s": 0.5 + 0.7j, "d": 1.2}
-    block = rg.multimoment_block(sys, pt, 5, max_columns=9)
+    block = rg.multimoment_block(sys, pt, 5)
     assert block.shape == (12, 9)
 
 

@@ -160,7 +160,7 @@ def test_sparse_solves_match_dense_and_transpose_is_plain(seed, n):
     dense = a.toarray()
     x = lu.solve(rhs)
     assert np.allclose(x, np.linalg.solve(dense, rhs), rtol=0, atol=1e-12)
-    xt = lu.solve(rhs, transpose=True)
+    xt = lu.transposed().solve(rhs)
     assert np.allclose(xt, np.linalg.solve(dense.T, rhs), rtol=0, atol=1e-12)
     assert np.max(np.abs(dense.T @ xt - rhs)) <= 1e-12
     assert np.max(np.abs(dense.conj().T @ xt - rhs)) > 1e-6  # not the conjugate transpose
