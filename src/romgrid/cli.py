@@ -30,8 +30,13 @@ from .system import ParametricSystem
 
 __all__ = ["main"]
 
-#: The run.json fields ``validate`` reads, with the type ``reduce`` writes each as.
-_RUN_FIELDS = {"system": dict, "estimator": str, "train": list, "seed": int}
+#: The run.json fields ``validate`` reads, each with the test of the type ``reduce`` writes it as.
+_RUN_FIELDS = {
+    "system": lambda value: isinstance(value, dict),
+    "estimator": lambda value: isinstance(value, str),
+    "train": lambda value: isinstance(value, list) and all(isinstance(v, str) for v in value),
+    "seed": lambda value: isinstance(value, int),
+}
 
 
 def _add_system_arguments(parser):
@@ -115,7 +120,7 @@ def _print_trace(trace):
         )
 
 
-def _save_run(out_dir, system, source, args, result):
+def _save_run(out_dir, system, source, args, specs, result):
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_trace_csv(out / "trace.csv", result.trace)
@@ -143,7 +148,7 @@ def _save_run(out_dir, system, source, args, result):
         "tol": args.tol,
         "q": args.q,
         "max_iter": args.max_iter,
-        "train": args.train if args.train else [DEFAULT_FREQUENCY_SPEC],
+        "train": specs,
         "symmetric_variant": args.symmetric_variant,
         "seed": args.seed,
         "n": system.order,
@@ -166,7 +171,7 @@ def _cmd_reduce(args):
         f"{result.workspace.rom_primal.dim}"
     )
     if args.out:
-        _save_run(args.out, system, source, args, result)
+        _save_run(args.out, system, source, args, specs, result)
         print(f"run written to {args.out}")
     return 0 if result.converged else 3
 
@@ -181,7 +186,7 @@ def _rebuild_workspace(run_dir):
         raise RomgridError(f"run directory {run_dir}: unreadable run.json: {exc}") from exc
     if not isinstance(meta, dict):
         meta = {}
-    wrong = [key for key, kind in _RUN_FIELDS.items() if not isinstance(meta.get(key), kind)]
+    wrong = [key for key, valid in _RUN_FIELDS.items() if not valid(meta.get(key))]
     if wrong:
         raise RomgridError(f"run directory {run_dir}: run.json lacks valid fields {wrong}")
     source = meta["system"]
@@ -239,7 +244,7 @@ def _cmd_validate(args):
 
 def _cmd_compare(args):
     system, _ = _load_source(args)
-    specs, grid = _training_set(args, system)
+    _, grid = _training_set(args, system)
     kinds = [EstimatorKind.from_name(token.strip()) for token in args.estimators.split(",")]
     runs = {}
     for kind in kinds:

@@ -19,23 +19,26 @@ Evaluation is split into an offline and an online step. Every residual is
 a stack of full-order pieces times a small coefficient block,
 ``r(p) = P F(p)``: ``r_pr`` stacks ``[B_k | Q_j V]``, ``r_du`` stacks
 ``[C_k^T | Q_j^T V_du]`` and ``r_rpr`` stacks the ``r_pr`` pieces and
-``[Q_j V_rpr]``. The offline step runs once per (workspace, kind, system),
-on the first ``evaluate``. It factors each stack as ``P = U R`` (``U``
-orthonormal, ``R`` triangular; a piece is dropped from ``U`` only where it
-depends on the others to roundoff of its own norm, so a tiny piece with a
-huge coefficient keeps its term) and keeps only small arrays: ``R`` and
-the projections ``X^T U`` onto the bases that read the residual; the n-row
-``U`` is dropped again. The online step evaluates the monomial
-coefficients, solves the reduced models, assembling their own reduced
-maps, and multiplies small matrices, so its cost does not depend on the
-full order n: a residual is ``r = U y`` with coordinates ``y = R F``, a
-bilinear form ``X^T r`` is ``(X^T U) y`` and ``||r|| = ||y||``. That is
-the numerically stable form of Buhr, Engwer, Ohlberger & Rave (2014); the
-Gram form ``F^H P^H P F`` would lose all accuracy below about sqrt(eps)
-times the norm of the pieces. ``r_rpr`` extends the factorization of
-``r_pr`` block by block and its coordinates are formed from those of
-``r_pr``, so like the full-order chain ``r_rpr = r_pr - Q x_rpr_hat`` it
-stays accurate relative to ``r_pr``, not to the pieces.
+``[Q_j V_rpr]``. The offline step factors each stack as ``P = U R`` (``U``
+orthonormal, one append-only basis per side; a piece is dropped from ``U``
+only where it depends on the others to roundoff of its own norm, so a tiny
+piece with a huge coefficient keeps its term), and the workspace keeps only
+small arrays: ``R`` and the projections ``X^T U`` onto the bases that read
+the residuals. The offline step grows with the bases: ``GrowingWorkspace``
+keeps the n-row products and ``U`` while the greedy loop runs, and each
+iteration projects and factors only the columns it adds (the standard
+incremental reduced-basis offline step, as in Haasdonk's 2017 tutorial).
+``EstimatorWorkspace.from_bases`` is the same step on all the columns at
+once. The online step evaluates the monomial coefficients, solves the
+reduced models, assembling their own reduced maps, and multiplies small
+matrices, so its cost does not depend on the full order n: a residual is
+``r = U y`` with coordinates ``y = R F``, a bilinear form ``X^T r`` is
+``(X^T U) y`` and ``||r|| = ||y||``. That is the numerically stable form
+of Buhr, Engwer, Ohlberger & Rave (2014); the Gram form ``F^H P^H P F``
+would lose all accuracy below about sqrt(eps) times the norm of the
+pieces. The coordinates of ``r_rpr`` are formed from those of ``r_pr`` in
+the same basis, so like the full-order chain ``r_rpr = r_pr - Q
+x_rpr_hat`` it stays accurate relative to ``r_pr``, not to the pieces.
 
 The online step runs on a stack of sample points, so a greedy sweep or a
 validation is one ``evaluate`` call. The monomial coefficients are
@@ -48,11 +51,14 @@ sample thus sees the same operations in the same order as when it is
 evaluated alone, and its breakdown does not depend on the other points,
 to the bit. A sample whose reduced operator is singular, or whose reduced
 quantities are not finite, is masked instead of raising. The points are
-taken in chunks of ``_CHUNK`` samples. A chunk bounds the memory of the
-stacked operators: the 150-sample validation of a model with r = 78
-peaks near 3 MB in chunks of 16, against 28 MB in one stack. A chunk is
-still large enough to spread the fixed Python cost of a pass, about 0.25
-ms on a ladder with r = 15, where a sample's own work is about 0.045 ms.
+taken in passes sized by bytes: as many samples as keep the stacked
+operators at the largest reduced dimension within ``_CHUNK_BYTES``, the
+size of 16 samples at r = 80. That bounds the memory of a pass: the
+150-sample validation of a model with r = 78 peaks near 3 MB in passes of
+16, against 28 MB in one stack. A small model takes many samples per pass
+(455 at r = 15, so a 60-sample ladder sweep is one pass), which spreads
+the fixed Python cost of a pass, about 0.25 ms, where a sample's own work
+on that ladder is about 0.045 ms.
 
 For systems with several inputs/outputs every bilinear form is an
 (n_outputs x n_inputs) matrix and estimates take the max over channels.
@@ -68,7 +74,7 @@ import scipy.linalg
 
 from .errors import MissingWorkspaceRomError, SingularReducedSystemError
 from .linalg import lu_solve_stack, scaled_stack
-from .projection import reduce_system
+from .projection import ProjectionState, reduce_system
 
 __all__ = [
     "EstimatorKind",
@@ -84,8 +90,8 @@ __all__ = [
 ]
 
 _EPS = np.finfo(np.float64).eps
-#: Samples per stacked pass of ``evaluate``.
-_CHUNK = 16
+#: Bytes of stacked reduced operators per pass of ``evaluate``: 16 samples at r = 80.
+_CHUNK_BYTES = 16 * 80 * 80 * np.dtype(np.complex128).itemsize
 
 
 class EstimatorKind(enum.Enum):
@@ -194,15 +200,42 @@ def _orthonormal_factor(block, norms=None):
     return U[:, :rank], T[:rank, np.argsort(order)] * norms
 
 
+def _merged_by_piece(T, block, pieces):
+    """The columns of ``T`` and ``block``, both piece-major, merged piece by piece.
+
+    Column ``j * r + i`` of a factor ``T`` belongs to piece j times basis
+    column i; ``block`` holds the same for the new basis columns. The result
+    has ``block``'s rows, zero where ``T`` has none.
+    """
+    rows, old, new = block.shape[0], T.shape[1] // pieces, block.shape[1] // pieces
+    out = np.zeros((rows, pieces, old + new), dtype=np.complex128)
+    out[: T.shape[0], :, :old] = T.reshape(T.shape[0], pieces, old)
+    out[:, :, old:] = block.reshape(rows, pieces, new)
+    return out.reshape(rows, pieces * (old + new))
+
+
+def _sum_rows(a, b):
+    """``a + b`` for stacks whose row counts differ, the shorter one zero below its rows."""
+    if a.shape[-2] < b.shape[-2]:
+        a, b = b, a
+    out = a.copy()
+    out[..., : b.shape[-2], :] += b
+    return out
+
+
 @dataclass
 class _OfflineTerms:
     """Reduced images of one system's affine pieces, for one estimator kind.
 
     ``monomials`` maps each primal family letter to the coefficient
     monomials of its pieces. ``factors`` maps a residual to the blocks
-    ``(R_B, S, T)`` of its triangular factor and ``projections`` a (model
-    field, ``"V"`` or ``"W"``, residual) key to ``X^T [U_h | U]``; see
-    ``_offline_terms``. The reduced output maps are the models' own.
+    ``(R_B, T)`` of its coordinates in its side's residual basis ``U``:
+    ``R_B`` for the input pieces (None for a residual model's residual) and
+    ``T`` for the operator pieces times the model's basis, piece by piece.
+    Each block has the rows of the columns of ``U`` there were when it last
+    grew; the coordinates along later columns are zero. ``projections``
+    maps a (model field, ``"V"`` or ``"W"``, side) key to ``X^T U``. See
+    ``GrowingWorkspace``; the reduced output maps are the models' own.
     """
 
     sys: object
@@ -211,61 +244,138 @@ class _OfflineTerms:
     projections: dict
 
 
-def _offline_terms(workspace, spec, sys):
-    """The offline step of one kind against ``sys``: every small array, in one pass.
+class GrowingWorkspace:
+    """The n-row state of a workspace whose bases only grow, for one kind and system.
 
     The residual of model M is ``r = [h | Q_1 V_M | ... | Q_J V_M] F`` with
-    ``h`` the side's input pieces ``B_k`` (factored as ``U_h R_B``) or, for
-    a residual model, the residual M is solved against (its basis ``U_h``
-    and coordinates ``y_h``). The stack is factored block by block:
-    ``S = U_h^H Q_j V_M`` (one reorthogonalization pass) and ``U T`` the
-    rank-revealing QR factorization of what remains, so ``r = [U_h | U] y``
-    with orthonormal columns and coordinates ``y = [y_h + S F_tail; T
-    F_tail]``. The n-row bases ``[U_h | U]`` live only in this function.
-    What is kept of them is their projections onto the test basis of the
-    model solved against them, and onto the trial basis of every model of
-    the other side: a bilinear form ``x_hat^T r`` always weighs a residual
-    with a solution of the opposite side.
+    ``h`` the side's input pieces ``B_k`` or, for a residual model, the
+    residual M is solved against. Each side (primal, dual) keeps one
+    append-only orthonormal residual basis ``U``, and every residual of the
+    side has its coordinates in it, ``r = U y``. ``extend`` takes bases that
+    grew by appending (``Basis.appended`` keeps the leading columns) and
+    works on the columns they gained only:
+
+    * each model is extended by ``reduce_system`` through its
+      ``ProjectionState``, which forms the new products ``M_j V_new``;
+    * the new stack columns of each residual (the input pieces once, then
+      ``M_j V_new``) are reorthogonalized twice against the side's ``U``
+      (coefficients ``S``), the remainder is factored by
+      ``_orthonormal_factor`` (``U_new T``), ``U_new`` gets one more pass
+      against ``U`` and is appended to it, and the residual's factor grows
+      by the block column ``[S; T]``;
+    * each projection ``X^T U`` onto a basis that reads the residuals grows
+      by its new rows and columns.
+
+    A residual model's residual starts from the coordinates of the residual
+    it is solved against, in the same basis, so ``r_rpr``'s coordinates
+    extend those of ``r_pr``: like the full-order chain ``r_rpr = r_pr - Q
+    x_rpr_hat`` it stays accurate relative to ``r_pr``, not to the pieces.
+    One basis per side keeps that true while ``r_pr`` grows under an
+    existing ``r_rpr``: new ``r_pr`` columns are orthogonalized against
+    ``r_rpr``'s too, and ``r_pr`` gets coordinates along them.
+
+    Per iteration this costs O(nnz Δr + n r Δr) for Δr new columns. The
+    state holds, for every model, the products ``M_j V`` (J n-row columns
+    per basis column) and, per side, ``U``; the workspaces ``extend``
+    returns hold only small arrays besides their bases. ``from_bases`` is
+    one ``extend`` of an empty state by all the columns.
     """
-    models = (PRIMAL,) + spec.models
-    wanted = set(spec.residuals) | {model.rhs for model in models if model.rhs}
-    monomials = {
-        letter: [m for m, _ in getattr(sys, letter).monomial_pieces()] for letter in "BQC"
-    }
-    factors, bases = {}, {}
-    for model in REDUCED_MODELS:
-        name = model.residual
-        if name not in wanted:
-            continue
-        side = model.system_of(sys)
-        R_B = None
-        if model.rhs is None:
-            head, R_B = _orthonormal_factor(
-                _side_by_side([matrix for _, matrix in side.B.monomial_pieces()])
+
+    def __init__(self, sys, kind, keys):
+        self.sys = sys
+        self.kind = EstimatorKind.from_name(kind)
+        missing = _missing_models(self.kind, keys)
+        if missing:
+            raise MissingWorkspaceRomError(
+                f"estimator {self.kind.value} requires {missing} in the workspace"
             )
-        else:
-            head = bases[model.rhs]
-        V = getattr(workspace, model.field).V.columns
-        rest = _side_by_side([matrix @ V for _, matrix in side.Q.monomial_pieces()])
-        norms = np.linalg.norm(rest, axis=0)
-        S = np.zeros((head.shape[1], rest.shape[1]), dtype=np.complex128)
+        spec = ESTIMATORS[self.kind]
+        self.models = [model for model in REDUCED_MODELS if model.key in keys]
+        self.states = {model.key: ProjectionState(model.system_of(sys)) for model in self.models}
+        wanted = set(spec.residuals) | {model.rhs for model in spec.models if model.rhs}
+        self.residuals = [model for model in REDUCED_MODELS if model.residual in wanted]
+        self.readers = spec.models
+        self.monomials = {
+            letter: [m for m, _ in getattr(sys, letter).monomial_pieces()] for letter in "BQC"
+        }
+        self.bases = {
+            model.side: np.zeros((sys.order, 0), dtype=np.complex128) for model in self.residuals
+        }
+        self.factors = {}
+        self.projections = {}
+
+    def extend(self, trial, test=None):
+        """The workspace on the grown bases (key -> basis; ``test`` default Galerkin).
+
+        Only the columns gained since the last call are projected and factored.
+        """
+        test = test or {}
+        models = {
+            model.field: reduce_system(
+                model.system_of(self.sys),
+                trial[model.key],
+                test.get(model.key),
+                state=self.states[model.key],
+            )
+            for model in self.models
+        }
+        for model in self.residuals:
+            self._grow_residual(model)
+        for model in self.readers:
+            rom = models[model.field]
+            for side in self.bases:
+                if side != model.side:
+                    self._grow_projection((model.field, "V", side), rom.V)
+            if model.rhs is not None:
+                self._grow_projection((model.field, "W", model.side), rom.W)
+        workspace = EstimatorWorkspace(kind=self.kind, **models)
+        workspace._offline[self.kind] = _OfflineTerms(
+            self.sys, self.monomials, dict(self.factors), dict(self.projections)
+        )
+        return workspace
+
+    def _append(self, side, block):
+        """Extend a side's residual basis by ``block`` (overwritten); returns its coordinates."""
+        U = self.bases[side]
+        norms = np.linalg.norm(block, axis=0)
+        S = np.zeros((U.shape[1], block.shape[1]), dtype=np.complex128)
         for _ in range(2):
-            step = head.conj().T @ rest
-            rest -= head @ step
+            step = (block.conj().T @ U).conj().T
+            block -= U @ step
             S += step
-        U, T = _orthonormal_factor(rest, norms)
-        del rest
-        bases[name] = np.hstack([head, U])
-        factors[name] = (R_B, S, T)
-    projections = {}
-    for model in spec.models:
-        rom = getattr(workspace, model.field)
-        for name, basis in bases.items():
-            if _RESIDUAL_OF[name].side != model.side:
-                projections[model.field, "V", name] = rom.V.columns.T @ basis
-        if model.rhs is not None:
-            projections[model.field, "W", model.rhs] = rom.W.columns.T @ bases[model.rhs]
-    return _OfflineTerms(sys, monomials, factors, projections)
+        U_new, T = _orthonormal_factor(block, norms)
+        # a kept column whose remainder is small beside its norm carries the
+        # passes' roundoff along U, magnified by that ratio: one more pass of
+        # the unit columns, and a QR to make them orthonormal again, keep U
+        # orthonormal to roundoff, which every later column relies on
+        step = (U_new.conj().T @ U).conj().T
+        U_new -= U @ step
+        U_new, R = np.linalg.qr(U_new)
+        self.bases[side] = _side_by_side([U, U_new])
+        return np.concatenate([S + step @ T, R @ T])
+
+    def _grow_residual(self, model):
+        """Extend the factor ``(R_B, T)`` of the model's residual by its new stack columns."""
+        state = self.states[model.key]
+        R_B, T = self.factors.get(model.residual, (None, np.zeros((0, 0), dtype=np.complex128)))
+        if model.rhs is None and R_B is None:
+            inputs = model.system_of(self.sys).B.monomial_pieces()
+            R_B = self._append(model.side, _side_by_side([matrix for _, matrix in inputs]))
+        if state.added:
+            block = self._append(model.side, _side_by_side(state.added))
+            T = _merged_by_piece(T, block, len(state.added))
+        self.factors[model.residual] = (R_B, T)
+
+    def _grow_projection(self, key, basis):
+        """Extend ``X^T U`` of a basis X and a side's residual basis by new rows and columns."""
+        U = self.bases[key[2]]
+        old = self.projections.get(key, np.zeros((0, 0), dtype=np.complex128))
+        rows, cols = old.shape
+        out = np.empty((basis.dim, U.shape[1]), dtype=np.complex128)
+        out[:rows, :cols] = old
+        out[:, cols:] = basis.columns.T @ U[:, cols:]
+        out[rows:, :cols] = basis.columns[:, rows:].T @ U[:, :cols]
+        self.projections[key] = out
 
 
 class _StackTerms:
@@ -310,17 +420,17 @@ class _StackTerms:
             if model.rhs is None:
                 rhs = self._assembled(system.B, model.side, "B")
             else:
-                rhs = self.offline.projections[model.field, "W", model.rhs] @ self.y(model.rhs)
+                rhs = self._tested((model.field, "W", model.side), self.y(model.rhs))
             operators = self._assembled(system.Q, model.side, "Q")
             self._z[model.field], usable = lu_solve_stack(operators, rhs)
             self.usable &= usable
         return self._z[model.field]
 
     def y(self, name):
-        """Coordinates of residual ``name`` in its orthonormal basis."""
+        """Coordinates of residual ``name`` in its side's orthonormal residual basis."""
         if name not in self._y:
             model = _RESIDUAL_OF[name]
-            R_B, S, T = self.offline.factors[name]
+            R_B, T = self.offline.factors[name]
             if model.rhs is None:
                 ports = np.eye(model.system_of(self.offline.sys).n_inputs)
                 head = R_B @ np.concatenate(
@@ -332,12 +442,16 @@ class _StackTerms:
             tail = np.concatenate(
                 [-c[:, None, None] * z for c in self.coefficients(model.side, "Q").T], axis=1
             )
-            self._y[name] = np.concatenate([head + S @ tail, T @ tail], axis=1)
+            self._y[name] = _sum_rows(head, T @ tail)
         return self._y[name]
+
+    def _tested(self, key, y):
+        """``X^T r`` from the projection ``X^T U`` under ``key`` and coordinates ``y``."""
+        return self.offline.projections[key][:, : y.shape[-2]] @ y
 
     def pair(self, model, name):
         """``x_hat^T r`` of the model's solutions and a residual, (samples x n_out x n_in)."""
-        tested = self.offline.projections[model.field, "V", name] @ self.y(name)
+        tested = self._tested((model.field, "V", _RESIDUAL_OF[name].side), self.y(name))
         value = np.swapaxes(self.z(model), -1, -2) @ tested
         return np.swapaxes(value, -1, -2) if model.side == "primal" else value
 
@@ -460,8 +574,8 @@ class EstimatorWorkspace:
     ``rom_primal`` approximates the state equation; the optional members
     approximate the dual equation and the residual equations. Which are
     required depends on the kind and is checked at construction. The
-    workspace also caches, per kind, the offline terms of the last system
-    it was evaluated against (see the module docstring).
+    workspace also holds, per kind, the offline terms of the last system
+    it was built for or evaluated against (see the module docstring).
     """
 
     kind: EstimatorKind
@@ -481,10 +595,21 @@ class EstimatorWorkspace:
         return [model.field for model in ESTIMATORS[kind].models]
 
     def _offline_terms(self, kind, sys):
-        """The kind's offline terms against ``sys``, rebuilt when the system changes."""
+        """The kind's offline terms against ``sys``, built anew for another kind or system.
+
+        ``from_bases`` and the greedy loop leave the terms of their own kind
+        and system here; any other pair runs the offline step on this
+        workspace's bases, in one ``GrowingWorkspace`` extension.
+        """
         terms = self._offline.get(kind)
         if terms is None or terms.sys is not sys:
-            terms = self._offline[kind] = _offline_terms(self, ESTIMATORS[kind], sys)
+            models = (PRIMAL,) + ESTIMATORS[kind].models
+            growth = GrowingWorkspace(sys, kind, [model.key for model in models])
+            built = growth.extend(
+                {model.key: getattr(self, model.field).V for model in models},
+                {model.key: getattr(self, model.field).W for model in models},
+            )
+            terms = self._offline[kind] = built._offline[kind]
         return terms
 
     @classmethod
@@ -503,23 +628,20 @@ class EstimatorWorkspace:
         W_rpr=None,
         W_rrpr=None,
     ):
-        """Project the system onto whichever bases are supplied.
+        """Project the system onto whichever bases are supplied, and run the offline step.
 
         Dual-side models are reductions of the transposed system, so the
         same Galerkin/Petrov-Galerkin machinery serves both sides. Bases
         beyond the kind's requirements are projected too (diagnostics use
-        them); missing required ones raise at construction.
+        them); missing required ones raise. This is one extension of an
+        empty ``GrowingWorkspace`` by all the columns, the same code the
+        greedy loop extends by each iteration's new columns; the workspace
+        comes back with the offline terms of ``kind`` against ``sys``.
         """
         trial = {"V": V, "V_du": V_du, "V_rdu": V_rdu, "V_rpr": V_rpr, "V_rrpr": V_rrpr}
         test = {"V": W, "V_du": W_du, "V_rdu": W_rdu, "V_rpr": W_rpr, "V_rrpr": W_rrpr}
-        supplied = [model for model in REDUCED_MODELS if trial[model.key] is not None]
-        return cls(
-            kind=kind,
-            **{
-                model.field: reduce_system(model.system_of(sys), trial[model.key], test[model.key])
-                for model in supplied
-            },
-        )
+        supplied = [key for key, basis in trial.items() if basis is not None]
+        return GrowingWorkspace(sys, kind, supplied).extend(trial, test)
 
 
 @dataclass
@@ -584,10 +706,14 @@ def _stack_max_abs(matrices):
     return np.max(np.abs(matrices), axis=(-2, -1))
 
 
+def _missing_models(kind, keys):
+    """The fields of the reduced models ``kind`` needs whose basis keys are not in ``keys``."""
+    return [model.field for model in (PRIMAL,) + ESTIMATORS[kind].models if model.key not in keys]
+
+
 def _require_models(workspace, kind):
-    missing = [
-        name for name in EstimatorWorkspace.required_roms(kind) if getattr(workspace, name) is None
-    ]
+    present = [model.key for model in REDUCED_MODELS if getattr(workspace, model.field) is not None]
+    missing = _missing_models(kind, present)
     if missing:
         raise MissingWorkspaceRomError(
             f"estimator {kind.value} requires {missing} in the workspace"
@@ -632,8 +758,9 @@ def evaluate(kind, workspace, sys, point, n_random=20, rng_seed=0, xi=None):
     weights are drawn once from the seed (or taken verbatim from ``xi``),
     so a sweep with a fixed seed uses the same weights at every sample.
     For several channels each field is the max over (output, input) pairs.
-    The first call for a (workspace, kind, system) also runs the offline
-    step; later calls work on reduced quantities only.
+    A workspace from ``from_bases`` or ``run_greedy`` carries the offline
+    terms of its own kind and system; the first call for another pair runs
+    the offline step. Every call then works on reduced quantities only.
     """
     kind = EstimatorKind.from_name(kind)
     _require_models(workspace, kind)
@@ -646,9 +773,12 @@ def evaluate(kind, workspace, sys, point, n_random=20, rng_seed=0, xi=None):
         ).reshape(len(points), len(monomials))
         for letter, monomials in offline.monomials.items()
     }
+    models = (PRIMAL,) + ESTIMATORS[kind].models
+    largest = max(1, *(getattr(workspace, model.field).dim for model in models))
+    step = max(1, _CHUNK_BYTES // (np.dtype(np.complex128).itemsize * largest**2))
     breakdowns = []
-    for start in range(0, len(points), _CHUNK):
-        chunk = {letter: values[start : start + _CHUNK] for letter, values in coefficients.items()}
+    for start in range(0, len(points), step):
+        chunk = {letter: values[start : start + step] for letter, values in coefficients.items()}
         terms = _StackTerms(workspace, offline, chunk, n_random, rng_seed, xi)
         breakdowns += _stack_breakdowns(kind, terms)
     if not single:

@@ -36,6 +36,7 @@ from .estimators import (
     PRIMAL,
     EstimatorKind,
     EstimatorWorkspace,
+    GrowingWorkspace,
     evaluate,
     true_error,
 )
@@ -146,7 +147,12 @@ def select_points(kind, symmetric_variant, breakdowns):
 
 
 class _GreedyState:
-    """Mutable bookkeeping for one run (bases, active samples, points)."""
+    """Mutable bookkeeping for one run (bases, active samples, points).
+
+    ``growth`` is the n-row offline state the workspaces are extended from,
+    so each iteration projects and factors only the columns it adds; it
+    lives as long as the run.
+    """
 
     def __init__(self, sys, config):
         self.sys = sys
@@ -157,6 +163,7 @@ class _GreedyState:
         self.q = config.q if config.q is not None else (1 if sys.is_parametric else 3)
         self.models = (PRIMAL,) + ESTIMATORS[self.kind].models
         self.bases = {model.key: Basis.empty(sys.order, model.key) for model in self.models}
+        self.growth = GrowingWorkspace(sys, self.kind, list(self.bases))
 
         # main starts at the first sample, alpha at the last, beta and gamma at the middle one
         last, middle = len(self.samples) - 1, len(self.samples) // 2
@@ -247,7 +254,8 @@ class _GreedyState:
         return dict(self.samples[self.points[role]]) if role in self.roles else None
 
     def workspace(self):
-        return EstimatorWorkspace.from_bases(self.sys, self.kind, **self.bases)
+        """The workspace on the current bases, extended by this iteration's new columns."""
+        return self.growth.extend(self.bases)
 
     def sweep(self, ws):
         """Evaluate the estimator at every active sample (None where skipped).

@@ -4,7 +4,9 @@ Reduction is termwise: each affine piece of the operator family is
 compressed as ``W^T M_j V`` (plain transpose), so the reduced family has the
 same coefficients as the full one and assembles at any sample point without
 touching full-order data. Galerkin (W = V) is the default; passing a
-separate test basis gives the Petrov-Galerkin variant.
+separate test basis gives the Petrov-Galerkin variant. Bases only grow by
+appending, so a ``ProjectionState`` keeps the products ``M_j V`` and
+extends a reduced model by its border blocks when the bases grow.
 """
 
 import numpy as np
@@ -16,10 +18,11 @@ from .errors import (
     SingularMatrixError,
     SingularReducedSystemError,
 )
-from .system import ParametricSystem
+from .system import AffineMatrix, ParametricSystem
 
 __all__ = [
     "Basis",
+    "ProjectionState",
     "ReducedModel",
     "reduce_system",
 ]
@@ -117,13 +120,127 @@ class ReducedModel:
         return self.system.C.assemble(point) @ z
 
 
-def reduce_system(sys, V, W=None):
+class ProjectionState:
+    """The n-row products behind one reduced model, kept so that it grows by its borders.
+
+    For every piece ``M_j`` of the operator family (``monomial_pieces``
+    order) it keeps ``P_j = M_j V`` as column blocks, one per extension that
+    added trial columns, and the reduced pieces ``W^T M_j V``, ``W^T B_k``
+    and ``C_k V`` of the model built last. ``reduce_system`` extends it by
+    the columns V and W gained since: one product ``M_j V_new`` per piece
+    (a sparse-times-block product for a sparse piece, one GEMM for a dense
+    one), the border blocks ``W^T P_j[:, new]`` and ``W_new^T P_j[:, old]``,
+    new rows ``W_new^T B_k`` and new columns ``C_k V_new``. ``added`` holds
+    the blocks ``M_j V_new`` of the last extension (empty when V did not
+    grow), which the estimators' residual factorizations read.
+
+    The commutation check probes the family at one generic ``point``. The
+    state grows ``probed = W^T Q(point) V`` by the same borders, ``W^T
+    (Q(point) V_new)`` and ``(Q(point)^T W_new)^T V_old``, with ``Q(point)``
+    assembled from the full-order pieces, so every entry of the projected
+    probe operator comes from the assembled operator, computed once.
+    """
+
+    def __init__(self, sys):
+        self.sys = sys
+        self.V = self.W = Basis.empty(sys.order)
+        self.model = None
+        self.added = []
+        self._pieces = [matrix for _, matrix in sys.Q.monomial_pieces()]
+        self.products = [[] for _ in self._pieces]
+        self._Q = [np.zeros((0, 0), dtype=np.complex128) for _ in self._pieces]
+        self._B = [np.zeros((0, sys.n_inputs), dtype=np.complex128) for _ in _matrices(sys.B)]
+        self._C = [np.zeros((sys.n_outputs, 0), dtype=np.complex128) for _ in _matrices(sys.C)]
+        rng = np.random.default_rng(12345)
+        self.point = {
+            name: complex(0.5 + rng.random(), rng.random()) for name in sys.parameter_names
+        }
+        self.probed = np.zeros((0, 0), dtype=np.complex128)
+
+    def extend(self, V, W):
+        """The reduced model on V and W, projecting only the columns gained since the last one."""
+        v0, w0 = self.V.dim, self.W.dim
+        if not (_extends(V, self.V) and _extends(W, self.W)):
+            raise ValueError("a projection state grows only by bases that extend its own")
+        self.added = []
+        if self.model is not None and (V.dim, W.dim) == (v0, w0):
+            return self.model
+        v_new, w_new = V.columns[:, v0:], W.columns[:, w0:]
+        wt = W.columns.T
+        if V.dim > v0:
+            self.added = _products(self._pieces, v_new)
+        for j, kept in enumerate(self.products):
+            out = np.empty((W.dim, V.dim), dtype=np.complex128)
+            out[:w0, :v0] = self._Q[j]
+            start = 0
+            for block in kept:  # W_new^T P_j[:, old], block by block
+                out[w0:, start : start + block.shape[1]] = w_new.T @ block
+                start += block.shape[1]
+            if self.added:
+                out[:, v0:] = wt @ self.added[j]
+                kept.append(self.added[j])
+            self._Q[j] = out
+        self._B = [
+            np.concatenate([old, w_new.T @ m]) for old, m in zip(self._B, _matrices(self.sys.B))
+        ]
+        self._C = [
+            np.concatenate([old, m @ v_new], axis=1)
+            for old, m in zip(self._C, _matrices(self.sys.C))
+        ]
+        probe = self.sys.Q.assemble(self.point)
+        probed = np.empty((W.dim, V.dim), dtype=np.complex128)
+        probed[:w0, :v0] = self.probed
+        probed[:, v0:] = wt @ (probe @ v_new)
+        if v0:  # a full-order product the first extension would throw away
+            probed[w0:, :v0] = (probe.T @ w_new).T @ self.V.columns
+        self.probed = probed
+        self.V, self.W = V, W
+        Q = self.sys.Q
+        pieces = self._Q if Q.has_base or not Q.terms else [np.zeros((W.dim, V.dim))] + self._Q
+        reduced = ParametricSystem(
+            _family(Q, pieces),
+            _family(self.sys.B, self._B),
+            _family(self.sys.C, self._C),
+            parameter_names=self.sys.parameter_names,
+            name=f"{self.sys.name}:reduced",
+        )
+        self.model = ReducedModel(reduced, V, W)
+        return self.model
+
+
+def _matrices(family):
+    """The base and every term matrix of a family, as ``map_matrices`` visits them."""
+    return [family.base] + [matrix for _, matrix in family.terms]
+
+
+def _family(family, matrices):
+    """``family``'s coefficients on new matrices, given base first as by ``_matrices``."""
+    base, *rest = matrices
+    terms = [(monomial, matrix) for (monomial, _), matrix in zip(family.terms, rest)]
+    return AffineMatrix(base.shape, base=base, terms=terms)
+
+
+def _extends(basis, kept):
+    """True when ``basis`` starts with exactly the columns of ``kept``."""
+    return basis.dim >= kept.dim and np.array_equal(basis.columns[:, : kept.dim], kept.columns)
+
+
+def _products(pieces, columns):
+    """``M_j @ columns`` for every piece: sparse-times-block or one GEMM each."""
+    return [matrix @ columns for matrix in pieces]
+
+
+def reduce_system(sys, V, W=None, state=None):
     """Project a system onto trial basis V (and test basis W, default V).
 
-    Every affine piece is compressed with the plain transpose of W; the
-    reduced input map is ``W^T B`` and the reduced output map ``C V``. The
-    build is always checked: assembly-then-projection must match
-    projection-then-assembly at one nonzero sample point.
+    Every affine piece is compressed with the plain transpose of W, as ``W^T
+    (M_j V)``; the reduced input map is ``W^T B`` and the reduced output map
+    ``C V``. ``state`` is the ``ProjectionState`` of an earlier reduction of
+    ``sys`` onto leading columns of V and W: only the columns gained since
+    are projected and the state is updated in place. Without it the whole
+    bases are projected, through a new state. The build is always checked:
+    assembly-then-projection must match projection-then-assembly at one
+    nonzero sample point.
     """
     if not isinstance(V, Basis):
         V = Basis(V)
@@ -135,29 +252,21 @@ def reduce_system(sys, V, W=None):
         raise DimensionMismatchError(
             f"bases with {V.rows}/{W.rows} rows do not match system order {sys.order}"
         )
-    wt = W.columns.T
-    v = V.columns
-    Q_r = sys.Q.map_matrices(lambda m: wt @ m @ v)
-    B_r = sys.B.map_matrices(lambda m: wt @ m)
-    C_r = sys.C.map_matrices(lambda m: m @ v)
-    reduced = ParametricSystem(
-        Q_r, B_r, C_r, parameter_names=sys.parameter_names, name=f"{sys.name}:reduced"
-    )
-    model = ReducedModel(reduced, V, W)
+    if state is None:
+        state = ProjectionState(sys)
+    elif state.sys is not sys:
+        raise ValueError("the projection state belongs to another system")
+    model = state.extend(V, W)
     if V.dim > 0:
-        _check_commutation(sys, model)
+        _check_commutation(state, model)
     return model
 
 
-def _check_commutation(sys, model, tol=1e-12):
+def _check_commutation(state, model, tol=1e-12):
     # Projecting the assembled operator must match assembling the projected
     # family; a probe at one generic point guards the termwise build.
-    rng = np.random.default_rng(12345)
-    point = {
-        name: complex(0.5 + rng.random(), rng.random())
-        for name in sys.parameter_names
-    }
-    full = model.W.columns.T @ sys.Q.assemble(point) @ model.V.columns
+    point = state.point
+    full = state.probed
     small = model.system.Q.assemble(point)
     scale = max(float(np.max(np.abs(full))), 1.0)
     deviation = float(np.max(np.abs(full - small)))
@@ -166,4 +275,3 @@ def _check_commutation(sys, model, tol=1e-12):
             f"projection/assembly commutation off by {deviation:.3e} (scale {scale:.3e}) "
             f"at {point!r}"
         )
-

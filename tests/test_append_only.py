@@ -1,0 +1,242 @@
+"""The append-only offline state: a workspace grown step by step is the one-shot workspace.
+
+``GrowingWorkspace.extend`` projects and factors only the columns the bases
+gained since its last call; ``EstimatorWorkspace.from_bases`` is one
+extension of an empty state by all of them. Hypothesis grows bases the way
+the greedy loop does (each basis receives the blocks of the bases it
+contains, then its own) over 2-4 steps, on dense and sparse, MIMO and
+parametric families, with blocks that add nothing to a basis and blocks
+whose operator images already lie in the residual basis. At every step
+every kind must agree with the one-shot build and with the dense oracle
+chains. A spy on a ladder run checks that each greedy iteration projects
+and factors its new columns only, and that the workspace it returns holds
+no n-row array besides its bases.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import romgrid as rg
+from romgrid import estimators, greedy, projection
+from romgrid.estimators import REDUCED_MODELS, GrowingWorkspace
+from romgrid.linalg import gram_deviation
+
+import oracles
+from conftest import complex_randn
+from test_estimator_properties import KINDS, affine_system, oracle_parts, sample_point
+
+PROPERTY = settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+cases = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "n": st.integers(36, 56),
+    "ports": st.integers(1, 3),
+    "parametric": st.booleans(),
+    "sparse": st.booleans(),
+    "petrov": st.booleans(),
+    "steps": st.integers(2, 4),
+})
+
+
+def sparse_system(rng, n, ports, parametric):
+    """``affine_system`` with every operator piece a sparse matrix of the same family."""
+    dense = affine_system(rng, n, ports, parametric)
+
+    def thinned(matrix):
+        mask = rng.random(matrix.shape) < 0.15
+        np.fill_diagonal(mask, True)
+        return scipy.sparse.csc_array(np.where(mask, matrix, 0.0))
+
+    Q = rg.AffineMatrix(
+        dense.Q.shape,
+        base=thinned(dense.Q.base),
+        terms=[(monomial, thinned(matrix)) for monomial, matrix in dense.Q.terms],
+    )
+    return rg.ParametricSystem(Q, dense.B, dense.C, parameter_names=dense.parameter_names)
+
+
+def grown_bases(rng, n, steps, petrov):
+    """Trial and test bases after each of ``steps`` greedy-like growth steps.
+
+    A block has 0-2 random columns (at least one at the first step, so that
+    no model is empty). With some probability it also takes a column of a
+    basis it already holds (which deflates) or, for V, V_rpr's own last
+    block moved by 1e-13 to 1e-6 of its size: the operator images of those
+    columns lie in the primal residual basis up to that distance, so their
+    remainders are tiny or truncated. Test bases grow by random blocks of
+    the same widths as their trial bases, or are the trial bases (Galerkin).
+    """
+    trial = {model.key: rg.Basis.empty(n, model.key) for model in REDUCED_MODELS}
+    test = dict(trial)
+    last_own = {}
+    history = []
+    for step in range(steps):
+        own = {}
+        for model in REDUCED_MODELS:
+            basis = trial[model.key]
+            for key in model.contains:
+                basis = basis.appended(own[key])
+            block = complex_randn(rng, n, int(rng.integers(0 if step else 1, 3)))
+            if basis.dim and rng.random() < 0.3:
+                block = np.hstack([block, basis.columns[:, -1:] * 2.0])
+            if model.key == "V" and "V_rpr" in last_own and rng.random() < 0.5:
+                near = last_own["V_rpr"]
+                near = near + 10.0 ** rng.uniform(-13, -6) * complex_randn(rng, *near.shape)
+                block = np.hstack([block, near])
+            own[model.key] = block
+            grown = basis.appended(block)
+            if petrov:
+                added = grown.dim - trial[model.key].dim
+                test[model.key] = test[model.key].appended(complex_randn(rng, n, added))
+            trial[model.key] = grown
+        last_own = own
+        history.append((dict(trial), dict(test) if petrov else {}))
+    return history
+
+
+def as_arrays(trial, test):
+    """The oracle chains' basis dict: V, W, V_du, W_du, ... as ndarrays."""
+    out = {}
+    for key, basis in trial.items():
+        out[key] = basis.columns
+        out["W" + key[1:]] = test.get(key, basis).columns
+    return out
+
+
+def assert_same(got, want, scale):
+    tol = 1e-10 * scale
+    assert got.total == pytest.approx(want.total, abs=tol)
+    assert got.part1 == pytest.approx(want.part1, abs=tol)
+    assert got.part2 == pytest.approx(want.part2, abs=tol)
+    assert got.aux.keys() == want.aux.keys()
+    for name, value in got.aux.items():
+        assert value == pytest.approx(want.aux[name], rel=1e-10), name
+
+
+@PROPERTY
+@given(case=cases, kind=st.sampled_from(KINDS))
+def test_grown_workspace_matches_one_shot_build_and_oracle(case, kind):
+    rng = np.random.default_rng(case["seed"])
+    build = sparse_system if case["sparse"] else affine_system
+    sys = build(rng, case["n"], case["ports"], case["parametric"])
+    points = [sample_point(rng, case["parametric"]) for _ in range(3)]
+    kind = rg.EstimatorKind.from_name(kind)
+    growth = GrowingWorkspace(sys, kind, [model.key for model in REDUCED_MODELS])
+    for trial, test in grown_bases(rng, case["n"], case["steps"], case["petrov"]):
+        grown = growth.extend(trial, test)
+        for side, U in growth.bases.items():
+            assert gram_deviation(U) <= 1e-13, side
+        one_shot = rg.EstimatorWorkspace.from_bases(
+            sys, kind, **{key: basis.columns for key, basis in trial.items()},
+            **{"W" + key[1:]: basis.columns for key, basis in test.items()},
+        )
+        for model in REDUCED_MODELS:
+            a = getattr(grown, model.field).system.Q.assemble(points[0])
+            b = getattr(one_shot, model.field).system.Q.assemble(points[0])
+            assert np.allclose(a, b, rtol=0.0, atol=1e-12 * max(1.0, np.max(np.abs(b))))
+        arrays = as_arrays(trial, test)
+        for point, got, want in zip(
+            points,
+            rg.evaluate(kind, grown, sys, points, rng_seed=5),
+            rg.evaluate(kind, one_shot, sys, points, rng_seed=5),
+        ):
+            Q, B, C = (m.toarray() if scipy.sparse.issparse(m) else m for m in (
+                sys.Q.assemble(point), sys.B.assemble(point), sys.C.assemble(point)))
+            xi = np.random.default_rng(5).standard_normal(20)
+            p1, p2 = oracle_parts(kind.value, Q, B, C, arrays, xi)
+            scale = max(np.max(p1), 0.0 if p2 is None else np.max(p2))
+            assert_same(got, want, scale)
+            tol = 1e-10 * scale
+            assert got.total == pytest.approx(np.max(p1 if p2 is None else p1 + p2), abs=tol)
+            norms = oracles.residual_norms(Q, B, C, arrays)
+            for name, value in got.aux.items():
+                assert value == pytest.approx(norms[name], rel=1e-10), name
+
+
+def n_row_arrays(obj, n, skip, seen=None):
+    """Every ndarray with ``n`` rows reachable from ``obj`` other than through ``skip``."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen or any(obj is other for other in skip):
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj] if obj.ndim and obj.shape[0] == n else []
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        children = list(obj)
+    else:
+        children = list(getattr(obj, "__dict__", {}).values())
+    return [array for child in children for array in n_row_arrays(child, n, skip, seen)]
+
+
+def test_greedy_projects_and_factors_only_the_columns_each_iteration_adds(monkeypatch):
+    sys = rg.rc_ladder(150)
+    events = []
+    products, factor = projection._products, estimators._orthonormal_factor
+    workspace = greedy._GreedyState.workspace
+
+    def spy_products(pieces, columns):
+        events.append(("products", columns.shape[1]))
+        return products(pieces, columns)
+
+    def spy_factor(block, norms=None):
+        events.append(("factor", block.shape[1]))
+        return factor(block, norms)
+
+    def spy_workspace(state):
+        events.append(("iteration", {key: basis.dim for key, basis in state.bases.items()}))
+        return workspace(state)
+
+    monkeypatch.setattr(projection, "_products", spy_products)
+    monkeypatch.setattr(estimators, "_orthonormal_factor", spy_factor)
+    monkeypatch.setattr(greedy._GreedyState, "workspace", spy_workspace)
+    config = rg.GreedyConfig(
+        kind="delta2",
+        training_set=rg.parse_grid("f:1e-3:1e1:30:log"),
+        tolerance=1e-8,
+        record_true_errors=False,
+    )
+    result = rg.run_greedy(sys, config)
+    assert result.converged and len(result.trace) >= 3
+
+    pieces = len(sys.Q.monomial_pieces())
+    iterations = []
+    for kind, value in events:
+        if kind == "iteration":
+            iterations.append((value, []))
+        else:
+            iterations[-1][1].append((kind, value))
+    assert len(iterations) == len(result.trace)
+    previous = dict.fromkeys(iterations[0][0], 0)
+    for number, (dims, calls) in enumerate(iterations):
+        added = {key: dims[key] - previous[key] for key in dims}
+        # one product per grown basis, in the order the models are built
+        want = [("products", added[key]) for key in ("V", "V_du", "V_rdu") if added[key]]
+        # r_pr: the input piece once, then the new operator images; r_du likewise
+        for key, ports in (("V", sys.n_inputs), ("V_du", sys.n_outputs)):
+            if number == 0:
+                want.append(("factor", ports))
+            if added[key]:
+                want.append(("factor", pieces * added[key]))
+        assert sorted(calls) == sorted(want), number
+        previous = dims
+
+    ws = result.workspace
+    bases = [
+        basis.columns
+        for model in REDUCED_MODELS
+        if getattr(ws, model.field) is not None
+        for basis in (getattr(ws, model.field).V, getattr(ws, model.field).W)
+    ]
+    found = n_row_arrays(ws, sys.order, skip=[sys, sys.dual()])
+    assert found and all(any(array is basis for basis in bases) for array in found)

@@ -9,6 +9,8 @@ properties hold ``evaluate`` on a list of points to exactly what it gives
 one point at a time, whatever else the list holds.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,7 +18,8 @@ from hypothesis import strategies as st
 
 import romgrid as rg
 from romgrid.errors import SingularReducedSystemError
-from romgrid.estimators import _CHUNK, ESTIMATORS
+from romgrid import estimators
+from romgrid.estimators import ESTIMATORS, PRIMAL
 
 import oracles
 from conftest import complex_randn, dense_at, full_workspace, random_orthonormal
@@ -215,6 +218,13 @@ def test_tiny_pieces_with_huge_coefficients(rng, petrov):
             assert value == pytest.approx(norms[name], rel=1e-10), (kind, name)
 
 
+def passes_of(chunk, kind, ws):
+    """Patch ``evaluate``'s byte budget so that each pass on ``ws`` takes ``chunk`` samples."""
+    models = (PRIMAL,) + ESTIMATORS[rg.EstimatorKind.from_name(kind)].models
+    largest = max(getattr(ws, model.field).dim for model in models)
+    return mock.patch.object(estimators, "_CHUNK_BYTES", chunk * 16 * largest**2)
+
+
 def one_at_a_time(kind, ws, sys, points, seed):
     """``evaluate`` at each point on its own, None where it raises."""
     out = []
@@ -239,8 +249,13 @@ def assert_batch_independent(kind, ws, sys, points, seed, rng):
 
 
 @PROPERTY
-@given(case=cases, kind=st.sampled_from(KINDS), count=st.integers(1, 2 * _CHUNK + 3))
-def test_batch_evaluation_matches_one_point_at_a_time(case, kind, count):
+@given(
+    case=cases,
+    kind=st.sampled_from(KINDS),
+    chunk=st.integers(1, 16),
+    count=st.integers(1, 2 * 16 + 3),
+)
+def test_batch_evaluation_matches_one_point_at_a_time(case, kind, chunk, count):
     rng = np.random.default_rng(case["seed"])
     sys = affine_system(rng, case["n"], case["ports"], case["parametric"])
     bases = draw_bases(rng, case["n"], case["petrov"])
@@ -248,7 +263,8 @@ def test_batch_evaluation_matches_one_point_at_a_time(case, kind, count):
     points = [sample_point(rng, case["parametric"]) for _ in range(count)]
     for index in rng.choice(count, size=count // 8, replace=False):
         points[index] = dict(points[index], s=1.5e308j)
-    assert_batch_independent(kind, ws, sys, points, case["seed"] % 97, rng)
+    with passes_of(chunk, kind, ws):
+        assert_batch_independent(kind, ws, sys, points, case["seed"] % 97, rng)
 
 
 def resonant_system(n, ports, rng):
@@ -264,9 +280,10 @@ def resonant_system(n, ports, rng):
     seed=st.integers(0, 2**32 - 1),
     ports=st.integers(1, 3),
     kind=st.sampled_from(KINDS),
-    count=st.integers(1, 2 * _CHUNK + 3),
+    chunk=st.integers(1, 16),
+    count=st.integers(1, 2 * 16 + 3),
 )
-def test_singular_and_nonfinite_samples_are_none_in_place(seed, ports, kind, count):
+def test_singular_and_nonfinite_samples_are_none_in_place(seed, ports, kind, chunk, count):
     rng = np.random.default_rng(seed)
     n = 12
     sys = resonant_system(n, ports, rng)
@@ -285,5 +302,6 @@ def test_singular_and_nonfinite_samples_are_none_in_place(seed, ports, kind, cou
             if int(2 * points[index]["s"].real) not in resonant:
                 continue
         expected.add(int(index))
-    single = assert_batch_independent(kind, ws, sys, points, seed % 97, rng)
+    with passes_of(chunk, kind, ws):
+        single = assert_batch_independent(kind, ws, sys, points, seed % 97, rng)
     assert {i for i, breakdown in enumerate(single) if breakdown is None} == expected

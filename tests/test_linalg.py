@@ -173,6 +173,26 @@ def test_orthonormalize_scales_are_respected():
     assert np.isclose(np.linalg.norm(out[:, 0]), 1.0)
 
 
+def test_orthonormalize_append_sets_subnormal_entries_to_zero():
+    # a slowly decaying chain vector ends in subnormals, on which products run
+    # in slow microcode; they are zeroed before any arithmetic, which keeps
+    # the result bitwise that of the block without them
+    rng = np.random.default_rng(3)
+    n = 420
+    decay = np.exp(-np.arange(n) * 1.8)[:, None]  # below 2.2e-308 from row 394
+    block = complex_randn(rng, n, 2) * decay
+    tiny = np.finfo(np.float64).tiny
+    assert np.any((np.abs(block.real) < tiny) & (block.real != 0))
+    flushed = block.copy()
+    for part in (flushed.real, flushed.imag):
+        part[np.abs(part) < tiny] = 0.0
+    out = orthonormalize_append(None, block)
+    assert np.array_equal(out, orthonormalize_append(None, flushed))
+    assert out.shape == (n, 2) and gram_deviation(out) < 1e-13
+    parts = np.concatenate([out.real.ravel(), out.imag.ravel()])
+    assert not np.any((parts != 0) & (np.abs(parts) < tiny))
+
+
 def test_gram_deviation_detects_skew():
     rng = np.random.default_rng(1)
     q = random_orthonormal(rng, 15, 5)

@@ -9,7 +9,7 @@ from romgrid.errors import (
     SingularReducedSystemError,
 )
 from romgrid.linalg import gram_deviation
-from romgrid.projection import _check_commutation
+from romgrid.projection import ProjectionState, _check_commutation
 
 import oracles
 from conftest import (
@@ -79,12 +79,13 @@ def test_corrupted_reduced_term_fails_commutation_check(rng):
     # a reduced affine term that no longer matches its full-order term is
     # reported as a romgrid error, not a bare AssertionError
     sys = random_system(rng, 12)
-    rom = rg.reduce_system(sys, random_orthonormal(rng, 12, 3))
-    _check_commutation(sys, rom)
+    state = ProjectionState(sys)
+    rom = rg.reduce_system(sys, random_orthonormal(rng, 12, 3), state=state)
+    _check_commutation(state, rom)
     _, term = rom.system.Q.terms[0]
     term[0, 0] += 1e-3
     with pytest.raises(ProjectionMismatchError) as err:
-        _check_commutation(sys, rom)
+        _check_commutation(state, rom)
     assert isinstance(err.value, RomgridError)
     assert "commutation" in str(err.value)
 

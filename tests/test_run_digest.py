@@ -50,3 +50,24 @@ def test_scenario_values_are_reproducible_and_a_moved_point_is_flagged():
     assert found["points"] == [(2, "alpha")]
     assert found["structure"] == []
     assert 0.0 < found["max_estimate"] < 1.0
+
+
+def test_compare_exits_nonzero_when_structure_or_points_differ(tmp_path, capsys):
+    tool = _run_digest()
+    name = "rc_ladder:300 delta2 symmetric"
+    first = tool.values(name)
+    dumps = {"parent": first}
+    moved = dumps["moved_point"] = copy.deepcopy(first)
+    moved["iterations"][1]["points"]["alpha"] = moved["iterations"][0]["points"]["main"]
+    dumps["other_dim"] = dict(copy.deepcopy(first), rom_dim=first["rom_dim"] + 1)
+    # an estimate that moves, with the same points and structure, passes
+    nudged = dumps["nudged_estimate"] = copy.deepcopy(first)
+    nudged["iterations"][-1]["max_estimate"] *= 1.0 + 1e-9
+    paths = {}
+    for label, dump in dumps.items():
+        paths[label] = tmp_path / f"{label}.json"
+        paths[label].write_text(json.dumps({name: dump}))
+    expected = {"parent": 0, "nudged_estimate": 0, "moved_point": 1, "other_dim": 1}
+    for label, code in expected.items():
+        assert tool.main(["--compare", str(paths["parent"]), str(paths[label])]) == code, label
+        assert name in capsys.readouterr().out

@@ -26,7 +26,8 @@ convergence, stop reason, final basis dimensions), the (iteration, role)
 pairs whose points differ, the largest
 deviation of the estimates (per iteration and in validation) relative to
 the run's largest estimate, the same for the true errors, and the largest
-``gram_deviation``.
+``gram_deviation``. It exits with status 1 when any scenario's structure
+or points differ, so the comparison can gate a change.
 
 The set:
 
@@ -242,11 +243,14 @@ def compare(parent, change):
 
 
 def _print_comparison(parent_path, change_path):
+    """Print the comparison table; returns 1 when a structure or a point differs, else 0."""
     with open(parent_path) as handle:
         parent = json.load(handle)
     with open(change_path) as handle:
         change = json.load(handle)
+    differs = False
     for name, found in compare(parent, change).items():
+        differs = differs or bool(found["structure"] or found["points"])
         structure = "; ".join(found["structure"]) or "same"
         points = ", ".join(f"{role}@{iteration}" for iteration, role in found["points"]) or "same"
         print(
@@ -257,24 +261,26 @@ def _print_comparison(parent_path, change_path):
             f"true errors {found['validation_true_errors']:.2e}; "
             f"gram_deviation {found['gram_deviation']:.1e}"
         )
+    return 1 if differs else 0
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--values", action="store_true", help="print every scenario's values as JSON")
     mode.add_argument(
         "--compare", nargs=2, metavar=("PARENT", "CHANGE"), help="compare two --values dumps"
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     if args.compare:
-        _print_comparison(*args.compare)
-    elif args.values:
+        return _print_comparison(*args.compare)
+    if args.values:
         print(json.dumps({name: values(name) for name in SCENARIOS}, indent=1))
     else:
         for name in SCENARIOS:
             print(f"{digest(name)}  {name}", flush=True)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())
