@@ -61,6 +61,85 @@ def _sparse_piece(matrix, name):
     return matrix
 
 
+class _UnionPattern:
+    """The pieces of a sparse family on one canonical CSC pattern, the union of theirs.
+
+    Keeps, per piece, its stored values in CSC order (the piece's own array,
+    or a converted copy for a CSR piece such as the transposed views of a
+    dual family) and their positions in the pattern, or None when the piece
+    fills the whole pattern, as the pieces of a banded family usually do.
+    ``assemble`` forms the same entries as scipy's sparse add run over the
+    pieces in order, bit for bit: every
+    term adds ``c_j * values_j`` on its own positions and ``+0`` elsewhere,
+    and an entry that comes out exactly zero is reset to ``+0`` and, at the
+    end, eliminated, as scipy drops it after each add. Without terms the
+    base comes back with its explicit zeros, as ``astype`` keeps them.
+    """
+
+    def __init__(self, pieces, shape):
+        rows, cols = shape
+        pieces = [_summed(scipy.sparse.csc_array(piece)) for piece in pieces]
+        # column * rows + row of every stored entry, in CSC order
+        keys = [np.repeat(np.arange(cols) * rows, np.diff(p.indptr)) + p.indices for p in pieces]
+        merged = np.sort(np.concatenate(keys), kind="stable")
+        first = np.ones(merged.size, dtype=bool)
+        np.not_equal(merged[1:], merged[:-1], out=first[1:])
+        union = merged[first]
+        index_dtype = np.int32 if max(union.size, rows, cols) < 2**31 else np.int64
+        self.shape = shape
+        self.indices = (union % rows).astype(index_dtype)
+        self.indptr = _pointers(np.bincount(union // rows, minlength=cols), index_dtype)
+        for shared in (self.indices, self.indptr):
+            shared.flags.writeable = False
+        # (positions in the pattern, or None for all of them in order; values)
+        self.pieces = [
+            (None if np.array_equal(key, union) else np.searchsorted(union, key), piece.data)
+            for piece, key in zip(pieces, keys)
+        ]
+
+    def assemble(self, coefficients):
+        """The family at one point, given each term's coefficient, as a SparseOperator."""
+        (at, values), *terms = self.pieces
+        out = self._spread(at, values)
+        for (at, values), c in zip(terms, coefficients):
+            added = values * c
+            out += added if at is None else self._spread(at, added)
+            out[out == 0] = 0.0
+        if terms:
+            kept = out != 0
+            if not kept.all():
+                columns = np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
+                counts = np.bincount(columns[kept], minlength=self.shape[1])
+                return linalg.SparseOperator(
+                    (out[kept], self.indices[kept], _pointers(counts, self.indptr.dtype)),
+                    shape=self.shape,
+                )
+        return linalg.SparseOperator((out, self.indices, self.indptr), shape=self.shape)
+
+    def _spread(self, at, values):
+        """A new complex vector over the pattern: ``values`` at positions ``at``
+        (None: all, in order), zero elsewhere."""
+        out = np.zeros(self.indices.size, dtype=np.complex128)
+        out[slice(None) if at is None else at] = values
+        return out
+
+
+def _pointers(counts, dtype):
+    """CSC column pointers from the number of entries in each column."""
+    pointers = np.zeros(len(counts) + 1, dtype=dtype)
+    np.cumsum(counts, out=pointers[1:])
+    return pointers
+
+
+def _summed(piece):
+    """The piece without duplicate entries: itself when canonical, else a summed copy."""
+    if piece.has_canonical_format:
+        return piece
+    piece = piece.copy()
+    piece.sum_duplicates()
+    return piece
+
+
 class Monomial:
     """Scalar coefficient ``c * prod(p[name] ** exponent)``.
 
@@ -149,8 +228,15 @@ class AffineMatrix:
     (stored CSC or CSR, keeping a real dtype real; only the coefficients
     are complex). A family is sparse when every piece given is sparse, and
     then ``assemble`` returns a ``linalg.SparseOperator``; a family with any
-    dense piece stores every piece dense. The storage alone decides which
-    LU kernel factors an assembled operator.
+    dense piece stores every piece dense. The storage and the assembled
+    pattern alone decide which LU kernel factors an assembled operator.
+
+    A sparse family assembles on the union of its pieces' patterns, formed
+    as canonical CSC at the first ``assemble`` together with the position of
+    every piece's entries in it (``_UnionPattern``), so each later assembly
+    is a few vector operations over the stored entries; the result equals
+    scipy's sparse sums bit for bit. Families are not modified after construction,
+    so the pattern and the derivative families ``diff`` builds are kept.
 
     Parameters
     ----------
@@ -189,6 +275,8 @@ class AffineMatrix:
                 )
             checked.append((monomial, matrix))
         self.terms = tuple(checked)
+        self._pattern = None  # the sparse union pattern, at the first assemble
+        self._derivatives = {}  # parameter name -> derivative family
 
     @classmethod
     def constant(cls, matrix):
@@ -199,10 +287,10 @@ class AffineMatrix:
     def assemble(self, point):
         """Evaluate ``M(p)`` at a sample point (a SparseOperator for a sparse family)."""
         if self.is_sparse:
-            out = self.base.astype(np.complex128)
-            for monomial, matrix in self.terms:
-                out = out + monomial(point) * matrix
-            return linalg.SparseOperator(out)
+            if self._pattern is None:
+                pieces = [self.base] + [matrix for _, matrix in self.terms]
+                self._pattern = _UnionPattern(pieces, self.shape)
+            return self._pattern.assemble([monomial(point) for monomial, _ in self.terms])
         out = self.base.copy()
         for monomial, matrix in self.terms:
             out += monomial(point) * matrix
@@ -257,13 +345,15 @@ class AffineMatrix:
         return self.map_matrices(lambda m: m.T)
 
     def diff(self, name):
-        """Termwise partial derivative with respect to one parameter."""
-        terms = []
-        for monomial, matrix in self.terms:
-            d = monomial.diff(name)
-            if d is not None:
-                terms.append((d, matrix))
-        return AffineMatrix(self.shape, base=None, terms=terms)
+        """Termwise partial derivative with respect to one parameter, built once per name."""
+        if name not in self._derivatives:
+            terms = []
+            for monomial, matrix in self.terms:
+                d = monomial.diff(name)
+                if d is not None:
+                    terms.append((d, matrix))
+            self._derivatives[name] = AffineMatrix(self.shape, base=None, terms=terms)
+        return self._derivatives[name]
 
     def scaled_by(self, monomial):
         """Multiply the whole family by a monomial; base becomes a term."""

@@ -10,6 +10,7 @@ library's identities only hold in that convention.
 """
 
 import numpy as np
+import scipy.sparse
 
 # ---------------------------------------------------------------------------
 # dense projection and solves
@@ -47,6 +48,19 @@ def primal_residual(sys, point, lifted_state):
 def dual_residual(sys, point, lifted_dual):
     """Residual ``C(p)^T - Q(p)^T x_du_hat`` of a lifted approximate dual block."""
     return sys.C.assemble(point).T - sys.Q.assemble(point).T @ lifted_dual
+
+
+def sparse_assemble(family, point):
+    """A sparse family at one point by scipy's sparse sums, as a CSC array.
+
+    The term-by-term loop the library's union-pattern assembly replaced:
+    the base cast to complex, then each term added by scipy's sparse add,
+    which drops every entry that comes out exactly zero.
+    """
+    out = family.base.astype(np.complex128)
+    for monomial, matrix in family.terms:
+        out = out + monomial(point) * matrix
+    return scipy.sparse.csc_array(out)
 
 
 # ---------------------------------------------------------------------------

@@ -174,3 +174,26 @@ def test_expansion_block_dispatch(rng):
         rg.expansion_block(freq, pt, 0)
     with pytest.raises(ValueError):
         rg.expansion_block(par, ppt, -1)
+
+
+def test_a_ladder_run_builds_one_derivative_family_per_side(monkeypatch):
+    # every Krylov block reads Q's s-derivative; the family (and the sparse
+    # pattern it assembles on) is built once per side, not once per block
+    returned = []
+    original = rg.AffineMatrix.diff
+
+    def spy(self, name):
+        family = original(self, name)
+        returned.append(family)
+        return family
+
+    monkeypatch.setattr(rg.AffineMatrix, "diff", spy)
+    sys = rg.rc_ladder(300)
+    cfg = rg.GreedyConfig(
+        kind="delta2", training_set=rg.parse_grid("f:1e-3:1e1:40:log"), tolerance=1e-8
+    )
+    rg.run_greedy(sys, cfg)
+    assert len(returned) > 2
+    built = {id(family): family for family in returned}
+    assert len(built) == 2
+    assert set(built) == {id(sys.Q.diff("s")), id(sys.dual().Q.diff("s"))}

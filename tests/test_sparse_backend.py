@@ -16,6 +16,7 @@ import romgrid as rg
 from romgrid.errors import SingularMatrixError
 from romgrid.linalg import SparseOperator, lu_factor
 
+import oracles
 from conftest import complex_randn, full_workspace, random_orthonormal
 
 KINDS = ["delta_r", "delta1", "delta1pr", "delta2", "delta2pr", "delta3", "delta3pr"]
@@ -194,6 +195,82 @@ def test_sparse_lu_rejects_zero_and_nonfinite_operators():
         lu_factor(a)
     with pytest.raises(SingularMatrixError, match="non-finite"):
         lu_factor(a.toarray())
+
+
+def _bits(array):
+    """The bytes of an array, so that signed zeros and NaN payloads compare too."""
+    return np.ascontiguousarray(array).view(np.uint8)
+
+
+assembly_cases = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "rows": st.integers(1, 12),
+    "cols": st.integers(1, 12),
+    "terms": st.integers(0, 3),
+    "density": st.sampled_from([0.0, 0.2, 0.6, 1.0]),
+    "complex_pieces": st.booleans(),
+    "explicit_zeros": st.booleans(),
+    "cancelling_pair": st.booleans(),
+    "infinite_coefficient": st.booleans(),
+})
+
+
+@PROPERTY
+@given(case=assembly_cases)
+def test_union_pattern_assembly_is_the_sparse_add_loop_bitwise(case):
+    # the union-pattern assembly against scipy's term-by-term sparse sums:
+    # same pattern, same entries to the bit, on the family and on its dual
+    # (the CSR views of transposed()), through explicit zeros stored in the
+    # pieces, terms cancelling to exact zeros and a non-finite coefficient
+    rng = np.random.default_rng(case["seed"])
+    shape = (case["rows"], case["cols"])
+
+    def piece():
+        values = complex_randn(rng, *shape) if case["complex_pieces"] else rng.standard_normal(shape)
+        matrix = scipy.sparse.csc_array(np.where(rng.random(shape) < case["density"], values, 0))
+        if case["explicit_zeros"]:
+            rows, cols = rng.integers(shape[0], size=3), rng.integers(shape[1], size=3)
+            matrix = matrix + scipy.sparse.csc_array(  # stored zeros, of either sign
+                (np.array([0.0, -0.0, 0.0]) * matrix.dtype.type(1), (rows, cols)), shape=shape
+            )
+            matrix.sum_duplicates()
+            matrix.data[rng.random(matrix.nnz) < 0.3] = -0.0
+        return matrix
+
+    monomial = lambda k: rg.Monomial(complex(*rng.standard_normal(2)), {"s": k})  # noqa: E731
+    terms = [(monomial(k + 1), piece()) for k in range(case["terms"])]
+    if case["cancelling_pair"]:
+        shared, m = piece(), monomial(2)
+        terms += [(m, shared), (m.scaled(-1.0), shared)]
+    if case["infinite_coefficient"]:
+        terms.append((rg.Monomial(np.inf, {"s": 1}), piece()))
+    family = rg.AffineMatrix(shape, base=piece(), terms=terms)
+    point = {"s": complex(*rng.standard_normal(2))}
+    for side in (family, family.transposed()):
+        for _ in range(2):  # the first call builds the pattern, the second reuses it
+            got = side.assemble(point)
+            want = oracles.sparse_assemble(side, point)
+            assert isinstance(got, SparseOperator) and got.shape == want.shape
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(_bits(got.data), _bits(want.data))
+
+
+def test_union_pattern_assembly_adds_to_a_dropped_entry_as_to_an_absent_one():
+    # base (-0-0j) plus (1+1j) * (-0-0j) is (+0-0j): scipy drops that entry, and
+    # the next term's (-1) * (-2.0) = (2-0j) lands on an absent entry, giving
+    # 0 + (2-0j) = (2+0j); added onto the kept (+0-0j) it would give (2-0j)
+    zero = complex(-0.0, -0.0)
+    at = ([0], [0])
+    base = scipy.sparse.csc_array((np.array([zero]), at), shape=(1, 1))
+    terms = [
+        (rg.Monomial(1 + 1j), scipy.sparse.csc_array((np.array([zero]), at), shape=(1, 1))),
+        (rg.Monomial(-1.0), scipy.sparse.csc_array((np.array([-2.0]), at), shape=(1, 1))),
+    ]
+    got = rg.AffineMatrix((1, 1), base=base, terms=terms).assemble({})
+    want = oracles.sparse_assemble(rg.AffineMatrix((1, 1), base=base, terms=terms), {})
+    assert np.array_equal(_bits(got.data), _bits(want.data))
+    assert got.data[0] == 2.0 and not np.signbit(got.data[0].imag)
 
 
 def test_family_storage_follows_its_pieces():
