@@ -39,6 +39,8 @@ def _component_values(spec):
         )
     name = fields[0].strip()
     start, stop = float(fields[1]), float(fields[2])
+    if not np.isfinite([start, stop]).all():
+        raise ValueError(f"grid component {spec!r} has an endpoint that is not finite")
     count = int(fields[3])
     spacing = fields[4].strip() if len(fields) == 5 else "log"
     if count < 1:
@@ -55,7 +57,12 @@ def _component_values(spec):
 
 
 def parse_grid(specs):
-    """Cross product of component specs -> list of sample-point dicts."""
+    """Cross product of component specs -> list of sample-point dicts.
+
+    Raises ValueError, naming the component, for a malformed component or a
+    value that is not finite (an endpoint or listed value of nan or inf, or
+    a frequency whose Laplace value overflows).
+    """
     if isinstance(specs, str):
         specs = [specs]
     names = []
@@ -65,6 +72,8 @@ def parse_grid(specs):
         if name == "f":
             name = LAPLACE
             values = [2j * np.pi * v for v in values]
+        if not np.isfinite(values).all():
+            raise ValueError(f"grid component {spec!r} has values that are not finite")
         if name in names:
             raise ValueError(f"parameter {name!r} appears in more than one grid component")
         names.append(name)

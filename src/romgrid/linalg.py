@@ -6,14 +6,18 @@ this module: LU with an explicit singularity threshold, block solves whose
 append-only orthonormalization, deflating at ``DEFLATION_TOL``, by block
 classical Gram-Schmidt run twice, so basis growth runs in matrix products.
 
-The storage type of the operator picks the LU: a 2-d ndarray is factored
-by LAPACK ``getrf``, a ``scipy.sparse`` matrix by SuperLU (``splu``, sparse
-LU with partial pivoting). Both return the same ``LUFactorization`` and
-obey the same singularity rule, so callers never branch on the storage.
-Sparse operators stay sparse: ``SparseOperator`` is the CSC type assembled
-full-order operators come in. ``ShiftedSchur`` serves many shifts of one
-dense matrix from a single Schur form, and ``lu_solve_stack`` a stack of
-small systems, one per sample point, both under the same singularity rule.
+The operator's structure picks the LU, with no setting: a 2-d ndarray is
+factored by LAPACK ``getrf``; a ``scipy.sparse`` matrix whose band holds at
+least half nonzeros (``nnz >= (kl + ku + 1) * n / 2``, read from its
+pattern) by LAPACK's band LU ``gbtrf``, the rule MATLAB's sparse backslash
+applies (Davis, "Direct Methods for Sparse Linear Systems", 2006); any other
+sparse matrix by SuperLU (``splu``, sparse LU with partial pivoting). All
+three return the same ``LUFactorization`` and obey the same singularity
+rule, so callers never branch on the storage. Sparse operators stay sparse:
+``SparseOperator`` is the CSC type assembled full-order operators come in.
+``ShiftedSchur`` serves many shifts of one dense matrix from a single Schur
+form, and ``lu_solve_stack`` a stack of small systems, one per sample point,
+both under the same singularity rule.
 """
 
 import threading
@@ -42,8 +46,8 @@ DEFLATION_TOL = 1e-10
 # The LAPACK routines behind scipy.linalg.lu_factor/lu_solve, called directly:
 # the same arithmetic without the per-call wrapper cost, which dominates the
 # small reduced systems solved at every estimator sample.
-_GETRF, _GETRS, _TRTRS = scipy.linalg.get_lapack_funcs(
-    ("getrf", "getrs", "trtrs"), dtype=np.complex128
+_GETRF, _GETRS, _TRTRS, _GBTRF, _GBTRS = scipy.linalg.get_lapack_funcs(
+    ("getrf", "getrs", "trtrs", "gbtrf", "gbtrs"), dtype=np.complex128
 )
 
 
@@ -74,22 +78,23 @@ class SparseOperator(scipy.sparse.csc_array):
 class LUFactorization:
     """LU factorization with partial pivoting of a square complex matrix.
 
-    Holds the factors, either packed LAPACK factors ``(lu, piv)`` or a
-    SuperLU object, and exposes block solves for ``A X = B``.
+    Holds the solve of one kernel's factors, packed LAPACK factors (general
+    or band) or a SuperLU object, and exposes block solves for ``A X = B``.
     ``transposed()`` is the factorization of ``A^T`` (plain transpose, no
     conjugation) on the same factors, so one factorization serves both a
     system and its dual.
     """
 
-    def __init__(self, factors, dim, max_abs, transposed=False):
-        self._factors = factors
+    def __init__(self, kernel_solve, dim, max_abs, transposed=False):
+        # kernel_solve(b, trans) solves with A (trans 0) or A^T (trans 1)
+        self._kernel_solve = kernel_solve
         self.dim = dim
         self.max_abs = max_abs
         self._transposed = transposed
 
     def transposed(self):
         """The factorization of ``A^T``: the same factors, solved the other way round."""
-        return LUFactorization(self._factors, self.dim, self.max_abs, not self._transposed)
+        return LUFactorization(self._kernel_solve, self.dim, self.max_abs, not self._transposed)
 
     def solve(self, rhs):
         """Solve ``A X = rhs`` for a vector or block."""
@@ -100,26 +105,25 @@ class LUFactorization:
             raise DimensionMismatchError(
                 f"right-hand side has {b.shape[0]} rows, factorization has dimension {self.dim}"
             )
-        if self.dim == 0:
-            x = b
-        elif isinstance(self._factors, tuple):
-            lu, piv = self._factors
-            x, _ = _GETRS(lu, piv, b, trans=1 if self._transposed else 0)
-        else:
-            x = self._factors.solve(b, trans="T" if self._transposed else "N")
+        x = self._kernel_solve(b, int(self._transposed)) if self.dim else b
         return x[:, 0] if squeeze else x
 
 
 def lu_factor(a):
     """Factor a square dense or sparse matrix, raising SingularMatrixError on rank loss.
 
-    The factorization is rejected by the rule of ``_nonsingular``: when an
-    entry is not finite, or the smallest pivot magnitude falls below
-    ``dim * eps * max|A|``.
+    A dense matrix goes to ``getrf``. A sparse one goes to the band LU
+    ``gbtrf`` when its lower and upper bandwidths ``kl``, ``ku`` (read from
+    the pattern in O(nnz)) leave its band at least half full, ``nnz >= (kl +
+    ku + 1) * n / 2``, and to SuperLU otherwise. Every kernel's factorization
+    is rejected by the rule of ``_nonsingular``: when an entry is not finite,
+    or the smallest pivot magnitude (the diagonal of ``U``) falls below ``dim
+    * eps * max|A|``.
     """
     sparse = scipy.sparse.issparse(a)
     if sparse:
-        a = scipy.sparse.csc_array(a).astype(np.complex128, copy=False)
+        if a.format != "csc" or a.dtype != np.complex128:
+            a = scipy.sparse.csc_array(a).astype(np.complex128, copy=False)
         entries = a.data
     else:
         a = entries = _as_complex_matrix(a, finite=False)
@@ -132,20 +136,59 @@ def lu_factor(a):
         return LUFactorization(None, 0, 0.0)
     _check_nonsingular(n, max_abs)
     if sparse:
-        # imported here, so dense-only runs never load scipy.sparse.linalg
-        from scipy.sparse.linalg import splu
-
-        try:
-            factors = splu(a)
-        except RuntimeError as exc:  # SuperLU stops at an exact zero pivot
-            raise SingularMatrixError(f"matrix of dimension {n} is singular ({exc})") from exc
-        pivots = factors.U.diagonal()
+        a.sum_duplicates()  # in place, as splu does; a no-op on canonical CSC
+        cols = np.repeat(np.arange(n), np.diff(a.indptr))
+        offsets = a.indices - cols  # row minus column of every stored entry
+        kl, ku = max(int(offsets.max()), 0), max(-int(offsets.min()), 0)
+        if 2 * a.nnz >= (kl + ku + 1) * n:
+            kernel_solve, pivots = _band_lu(a.data, offsets, cols, n, kl, ku)
+        else:
+            kernel_solve, pivots = _superlu(a, n)
     else:
         # exact zero pivots (LAPACK info > 0) are reported through the rule below
         lu, piv, _ = _GETRF(a)
-        factors, pivots = (lu, piv), np.diag(lu)
+        pivots = np.diag(lu)
+
+        def kernel_solve(b, trans):
+            return _GETRS(lu, piv, b, trans=trans)[0]
+
     _check_nonsingular(n, max_abs, pivots)
-    return LUFactorization(factors, n, max_abs)
+    return LUFactorization(kernel_solve, n, max_abs)
+
+
+def _band_lu(data, offsets, cols, n, kl, ku):
+    """``gbtrf`` of the CSC entries ``data`` at (``cols + offsets``, ``cols``).
+
+    The matrix goes into LAPACK's band storage, row ``kl + ku + i - j`` of
+    column ``j``, under ``kl`` rows left for the fill of row pivoting; after
+    the factorization the diagonal of ``U`` sits in row ``kl + ku``. Returns
+    the solve and those pivots; exact zero pivots (``info > 0``) are
+    reported through the singularity rule.
+    """
+    ab = np.zeros((2 * kl + ku + 1, n), dtype=np.complex128, order="F")
+    ab[kl + ku + offsets, cols] = data
+    lu, piv, _ = _GBTRF(ab, kl, ku, overwrite_ab=True)
+
+    def kernel_solve(b, trans):
+        return _GBTRS(lu, kl, ku, b, piv, trans=trans)[0]
+
+    return kernel_solve, lu[kl + ku]
+
+
+def _superlu(a, n):
+    """SuperLU factors of a CSC matrix: the solve and the diagonal of ``U``."""
+    # imported here, so runs without a SuperLU operator never load scipy.sparse.linalg
+    from scipy.sparse.linalg import splu
+
+    try:
+        factors = splu(a)
+    except RuntimeError as exc:  # SuperLU stops at an exact zero pivot
+        raise SingularMatrixError(f"matrix of dimension {n} is singular ({exc})") from exc
+
+    def kernel_solve(b, trans):
+        return factors.solve(b, trans="T" if trans else "N")
+
+    return kernel_solve, factors.U.diagonal()
 
 
 def _nonsingular(n, max_abs, min_pivot=None):

@@ -92,6 +92,16 @@ def test_reduce_missing_training_parameter(capsys):
     assert "parameter" in err.lower()
 
 
+@pytest.mark.parametrize("spec", ["f:nan:1:3:lin", "f:1:inf:3:log", "s=nan"])
+def test_grids_with_values_that_are_not_finite_fail_cleanly(spec, finished_run, capsys):
+    assert main(["reduce", "--synthetic", "rc_ladder:20", "--train", spec]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and spec in err
+    assert main(["validate", str(finished_run), "--grid", spec]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and spec in err
+
+
 def test_validate_reads_run_back(tmp_path, capsys):
     out = tmp_path / "run"
     assert main([

@@ -210,6 +210,17 @@ def test_grid_rejects_duplicates_and_garbage():
         rg.parse_grid(["s=,"])
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["f:nan:1:3:lin", "f:1:inf:3:log", "w:-inf:1:3:lin", "s=nan", "d=1,inf", "f:1:1e308:2:lin"],
+)
+def test_grid_rejects_values_that_are_not_finite(spec):
+    # the last one overflows only when f is mapped to s = 2*pi*f*1j
+    with pytest.raises(ValueError, match="not finite") as raised:
+        rg.parse_grid(["d=1", spec])
+    assert repr(spec) in str(raised.value)
+
+
 def test_default_spec_parses_to_sixty_points():
     grid = rg.parse_grid([rg.DEFAULT_FREQUENCY_SPEC])
     assert len(grid) == 60

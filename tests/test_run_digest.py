@@ -11,6 +11,11 @@ import importlib.util
 import json
 import pathlib
 
+import numpy as np
+
+import romgrid as rg
+from romgrid import linalg
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -23,7 +28,7 @@ def _run_digest():
 
 def test_scenario_rerun_has_the_same_digest():
     tool = _run_digest()
-    assert len(tool.SCENARIOS) == 25
+    assert len(tool.SCENARIOS) == 26
     name = "rc_ladder:300 delta2 symmetric"
     first = tool.digest(name)
     assert len(first) == 64
@@ -71,3 +76,20 @@ def test_compare_exits_nonzero_when_structure_or_points_differ(tmp_path, capsys)
     for label, code in expected.items():
         assert tool.main(["--compare", str(paths["parent"]), str(paths[label])]) == code, label
         assert name in capsys.readouterr().out
+
+
+def test_permuted_ladder_is_the_ladder_factored_by_superlu(monkeypatch):
+    # the one scenario whose sparse operator is not banded keeps SuperLU
+    # covered; it is the same system, so its run matches the ladder's
+    permuted = _run_digest().permuted_ladder()
+    kernels = []
+    for name in ("_band_lu", "_superlu"):
+        original = getattr(linalg, name)
+        monkeypatch.setattr(
+            linalg, name, lambda *args, f=original, name=name: kernels.append(name) or f(*args)
+        )
+    point = rg.frequency_point(0.37)
+    got = permuted.transfer_function(point)
+    assert kernels == ["_superlu"]
+    want = rg.rc_ladder(300).transfer_function(point)
+    assert np.allclose(got, want, rtol=1e-12, atol=0)

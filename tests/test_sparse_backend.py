@@ -6,13 +6,22 @@ the LU kernel (SuperLU or LAPACK), so the two twins run every full-order
 step on different code, and every result must agree to roundoff.
 """
 
+import contextlib
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import romgrid as rg
+from romgrid import linalg
 from romgrid.errors import SingularMatrixError
 from romgrid.linalg import SparseOperator, lu_factor
 
@@ -21,6 +30,8 @@ from conftest import complex_randn, full_workspace, random_orthonormal
 
 KINDS = ["delta_r", "delta1", "delta1pr", "delta2", "delta2pr", "delta3", "delta3pr"]
 BASIS_KEYS = ("V", "V_du", "V_rdu", "V_rpr", "V_rrpr")
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 PROPERTY = settings(
     max_examples=30,
@@ -313,3 +324,134 @@ def test_large_sparse_ladder_reduces_with_sparse_full_order_work(monkeypatch):
     assert res.converged
     assert res.trace[-1].max_estimate <= 1e-8
     assert kinds and all(kind is SparseOperator for kind in kinds)
+
+
+# ---------------------------------------------------------------------------
+# the band kernel
+
+
+def _band_matrix(rng, n, kl, ku, dominance=1.0):
+    """A complex matrix whose every entry inside bandwidths ``kl``, ``ku`` is stored."""
+    offsets = np.subtract.outer(np.arange(n), np.arange(n))  # row minus column
+    inside = (offsets <= kl) & (-offsets <= ku)
+    dense = np.where(inside, complex_randn(rng, n, n), 0.0) + dominance * np.eye(n)
+    return scipy.sparse.csc_array(dense), dense
+
+
+@contextlib.contextmanager
+def kernels_called():
+    """Yields the list of sparse kernels ``lu_factor`` calls meanwhile, with their bandwidths."""
+    called = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_band_lu", "_superlu"):
+            original = getattr(linalg, name)
+
+            def spy(*args, original=original, name=name):
+                called.append(("band", *args[4:]) if name == "_band_lu" else ("superlu",))
+                return original(*args)
+
+            patch.setattr(linalg, name, spy)
+        yield called
+
+
+band_cases = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "n": st.integers(1, 60),
+    "kl": st.integers(0, 4),
+    "ku": st.integers(0, 4),
+})
+
+
+@PROPERTY
+@given(case=band_cases)
+def test_band_lu_matches_dense_getrf_and_transpose_is_plain(case):
+    rng = np.random.default_rng(case["seed"])
+    n = case["n"]
+    a, dense = _band_matrix(rng, n, case["kl"], case["ku"])
+    rhs = complex_randn(rng, n, 2)
+    with kernels_called() as called:
+        lu = lu_factor(a)
+    # the kernel reads the pattern's own bandwidths, at most the ones drawn
+    assert called == [("band", min(case["kl"], n - 1), min(case["ku"], n - 1))]
+    factors = scipy.linalg.lu_factor(dense)
+    tol = 1e-13 * np.linalg.cond(dense)
+    for view, trans in ((lu, 0), (lu.transposed(), 1)):
+        want = scipy.linalg.lu_solve(factors, rhs, trans=trans)
+        got = view.solve(rhs)
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+    xt = lu.transposed().solve(rhs)
+    assert np.max(np.abs(dense.T @ xt - rhs)) <= tol * np.max(np.abs(rhs))
+    if n > 1 and case["kl"] + case["ku"] > 0:  # not the conjugate transpose
+        assert np.max(np.abs(dense.conj().T @ xt - rhs)) > 1e-6
+
+
+@PROPERTY
+@given(case=band_cases, defect=st.sampled_from(["zero_column", "dependent_row", "non_finite"]))
+def test_band_lu_rejects_singular_operators_by_the_dense_rule(case, defect):
+    rng = np.random.default_rng(case["seed"])
+    n = max(case["n"], 3)
+    _, dense = _band_matrix(rng, n, case["kl"], case["ku"], dominance=2.0)
+    j = int(rng.integers(n - 1))
+    if defect == "zero_column":
+        dense[:, j] = 0.0
+    elif defect == "dependent_row":
+        # scaling by a power of two is exact, so elimination keeps row j
+        # exactly half of row j + 1 and ends at an exact zero pivot in
+        # either kernel (a roundoff-level pivot is not reproducible across
+        # kernels, whose operations come in different orders)
+        dense[j] = 0.5 * dense[j + 1]
+    else:
+        dense[j, j] = complex(np.inf, 0.0)
+    message = "non-finite" if defect == "non_finite" else "singular"
+    with kernels_called() as called, pytest.raises(SingularMatrixError, match=message):
+        lu_factor(scipy.sparse.csc_array(dense))
+    # a non-finite operator is rejected before any kernel runs
+    assert [kernel for kernel, *_ in called] == ([] if defect == "non_finite" else ["band"])
+    with pytest.raises(SingularMatrixError, match=message):
+        lu_factor(dense)
+
+
+def test_sparse_kernel_follows_the_band_density():
+    # tridiagonal: 3n - 2 entries in a band of 3n, the band kernel; the 2-d
+    # five-point Laplacian on an 8 x 8 grid: 288 entries in a band of 17 * 64
+    # (bandwidths 8), SuperLU
+    chain = scipy.sparse.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(8, 8))
+    grid = scipy.sparse.kronsum(chain, chain, format="csc")
+    tridiagonal = scipy.sparse.diags_array(
+        [-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(64, 64), format="csc"
+    )
+    rhs = complex_randn(np.random.default_rng(0), 64, 2)
+    for matrix, kernel in ((tridiagonal, ("band", 1, 1)), (grid, ("superlu",))):
+        with kernels_called() as called:
+            lu = lu_factor(matrix)
+        assert called == [kernel]
+        want = np.linalg.solve(matrix.toarray(), rhs)
+        assert np.allclose(lu.solve(rhs), want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
+def test_a_ladder_reduce_and_validate_never_load_superlu():
+    # every ladder operator is tridiagonal, so the band kernel factors all of
+    # them and scipy.sparse.linalg, where SuperLU lives, is never imported;
+    # the last factorization, of a non-banded operator, does import it
+    script = textwrap.dedent(
+        """
+        import contextlib, io, sys, tempfile
+        import scipy.sparse
+        from romgrid import lu_factor
+        from romgrid.cli import main
+
+        with tempfile.TemporaryDirectory() as run, contextlib.redirect_stdout(io.StringIO()):
+            assert main(["reduce", "--synthetic", "rc_ladder:200", "--estimator", "delta2",
+                         "--tol", "1e-8", "--true-errors", "on", "--out", run]) == 0
+            assert main(["validate", run, "--grid", "f:2e-3:8e0:9:log"]) == 0
+        print("scipy.sparse.linalg" in sys.modules)
+        lu_factor(scipy.sparse.random_array((30, 30), density=0.5, rng=0) + scipy.sparse.eye_array(30))
+        print("scipy.sparse.linalg" in sys.modules)
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]

@@ -37,7 +37,14 @@ The set:
 - all seven estimators on ``symmetric_second_order:40`` over a grid of
   frequencies times damping values ``d``;
 - ``delta3pr`` on ``mimo_block:300,4`` with true errors on, validated on
-  150 samples (the ``mimo_validate`` benchmark workload).
+  150 samples (the ``mimo_validate`` benchmark workload);
+- ``delta2`` on ``rc_ladder:300`` with its nodes in a fixed permuted order,
+  read from a manifest written into the run's temporary directory. Every
+  other sparse operator in the set is tridiagonal and factored by the band
+  LU; this one is not banded, so SuperLU factors it. Its values match the
+  unpermuted ``rc_ladder:300 delta2`` run's to roundoff.
+
+26 scenarios in all.
 
 Byte identity is the bar for a change that keeps the order of every
 floating-point operation. A change that reorders arithmetic cannot meet
@@ -78,8 +85,11 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from romgrid import cli  # noqa: E402
+from romgrid.generators import rc_ladder  # noqa: E402
 from romgrid.linalg import gram_deviation  # noqa: E402
+from romgrid.manifest import save_system  # noqa: E402
 from romgrid.reports import ROLES  # noqa: E402
+from romgrid.system import ParametricSystem  # noqa: E402
 
 KINDS = ("delta_r", "delta1", "delta1pr", "delta2", "delta2pr", "delta3", "delta3pr")
 _LADDER = (["--train", "f:1e-3:1e1:40:log", "--tol", "1e-8"], ["--grid", "f:1.3e-3:8e0:25:log"])
@@ -110,10 +120,32 @@ def _scenarios():
     for system, kind, (train, grid), extra in runs:
         name = " ".join([system, kind] + (["symmetric"] if extra else []))
         scenarios[name] = (["--synthetic", system, "--estimator", kind, *extra, *train], grid)
+    scenarios["rc_ladder:300 permuted delta2"] = (
+        ["--manifest", _PERMUTED_LADDER, "--estimator", "delta2", *_LADDER[0]], _LADDER[1]
+    )
     return scenarios
 
 
+#: Stands for the manifest of ``permuted_ladder()``, written when a scenario runs.
+_PERMUTED_LADDER = "<permuted rc_ladder:300 manifest>"
 SCENARIOS = _scenarios()
+
+
+def permuted_ladder(n=300):
+    """``rc_ladder(n)`` with its nodes renumbered by a fixed permutation.
+
+    The system ``P Q P^T x = P B``, ``y = C P^T x``: the same transfer
+    function, on an operator whose bandwidths are close to ``n``.
+    """
+    ladder = rc_ladder(n)
+    order = np.random.default_rng(0).permutation(n)
+    return ParametricSystem(
+        ladder.Q.map_matrices(lambda m: m[order][:, order]),
+        ladder.B.map_matrices(lambda m: m[order]),
+        ladder.C.map_matrices(lambda m: m[:, order]),
+        parameter_names=ladder.parameter_names,
+        name=f"rc_ladder_{n}_permuted",
+    )
 
 
 @contextlib.contextmanager
@@ -121,6 +153,9 @@ def _run(name):
     """Reduce and validate one scenario into a temporary run directory; yields its path."""
     reduce_args, validate_args = SCENARIOS[name]
     with tempfile.TemporaryDirectory(prefix="run-digest-") as run_dir:
+        if _PERMUTED_LADDER in reduce_args:
+            manifest = str(save_system(permuted_ladder(), pathlib.Path(run_dir) / "system"))
+            reduce_args = [manifest if a == _PERMUTED_LADDER else a for a in reduce_args]
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["reduce", *reduce_args, "--out", run_dir])
             if code not in (0, 3):  # 3: stopped by the iteration cap, still a result
