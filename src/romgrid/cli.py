@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import RomgridError
-from .estimators import ESTIMATORS, PRIMAL, REDUCED_MODELS, EstimatorKind, EstimatorWorkspace
+from .estimators import REDUCED_MODELS, EstimatorKind, EstimatorWorkspace, models_of
 from .generators import generate_synthetic
 from .greedy import GreedyConfig, run_greedy, validate as validate_workspace
 from .grids import DEFAULT_FREQUENCY_SPEC, parse_grid
@@ -134,12 +134,7 @@ def _save_run(out_dir, system, source, args, specs, result):
         },
     )
     ws = result.workspace
-    arrays = {
-        model.key: getattr(ws, model.field).V.columns
-        for model in REDUCED_MODELS
-        if getattr(ws, model.field) is not None
-    }
-    np.savez(out / "bases.npz", **arrays)
+    np.savez(out / "bases.npz", **{key: basis.columns for key, basis in ws.bases.items()})
     save_system(ws.rom_primal.system, out / "rom", name=f"{system.name}_reduced")
     run_meta = {
         "version": __version__,
@@ -197,7 +192,7 @@ def _rebuild_workspace(run_dir):
     else:
         raise RomgridError(f"run directory {run_dir}: run.json field 'system' names no source")
     kind = EstimatorKind.from_name(meta["estimator"])
-    needed = [model.key for model in (PRIMAL,) + ESTIMATORS[kind].models]
+    needed = [model.key for model in models_of(kind)]
     try:
         with np.load(run_dir / "bases.npz") as stored:
             missing = [key for key in needed if key not in stored.files]

@@ -24,8 +24,9 @@ orthonormal, one append-only basis per side; a piece is dropped from ``U``
 only where it depends on the others to roundoff of its own norm, so a tiny
 piece with a huge coefficient keeps its term), and the workspace keeps only
 small arrays: ``R`` and the projections ``X^T U`` onto the bases that read
-the residuals. The offline step grows with the bases: ``GrowingWorkspace``
-keeps the n-row products and ``U`` while the greedy loop runs, and each
+the residuals. The offline step grows with the bases, and one object owns
+every n-row array of a run: ``GrowingWorkspace`` holds the bases, grows them
+by ``append`` and keeps the n-row products and ``U``, and each greedy
 iteration projects and factors only the columns it adds (the standard
 incremental reduced-basis offline step, as in Haasdonk's 2017 tutorial).
 ``EstimatorWorkspace.from_bases`` is the same step on all the columns at
@@ -74,7 +75,7 @@ import scipy.linalg
 
 from .errors import MissingWorkspaceRomError, SingularReducedSystemError
 from .linalg import lu_solve_stack, scaled_stack
-from .projection import ProjectionState, reduce_system
+from .projection import ProjectionState, bordered, reduce_system
 
 __all__ = [
     "EstimatorKind",
@@ -245,52 +246,60 @@ class _OfflineTerms:
 
 
 class GrowingWorkspace:
-    """The n-row state of a workspace whose bases only grow, for one kind and system.
+    """The one owner of a run's n-row state, for one kind and system.
 
-    The residual of model M is ``r = [h | Q_1 V_M | ... | Q_J V_M] F`` with
-    ``h`` the side's input pieces ``B_k`` or, for a residual model, the
-    residual M is solved against. Each side (primal, dual) keeps one
-    append-only orthonormal residual basis ``U``, and every residual of the
-    side has its coordinates in it, ``r = U y``. ``extend`` takes bases that
-    grew by appending (``Basis.appended`` keeps the leading columns) and
-    works on the columns they gained only:
+    ``bases`` maps each model's key to its trial basis and ``test`` to its
+    test basis (None or absent: Galerkin), each a ``Basis`` or an array as
+    ``reduce_system`` takes it. They are the bases the owner is built from:
+    empty ones in the greedy loop, the supplied ones in ``from_bases`` and
+    in the offline step for another kind or system. A trial basis grows only
+    through ``append``, by ``Basis.appended``, which keeps its leading
+    columns; nothing else hands a basis in, so no one checks that a basis
+    extends an earlier one. Growth is Galerkin-only, since no caller grows a
+    test basis: a model with one is built once. ``extend`` builds the
+    workspace on the current bases and works on the columns gained since its
+    last call only:
 
     * each model is extended by ``reduce_system`` through its
       ``ProjectionState``, which forms the new products ``M_j V_new``;
     * the new stack columns of each residual (the input pieces once, then
-      ``M_j V_new``) are reorthogonalized twice against the side's ``U``
-      (coefficients ``S``), the remainder is factored by
+      ``M_j V_new``) are reorthogonalized twice against the side's residual
+      basis ``U`` (coefficients ``S``), the remainder is factored by
       ``_orthonormal_factor`` (``U_new T``), ``U_new`` gets one more pass
       against ``U`` and is appended to it, and the residual's factor grows
       by the block column ``[S; T]``;
     * each projection ``X^T U`` onto a basis that reads the residuals grows
       by its new rows and columns.
 
-    A residual model's residual starts from the coordinates of the residual
-    it is solved against, in the same basis, so ``r_rpr``'s coordinates
-    extend those of ``r_pr``: like the full-order chain ``r_rpr = r_pr - Q
+    The residual of model M is ``r = [h | Q_1 V_M | ... | Q_J V_M] F`` with
+    ``h`` the side's input pieces ``B_k`` or, for a residual model, the
+    residual M is solved against. Each side (primal, dual) keeps one
+    append-only orthonormal residual basis in ``residual_bases``, and every
+    residual of the side has its coordinates in it, ``r = U y``. A residual
+    model's residual starts from the coordinates of the residual it is
+    solved against, in the same basis, so ``r_rpr``'s coordinates extend
+    those of ``r_pr``: like the full-order chain ``r_rpr = r_pr - Q
     x_rpr_hat`` it stays accurate relative to ``r_pr``, not to the pieces.
     One basis per side keeps that true while ``r_pr`` grows under an
     existing ``r_rpr``: new ``r_pr`` columns are orthogonalized against
     ``r_rpr``'s too, and ``r_pr`` gets coordinates along them.
 
     Per iteration this costs O(nnz Δr + n r Δr) for Δr new columns. The
-    state holds, for every model, the products ``M_j V`` (J n-row columns
-    per basis column) and, per side, ``U``; the workspaces ``extend``
-    returns hold only small arrays besides their bases. ``from_bases`` is
-    one ``extend`` of an empty state by all the columns.
+    owner holds the bases, for every model the products ``M_j V`` (J n-row
+    columns per basis column, in its ``ProjectionState``) and, per side,
+    ``U``; the workspaces ``extend`` returns hold only small arrays besides
+    their bases. ``from_bases`` is one ``extend`` of an owner built on all
+    the columns.
     """
 
-    def __init__(self, sys, kind, keys):
+    def __init__(self, sys, kind, bases, test=None):
         self.sys = sys
         self.kind = EstimatorKind.from_name(kind)
-        missing = _missing_models(self.kind, keys)
-        if missing:
-            raise MissingWorkspaceRomError(
-                f"estimator {self.kind.value} requires {missing} in the workspace"
-            )
+        _require_models(self.kind, bases)
         spec = ESTIMATORS[self.kind]
-        self.models = [model for model in REDUCED_MODELS if model.key in keys]
+        self.models = [model for model in REDUCED_MODELS if model.key in bases]
+        self.bases = dict(bases)
+        self.test = test or {}
         self.states = {model.key: ProjectionState(model.system_of(sys)) for model in self.models}
         wanted = set(spec.residuals) | {model.rhs for model in spec.models if model.rhs}
         self.residuals = [model for model in REDUCED_MODELS if model.residual in wanted]
@@ -298,23 +307,30 @@ class GrowingWorkspace:
         self.monomials = {
             letter: [m for m, _ in getattr(sys, letter).monomial_pieces()] for letter in "BQC"
         }
-        self.bases = {
+        self.residual_bases = {
             model.side: np.zeros((sys.order, 0), dtype=np.complex128) for model in self.residuals
         }
         self.factors = {}
         self.projections = {}
 
-    def extend(self, trial, test=None):
-        """The workspace on the grown bases (key -> basis; ``test`` default Galerkin).
+    def append(self, key, block):
+        """Grow trial basis ``key`` by the directions ``block`` adds; returns how many it added."""
+        if self.test.get(key) is not None:
+            raise ValueError(f"basis {key} has a test basis; only Galerkin bases grow")
+        before = self.bases[key].dim
+        self.bases[key] = self.bases[key].appended(block)
+        return self.bases[key].dim - before
+
+    def extend(self):
+        """The workspace on the current bases.
 
         Only the columns gained since the last call are projected and factored.
         """
-        test = test or {}
         models = {
             model.field: reduce_system(
                 model.system_of(self.sys),
-                trial[model.key],
-                test.get(model.key),
+                self.bases[model.key],
+                self.test.get(model.key),
                 state=self.states[model.key],
             )
             for model in self.models
@@ -323,7 +339,7 @@ class GrowingWorkspace:
             self._grow_residual(model)
         for model in self.readers:
             rom = models[model.field]
-            for side in self.bases:
+            for side in self.residual_bases:
                 if side != model.side:
                     self._grow_projection((model.field, "V", side), rom.V)
             if model.rhs is not None:
@@ -336,7 +352,7 @@ class GrowingWorkspace:
 
     def _append(self, side, block):
         """Extend a side's residual basis by ``block`` (overwritten); returns its coordinates."""
-        U = self.bases[side]
+        U = self.residual_bases[side]
         norms = np.linalg.norm(block, axis=0)
         S = np.zeros((U.shape[1], block.shape[1]), dtype=np.complex128)
         for _ in range(2):
@@ -351,7 +367,7 @@ class GrowingWorkspace:
         step = (U_new.conj().T @ U).conj().T
         U_new -= U @ step
         U_new, R = np.linalg.qr(U_new)
-        self.bases[side] = _side_by_side([U, U_new])
+        self.residual_bases[side] = _side_by_side([U, U_new])
         return np.concatenate([S + step @ T, R @ T])
 
     def _grow_residual(self, model):
@@ -368,14 +384,11 @@ class GrowingWorkspace:
 
     def _grow_projection(self, key, basis):
         """Extend ``X^T U`` of a basis X and a side's residual basis by new rows and columns."""
-        U = self.bases[key[2]]
+        U = self.residual_bases[key[2]]
         old = self.projections.get(key, np.zeros((0, 0), dtype=np.complex128))
         rows, cols = old.shape
-        out = np.empty((basis.dim, U.shape[1]), dtype=np.complex128)
-        out[:rows, :cols] = old
-        out[:, cols:] = basis.columns.T @ U[:, cols:]
-        out[rows:, :cols] = basis.columns[:, rows:].T @ U[:, :cols]
-        self.projections[key] = out
+        below = [basis.columns[:, rows:].T @ U[:, :cols]]
+        self.projections[key] = bordered(old, below, basis.columns.T @ U[:, cols:])
 
 
 class _StackTerms:
@@ -567,6 +580,11 @@ ESTIMATORS = {
 }
 
 
+def models_of(kind):
+    """The reduced models estimator ``kind`` reads: the primal one, then those of its row."""
+    return (PRIMAL,) + ESTIMATORS[kind].models
+
+
 @dataclass
 class EstimatorWorkspace:
     """The reduced models one estimator kind needs, bundled.
@@ -588,7 +606,16 @@ class EstimatorWorkspace:
 
     def __post_init__(self):
         self.kind = EstimatorKind.from_name(self.kind)
-        _require_models(self, self.kind)
+        _require_models(self.kind, self.bases)
+
+    @property
+    def bases(self):
+        """The trial basis of every reduced model present, by basis key."""
+        return {
+            model.key: getattr(self, model.field).V
+            for model in REDUCED_MODELS
+            if getattr(self, model.field) is not None
+        }
 
     @staticmethod
     def required_roms(kind):
@@ -603,13 +630,11 @@ class EstimatorWorkspace:
         """
         terms = self._offline.get(kind)
         if terms is None or terms.sys is not sys:
-            models = (PRIMAL,) + ESTIMATORS[kind].models
-            growth = GrowingWorkspace(sys, kind, [model.key for model in models])
-            built = growth.extend(
-                {model.key: getattr(self, model.field).V for model in models},
-                {model.key: getattr(self, model.field).W for model in models},
-            )
-            terms = self._offline[kind] = built._offline[kind]
+            models = models_of(kind)
+            trial = {model.key: getattr(self, model.field).V for model in models}
+            test = {model.key: getattr(self, model.field).W for model in models}
+            growth = GrowingWorkspace(sys, kind, trial, test)
+            terms = self._offline[kind] = growth.extend()._offline[kind]
         return terms
 
     @classmethod
@@ -640,8 +665,8 @@ class EstimatorWorkspace:
         """
         trial = {"V": V, "V_du": V_du, "V_rdu": V_rdu, "V_rpr": V_rpr, "V_rrpr": V_rrpr}
         test = {"V": W, "V_du": W_du, "V_rdu": W_rdu, "V_rpr": W_rpr, "V_rrpr": W_rrpr}
-        supplied = [key for key, basis in trial.items() if basis is not None]
-        return GrowingWorkspace(sys, kind, supplied).extend(trial, test)
+        supplied = {key: basis for key, basis in trial.items() if basis is not None}
+        return GrowingWorkspace(sys, kind, supplied, test).extend()
 
 
 @dataclass
@@ -706,14 +731,9 @@ def _stack_max_abs(matrices):
     return np.max(np.abs(matrices), axis=(-2, -1))
 
 
-def _missing_models(kind, keys):
-    """The fields of the reduced models ``kind`` needs whose basis keys are not in ``keys``."""
-    return [model.field for model in (PRIMAL,) + ESTIMATORS[kind].models if model.key not in keys]
-
-
-def _require_models(workspace, kind):
-    present = [model.key for model in REDUCED_MODELS if getattr(workspace, model.field) is not None]
-    missing = _missing_models(kind, present)
+def _require_models(kind, keys):
+    """Raise unless ``keys`` holds the basis key of every reduced model ``kind`` reads."""
+    missing = [model.field for model in models_of(kind) if model.key not in keys]
     if missing:
         raise MissingWorkspaceRomError(
             f"estimator {kind.value} requires {missing} in the workspace"
@@ -763,7 +783,7 @@ def evaluate(kind, workspace, sys, point, n_random=20, rng_seed=0, xi=None):
     the offline step. Every call then works on reduced quantities only.
     """
     kind = EstimatorKind.from_name(kind)
-    _require_models(workspace, kind)
+    _require_models(kind, workspace.bases)
     offline = workspace._offline_terms(kind, sys)
     single = isinstance(point, Mapping)
     points = [point] if single else list(point)
@@ -773,8 +793,7 @@ def evaluate(kind, workspace, sys, point, n_random=20, rng_seed=0, xi=None):
         ).reshape(len(points), len(monomials))
         for letter, monomials in offline.monomials.items()
     }
-    models = (PRIMAL,) + ESTIMATORS[kind].models
-    largest = max(1, *(getattr(workspace, model.field).dim for model in models))
+    largest = max(1, *(getattr(workspace, model.field).dim for model in models_of(kind)))
     step = max(1, _CHUNK_BYTES // (np.dtype(np.complex128).itemsize * largest**2))
     breakdowns = []
     for start in range(0, len(points), step):

@@ -33,11 +33,11 @@ from .errors import (
 )
 from .estimators import (
     ESTIMATORS,
-    PRIMAL,
     EstimatorKind,
     EstimatorWorkspace,
     GrowingWorkspace,
     evaluate,
+    models_of,
     true_error,
 )
 from .moments import expansion_block
@@ -147,11 +147,12 @@ def select_points(kind, symmetric_variant, breakdowns):
 
 
 class _GreedyState:
-    """Mutable bookkeeping for one run (bases, active samples, points).
+    """Mutable bookkeeping for one run: samples, active flags and expansion points.
 
-    ``growth`` is the n-row offline state the workspaces are extended from,
-    so each iteration projects and factors only the columns it adds; it
-    lives as long as the run.
+    ``growth`` owns every n-row array of the run: the bases, which grow
+    through it, and the offline state the workspaces are extended from, so
+    each iteration projects and factors only the columns it adds. It lives
+    as long as the run.
     """
 
     def __init__(self, sys, config):
@@ -161,9 +162,10 @@ class _GreedyState:
         self.samples = config.training_set
         self.active = [True] * len(self.samples)
         self.q = config.q if config.q is not None else (1 if sys.is_parametric else 3)
-        self.models = (PRIMAL,) + ESTIMATORS[self.kind].models
-        self.bases = {model.key: Basis.empty(sys.order, model.key) for model in self.models}
-        self.growth = GrowingWorkspace(sys, self.kind, list(self.bases))
+        self.models = models_of(self.kind)
+        self.growth = GrowingWorkspace(
+            sys, self.kind, {model.key: Basis.empty(sys.order, model.key) for model in self.models}
+        )
 
         # main starts at the first sample, alpha at the last, beta and gamma at the middle one
         last, middle = len(self.samples) - 1, len(self.samples) // 2
@@ -235,19 +237,15 @@ class _GreedyState:
         The factorizations and blocks shared between bases live only for
         this call.
         """
-        before = self._dimensions()
+        added = 0
         lus, blocks, own = {}, {}, {}
         for model in self.models:
-            basis = self.bases[model.key]
             for key in model.contains:
                 if key in own:
-                    basis = basis.appended(own[key])
+                    added += self.growth.append(model.key, own[key])
             own[model.key] = self._block(model, lus, blocks)
-            self.bases[model.key] = basis.appended(own[model.key])
-        return self._dimensions() - before
-
-    def _dimensions(self):
-        return sum(basis.dim for basis in self.bases.values())
+            added += self.growth.append(model.key, own[model.key])
+        return added
 
     def point(self, role):
         """The sample at expansion point ``role``, or None when it is unused."""
@@ -255,7 +253,7 @@ class _GreedyState:
 
     def workspace(self):
         """The workspace on the current bases, extended by this iteration's new columns."""
-        return self.growth.extend(self.bases)
+        return self.growth.extend()
 
     def sweep(self, ws):
         """Evaluate the estimator at every active sample (None where skipped).
@@ -328,7 +326,7 @@ def run_greedy(sys, config):
                 **{f"{role}_point": state.point(role) for role in ROLES},
                 max_estimate=max_estimate,
                 max_true_error=max_true,
-                rom_dimension=state.bases["V"].dim,
+                rom_dimension=state.growth.bases["V"].dim,
             )
         )
         if max_estimate <= config.tolerance:

@@ -6,7 +6,10 @@ same coefficients as the full one and assembles at any sample point without
 touching full-order data. Galerkin (W = V) is the default; passing a
 separate test basis gives the Petrov-Galerkin variant. Bases only grow by
 appending, so a ``ProjectionState`` keeps the products ``M_j V`` and
-extends a reduced model by its border blocks when the bases grow.
+extends a reduced model by its border blocks (``bordered``) when the bases
+grow. The state holds no basis of its own: it reads the old columns from the
+model it built last, and whoever grows the bases (the estimators'
+``GrowingWorkspace``) hands the grown ones to ``reduce_system``.
 """
 
 import numpy as np
@@ -126,13 +129,17 @@ class ProjectionState:
     For every piece ``M_j`` of the operator family (``monomial_pieces``
     order) it keeps ``P_j = M_j V`` as column blocks, one per extension that
     added trial columns, and the reduced pieces ``W^T M_j V``, ``W^T B_k``
-    and ``C_k V`` of the model built last. ``reduce_system`` extends it by
-    the columns V and W gained since: one product ``M_j V_new`` per piece
-    (a sparse-times-block product for a sparse piece, one GEMM for a dense
-    one), the border blocks ``W^T P_j[:, new]`` and ``W_new^T P_j[:, old]``,
-    new rows ``W_new^T B_k`` and new columns ``C_k V_new``. ``added`` holds
-    the blocks ``M_j V_new`` of the last extension (empty when V did not
-    grow), which the estimators' residual factorizations read.
+    and ``C_k V`` of the model built last. The bases themselves are the last
+    model's: ``reduce_system`` extends the state by the columns V and W
+    gained beyond that model's, which the caller keeps in place (bases grow
+    by ``Basis.appended``, whose leading columns are the old ones), and a
+    basis narrower than the model's is refused. An extension forms one
+    product ``M_j V_new`` per piece (a sparse-times-block product for a
+    sparse piece, one GEMM for a dense one), the border blocks ``W^T P_j[:,
+    new]`` and ``W_new^T P_j[:, old]``, new rows ``W_new^T B_k`` and new
+    columns ``C_k V_new``. ``added`` holds the blocks ``M_j V_new`` of the
+    last extension (empty when V did not grow), which the estimators'
+    residual factorizations read.
 
     The commutation check probes the family at one generic ``point``. The
     state grows ``probed = W^T Q(point) V`` by the same borders, ``W^T
@@ -143,7 +150,6 @@ class ProjectionState:
 
     def __init__(self, sys):
         self.sys = sys
-        self.V = self.W = Basis.empty(sys.order)
         self.model = None
         self.added = []
         self._pieces = [matrix for _, matrix in sys.Q.monomial_pieces()]
@@ -159,9 +165,9 @@ class ProjectionState:
 
     def extend(self, V, W):
         """The reduced model on V and W, projecting only the columns gained since the last one."""
-        v0, w0 = self.V.dim, self.W.dim
-        if not (_extends(V, self.V) and _extends(W, self.W)):
-            raise ValueError("a projection state grows only by bases that extend its own")
+        v0, w0 = (0, 0) if self.model is None else (self.model.V.dim, self.model.W.dim)
+        if V.dim < v0 or W.dim < w0:
+            raise ValueError("a projection state grows only by bases at least as wide as its own")
         self.added = []
         if self.model is not None and (V.dim, W.dim) == (v0, w0):
             return self.model
@@ -170,16 +176,10 @@ class ProjectionState:
         if V.dim > v0:
             self.added = _products(self._pieces, v_new)
         for j, kept in enumerate(self.products):
-            out = np.empty((W.dim, V.dim), dtype=np.complex128)
-            out[:w0, :v0] = self._Q[j]
-            start = 0
-            for block in kept:  # W_new^T P_j[:, old], block by block
-                out[w0:, start : start + block.shape[1]] = w_new.T @ block
-                start += block.shape[1]
+            new = wt @ self.added[j] if self.added else np.zeros((W.dim, 0), dtype=np.complex128)
+            self._Q[j] = bordered(self._Q[j], [w_new.T @ block for block in kept], new)
             if self.added:
-                out[:, v0:] = wt @ self.added[j]
                 kept.append(self.added[j])
-            self._Q[j] = out
         self._B = [
             np.concatenate([old, w_new.T @ m]) for old, m in zip(self._B, _matrices(self.sys.B))
         ]
@@ -188,13 +188,9 @@ class ProjectionState:
             for old, m in zip(self._C, _matrices(self.sys.C))
         ]
         probe = self.sys.Q.assemble(self.point)
-        probed = np.empty((W.dim, V.dim), dtype=np.complex128)
-        probed[:w0, :v0] = self.probed
-        probed[:, v0:] = wt @ (probe @ v_new)
-        if v0:  # a full-order product the first extension would throw away
-            probed[w0:, :v0] = (probe.T @ w_new).T @ self.V.columns
-        self.probed = probed
-        self.V, self.W = V, W
+        # V_old's border is a full-order product the first extension would throw away
+        below = [(probe.T @ w_new).T @ self.model.V.columns] if v0 else []
+        self.probed = bordered(self.probed, below, wt @ (probe @ v_new))
         Q = self.sys.Q
         pieces = self._Q if Q.has_base or not Q.terms else [np.zeros((W.dim, V.dim))] + self._Q
         reduced = ParametricSystem(
@@ -206,6 +202,24 @@ class ProjectionState:
         )
         self.model = ReducedModel(reduced, V, W)
         return self.model
+
+
+def bordered(old, below, right):
+    """``old`` grown by new rows and columns: ``[[old, right_top], [below, right_bottom]]``.
+
+    ``right`` holds the new columns over all rows; ``below`` lists the new
+    rows' entries under ``old``'s columns as column blocks, left to right,
+    which together span those columns.
+    """
+    rows, cols = old.shape
+    out = np.empty((right.shape[0], cols + right.shape[1]), dtype=np.complex128)
+    out[:rows, :cols] = old
+    start = 0
+    for block in below:
+        out[rows:, start : start + block.shape[1]] = block
+        start += block.shape[1]
+    out[:, cols:] = right
+    return out
 
 
 def _matrices(family):
@@ -220,11 +234,6 @@ def _family(family, matrices):
     return AffineMatrix(base.shape, base=base, terms=terms)
 
 
-def _extends(basis, kept):
-    """True when ``basis`` starts with exactly the columns of ``kept``."""
-    return basis.dim >= kept.dim and np.array_equal(basis.columns[:, : kept.dim], kept.columns)
-
-
 def _products(pieces, columns):
     """``M_j @ columns`` for every piece: sparse-times-block or one GEMM each."""
     return [matrix @ columns for matrix in pieces]
@@ -237,10 +246,10 @@ def reduce_system(sys, V, W=None, state=None):
     (M_j V)``; the reduced input map is ``W^T B`` and the reduced output map
     ``C V``. ``state`` is the ``ProjectionState`` of an earlier reduction of
     ``sys`` onto leading columns of V and W: only the columns gained since
-    are projected and the state is updated in place. Without it the whole
-    bases are projected, through a new state. The build is always checked:
-    assembly-then-projection must match projection-then-assembly at one
-    nonzero sample point.
+    are projected and the state is updated in place; bases narrower than the
+    state's raise ValueError. Without it the whole bases are projected,
+    through a new state. The build is always checked: assembly-then-projection
+    must match projection-then-assembly at one nonzero sample point.
     """
     if not isinstance(V, Basis):
         V = Basis(V)

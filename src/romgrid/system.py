@@ -352,7 +352,9 @@ class AffineMatrix:
                 d = monomial.diff(name)
                 if d is not None:
                     terms.append((d, matrix))
-            self._derivatives[name] = AffineMatrix(self.shape, base=None, terms=terms)
+            # a sparse family's derivative stays sparse when no term depends on ``name``
+            base = scipy.sparse.csc_array(self.shape) if self.is_sparse else None
+            self._derivatives[name] = AffineMatrix(self.shape, base=base, terms=terms)
         return self._derivatives[name]
 
     def scaled_by(self, monomial):

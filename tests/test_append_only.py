@@ -1,16 +1,18 @@
 """The append-only offline state: a workspace grown step by step is the one-shot workspace.
 
-``GrowingWorkspace.extend`` projects and factors only the columns the bases
-gained since its last call; ``EstimatorWorkspace.from_bases`` is one
-extension of an empty state by all of them. Hypothesis grows bases the way
-the greedy loop does (each basis receives the blocks of the bases it
-contains, then its own) over 2-4 steps, on dense and sparse, MIMO and
-parametric families, with blocks that add nothing to a basis and blocks
-whose operator images already lie in the residual basis. At every step
-every kind must agree with the one-shot build and with the dense oracle
-chains. A spy on a ladder run checks that each greedy iteration projects
-and factors its new columns only, and that the workspace it returns holds
-no n-row array besides its bases.
+``GrowingWorkspace`` owns a run's bases: ``append`` grows them and
+``extend`` projects and factors only the columns they gained since its last
+call; ``EstimatorWorkspace.from_bases`` is one extension of an owner built
+on all of them. Hypothesis grows bases through ``append`` the way the greedy
+loop does (each basis receives the blocks of the bases it contains, then its
+own) over 2-4 steps, on dense and sparse, MIMO and parametric families, with
+blocks that add nothing to a basis and blocks whose operator images already
+lie in the residual basis. At every step every kind must agree with the
+one-shot build and with the dense oracle chains, and so must a one-shot
+Petrov-Galerkin build on the grown trial bases. A spy on a ladder run checks that each greedy iteration projects
+and factors its new columns only, that every n-row array the run holds
+is held through its one owner, the ``GrowingWorkspace``, and that the
+workspace it returns holds no n-row array besides its bases.
 """
 
 import numpy as np
@@ -64,43 +66,32 @@ def sparse_system(rng, n, ports, parametric):
     return rg.ParametricSystem(Q, dense.B, dense.C, parameter_names=dense.parameter_names)
 
 
-def grown_bases(rng, n, steps, petrov):
-    """Trial and test bases after each of ``steps`` greedy-like growth steps.
+def grow_step(rng, growth, n, step, last_own):
+    """Append one greedy-like step's blocks through ``growth.append``; returns each basis's own block.
 
-    A block has 0-2 random columns (at least one at the first step, so that
-    no model is empty). With some probability it also takes a column of a
-    basis it already holds (which deflates) or, for V, V_rpr's own last
+    Each basis first receives the blocks of the bases it contains, then its
+    own. A block has 0-2 random columns (at least one at the first step, so
+    that no model is empty). With some probability it also takes a column of
+    a basis it already holds (which deflates) or, for V, V_rpr's own last
     block moved by 1e-13 to 1e-6 of its size: the operator images of those
     columns lie in the primal residual basis up to that distance, so their
-    remainders are tiny or truncated. Test bases grow by random blocks of
-    the same widths as their trial bases, or are the trial bases (Galerkin).
+    remainders are tiny or truncated.
     """
-    trial = {model.key: rg.Basis.empty(n, model.key) for model in REDUCED_MODELS}
-    test = dict(trial)
-    last_own = {}
-    history = []
-    for step in range(steps):
-        own = {}
-        for model in REDUCED_MODELS:
-            basis = trial[model.key]
-            for key in model.contains:
-                basis = basis.appended(own[key])
-            block = complex_randn(rng, n, int(rng.integers(0 if step else 1, 3)))
-            if basis.dim and rng.random() < 0.3:
-                block = np.hstack([block, basis.columns[:, -1:] * 2.0])
-            if model.key == "V" and "V_rpr" in last_own and rng.random() < 0.5:
-                near = last_own["V_rpr"]
-                near = near + 10.0 ** rng.uniform(-13, -6) * complex_randn(rng, *near.shape)
-                block = np.hstack([block, near])
-            own[model.key] = block
-            grown = basis.appended(block)
-            if petrov:
-                added = grown.dim - trial[model.key].dim
-                test[model.key] = test[model.key].appended(complex_randn(rng, n, added))
-            trial[model.key] = grown
-        last_own = own
-        history.append((dict(trial), dict(test) if petrov else {}))
-    return history
+    own = {}
+    for model in REDUCED_MODELS:
+        for key in model.contains:
+            growth.append(model.key, own[key])
+        basis = growth.bases[model.key]
+        block = complex_randn(rng, n, int(rng.integers(0 if step else 1, 3)))
+        if basis.dim and rng.random() < 0.3:
+            block = np.hstack([block, basis.columns[:, -1:] * 2.0])
+        if model.key == "V" and "V_rpr" in last_own and rng.random() < 0.5:
+            near = last_own["V_rpr"]
+            near = near + 10.0 ** rng.uniform(-13, -6) * complex_randn(rng, *near.shape)
+            block = np.hstack([block, near])
+        own[model.key] = block
+        growth.append(model.key, block)
+    return own
 
 
 def as_arrays(trial, test):
@@ -122,44 +113,76 @@ def assert_same(got, want, scale):
         assert value == pytest.approx(want.aux[name], rel=1e-10), name
 
 
+def assert_oracle(kind, sys, points, arrays, workspace, one_shot=None):
+    """The workspace's breakdowns at ``points`` match the dense oracle chains on ``arrays``.
+
+    With ``one_shot`` they also match that workspace's, to the same tolerance.
+    """
+    got = rg.evaluate(kind, workspace, sys, points, rng_seed=5)
+    want = None if one_shot is None else rg.evaluate(kind, one_shot, sys, points, rng_seed=5)
+    for i, (point, breakdown) in enumerate(zip(points, got)):
+        Q, B, C = (m.toarray() if scipy.sparse.issparse(m) else m for m in (
+            sys.Q.assemble(point), sys.B.assemble(point), sys.C.assemble(point)))
+        xi = np.random.default_rng(5).standard_normal(20)
+        p1, p2 = oracle_parts(kind.value, Q, B, C, arrays, xi)
+        scale = max(np.max(p1), 0.0 if p2 is None else np.max(p2))
+        if want is not None:
+            assert_same(breakdown, want[i], scale)
+        tol = 1e-10 * scale
+        assert breakdown.total == pytest.approx(np.max(p1 if p2 is None else p1 + p2), abs=tol)
+        norms = oracles.residual_norms(Q, B, C, arrays)
+        for name, value in breakdown.aux.items():
+            assert value == pytest.approx(norms[name], rel=1e-10), name
+
+
 @PROPERTY
 @given(case=cases, kind=st.sampled_from(KINDS))
 def test_grown_workspace_matches_one_shot_build_and_oracle(case, kind):
+    # growth is Galerkin-only; a Petrov-Galerkin case builds one-shot
+    # workspaces on random test bases of the grown widths at every step
     rng = np.random.default_rng(case["seed"])
+    n = case["n"]
     build = sparse_system if case["sparse"] else affine_system
-    sys = build(rng, case["n"], case["ports"], case["parametric"])
+    sys = build(rng, n, case["ports"], case["parametric"])
     points = [sample_point(rng, case["parametric"]) for _ in range(3)]
     kind = rg.EstimatorKind.from_name(kind)
-    growth = GrowingWorkspace(sys, kind, [model.key for model in REDUCED_MODELS])
-    for trial, test in grown_bases(rng, case["n"], case["steps"], case["petrov"]):
-        grown = growth.extend(trial, test)
-        for side, U in growth.bases.items():
+    growth = GrowingWorkspace(
+        sys, kind, {model.key: rg.Basis.empty(n, model.key) for model in REDUCED_MODELS}
+    )
+    last_own = {}
+    for step in range(case["steps"]):
+        last_own = grow_step(rng, growth, n, step, last_own)
+        grown = growth.extend()
+        for side, U in growth.residual_bases.items():
             assert gram_deviation(U) <= 1e-13, side
+        trial = dict(growth.bases)
         one_shot = rg.EstimatorWorkspace.from_bases(
-            sys, kind, **{key: basis.columns for key, basis in trial.items()},
-            **{"W" + key[1:]: basis.columns for key, basis in test.items()},
+            sys, kind, **{key: basis.columns for key, basis in trial.items()}
         )
         for model in REDUCED_MODELS:
             a = getattr(grown, model.field).system.Q.assemble(points[0])
             b = getattr(one_shot, model.field).system.Q.assemble(points[0])
             assert np.allclose(a, b, rtol=0.0, atol=1e-12 * max(1.0, np.max(np.abs(b))))
-        arrays = as_arrays(trial, test)
-        for point, got, want in zip(
-            points,
-            rg.evaluate(kind, grown, sys, points, rng_seed=5),
-            rg.evaluate(kind, one_shot, sys, points, rng_seed=5),
-        ):
-            Q, B, C = (m.toarray() if scipy.sparse.issparse(m) else m for m in (
-                sys.Q.assemble(point), sys.B.assemble(point), sys.C.assemble(point)))
-            xi = np.random.default_rng(5).standard_normal(20)
-            p1, p2 = oracle_parts(kind.value, Q, B, C, arrays, xi)
-            scale = max(np.max(p1), 0.0 if p2 is None else np.max(p2))
-            assert_same(got, want, scale)
-            tol = 1e-10 * scale
-            assert got.total == pytest.approx(np.max(p1 if p2 is None else p1 + p2), abs=tol)
-            norms = oracles.residual_norms(Q, B, C, arrays)
-            for name, value in got.aux.items():
-                assert value == pytest.approx(norms[name], rel=1e-10), name
+        assert_oracle(kind, sys, points, as_arrays(trial, {}), grown, one_shot)
+        if case["petrov"]:
+            test = {
+                key: rg.Basis.empty(n, "W").appended(complex_randn(rng, n, basis.dim))
+                for key, basis in trial.items()
+            }
+            petrov = rg.EstimatorWorkspace.from_bases(
+                sys, kind, **{key: basis.columns for key, basis in trial.items()},
+                **{"W" + key[1:]: basis.columns for key, basis in test.items()},
+            )
+            assert_oracle(kind, sys, points, as_arrays(trial, test), petrov)
+
+
+def test_only_galerkin_bases_grow():
+    sys = rg.rc_ladder(20)
+    V = rg.Basis.empty(20).appended(np.eye(20)[:, :2])
+    growth = GrowingWorkspace(sys, "delta1pr", {"V": V, "V_rpr": V}, {"V": V})
+    assert growth.append("V_rpr", np.eye(20)[:, 2:3]) == 1
+    with pytest.raises(ValueError, match="test basis"):
+        growth.append("V", np.eye(20)[:, 2:3])
 
 
 def n_row_arrays(obj, n, skip, seen=None):
@@ -193,9 +216,19 @@ def test_greedy_projects_and_factors_only_the_columns_each_iteration_adds(monkey
         events.append(("factor", block.shape[1]))
         return factor(block, norms)
 
+    def owned_by_growth(state):
+        # every n-row array of the run, other than the system's, is the owner's
+        skip = [sys, sys.dual()]
+        owned = n_row_arrays(state.growth, sys.order, skip)
+        found = n_row_arrays(state, sys.order, skip)
+        return found and all(any(array is other for other in owned) for array in found)
+
     def spy_workspace(state):
-        events.append(("iteration", {key: basis.dim for key, basis in state.bases.items()}))
-        return workspace(state)
+        events.append(("iteration", {key: basis.dim for key, basis in state.growth.bases.items()}))
+        assert owned_by_growth(state)
+        ws = workspace(state)
+        assert owned_by_growth(state)
+        return ws
 
     monkeypatch.setattr(projection, "_products", spy_products)
     monkeypatch.setattr(estimators, "_orthonormal_factor", spy_factor)

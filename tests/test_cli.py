@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -170,9 +172,12 @@ def test_cli_requires_a_source():
 
 
 def test_module_entry_point_runs():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "romgrid", "--help"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0
     assert "reduce" in proc.stdout

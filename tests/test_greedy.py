@@ -211,7 +211,7 @@ def test_grow_factors_each_sample_once_and_builds_each_block_once(
     state.grow()
     assert len(factored) == lus == len({state.points[state._role(m)] for m in state.models})
     assert len(built) == blocks == len(set(built))
-    assert state.bases["V"].dim > 0
+    assert state.growth.bases["V"].dim > 0
 
 
 def test_true_errors_factor_each_training_sample_once(monkeypatch):

@@ -90,6 +90,19 @@ def test_corrupted_reduced_term_fails_commutation_check(rng):
     assert "commutation" in str(err.value)
 
 
+@pytest.mark.parametrize("narrower", ["V", "W"])
+def test_projection_state_rejects_narrower_bases(rng, narrower):
+    sys = random_system(rng, 12)
+    V = rg.Basis(random_orthonormal(rng, 12, 3))
+    W = rg.Basis(random_orthonormal(rng, 12, 3))
+    state = ProjectionState(sys)
+    rg.reduce_system(sys, V, W, state=state)
+    bases = {"V": V, "W": W}
+    bases[narrower] = rg.Basis(bases[narrower].columns[:, :2])
+    with pytest.raises(ValueError, match="at least as wide"):
+        rg.reduce_system(sys, bases["V"], bases["W"], state=state)
+
+
 def test_reduce_rejects_wrong_rows(rng):
     sys = random_system(rng, 10)
     with pytest.raises(DimensionMismatchError):

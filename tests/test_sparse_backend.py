@@ -303,6 +303,17 @@ def test_family_storage_follows_its_pieces():
     assert np.array_equal(mixed.assemble({"s": 1j}), assembled.toarray())
 
 
+@pytest.mark.parametrize("n", [200, 2000])
+def test_sparse_derivative_without_terms_stays_sparse(n):
+    # no term of the ladder depends on "d": its derivative is a zero family,
+    # stored in O(n) bytes instead of a dense n x n array
+    zero = rg.rc_ladder(n).Q.diff("d")
+    assert zero.is_sparse and not zero.terms
+    assembled = zero.assemble({"s": 1.0})
+    assert isinstance(assembled, SparseOperator) and assembled.nnz == 0
+    assert assembled.nbytes <= 8 * (n + 1)
+
+
 def test_large_sparse_ladder_reduces_with_sparse_full_order_work(monkeypatch):
     # a 20 000-dof ladder: a dense operator alone would take 6.4 GB
     n = 20_000
