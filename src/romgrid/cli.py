@@ -228,7 +228,9 @@ def _cmd_validate(args):
         "skipped_singular",
     ):
         print(f"{key}: {summary[key]}")
-    if report.all_below_threshold:
+    if not report.rows:
+        print("note: no validation sample was usable; the grid says nothing about the model")
+    elif report.all_below_threshold:
         print(
             f"note: every true error is below {report.filter_threshold:g}; "
             f"filtered effectivities are meaningless (model is exact on this grid)"

@@ -73,7 +73,11 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .errors import MissingWorkspaceRomError, SingularReducedSystemError
+from .errors import (
+    MissingWorkspaceRomError,
+    SingularAtSampleError,
+    SingularReducedSystemError,
+)
 from .linalg import lu_solve_stack, scaled_stack
 from .projection import ProjectionState, bordered, reduce_system
 
@@ -829,26 +833,41 @@ def delta_r(workspace, sys, point, n_samples=20, rng_seed=0, xi=None):
     ).total
 
 
-def true_error(sys, workspace, point, verify_identity=False, cache=None):
-    """Exact output error ``max_ij |H_ij - H_hat_ij|`` at one sample point.
+def true_error(sys, workspace, point, verify_identity=False, responses=None):
+    """Exact output error ``max_ij |H_ij - H_hat_ij|`` at one sample point or at a sequence of them.
 
-    ``H`` comes from ``sys.transfer_function``: one triangular solve on a
-    dense frequency-only system (its Schur form is built once), one
-    full-order factorization on any other. With ``verify_identity`` the
-    direct difference of transfer functions is cross-checked against the
-    exact identity ``H - H_hat = x_du^T r_pr`` (full dual solution from a
-    full-order LU, against the reduced primal residual); disagreement
-    beyond rounding raises. ``cache`` is a dict the caller keeps for one
-    system: it maps sample points to the full-order ``H(p)``, so a point
-    seen before costs no full-order work.
+    Given one point (a mapping), returns its error; a singular full-order
+    operator or a non-finite map raises SingularAtSampleError, a singular
+    reduced one SingularReducedSystemError. Given a sequence of points,
+    returns a list aligned with it, None where a point would raise. The
+    full-order ``H`` comes from one stacked ``sys.transfer_function`` pass
+    over the points (one triangular solve per point on a dense
+    frequency-only system, one band LU per point on a banded sparse one),
+    unless the caller already holds it and passes ``responses``, a list
+    aligned with the sequence as that pass returns it. ``H_hat`` comes per
+    point from the reduced primal model. With ``verify_identity`` the direct
+    difference of transfer functions is cross-checked at every point against
+    the exact identity ``H - H_hat = x_du^T r_pr`` (full dual solution from a
+    full-order LU, against the reduced primal residual); disagreement beyond
+    rounding raises.
     """
-    key = tuple(sorted(point.items()))
-    if cache is not None and key in cache and not verify_identity:
-        H = cache[key]
-    else:
-        H = sys.transfer_function(point)
-        if cache is not None:
-            cache[key] = H
+    if isinstance(point, Mapping):
+        return _true_error(sys, workspace, point, sys.transfer_function(point), verify_identity)
+    points = list(point)
+    if responses is None:
+        responses = sys.transfer_function(points)
+    errors = []
+    for point, H in zip(points, responses):
+        try:
+            error = None if H is None else _true_error(sys, workspace, point, H, verify_identity)
+        except (SingularAtSampleError, SingularReducedSystemError):
+            error = None
+        errors.append(error)
+    return errors
+
+
+def _true_error(sys, workspace, point, H, verify_identity):
+    """The true error at one point whose full-order ``H`` is known."""
     H_hat = workspace.rom_primal.transfer_function(point)
     err_mat = H - H_hat
     direct = _max_abs(err_mat)

@@ -29,7 +29,6 @@ from enum import Enum
 from .errors import (
     AllSamplesSingularError,
     SingularAtSampleError,
-    SingularReducedSystemError,
 )
 from .estimators import (
     ESTIMATORS,
@@ -290,6 +289,12 @@ def run_greedy(sys, config):
     Stops when the worst estimate over the training set falls to the
     configured tolerance, when ``max_iterations`` is exhausted, or when an
     iteration deflates away entirely (no basis progress possible).
+
+    With true errors recorded, each iteration makes one stacked
+    ``true_error`` call over the samples with an estimate. A training
+    sample's full-order ``H`` does not change, so it is computed once per
+    run: each iteration gets the samples not seen before in one stacked
+    ``transfer_function`` call.
     """
     state = _GreedyState(sys, config)
     record_true = config.record_true_errors
@@ -297,7 +302,7 @@ def run_greedy(sys, config):
         record_true = sys.order <= 1000
 
     trace = []
-    exact = {}  # full-order H(p) per training sample, computed once per run
+    exact = {}  # training-sample index -> full-order H(p), None where singular; once per run
     converged = False
     stop_reason = StopReason.MAX_ITERATIONS
     ws = None
@@ -311,14 +316,16 @@ def run_greedy(sys, config):
         max_estimate = max(b.total for b in breakdowns if b is not None)
         max_true = None
         if record_true:
-            true_values = []
-            for i, b in enumerate(breakdowns):
-                if b is None:
-                    continue
-                try:
-                    true_values.append(true_error(sys, ws, state.samples[i], cache=exact))
-                except SingularAtSampleError:
+            usable = [i for i, b in enumerate(breakdowns) if b is not None]
+            unseen = [i for i in usable if i not in exact]
+            exact.update(zip(unseen, sys.transfer_function([state.samples[i] for i in unseen])))
+            for i in unseen:
+                if exact[i] is None:
                     state._mark_singular(i, "true-error recording")
+            errors = true_error(
+                sys, ws, [state.samples[i] for i in usable], responses=[exact[i] for i in usable]
+            )
+            true_values = [error for error in errors if error is not None]
             max_true = max(true_values) if true_values else None
         trace.append(
             IterationRecord(
@@ -358,36 +365,28 @@ def validate(sys, result, validation_set, kind=None, rng_seed=0):
     EffectivityReport with per-sample rows and min/max effectivities, both
     overall and restricted to samples whose true error exceeds the
     rounding-noise threshold 1e-11 (below it, ratios measure noise).
-    The estimates come from one stacked ``evaluate`` call over the set.
-    Samples where the full or the reduced operator is singular or not
-    finite, or an input or output map is not finite, are skipped and
-    counted in ``skipped_singular``.
+    The estimates come from one stacked ``evaluate`` call over the set,
+    the true errors from one stacked ``true_error`` call over the samples
+    with an estimate. Samples where the full or the reduced operator is
+    singular or not finite, or an input or output map is not finite, are
+    skipped and counted in ``skipped_singular``; a report without rows
+    claims nothing about the model.
     """
     ws = getattr(result, "workspace", result)
     if kind is None:
         kind = ws.kind
     points = list(validation_set)
     breakdowns = evaluate(kind, ws, sys, points, rng_seed=rng_seed)
-    rows = []
-    skipped = 0
-    for point, breakdown in zip(points, breakdowns):
-        exact = None
-        if breakdown is not None:
-            try:
-                exact = true_error(sys, ws, point)
-            except (SingularAtSampleError, SingularReducedSystemError):
-                pass
-        if exact is None:
-            skipped += 1
-            continue
-        estimate = breakdown.total
-        effectivity = estimate / exact if exact > 0 else None
-        rows.append(
-            EffectivityRow(
-                sample=dict(point),
-                estimate=estimate,
-                true_error=exact,
-                effectivity=effectivity,
-            )
+    usable = [(point, b) for point, b in zip(points, breakdowns) if b is not None]
+    errors = true_error(sys, ws, [point for point, _ in usable])
+    rows = [
+        EffectivityRow(
+            sample=dict(point),
+            estimate=breakdown.total,
+            true_error=exact,
+            effectivity=breakdown.total / exact if exact > 0 else None,
         )
-    return EffectivityReport.from_rows(rows, skipped_singular=skipped)
+        for (point, breakdown), exact in zip(usable, errors)
+        if exact is not None
+    ]
+    return EffectivityReport.from_rows(rows, skipped_singular=len(points) - len(rows))

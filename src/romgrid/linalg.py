@@ -8,19 +8,25 @@ classical Gram-Schmidt run twice, so basis growth runs in matrix products.
 
 The operator's structure picks the LU, with no setting: a 2-d ndarray is
 factored by LAPACK ``getrf``; a ``scipy.sparse`` matrix whose band holds at
-least half nonzeros (``nnz >= (kl + ku + 1) * n / 2``, read from its
-pattern) by LAPACK's band LU ``gbtrf``, the rule MATLAB's sparse backslash
-applies (Davis, "Direct Methods for Sparse Linear Systems", 2006); any other
-sparse matrix by SuperLU (``splu``, sparse LU with partial pivoting). All
-three return the same ``LUFactorization`` and obey the same singularity
-rule, so callers never branch on the storage. Sparse operators stay sparse:
-``SparseOperator`` is the CSC type assembled full-order operators come in.
-``ShiftedSchur`` serves many shifts of one dense matrix from a single Schur
-form, and ``lu_solve_stack`` a stack of small systems, one per sample point,
-both under the same singularity rule.
+least half nonzeros (``band_layout``, read from its pattern) by LAPACK's
+band LU ``gbtrf``; any other sparse matrix by SuperLU (``splu``, sparse LU
+with partial pivoting). All three return the same ``LUFactorization`` and
+obey the same singularity rule, so callers never branch on the storage.
+Sparse operators stay sparse: ``SparseOperator`` is the CSC type assembled
+full-order operators come in.
+
+Three kernels serve a stack of samples, each under the same rule, with the
+rule evaluated for the whole stack at once: ``band_lu_stack`` factors the
+entries of many operators that share one banded pattern, one ``gbtrf``
+each, with no sparse object and no pattern scan per operator;
+``ShiftedSchur`` solves many shifts of one dense matrix from a single Schur
+form, one triangular solve each; and ``lu_solve_stack`` solves a stack of
+small dense systems, one per sample point. Each sample's factors and
+solution are bitwise the ones a call on that sample alone gives.
 """
 
 import threading
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -29,9 +35,12 @@ import scipy.sparse
 from .errors import DimensionMismatchError, SingularMatrixError
 
 __all__ = [
+    "BandLayout",
     "LUFactorization",
     "ShiftedSchur",
     "SparseOperator",
+    "band_layout",
+    "band_lu_stack",
     "lu_factor",
     "lu_solve_stack",
     "scaled_stack",
@@ -113,12 +122,11 @@ def lu_factor(a):
     """Factor a square dense or sparse matrix, raising SingularMatrixError on rank loss.
 
     A dense matrix goes to ``getrf``. A sparse one goes to the band LU
-    ``gbtrf`` when its lower and upper bandwidths ``kl``, ``ku`` (read from
-    the pattern in O(nnz)) leave its band at least half full, ``nnz >= (kl +
-    ku + 1) * n / 2``, and to SuperLU otherwise. Every kernel's factorization
-    is rejected by the rule of ``_nonsingular``: when an entry is not finite,
-    or the smallest pivot magnitude (the diagonal of ``U``) falls below ``dim
-    * eps * max|A|``.
+    ``gbtrf`` when ``band_layout`` finds its band at least half full, and
+    to SuperLU otherwise. Every kernel's factorization is rejected by the
+    rule of ``_nonsingular``: when an entry is not finite, or the smallest
+    pivot magnitude (the diagonal of ``U``) falls below ``dim * eps *
+    max|A|``.
     """
     sparse = scipy.sparse.issparse(a)
     if sparse:
@@ -137,11 +145,9 @@ def lu_factor(a):
     _check_nonsingular(n, max_abs)
     if sparse:
         a.sum_duplicates()  # in place, as splu does; a no-op on canonical CSC
-        cols = np.repeat(np.arange(n), np.diff(a.indptr))
-        offsets = a.indices - cols  # row minus column of every stored entry
-        kl, ku = max(int(offsets.max()), 0), max(-int(offsets.min()), 0)
-        if 2 * a.nnz >= (kl + ku + 1) * n:
-            kernel_solve, pivots = _band_lu(a.data, offsets, cols, n, kl, ku)
+        layout = band_layout(a.indices, a.indptr)
+        if layout is not None:
+            kernel_solve, pivots = _band_lu(a.data, layout)
         else:
             kernel_solve, pivots = _superlu(a, n)
     else:
@@ -156,23 +162,82 @@ def lu_factor(a):
     return LUFactorization(kernel_solve, n, max_abs)
 
 
-def _band_lu(data, offsets, cols, n, kl, ku):
-    """``gbtrf`` of the CSC entries ``data`` at (``cols + offsets``, ``cols``).
+class BandLayout(NamedTuple):
+    """Where the stored entries of a square CSC pattern go in LAPACK band storage.
 
-    The matrix goes into LAPACK's band storage, row ``kl + ku + i - j`` of
-    column ``j``, under ``kl`` rows left for the fill of row pivoting; after
-    the factorization the diagonal of ``U`` sits in row ``kl + ku``. Returns
-    the solve and those pivots; exact zero pivots (``info > 0``) are
-    reported through the singularity rule.
+    The storage is a Fortran-ordered ``(2 * kl + ku + 1, n)`` array for
+    bandwidths ``kl`` (lower) and ``ku`` (upper): entry ``(i, j)`` sits in
+    row ``kl + ku + i - j`` of column ``j``, under ``kl`` rows left for the
+    fill of row pivoting. ``positions`` holds that place, as an index into
+    the flattened array, for every stored entry in CSC order.
     """
-    ab = np.zeros((2 * kl + ku + 1, n), dtype=np.complex128, order="F")
-    ab[kl + ku + offsets, cols] = data
-    lu, piv, _ = _GBTRF(ab, kl, ku, overwrite_ab=True)
+
+    positions: np.ndarray
+    n: int
+    kl: int
+    ku: int
+
+
+def band_layout(indices, indptr):
+    """The ``BandLayout`` of a canonical square CSC pattern, or None when it is not banded.
+
+    The bandwidths are read from the pattern in O(nnz). The pattern counts
+    as banded when its band is at least half full, ``nnz >= (kl + ku + 1)
+    * n / 2``: the rule MATLAB's sparse backslash applies to choose its band
+    solver (Davis, "Direct Methods for Sparse Linear Systems", 2006).
+    """
+    n = len(indptr) - 1
+    cols = np.repeat(np.arange(n), np.diff(indptr))
+    offsets = indices - cols  # row minus column of every stored entry
+    kl, ku = int(offsets.max(initial=0)), -int(offsets.min(initial=0))
+    if 2 * indices.size < (kl + ku + 1) * n:
+        return None
+    return BandLayout(kl + ku + offsets + cols * (2 * kl + ku + 1), n, kl, ku)
+
+
+def _band_lu(data, layout):
+    """``gbtrf`` of the CSC entries ``data`` stored by ``layout``.
+
+    Returns the solve and the pivots, the diagonal of ``U``, which sits in
+    row ``kl + ku`` of the factored storage; exact zero pivots (``info >
+    0``) are reported through the singularity rule.
+    """
+    _, n, kl, ku = layout
+    ab = np.zeros((2 * kl + ku + 1) * n, dtype=np.complex128)
+    ab[layout.positions] = data
+    lu, piv, _ = _GBTRF(ab.reshape((2 * kl + ku + 1, n), order="F"), kl, ku, overwrite_ab=True)
 
     def kernel_solve(b, trans):
         return _GBTRS(lu, kl, ku, b, piv, trans=trans)[0]
 
     return kernel_solve, lu[kl + ku]
+
+
+def band_lu_stack(entries, layout):
+    """Factor a stack of operators that share one banded pattern, each as ``lu_factor`` would.
+
+    Row ``i`` of ``entries`` holds operator ``i``'s stored entries in the
+    order of the CSC pattern ``layout`` was read from (``band_layout``).
+    The singularity rule runs over the whole stack: ``max|A_i|`` for every
+    sample first, then one ``gbtrf`` (``_band_lu``) for each sample that
+    passes, then the pivots. Returns a list aligned with the rows: sample
+    ``i``'s ``LUFactorization``, the same factors to the bit as
+    ``lu_factor`` gives for the operator, or the SingularMatrixError it
+    raises.
+    """
+    n = layout.n
+    max_abs = np.max(np.abs(entries), axis=1, initial=0.0)
+    min_pivot = np.full(len(entries), np.nan)
+    solves = {}
+    for i in np.flatnonzero(_nonsingular(n, max_abs)):
+        solves[i], pivots = _band_lu(entries[i], layout)
+        min_pivot[i] = np.min(np.abs(pivots))
+    return [
+        LUFactorization(solves[i], n, float(max_abs[i]))
+        if ok
+        else _singular_error(n, max_abs[i], min_pivot[i] if i in solves else None)
+        for i, ok in enumerate(_nonsingular(n, max_abs, min_pivot))
+    ]
 
 
 def _superlu(a, n):
@@ -208,19 +273,28 @@ def _nonsingular(n, max_abs, min_pivot=None):
     return usable
 
 
-def _check_nonsingular(n, max_abs, pivots=None):
-    """Raise SingularMatrixError, naming the reason, where ``_nonsingular`` rejects one matrix."""
-    min_pivot = None if pivots is None else float(np.min(np.abs(pivots)))
+def _singular_error(n, max_abs, min_pivot=None):
+    """The SingularMatrixError, naming the reason, where ``_nonsingular`` rejects one matrix.
+
+    None where the matrix passes.
+    """
     if _nonsingular(n, max_abs, min_pivot):
-        return
+        return None
     if not np.isfinite(max_abs):
-        raise SingularMatrixError(f"matrix of dimension {n} has non-finite entries")
+        return SingularMatrixError(f"matrix of dimension {n} has non-finite entries")
     if max_abs == 0.0:
-        raise SingularMatrixError(f"matrix of dimension {n} is identically zero")
-    raise SingularMatrixError(
+        return SingularMatrixError(f"matrix of dimension {n} is identically zero")
+    return SingularMatrixError(
         f"matrix of dimension {n} is singular to working precision "
         f"(min pivot {min_pivot:.3e} < threshold {n * _EPS * max_abs:.3e})"
     )
+
+
+def _check_nonsingular(n, max_abs, pivots=None):
+    """Raise the ``_singular_error`` of one matrix, if it has one."""
+    error = _singular_error(n, max_abs, None if pivots is None else float(np.min(np.abs(pivots))))
+    if error is not None:
+        raise error
 
 
 def scaled_stack(values, matrix, out=None):
@@ -275,8 +349,9 @@ class ShiftedSchur:
     Only ``T`` (Fortran order, as LAPACK reads it) and ``Z`` are kept, plus
     O(n) data for the singularity rule.
 
-    ``solve`` writes the shifted pivots onto the diagonal of the stored
-    ``T`` in place, under a lock, so threads may share one form.
+    ``solve`` takes one shift or a stack of them. It writes the shifted
+    pivots onto the diagonal of the stored ``T`` in place, under a lock, so
+    threads may share one form.
     """
 
     def __init__(self, a):
@@ -296,22 +371,41 @@ class ShiftedSchur:
         self._off_diagonal_max = float(np.max(off_diagonal, initial=0.0))
         self._lock = threading.Lock()
 
-    def solve(self, shift, rhs):
-        """Solve ``(T + shift*I) y = rhs`` for a block given in Schur coordinates.
+    def solve(self, shifts, rhs):
+        """Solve ``(T + shift*I) y = rhs`` for one shift, or for each shift of a stack.
 
-        ``rhs`` is ``Z^H b`` and ``Z y`` solves ``(A + shift*I) x = b``.
-        Raises SingularMatrixError by the rule ``lu_factor`` applies to
-        ``A + shift*I``, with pivots ``diag(T) + shift``; a shift that is not
-        finite makes the matrix non-finite.
+        ``rhs`` is ``Z^H b`` in Schur coordinates, and ``Z y`` solves ``(A +
+        shift*I) x = b``. Each shift is judged by the rule ``lu_factor``
+        applies to ``A + shift*I``, with pivots ``diag(T) + shift``, for the
+        whole stack at once; a shift that is not finite makes the matrix
+        non-finite. Then every shift that passes gets one triangular solve.
+        One shift (a scalar) with one block returns ``y`` or raises
+        SingularMatrixError. A 1-d array of shifts takes a sequence of
+        blocks, one per shift, and returns a list aligned with the shifts,
+        holding ``y`` or the SingularMatrixError of that shift.
         """
-        b = _as_complex_matrix(rhs, "right-hand side")
-        max_abs = float(np.max(np.abs(self._diagonal + shift), initial=self._off_diagonal_max))
-        pivots = self._eigenvalues + shift
-        _check_nonsingular(self.dim, max_abs, pivots)
+        single = np.ndim(shifts) == 0
+        shifts = np.array(shifts, dtype=np.complex128, ndmin=1)
+        blocks = [rhs] if single else rhs
+        max_abs = np.max(
+            np.abs(self._diagonal + shifts[:, None]), axis=1, initial=self._off_diagonal_max
+        )
+        pivots = self._eigenvalues + shifts[:, None]
+        min_pivot = np.min(np.abs(pivots), axis=1)
+        usable = _nonsingular(self.dim, max_abs, min_pivot)
+        out = []
         with self._lock:
-            self._T[np.diag_indices(self.dim)] = pivots
-            y, _ = _TRTRS(self._T, b)
-        return y
+            for i, b in enumerate(blocks):
+                if not usable[i]:
+                    out.append(_singular_error(self.dim, max_abs[i], min_pivot[i]))
+                    continue
+                self._T[np.diag_indices(self.dim)] = pivots[i]
+                out.append(_TRTRS(self._T, _as_complex_matrix(b, "right-hand side"))[0])
+        if not single:
+            return out
+        if isinstance(out[0], SingularMatrixError):
+            raise out[0]
+        return out[0]
 
 
 def orthonormalize_append(basis, block):

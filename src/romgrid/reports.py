@@ -214,8 +214,9 @@ class EffectivityReport:
     Effectivities are reported twice: over all rows, and restricted to
     rows whose true error exceeds ``filter_threshold`` (ratios below it
     measure rounding noise, not estimator quality). When no row passes the
-    filter, the filtered fields are None and ``all_below_threshold`` is
-    set.
+    filter, the filtered fields are None, and ``all_below_threshold`` is
+    set if there are rows at all: a report without rows (every sample
+    skipped, or an empty grid) claims nothing about the model.
     """
 
     rows: list = field(default_factory=list)
@@ -245,7 +246,7 @@ class EffectivityReport:
             filter_threshold=filter_threshold,
             max_true_error=max((r.true_error for r in rows), default=0.0),
             skipped_singular=skipped_singular,
-            all_below_threshold=not filtered,
+            all_below_threshold=bool(rows) and not filtered,
         )
 
     def summary(self):

@@ -8,6 +8,8 @@ simply add more names.
 """
 
 import weakref
+from collections.abc import Mapping
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -35,7 +37,9 @@ __all__ = [
 #: Conventional name of the Laplace variable among the parameters.
 LAPLACE = "s"
 
-_NOT_BUILT = object()
+#: Bytes of stacked full-order entries per pass of ``transfer_function``, the
+#: budget of ``estimators.evaluate``'s passes: one sample of a 20 000-node ladder.
+_CHUNK_BYTES = 16 * 80 * 80 * 16
 
 
 def frequency_point(f):
@@ -69,11 +73,12 @@ class _UnionPattern:
     dual family) and their positions in the pattern, or None when the piece
     fills the whole pattern, as the pieces of a banded family usually do.
     ``assemble`` forms the same entries as scipy's sparse add run over the
-    pieces in order, bit for bit: every
-    term adds ``c_j * values_j`` on its own positions and ``+0`` elsewhere,
-    and an entry that comes out exactly zero is reset to ``+0`` and, at the
-    end, eliminated, as scipy drops it after each add. Without terms the
-    base comes back with its explicit zeros, as ``astype`` keeps them.
+    pieces in order, bit for bit: every term adds ``c_j * values_j`` on its
+    own positions and ``+0`` elsewhere, and an entry that comes out exactly
+    zero is reset to ``+0`` and, at the end, eliminated, as scipy drops it
+    after each add. Without terms the base comes back with its explicit
+    zeros, as ``astype`` keeps them. ``entries`` forms the entries of a
+    stack of points at once, by the same operations in the same order.
     """
 
     def __init__(self, pieces, shape):
@@ -99,28 +104,47 @@ class _UnionPattern:
 
     def assemble(self, coefficients):
         """The family at one point, given each term's coefficient, as a SparseOperator."""
-        (at, values), *terms = self.pieces
-        out = self._spread(at, values)
-        for (at, values), c in zip(terms, coefficients):
-            added = values * c
-            out += added if at is None else self._spread(at, added)
-            out[out == 0] = 0.0
-        if terms:
-            kept = out != 0
-            if not kept.all():
-                columns = np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
-                counts = np.bincount(columns[kept], minlength=self.shape[1])
-                return linalg.SparseOperator(
-                    (out[kept], self.indices[kept], _pointers(counts, self.indptr.dtype)),
-                    shape=self.shape,
-                )
+        out, cancelled = self.entries(coefficients[None])
+        out, kept = out[0], ~cancelled[0]
+        if not kept.all():
+            columns = np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
+            counts = np.bincount(columns[kept], minlength=self.shape[1])
+            return linalg.SparseOperator(
+                (out[kept], self.indices[kept], _pointers(counts, self.indptr.dtype)),
+                shape=self.shape,
+            )
         return linalg.SparseOperator((out, self.indices, self.indptr), shape=self.shape)
 
-    def _spread(self, at, values):
-        """A new complex vector over the pattern: ``values`` at positions ``at``
-        (None: all, in order), zero elsewhere."""
-        out = np.zeros(self.indices.size, dtype=np.complex128)
-        out[slice(None) if at is None else at] = values
+    def entries(self, coefficients):
+        """The stored entries at a stack of points, one row per point, and where they cancel.
+
+        ``coefficients[i, j]`` is term j's coefficient at point i. Every row
+        is formed by the operations ``assemble`` performs, in its order, so
+        it holds that point's entries to the bit, an exactly cancelled entry
+        as ``+0``. The boolean stack that comes with it marks those entries,
+        which ``assemble`` drops; without terms nothing cancels.
+        """
+        (at, values), *terms = self.pieces
+        m = len(coefficients)
+        out = self._spread(at, values, m)
+        cancelled = np.zeros(out.shape, dtype=bool)
+        for j, (at, values) in enumerate(terms):
+            added = values * coefficients[:, j, None]
+            out += added if at is None else self._spread(at, added, m)
+            cancelled = out == 0
+            out[cancelled] = 0.0
+        return out, cancelled
+
+    @cached_property
+    def band(self):
+        """The pattern's ``linalg.BandLayout`` where ``lu_factor`` takes the band LU, else None."""
+        return linalg.band_layout(self.indices, self.indptr)
+
+    def _spread(self, at, values, m):
+        """A new (m, entries) complex stack over the pattern: ``values`` at positions
+        ``at`` (None: all, in order), zero elsewhere."""
+        out = np.zeros((m, self.indices.size), dtype=np.complex128)
+        out[:, slice(None) if at is None else at] = values
         return out
 
 
@@ -275,7 +299,6 @@ class AffineMatrix:
                 )
             checked.append((monomial, matrix))
         self.terms = tuple(checked)
-        self._pattern = None  # the sparse union pattern, at the first assemble
         self._derivatives = {}  # parameter name -> derivative family
 
     @classmethod
@@ -287,10 +310,7 @@ class AffineMatrix:
     def assemble(self, point):
         """Evaluate ``M(p)`` at a sample point (a SparseOperator for a sparse family)."""
         if self.is_sparse:
-            if self._pattern is None:
-                pieces = [self.base] + [matrix for _, matrix in self.terms]
-                self._pattern = _UnionPattern(pieces, self.shape)
-            return self._pattern.assemble([monomial(point) for monomial, _ in self.terms])
+            return self.pattern.assemble(self.coefficients([point])[0])
         out = self.base.copy()
         for monomial, matrix in self.terms:
             out += monomial(point) * matrix
@@ -316,6 +336,18 @@ class AffineMatrix:
         for j, (_, matrix) in enumerate(self.terms[1:], start=1):
             out += linalg.scaled_stack(coefficients[:, j], matrix)
         return out
+
+    @cached_property
+    def pattern(self):
+        """A sparse family's ``_UnionPattern``, built at its first use and kept."""
+        return _UnionPattern([self.base] + [matrix for _, matrix in self.terms], self.shape)
+
+    def coefficients(self, points):
+        """Every term's monomial at every point, as an (m, terms) complex array."""
+        return np.array(
+            [[monomial(point) for monomial, _ in self.terms] for point in points],
+            dtype=np.complex128,
+        ).reshape(len(points), len(self.terms))
 
     @property
     def has_base(self):
@@ -432,7 +464,7 @@ class ParametricSystem:
         self.parameter_names = tuple(parameter_names)
         self._dual = None  # the transposed system, once built
         self._origin = None  # weak reference to the system this one is the dual of
-        self._response = _NOT_BUILT  # the Schur-form frequency response, once looked for
+        self._kernel = None  # the transfer-function kernel, picked at the first call
 
     @property
     def order(self):
@@ -477,9 +509,11 @@ class ParametricSystem:
         return self._dual
 
     def _singular_at(self, point, exc):
-        return SingularAtSampleError(
+        error = SingularAtSampleError(
             f"operator of {self.name!r} is singular at {point!r}: {exc}", point
         )
+        error.__cause__ = exc
+        return error
 
     def _map_at(self, letter, point):
         """The input map ``B(p)`` (letter ``"B"``) or output map ``C(p)`` (``"C"``).
@@ -495,6 +529,16 @@ class ParametricSystem:
                 f"{role} map of {self.name!r} has non-finite entries at {point!r}", point
             )
         return value
+
+    def _maps(self, letter, points):
+        """``_map_at`` at each point: the map, or the SingularAtSampleError it raises.
+
+        A constant map is assembled once and shared; its pieces were checked
+        finite when its family was built.
+        """
+        if getattr(self, letter).terms:
+            return [_outcome(self._map_at, letter, point) for point in points]
+        return [self._map_at(letter, {})] * len(points)
 
     def operator_lu(self, point):
         """LU of ``Q(p)``, raising SingularAtSampleError on rank loss."""
@@ -516,21 +560,93 @@ class ParametricSystem:
     def transfer_function(self, point):
         """Transfer matrix ``H(p) = C(p) Q(p)^{-1} B(p)`` (n_outputs x n_inputs).
 
-        A dense frequency-only family ``Q(s) = A0 + c*s*I`` is solved from one
-        Schur form of ``A0``, built at the first call and kept: O(n^2) per
-        point after one O(n^3) reduction (see ``_SchurResponse``). Every other
-        family factors ``Q(p)`` at each point. Both raise SingularAtSampleError
-        by the same singularity rule, and where ``B(p)`` or ``C(p)`` is not
-        finite.
+        Given one point (a mapping), returns ``H(p)``; it raises
+        SingularAtSampleError where ``Q(p)`` is singular by the rule of
+        ``linalg.lu_factor``, or ``B(p)`` or ``C(p)`` is not finite. Given a
+        sequence of points, returns a list aligned with it, None where a
+        point would raise. Both go through one stacked pass, taken in chunks
+        of at most ``_CHUNK_BYTES`` of stacked entries, whose kernel the
+        operator's structure picks at the first call:
+
+        * a dense frequency-only family ``Q(s) = A0 + c*s*I``: one Schur
+          form of ``A0``, built once and kept, then one triangular solve per
+          point (``_SchurResponse``);
+        * a sparse family whose union pattern is banded (``lu_factor``'s
+          band rule): the entries of every point formed at once on the
+          pattern, then one band LU per point (``linalg.band_lu_stack``). A
+          point where an entry cancels exactly has another pattern, and is
+          factored by ``operator_lu``;
+        * any other family: ``operator_lu`` at each point.
+
+        Constant input and output maps are assembled once per chunk. Each
+        point sees the operations of a one-point call in the same order, so
+        its ``H`` does not depend on the points stacked with it, to the bit.
         """
-        if self._response is _NOT_BUILT:
-            self._response = _SchurResponse.of(self)
-        if self._response is None:
-            return self._map_at("C", point) @ self.solve_primal(point)
-        try:
-            return self._response(self, point)
-        except SingularMatrixError as exc:
-            raise self._singular_at(point, exc) from exc
+        if self._kernel is None:
+            self._kernel = self._pick_kernel()
+        responses, sample_bytes = self._kernel
+        points = [point] if isinstance(point, Mapping) else list(point)
+        step = max(1, _CHUNK_BYTES // sample_bytes)
+        out = []
+        for start in range(0, len(points), step):
+            out += responses(self, points[start : start + step])
+        if not isinstance(point, Mapping):
+            return [None if isinstance(h, SingularAtSampleError) else h for h in out]
+        if isinstance(out[0], SingularAtSampleError):
+            raise out[0]
+        return out[0]
+
+    def _pick_kernel(self):
+        """``(responses(sys, points), bytes stacked per point)`` of the kernel for this operator."""
+        schur = _SchurResponse.of(self)
+        if schur is not None:
+            return schur.responses, 16 * self.order
+        band = self._band()
+        if band is None:  # nothing is stacked: one point per pass
+            return ParametricSystem._factored_responses, _CHUNK_BYTES
+        # the entries and the band factors of each point
+        stored = self.Q.pattern.indices.size + (2 * band.kl + band.ku + 1) * band.n
+        return ParametricSystem._factored_responses, 16 * stored
+
+    def _band(self):
+        """The operator's band layout when its union pattern is banded, else None."""
+        return self.Q.pattern.band if self.Q.is_sparse and self.order else None
+
+    def _factored_responses(self, points):
+        """``H`` at each point from an LU of ``Q(p)``, or the first SingularAtSampleError
+        among the output map, the operator and the input map.
+
+        A banded operator's points are factored in one band pass; a point
+        where an entry cancels exactly drops that entry from its own
+        pattern, which may then fall on the other side of the band rule, so
+        it takes ``operator_lu``, as every point of any other operator does.
+        """
+        band = self._band()
+        if band is None:
+            lus = [_outcome(self.operator_lu, point) for point in points]
+        else:
+            entries, cancelled = self.Q.pattern.entries(self.Q.coefficients(points))
+            cancelled = cancelled.any(axis=1)
+            factors = iter(linalg.band_lu_stack(entries[~cancelled], band))
+            lus = []
+            for point, alone in zip(points, cancelled):
+                lu = _outcome(self.operator_lu, point) if alone else next(factors)
+                if isinstance(lu, SingularMatrixError):
+                    lu = self._singular_at(point, lu)
+                lus.append(lu)
+        out = []
+        for c, lu, b in zip(self._maps("C", points), lus, self._maps("B", points)):
+            errors = [x for x in (c, lu, b) if isinstance(x, SingularAtSampleError)]
+            out.append(errors[0] if errors else c @ lu.solve(b))
+        return out
+
+
+def _outcome(f, *args):
+    """``f(*args)``, or the SingularAtSampleError it raises."""
+    try:
+        return f(*args)
+    except SingularAtSampleError as exc:
+        return exc
 
 
 class _SchurResponse:
@@ -538,9 +654,12 @@ class _SchurResponse:
 
     Serves a system whose operator is dense, depends on the Laplace variable
     alone and has exactly two pieces: a base ``A0`` and one term ``c*s``
-    times the identity (a first-order realization with ``E = I``). Each point
-    then costs one triangular solve with ``T + c*s*I``. Constant input and
-    output maps are kept projected, as the thin ``Z^H B`` and ``C Z``.
+    times the identity (a first-order realization with ``E = I``; Laub
+    1981). ``responses`` serves a stack of points: the shifts ``c*s`` and
+    the singularity rule are evaluated for the whole stack at once, then
+    each point costs one triangular solve with ``T + c*s*I``. Constant
+    input and output maps are kept projected, as the thin ``Z^H B`` and ``C
+    Z``.
     """
 
     def __init__(self, sys, shift):
@@ -562,14 +681,28 @@ class _SchurResponse:
             return cls(sys, shift)
         return None
 
-    def __call__(self, sys, point):
-        # the system comes in per call, not held, so the cached response
-        # forms no reference cycle with the system that caches it
+    def responses(self, sys, points):
+        """``H`` at each point, or the SingularAtSampleError of the point.
+
+        A non-finite ``B(s)`` takes precedence, then a singular operator,
+        then a non-finite ``C(s)``. The system comes in per call, not held,
+        so the cached response forms no reference cycle with the system
+        that caches it.
+        """
         z = self.schur.Z
-        zhb = self.ZhB if self.ZhB is not None else z.conj().T @ sys._map_at("B", point)
-        y = self.schur.solve(self.shift(point), zhb)
-        cz = self.CZ if self.CZ is not None else sys._map_at("C", point) @ z
-        return cz @ y
+        out = sys._maps("B", points) if self.ZhB is None else [None] * len(points)
+        ok = [i for i, b in enumerate(out) if not isinstance(b, SingularAtSampleError)]
+        rhs = [self.ZhB if out[i] is None else z.conj().T @ out[i] for i in ok]
+        shifts = np.array([self.shift(points[i]) for i in ok], dtype=np.complex128)
+        outputs = sys._maps("C", points) if self.CZ is None else [None] * len(points)
+        for i, y in zip(ok, self.schur.solve(shifts, rhs)):
+            if isinstance(y, SingularMatrixError):
+                out[i] = sys._singular_at(points[i], y)
+            elif isinstance(outputs[i], SingularAtSampleError):
+                out[i] = outputs[i]
+            else:
+                out[i] = (self.CZ if outputs[i] is None else outputs[i] @ z) @ y
+        return out
 
 
 def _family(matrix):

@@ -28,6 +28,55 @@ def complex_randn(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
+def bits(array):
+    """The bytes of an array, so that signed zeros and NaN payloads compare too."""
+    return np.ascontiguousarray(array).view(np.uint8)
+
+
+def one_point_response(sys, point):
+    """``H(p)`` by the one-point route: assemble ``Q(p)``, ``lu_factor``, solve, apply ``C(p)``."""
+    return sys._map_at("C", point) @ sys.operator_lu(point).solve(sys._map_at("B", point))
+
+
+def assert_stack_is_one_point_bitwise(sys, ws, points, reference=None, chunk_points=None):
+    """``transfer_function`` and ``true_error`` over a stack agree with one-point calls.
+
+    Every stacked ``H`` and true error equals the one-point result to the
+    bit, and is None exactly where the one-point call raises; ``H`` also
+    equals ``reference(sys, point)`` to the bit when one is given. With
+    ``chunk_points`` the stacked calls run in passes of that many points.
+    Returns the mask of usable points.
+    """
+    from romgrid import system
+    from romgrid.errors import SingularAtSampleError, SingularReducedSystemError
+
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk_points is not None:
+            sys.transfer_function(points[:1])  # picks the kernel, which sizes a pass
+            patch.setattr(system, "_CHUNK_BYTES", chunk_points * sys._kernel[1])
+        stacked = sys.transfer_function(points)
+        errors = rg.true_error(sys, ws, points)
+    assert len(stacked) == len(errors) == len(points)
+    usable = []
+    for point, H, error in zip(points, stacked, errors):
+        try:
+            want = sys.transfer_function(point)
+        except SingularAtSampleError:
+            assert H is None and error is None, point
+            usable.append(False)
+            continue
+        assert np.array_equal(bits(H), bits(want)), point
+        if reference is not None:
+            assert np.array_equal(bits(H), bits(reference(sys, point))), point
+        try:
+            want_error = rg.true_error(sys, ws, point)
+            assert np.array_equal(bits(np.float64(error)), bits(np.float64(want_error))), point
+        except SingularReducedSystemError:
+            assert error is None, point
+        usable.append(True)
+    return usable
+
+
 def random_point(rng):
     """A frequency sample away from zero, |s| around one."""
     radius = 0.5 + rng.uniform(0.0, 1.0)

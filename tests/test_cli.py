@@ -271,3 +271,22 @@ def test_validate_after_manifest_moved(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert f"cannot read manifest {stored}" in err
+
+
+def test_validate_on_a_grid_of_singular_samples_says_so(tmp_path, capsys):
+    # Q(s) = s I - diag(1..6) is exactly singular at s = 1, 2, 3: every
+    # validation sample is skipped, which says nothing about the model
+    n = 6
+    A = np.diag(np.arange(1.0, n + 1.0))
+    saved = rg.save_system(rg.from_first_order(np.eye(n), A, np.ones((n, 1)), np.ones((1, n))),
+                           tmp_path / "model")
+    out = tmp_path / "run"
+    assert main(["reduce", "--manifest", str(saved), "--train", "f:1e-2:1e0:8:log",
+                 "--out", str(out)]) in (0, 3)
+    capsys.readouterr()
+    assert main(["validate", str(out), "--grid", "s=1,2,3"]) == 0
+    printed = capsys.readouterr().out
+    assert "skipped_singular: 3" in printed
+    assert "no validation sample was usable" in printed and "exact" not in printed
+    summary = json.loads((out / "effectivity.json").read_text())["summary"]
+    assert summary["all_below_threshold"] is False

@@ -216,36 +216,38 @@ def test_grow_factors_each_sample_once_and_builds_each_block_once(
 
 def test_true_errors_factor_each_training_sample_once(monkeypatch):
     # H(p) of a training sample never changes, so a run factors the
-    # full-order operator once per sample for true-error recording
-    import romgrid.greedy as greedy_module
+    # full-order operator once per sample for true-error recording: the
+    # stacked transfer-function pass gets only the samples not seen before,
+    # and factors each of them once
+    from romgrid import linalg
 
     sys = rg.rc_ladder(60)
     grid = _ladder_grid(10)
-    inside, factored = [], []
-    operator_lu = sys.operator_lu
+    inside, passed, factored = [], [], []
+    transfer_function, band_lu = sys.transfer_function, linalg._band_lu
 
-    def counting_lu(point):
-        if inside:
-            factored.append(tuple(sorted(point.items())))
-        return operator_lu(point)
-
-    true_error = greedy_module.true_error
-
-    def tracked(*args, **kwargs):
+    def tracked(points):
         inside.append(True)
+        passed.extend(tuple(sorted(point.items())) for point in points)
         try:
-            return true_error(*args, **kwargs)
+            return transfer_function(points)
         finally:
             inside.pop()
 
-    monkeypatch.setattr(sys, "operator_lu", counting_lu)
-    monkeypatch.setattr(greedy_module, "true_error", tracked)
+    def counting_band_lu(*args):
+        if inside:
+            factored.append(args)
+        return band_lu(*args)
+
+    monkeypatch.setattr(sys, "transfer_function", tracked)
+    monkeypatch.setattr(linalg, "_band_lu", counting_band_lu)
     cfg = rg.GreedyConfig(
         kind="delta2", training_set=grid, tolerance=1e-8, record_true_errors=True
     )
     res = rg.run_greedy(sys, cfg)
     assert len(res.trace) >= 2
-    assert len(factored) == len(set(factored)) == len(grid)
+    assert len(passed) == len(set(passed)) == len(grid)
+    assert len(factored) == len(grid)
     monkeypatch.undo()
     fresh = max(rg.true_error(sys, res.workspace, p) for p in grid)
     assert res.trace[-1].max_true_error == fresh

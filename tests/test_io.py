@@ -153,6 +153,13 @@ def test_effectivity_report_all_noise():
     assert rep.min_eff_filtered is None
 
 
+def test_effectivity_report_without_rows_claims_nothing():
+    # every sample skipped: no row is below the threshold, none is above it
+    rep = rg.EffectivityReport.from_rows([], skipped_singular=2)
+    assert not rep.all_below_threshold
+    assert rep.skipped_singular == 2 and rep.min_eff_filtered is None
+
+
 def test_report_round_trip(tmp_path):
     rows = [
         rg.EffectivityRow(sample={"s": 1j}, estimate=1.0, true_error=0.5, effectivity=2.0),

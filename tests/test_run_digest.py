@@ -43,6 +43,8 @@ def test_scenario_values_are_reproducible_and_a_moved_point_is_flagged():
     assert json.loads(json.dumps(first)) == first
     assert tool.values(name) == first
     assert first["iterations"] and first["validation_estimates"]
+    assert len(first["validation_samples"]) == len(first["validation_estimates"]) == 25
+    assert first["validation_skipped"] == 0
     same = tool.compare({name: first}, {name: first})[name]
     assert same["structure"] == [] and same["points"] == []
     assert same["max_estimate"] == same["validation_true_errors"] == 0.0
@@ -65,6 +67,14 @@ def test_compare_exits_nonzero_when_structure_or_points_differ(tmp_path, capsys)
     moved = dumps["moved_point"] = copy.deepcopy(first)
     moved["iterations"][1]["points"]["alpha"] = moved["iterations"][0]["points"]["main"]
     dumps["other_dim"] = dict(copy.deepcopy(first), rom_dim=first["rom_dim"] + 1)
+    # one more validation sample skipped: the remaining rows' values could
+    # all agree after the shift, so the changed row set itself must fail
+    skipped = dumps["one_more_skipped"] = copy.deepcopy(first)
+    for key in ("validation_samples", "validation_estimates", "validation_true_errors"):
+        del skipped[key][0]
+    skipped["validation_skipped"] += 1
+    moved_sample = dumps["other_sample"] = copy.deepcopy(first)
+    moved_sample["validation_samples"][0] = moved_sample["validation_samples"][1]
     # an estimate that moves, with the same points and structure, passes
     nudged = dumps["nudged_estimate"] = copy.deepcopy(first)
     nudged["iterations"][-1]["max_estimate"] *= 1.0 + 1e-9
@@ -72,7 +82,10 @@ def test_compare_exits_nonzero_when_structure_or_points_differ(tmp_path, capsys)
     for label, dump in dumps.items():
         paths[label] = tmp_path / f"{label}.json"
         paths[label].write_text(json.dumps({name: dump}))
-    expected = {"parent": 0, "nudged_estimate": 0, "moved_point": 1, "other_dim": 1}
+    expected = {
+        "parent": 0, "nudged_estimate": 0, "moved_point": 1, "other_dim": 1,
+        "one_more_skipped": 1, "other_sample": 1,
+    }
     for label, code in expected.items():
         assert tool.main(["--compare", str(paths["parent"]), str(paths[label])]) == code, label
         assert name in capsys.readouterr().out

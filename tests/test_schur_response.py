@@ -6,8 +6,10 @@ family factors ``Q(s)`` at each point. Hypothesis draws real and complex
 ``A0``, the coefficient ``c`` and 1-3 ports: the response and the true
 error must match ``C @ lu_factor(Q).solve(B)``, and both singularity rules
 must give the same verdict at exact eigenvalues and where ``c*s``
-overflows. Spies on ``linalg.ShiftedSchur`` and ``linalg.lu_factor`` show
-which families build a form and that validation factors nothing per sample.
+overflows. The same points as one stack, and stacks cut into passes, must
+give each point's one-point response and true error to the bit. Spies on
+``linalg.ShiftedSchur`` and ``linalg.lu_factor`` show which families build
+a form and that validation factors nothing per sample.
 """
 
 import contextlib
@@ -24,7 +26,7 @@ import romgrid as rg
 from romgrid import greedy, linalg
 from romgrid.errors import SingularAtSampleError, SingularMatrixError
 
-from conftest import complex_randn, random_orthonormal
+from conftest import assert_stack_is_one_point_bitwise, complex_randn, random_orthonormal
 
 _EPS = np.finfo(np.float64).eps
 
@@ -129,6 +131,11 @@ def test_schur_response_matches_lu_oracle(drawn, shifts):
             exact = float(np.max(np.abs(H - H_hat)))
             assert abs(rg.true_error(sys, ws, point) - exact) <= bound
             assert abs(rg.true_error(sys, ws, point, verify_identity=True) - exact) <= bound
+        # the same shifts as one stack, with one that overflows, in one pass and across passes
+        points = [{"s": complex(real, imag)} for real, imag in shifts] + [{"s": 1.5e308j}]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for chunk in (None, 1, 2):
+                assert_stack_is_one_point_bitwise(sys, ws, points, chunk_points=chunk)
     assert counts["forms"] == 1
 
 
@@ -171,6 +178,12 @@ def test_rules_agree_at_eigenvalues_of_a_diagonal_base(seed, n, complex_base, c)
         point = {"s": complex(-d[k] / c)}
         assert verdict(lambda: sys.operator_lu(point)) is not None
         assert verdict(lambda: sys.transfer_function(point)) is not None
+    # every eigenvalue in one stack, between two regular points
+    stack = [{"s": 5.0 + 1j}] + [{"s": complex(-d[k] / c)} for k in range(n)] + [{"s": -5.0j}]
+    V = random_orthonormal(rng, n, 1)
+    ws = rg.EstimatorWorkspace.from_bases(sys, "delta1", V, V_du=V)
+    usable = assert_stack_is_one_point_bitwise(sys, ws, stack)
+    assert not any(usable[1:-1])
 
 
 @pytest.mark.parametrize("s, singular", [(1e-12, True), (1e-8, False)])
@@ -195,6 +208,24 @@ def test_rules_agree_where_the_coefficient_overflows(drawn):
     assert (lu is None) == (schur is None)
     if c * 1.5e308 > np.finfo(np.float64).max:
         assert "non-finite" in lu and "non-finite" in schur
+    # an input map B(s) = B0 + s^2 B1, not finite where s^2 overflows, in a
+    # stack with a singular operator's overflow, in one pass and across passes
+    rng = np.random.default_rng(seed + 1)
+    B = rg.AffineMatrix(
+        (n, n_in),
+        base=complex_randn(rng, n, n_in),
+        terms=[(rg.Monomial(1.0, {"s": 2}), complex_randn(rng, n, n_in))],
+    )
+    sys = rg.ParametricSystem(sys.Q, B, sys.C)
+    V = random_orthonormal(rng, n, max(1, n // 3))
+    ws = rg.EstimatorWorkspace.from_bases(sys, "delta1", V, V_du=V)
+    stack = [{"s": 0.5j}, {"s": 1e200j}, point, {"s": 1.0 - 2.0j}]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for chunk in (None, 1, 3):
+            usable = assert_stack_is_one_point_bitwise(sys, ws, stack, chunk_points=chunk)
+            assert usable[0] and not usable[1] and usable[3]
+    with pytest.raises(SingularAtSampleError, match="input map"):
+        sys.transfer_function({"s": 1e200j})
 
 
 def test_threads_share_one_form():
@@ -254,6 +285,9 @@ def test_other_families_build_no_form(build, point):
         rg.true_error(sys, ws, point)
     assert counts["forms"] == 0
     np.testing.assert_allclose(H, lu_response(sys, point), rtol=1e-12)
+    stack = [dict(point, s=s) for s in (0.3j, 0.01j, 2.0j, 0.3j)]
+    for chunk in (None, 1, 3):
+        assert all(assert_stack_is_one_point_bitwise(sys, ws, stack, chunk_points=chunk))
 
 
 def test_validate_factors_nothing_per_sample():

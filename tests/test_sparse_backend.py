@@ -3,7 +3,10 @@
 Every random family is built twice from the same matrices: once with
 ``scipy.sparse`` operator pieces, once with dense ones. The storage picks
 the LU kernel (SuperLU or LAPACK), so the two twins run every full-order
-step on different code, and every result must agree to roundoff.
+step on different code, and every result must agree to roundoff. A stack
+of points, in one pass or several, must give each point's one-point
+transfer function and true error to the bit; on a banded family, whose
+stack is factored by one band pass, also the ``lu_factor(Q(p))`` route's.
 """
 
 import contextlib
@@ -26,7 +29,14 @@ from romgrid.errors import SingularMatrixError
 from romgrid.linalg import SparseOperator, lu_factor
 
 import oracles
-from conftest import complex_randn, full_workspace, random_orthonormal
+from conftest import (
+    assert_stack_is_one_point_bitwise,
+    bits,
+    complex_randn,
+    full_workspace,
+    one_point_response,
+    random_orthonormal,
+)
 
 KINDS = ["delta_r", "delta1", "delta1pr", "delta2", "delta2pr", "delta3", "delta3pr"]
 BASIS_KEYS = ("V", "V_du", "V_rdu", "V_rpr", "V_rrpr")
@@ -123,6 +133,18 @@ def test_sparse_and_dense_twins_agree(case):
 
     exact = rg.true_error(sparse, ws_s, point, verify_identity=True)
     assert exact == pytest.approx(rg.true_error(dense, ws_d, point), rel=1e-10)
+    # a stack with a huge coefficient, which may overflow the operator (and,
+    # in the parametric family, the input map), in one pass and across passes
+    huge = dict(point, s=1.5e308j) if not case["parametric"] else dict(point, d=1.7e308)
+    more = [sample_point(rng, case["parametric"]) for _ in range(2)]
+    stack = [point, more[0], huge, more[1]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sys, ws in ((sparse, ws_s), (dense, ws_d)):
+            for chunk in (None, 1, 3):
+                usable = assert_stack_is_one_point_bitwise(
+                    sys, ws, stack, reference=one_point_response, chunk_points=chunk
+                )
+                assert usable[0]
     if case["ports"] == 1:
         got = vars(rg.sensitivity_report(sparse, ws_s, point))
         want = vars(rg.sensitivity_report(dense, ws_d, point))
@@ -208,11 +230,6 @@ def test_sparse_lu_rejects_zero_and_nonfinite_operators():
         lu_factor(a.toarray())
 
 
-def _bits(array):
-    """The bytes of an array, so that signed zeros and NaN payloads compare too."""
-    return np.ascontiguousarray(array).view(np.uint8)
-
-
 assembly_cases = st.fixed_dictionaries({
     "seed": st.integers(0, 2**32 - 1),
     "rows": st.integers(1, 12),
@@ -264,7 +281,7 @@ def test_union_pattern_assembly_is_the_sparse_add_loop_bitwise(case):
             assert isinstance(got, SparseOperator) and got.shape == want.shape
             assert np.array_equal(got.indptr, want.indptr)
             assert np.array_equal(got.indices, want.indices)
-            assert np.array_equal(_bits(got.data), _bits(want.data))
+            assert np.array_equal(bits(got.data), bits(want.data))
 
 
 def test_union_pattern_assembly_adds_to_a_dropped_entry_as_to_an_absent_one():
@@ -280,7 +297,7 @@ def test_union_pattern_assembly_adds_to_a_dropped_entry_as_to_an_absent_one():
     ]
     got = rg.AffineMatrix((1, 1), base=base, terms=terms).assemble({})
     want = oracles.sparse_assemble(rg.AffineMatrix((1, 1), base=base, terms=terms), {})
-    assert np.array_equal(_bits(got.data), _bits(want.data))
+    assert np.array_equal(bits(got.data), bits(want.data))
     assert got.data[0] == 2.0 and not np.signbit(got.data[0].imag)
 
 
@@ -358,7 +375,8 @@ def kernels_called():
             original = getattr(linalg, name)
 
             def spy(*args, original=original, name=name):
-                called.append(("band", *args[4:]) if name == "_band_lu" else ("superlu",))
+                layout = args[1] if name == "_band_lu" else None
+                called.append(("band", layout.kl, layout.ku) if layout else ("superlu",))
                 return original(*args)
 
             patch.setattr(linalg, name, spy)
@@ -420,6 +438,102 @@ def test_band_lu_rejects_singular_operators_by_the_dense_rule(case, defect):
     assert [kernel for kernel, *_ in called] == ([] if defect == "non_finite" else ["band"])
     with pytest.raises(SingularMatrixError, match=message):
         lu_factor(dense)
+
+
+band_family_cases = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "n": st.integers(3, 40),
+    "kl": st.integers(0, 3),
+    "ku": st.integers(0, 3),
+    "ports": st.integers(1, 3),
+    "parametric": st.booleans(),
+})
+
+
+@PROPERTY
+@given(case=band_family_cases)
+def test_banded_family_stack_is_the_one_point_lu_route_bitwise(case):
+    # Q = A0 + 4s I (+ d A2) on a banded pattern, B = B0 + s^2 B1: the
+    # stacked pass forms every point's entries at once and factors them by
+    # the band LU; each H must be the one lu_factor(Q(p)) gives, to the bit.
+    # The stack holds a singular point (s = d = 0), a point where the
+    # diagonal entry k cancels exactly (its own pattern, so the one-point
+    # route), an overflowing coefficient and an input map that is not finite
+    rng = np.random.default_rng(case["seed"])
+    n, ports = case["n"], case["ports"]
+    _, A0 = _band_matrix(rng, n, case["kl"], case["ku"], dominance=2.0)
+    # rows and columns j, j + 1 hold only the block [[1, 1], [1, 1]]: every
+    # operation of the elimination on it is exact, so it ends at a zero pivot
+    j = int(rng.integers(n - 1))
+    A0[[j, j + 1], :] = A0[:, [j, j + 1]] = 0.0
+    A0[j : j + 2, j : j + 2] = 1.0
+    k = int(rng.integers(n))
+    s, d = rg.Monomial(4.0, {"s": 1}), rg.Monomial(1.0, {"d": 1})
+    terms = [(s, scipy.sparse.eye_array(n, format="csc"))]
+    names = ["s"]
+    if case["parametric"]:
+        terms.append((d, scipy.sparse.csc_array(np.where(A0 != 0, complex_randn(rng, n, n), 0))))
+        names.append("d")
+    Q = rg.AffineMatrix((n, n), base=scipy.sparse.csc_array(A0), terms=terms)
+    B = rg.AffineMatrix(
+        (n, ports),
+        base=complex_randn(rng, n, ports),
+        terms=[(rg.Monomial(1.0, {"s": 2}), complex_randn(rng, n, ports))],
+    )
+    sys = rg.ParametricSystem(
+        Q, B, rg.AffineMatrix.constant(complex_randn(rng, ports, n)), parameter_names=names
+    )
+    V = random_orthonormal(rng, n, min(n, 3))
+    ws = rg.EstimatorWorkspace.from_bases(sys, "delta1", V, V_du=V)
+    extra, off = ({"d": 0.7}, {"d": 0.0}) if case["parametric"] else ({}, {})
+    stack = [
+        {"s": 0.3 + 0.8j, **extra},
+        {"s": 0.0, **off},
+        {"s": -A0[k, k] / 4.0, **off},
+        {"s": 1e308j, **extra},
+        {"s": 1e200j, **extra},
+        {"s": -0.5 + 1.1j, **extra},
+    ]
+    assert sys.Q.assemble(stack[2]).nnz < sys.Q.pattern.indices.size  # an entry cancels
+    stacks, band_lu_stack = [], linalg.band_lu_stack
+
+    def counting(entries, layout):
+        stacks.append(len(entries))
+        return band_lu_stack(entries, layout)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "band_lu_stack", counting)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for chunk in (None, 1, 2):
+                usable = assert_stack_is_one_point_bitwise(
+                    sys, ws, stack, reference=one_point_response, chunk_points=chunk
+                )
+                assert usable == [True, False, usable[2], False, False, True]
+    # a small family whose rows j, j + 1 were cleared may no longer fill half its band
+    assert bool(stacks) == (sys.Q.pattern.band is not None)
+
+
+def test_a_point_whose_entry_cancels_is_factored_on_its_own_pattern():
+    # the union pattern, a diagonal and entries (0, 2) and (1, 2), fills half
+    # its band exactly (2 * 6 = (0 + 2 + 1) * 4): banded. Where s cancels
+    # entry (1, 2), the point's own pattern falls below half and SuperLU
+    # factors it, in a stack as in a one-point call
+    n = 4
+    a0 = np.diag([2.0, 3.0, 4.0, 5.0]).astype(complex)
+    a0[0, 2], a0[1, 2] = 0.5, 0.25 - 1j
+    at = scipy.sparse.csc_array((np.array([1.0]), ([1], [2])), shape=(n, n))
+    Q = rg.AffineMatrix(
+        (n, n), base=scipy.sparse.csc_array(a0), terms=[(rg.Monomial(1.0, {"s": 1}), at)]
+    )
+    B, C = rg.AffineMatrix.constant(np.ones((n, 1))), rg.AffineMatrix.constant(np.ones((1, n)))
+    sys = rg.ParametricSystem(Q, B, C)
+    stack = [{"s": 1.5j}, {"s": -a0[1, 2]}, {"s": 0.5}]
+    ws = rg.EstimatorWorkspace.from_bases(sys, "delta1", np.eye(n)[:, :2], V_du=np.eye(n)[:, :2])
+    with kernels_called() as called:
+        H = sys.transfer_function(stack)
+    assert sorted(called) == [("band", 0, 2), ("band", 0, 2), ("superlu",)]
+    assert all(h is not None for h in H)
+    assert all(assert_stack_is_one_point_bitwise(sys, ws, stack, reference=one_point_response))
 
 
 def test_sparse_kernel_follows_the_band_density():

@@ -18,12 +18,14 @@ sums in another order, and every digest changes with the thread count.
 ``--values`` prints, as one JSON object keyed by scenario, the numbers a
 change that reorders arithmetic may move: per iteration the points of every
 role, ``rom_dim``, ``max_estimate`` and ``max_true_error``; the final
-``rom_dim``, convergence and stop reason; every validation estimate and
-true error; and the dimension and ``gram_deviation`` of every stored basis.
-``--compare`` reads two such dumps and prints one line per scenario:
-structural mismatches (iteration count, ``rom_dim`` per iteration,
-convergence, stop reason, final basis dimensions), the (iteration, role)
-pairs whose points differ, the largest
+``rom_dim``, convergence and stop reason; the sample, estimate and true
+error of every validation row, and the number of validation samples
+skipped as singular; and the dimension and ``gram_deviation`` of every
+stored basis. ``--compare`` reads two such dumps and prints one line per
+scenario: structural mismatches (iteration count, ``rom_dim`` per
+iteration, convergence, stop reason, final basis dimensions, the
+validation rows' samples, the skip count), the (iteration, role) pairs
+whose points differ, the largest
 deviation of the estimates (per iteration and in validation) relative to
 the run's largest estimate, the same for the true errors, and the largest
 ``gram_deviation``. It exits with status 1 when any scenario's structure
@@ -199,6 +201,8 @@ def values(name):
         "rom_dim": rows[-1]["rom_dim"],
         "converged": trace["converged"],
         "stop_reason": trace["stop_reason"],
+        "validation_samples": [row["sample"] for row in report["rows"]],
+        "validation_skipped": report["summary"]["skipped_singular"],
         "validation_estimates": [row["estimate"] for row in report["rows"]],
         "validation_true_errors": [row["true_error"] for row in report["rows"]],
         "basis_dims": {key: basis.shape[1] for key, basis in bases.items()},
@@ -243,9 +247,15 @@ def compare(parent, change):
         a, b = parent[name], change[name]
         structure = [
             f"{key} {a[key]!r} != {b[key]!r}"
-            for key in ("converged", "stop_reason", "rom_dim", "basis_dims")
+            for key in ("converged", "stop_reason", "rom_dim", "basis_dims", "validation_skipped")
             if a[key] != b[key]
         ]
+        # the validation deviations below pair rows by position: only valid on the same samples
+        if a["validation_samples"] != b["validation_samples"]:
+            structure.append(
+                f"validation samples differ ({len(a['validation_samples'])} rows "
+                f"!= {len(b['validation_samples'])})"
+            )
         if len(a["iterations"]) != len(b["iterations"]):
             structure.append(f"iterations {len(a['iterations'])} != {len(b['iterations'])}")
         pairs = list(zip(a["iterations"], b["iterations"]))
