@@ -621,10 +621,6 @@ class EstimatorWorkspace:
             if getattr(self, model.field) is not None
         }
 
-    @staticmethod
-    def required_roms(kind):
-        return [model.field for model in ESTIMATORS[kind].models]
-
     def _offline_terms(self, kind, sys):
         """The kind's offline terms against ``sys``, built anew for another kind or system.
 

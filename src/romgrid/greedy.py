@@ -177,12 +177,13 @@ class _GreedyState:
             return "main"
         return model.point
 
-    def _mark_singular(self, index, where):
+    def _skip(self, index, reason, where):
+        """Deactivate a sample for good, warning once with ``reason`` and ``where``."""
         if self.active[index]:
             self.active[index] = False
             warnings.warn(
                 f"skipping training sample {index} ({self.samples[index]!r}): "
-                f"operator singular during {where}",
+                f"{reason} during {where}",
                 RuntimeWarning,
                 stacklevel=3,
             )
@@ -206,8 +207,9 @@ class _GreedyState:
         (side, index) pair to its block; both are filled on first use, so
         one grow step factors each sample once and builds each block once.
         A dual block solves with the primal LU transposed. A sample whose
-        operator is singular is deactivated for good and the nearest active
-        sample takes its place as the model's point.
+        operator is singular, or whose block is not finite, is deactivated
+        for good and the nearest active sample takes its place as the
+        model's point.
         """
         role = self._role(model)
         index = self.points[role]
@@ -222,8 +224,8 @@ class _GreedyState:
                         lus[index] = self.sys.operator_lu(point)
                     lu = lus[index] if model.side == "primal" else lus[index].transposed()
                     blocks[key] = expansion_block(model.system_of(self.sys), point, self.q, lu=lu)
-            except SingularAtSampleError:
-                self._mark_singular(index, f"expansion of {model.key}")
+            except SingularAtSampleError as exc:
+                self._skip(index, exc, f"expansion of {model.key}")
                 continue
             self.points[role] = index
             return blocks[key]
@@ -260,8 +262,9 @@ class _GreedyState:
         One stacked ``evaluate`` call covers the active samples. The sweep
         factors reduced operators only: a singular or non-finite one skips the
         sample for this iteration (reduced resonances move as the basis
-        grows). Full-order singularity is met, and deactivates a sample for
-        good, in the block builds and the true-error recording.
+        grows). A singular full-order operator, or a full-order solution that
+        is not finite, is met, and deactivates a sample for good, in the
+        block builds and the true-error recording.
         """
         active = [index for index, ok in enumerate(self.active) if ok]
         points = [self.samples[index] for index in active]
@@ -321,7 +324,7 @@ def run_greedy(sys, config):
             exact.update(zip(unseen, sys.transfer_function([state.samples[i] for i in unseen])))
             for i in unseen:
                 if exact[i] is None:
-                    state._mark_singular(i, "true-error recording")
+                    state._skip(i, "operator singular or H not finite", "true-error recording")
             errors = true_error(
                 sys, ws, [state.samples[i] for i in usable], responses=[exact[i] for i in usable]
             )

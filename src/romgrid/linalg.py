@@ -349,9 +349,9 @@ class ShiftedSchur:
     Only ``T`` (Fortran order, as LAPACK reads it) and ``Z`` are kept, plus
     O(n) data for the singularity rule.
 
-    ``solve`` takes one shift or a stack of them. It writes the shifted
-    pivots onto the diagonal of the stored ``T`` in place, under a lock, so
-    threads may share one form.
+    ``solve`` takes a stack of shifts, one right-hand side each. It writes
+    the shifted pivots onto the diagonal of the stored ``T`` in place, under
+    a lock, so threads may share one form.
     """
 
     def __init__(self, a):
@@ -372,21 +372,17 @@ class ShiftedSchur:
         self._lock = threading.Lock()
 
     def solve(self, shifts, rhs):
-        """Solve ``(T + shift*I) y = rhs`` for one shift, or for each shift of a stack.
+        """Solve ``(T + shifts[i]*I) y_i = rhs[i]`` for every shift of a 1-d stack.
 
-        ``rhs`` is ``Z^H b`` in Schur coordinates, and ``Z y`` solves ``(A +
-        shift*I) x = b``. Each shift is judged by the rule ``lu_factor``
-        applies to ``A + shift*I``, with pivots ``diag(T) + shift``, for the
-        whole stack at once; a shift that is not finite makes the matrix
-        non-finite. Then every shift that passes gets one triangular solve.
-        One shift (a scalar) with one block returns ``y`` or raises
-        SingularMatrixError. A 1-d array of shifts takes a sequence of
-        blocks, one per shift, and returns a list aligned with the shifts,
-        holding ``y`` or the SingularMatrixError of that shift.
+        ``rhs[i]`` is ``Z^H b`` in Schur coordinates, and ``Z y_i`` solves
+        ``(A + shifts[i]*I) x = b``. Each shift is judged by the rule
+        ``lu_factor`` applies to ``A + shift*I``, with pivots ``diag(T) +
+        shift``, for the whole stack at once; a shift that is not finite
+        makes the matrix non-finite. Then every shift that passes gets one
+        triangular solve. Returns a list aligned with the shifts, holding
+        ``y_i`` or the SingularMatrixError of that shift.
         """
-        single = np.ndim(shifts) == 0
-        shifts = np.array(shifts, dtype=np.complex128, ndmin=1)
-        blocks = [rhs] if single else rhs
+        shifts = np.asarray(shifts, dtype=np.complex128)
         max_abs = np.max(
             np.abs(self._diagonal + shifts[:, None]), axis=1, initial=self._off_diagonal_max
         )
@@ -395,17 +391,13 @@ class ShiftedSchur:
         usable = _nonsingular(self.dim, max_abs, min_pivot)
         out = []
         with self._lock:
-            for i, b in enumerate(blocks):
+            for i, b in enumerate(rhs):
                 if not usable[i]:
                     out.append(_singular_error(self.dim, max_abs[i], min_pivot[i]))
                     continue
                 self._T[np.diag_indices(self.dim)] = pivots[i]
                 out.append(_TRTRS(self._T, _as_complex_matrix(b, "right-hand side"))[0])
-        if not single:
-            return out
-        if isinstance(out[0], SingularMatrixError):
-            raise out[0]
-        return out[0]
+        return out
 
 
 def orthonormalize_append(basis, block):

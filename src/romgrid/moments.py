@@ -18,6 +18,9 @@ factorization of the operator at the point, as ``solve_primal`` does, so a
 caller can factor once and serve several blocks: a dual block reuses the
 primal LU of ``Q(p)`` through its ``transposed()`` view, a solve with
 ``Q(p)^T`` on the same factors, instead of factoring ``Q(p)^T`` again.
+A level, or the right-hand side it solves for, that is not finite (a solve
+that overflows) raises SingularAtSampleError naming the point, as a
+singular operator does, by the system's one finiteness rule.
 """
 
 import numpy as np
@@ -57,7 +60,7 @@ def krylov_block(sys, s, q, lu=None):
     for _ in range(1, q):
         if total >= MAX_BLOCK_COLUMNS:
             break
-        level = lu.solve(e_matrix @ level)
+        level = _level(sys, point, lu, e_matrix @ level)
         levels.append(level)
         total += level.shape[1]
     return np.hstack(levels)[:, :MAX_BLOCK_COLUMNS]
@@ -81,19 +84,24 @@ def multimoment_block(sys, point, q, lu=None):
     r0_pieces = sys.B.pieces()
     if not r0_pieces:
         raise DimensionMismatchError("input family has no nonzero pieces")
-    level = lu.solve(np.hstack(r0_pieces))
+    level = _level(sys, point, lu, np.hstack(r0_pieces))
     blocks = [level]
     total = level.shape[1]
     operator_terms = [matrix for _, matrix in sys.Q.terms]
     for _ in range(1, q + 1):
         if total >= MAX_BLOCK_COLUMNS or not operator_terms:
             break
-        level = np.hstack([-lu.solve(t @ level) for t in operator_terms])
+        level = np.hstack([-_level(sys, point, lu, t @ level) for t in operator_terms])
         room = MAX_BLOCK_COLUMNS - total
         level = level[:, :room]
         blocks.append(level)
         total += level.shape[1]
     return np.hstack(blocks)
+
+
+def _level(sys, point, lu, rhs):
+    """``Q(p)^{-1} rhs`` from the factorization ``lu``, both checked finite."""
+    return sys._finite(point, lu.solve(sys._finite(point, rhs, "moment block")), "moment block")
 
 
 def expansion_block(sys, point, q, lu=None):

@@ -72,13 +72,15 @@ class _UnionPattern:
     or a converted copy for a CSR piece such as the transposed views of a
     dual family) and their positions in the pattern, or None when the piece
     fills the whole pattern, as the pieces of a banded family usually do.
-    ``assemble`` forms the same entries as scipy's sparse add run over the
-    pieces in order, bit for bit: every term adds ``c_j * values_j`` on its
-    own positions and ``+0`` elsewhere, and an entry that comes out exactly
-    zero is reset to ``+0`` and, at the end, eliminated, as scipy drops it
-    after each add. Without terms the base comes back with its explicit
-    zeros, as ``astype`` keeps them. ``entries`` forms the entries of a
-    stack of points at once, by the same operations in the same order.
+    Every point is assembled on this one pattern. ``assemble`` forms the
+    entries scipy's sparse add stores when run over the pieces in order, bit
+    for bit: every term adds ``c_j * values_j`` on its own positions and
+    ``+0`` elsewhere, and an entry that comes out exactly zero is reset to
+    ``+0``, as scipy drops it after each add. Such a cancelled entry stays
+    in the pattern as a stored ``+0``, where scipy stores nothing. Without
+    terms the base comes back with its explicit zeros, as ``astype`` keeps
+    them. ``entries`` forms the entries of a stack of points at once, by the
+    same operations in the same order.
     """
 
     def __init__(self, pieces, shape):
@@ -104,36 +106,31 @@ class _UnionPattern:
 
     def assemble(self, coefficients):
         """The family at one point, given each term's coefficient, as a SparseOperator."""
-        out, cancelled = self.entries(coefficients[None])
-        out, kept = out[0], ~cancelled[0]
-        if not kept.all():
-            columns = np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
-            counts = np.bincount(columns[kept], minlength=self.shape[1])
-            return linalg.SparseOperator(
-                (out[kept], self.indices[kept], _pointers(counts, self.indptr.dtype)),
-                shape=self.shape,
-            )
+        out = self.entries(coefficients[None])[0]
         return linalg.SparseOperator((out, self.indices, self.indptr), shape=self.shape)
 
     def entries(self, coefficients):
-        """The stored entries at a stack of points, one row per point, and where they cancel.
+        """The stored entries at a stack of points, one row per point.
 
         ``coefficients[i, j]`` is term j's coefficient at point i. Every row
         is formed by the operations ``assemble`` performs, in its order, so
         it holds that point's entries to the bit, an exactly cancelled entry
-        as ``+0``. The boolean stack that comes with it marks those entries,
-        which ``assemble`` drops; without terms nothing cancels.
+        as ``+0``. An infinite coefficient times a stored zero is NaN, as in
+        scipy's product; the singularity rule rejects such a point, so the
+        products and sums are formed without floating-point warnings. The
+        values get an explicit unit point axis before they are broadcast,
+        as in ``linalg.scaled_stack``: a lone entry against a lone point
+        would take numpy's one-element product, which rounds otherwise.
         """
         (at, values), *terms = self.pieces
         m = len(coefficients)
         out = self._spread(at, values, m)
-        cancelled = np.zeros(out.shape, dtype=bool)
-        for j, (at, values) in enumerate(terms):
-            added = values * coefficients[:, j, None]
-            out += added if at is None else self._spread(at, added, m)
-            cancelled = out == 0
-            out[cancelled] = 0.0
-        return out, cancelled
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, (at, values) in enumerate(terms):
+                added = values[None] * coefficients[:, j, None]
+                out += added if at is None else self._spread(at, added, m)
+                out[out == 0] = 0.0
+        return out
 
     @cached_property
     def band(self):
@@ -258,9 +255,11 @@ class AffineMatrix:
     A sparse family assembles on the union of its pieces' patterns, formed
     as canonical CSC at the first ``assemble`` together with the position of
     every piece's entries in it (``_UnionPattern``), so each later assembly
-    is a few vector operations over the stored entries; the result equals
-    scipy's sparse sums bit for bit. Families are not modified after construction,
-    so the pattern and the derivative families ``diff`` builds are kept.
+    is a few vector operations over the stored entries. Every point has
+    that one pattern: each entry scipy's sparse sums store is stored bit
+    for bit, and an entry that cancels exactly stays as a stored ``+0``.
+    Families are not modified after construction, so the pattern and the
+    derivative families ``diff`` builds are kept.
 
     Parameters
     ----------
@@ -464,7 +463,6 @@ class ParametricSystem:
         self.parameter_names = tuple(parameter_names)
         self._dual = None  # the transposed system, once built
         self._origin = None  # weak reference to the system this one is the dual of
-        self._kernel = None  # the transfer-function kernel, picked at the first call
 
     @property
     def order(self):
@@ -509,26 +507,32 @@ class ParametricSystem:
         return self._dual
 
     def _singular_at(self, point, exc):
+        """The SingularAtSampleError naming ``point`` for ``exc`` (``exc`` itself if it is one)."""
+        if isinstance(exc, SingularAtSampleError):
+            return exc
         error = SingularAtSampleError(
             f"operator of {self.name!r} is singular at {point!r}: {exc}", point
         )
         error.__cause__ = exc
         return error
 
-    def _map_at(self, letter, point):
-        """The input map ``B(p)`` (letter ``"B"``) or output map ``C(p)`` (``"C"``).
+    def _finite(self, point, value, what):
+        """``value``, or SingularAtSampleError naming ``point`` when an entry is not finite.
 
-        A non-finite entry, from an overflowing coefficient say, makes the
-        sample as unusable as a singular operator does: it raises
-        SingularAtSampleError naming the point.
+        The one finiteness rule of full-order solutions: a non-finite input
+        or output map (an overflowing coefficient, say), moment level or
+        ``H`` makes the sample as unusable as a singular operator does.
         """
-        value = getattr(self, letter).assemble(point)
         if not np.isfinite(value).all():
-            role = "input" if letter == "B" else "output"
             raise SingularAtSampleError(
-                f"{role} map of {self.name!r} has non-finite entries at {point!r}", point
+                f"{what} of {self.name!r} has non-finite entries at {point!r}", point
             )
         return value
+
+    def _map_at(self, letter, point):
+        """The input map ``B(p)`` (letter ``"B"``) or output map ``C(p)`` (``"C"``), if finite."""
+        role = "input" if letter == "B" else "output"
+        return self._finite(point, getattr(self, letter).assemble(point), f"{role} map")
 
     def _maps(self, letter, points):
         """``_map_at`` at each point: the map, or the SingularAtSampleError it raises.
@@ -548,97 +552,67 @@ class ParametricSystem:
             raise self._singular_at(point, exc) from exc
 
     def solve_primal(self, point, lu=None):
-        """Full-order state block ``x = Q(p)^{-1} B(p)`` (n x n_inputs)."""
+        """Full-order state block ``x = Q(p)^{-1} B(p)`` (n x n_inputs), checked finite."""
         lu = lu or self.operator_lu(point)
-        return lu.solve(self._map_at("B", point))
-
-    def solve_dual(self, point, lu=None):
-        """Full-order dual block ``x_du = Q(p)^{-T} C(p)^T`` (n x n_outputs)."""
-        lu = lu or self.operator_lu(point)
-        return lu.transposed().solve(self._map_at("C", point).T)
+        return self._finite(point, lu.solve(self._map_at("B", point)), "state")
 
     def transfer_function(self, point):
         """Transfer matrix ``H(p) = C(p) Q(p)^{-1} B(p)`` (n_outputs x n_inputs).
 
-        Given one point (a mapping), returns ``H(p)``; it raises
-        SingularAtSampleError where ``Q(p)`` is singular by the rule of
-        ``linalg.lu_factor``, or ``B(p)`` or ``C(p)`` is not finite. Given a
+        Given one point (a mapping), returns ``H(p)``, or raises the
+        SingularAtSampleError naming the point of the first of: ``B(p)`` is
+        not finite, ``Q(p)`` is singular by the rule of ``linalg.lu_factor``,
+        ``C(p)`` is not finite, ``H(p)`` is not finite (a solve that
+        overflows). A point whose ``B(p)`` fails is not factored. Given a
         sequence of points, returns a list aligned with it, None where a
-        point would raise. Both go through one stacked pass, taken in chunks
-        of at most ``_CHUNK_BYTES`` of stacked entries, whose kernel the
-        operator's structure picks at the first call:
+        point would raise. Both run one loop over passes of at most
+        ``_CHUNK_BYTES`` of stacked entries, which assembles the maps and
+        applies those rules; the operator's structure picks, once, the
+        kernel that solves with ``Q(p)``:
 
         * a dense frequency-only family ``Q(s) = A0 + c*s*I``: one Schur
           form of ``A0``, built once and kept, then one triangular solve per
-          point (``_SchurResponse``);
+          point (``_SchurKernel``);
         * a sparse family whose union pattern is banded (``lu_factor``'s
           band rule): the entries of every point formed at once on the
-          pattern, then one band LU per point (``linalg.band_lu_stack``). A
-          point where an entry cancels exactly has another pattern, and is
-          factored by ``operator_lu``;
+          pattern, then one band LU per point (``linalg.band_lu_stack``);
         * any other family: ``operator_lu`` at each point.
 
-        Constant input and output maps are assembled once per chunk. Each
+        Constant input and output maps are assembled once per pass. Each
         point sees the operations of a one-point call in the same order, so
         its ``H`` does not depend on the points stacked with it, to the bit.
         """
-        if self._kernel is None:
-            self._kernel = self._pick_kernel()
-        responses, sample_bytes = self._kernel
+        kernel = self._kernel
         points = [point] if isinstance(point, Mapping) else list(point)
-        step = max(1, _CHUNK_BYTES // sample_bytes)
+        step = max(1, _CHUNK_BYTES // kernel.sample_bytes)
         out = []
         for start in range(0, len(points), step):
-            out += responses(self, points[start : start + step])
+            chunk = points[start : start + step]
+            responses = self._maps("B", chunk)
+            ok = [i for i, b in enumerate(responses) if not isinstance(b, SingularAtSampleError)]
+            rhs = [kernel.into(responses[i]) for i in ok]
+            states = kernel.solve(self, [chunk[i] for i in ok], rhs)
+            outputs = self._maps("C", chunk)
+            for i, x in zip(ok, states):
+                if isinstance(x, SingularMatrixError):
+                    responses[i] = self._singular_at(chunk[i], x)
+                elif isinstance(outputs[i], SingularAtSampleError):
+                    responses[i] = outputs[i]
+                else:
+                    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+                        H = kernel.out_of(outputs[i]) @ x
+                    responses[i] = _outcome(self._finite, chunk[i], H, "transfer function")
+            out += responses
         if not isinstance(point, Mapping):
             return [None if isinstance(h, SingularAtSampleError) else h for h in out]
         if isinstance(out[0], SingularAtSampleError):
             raise out[0]
         return out[0]
 
-    def _pick_kernel(self):
-        """``(responses(sys, points), bytes stacked per point)`` of the kernel for this operator."""
-        schur = _SchurResponse.of(self)
-        if schur is not None:
-            return schur.responses, 16 * self.order
-        band = self._band()
-        if band is None:  # nothing is stacked: one point per pass
-            return ParametricSystem._factored_responses, _CHUNK_BYTES
-        # the entries and the band factors of each point
-        stored = self.Q.pattern.indices.size + (2 * band.kl + band.ku + 1) * band.n
-        return ParametricSystem._factored_responses, 16 * stored
-
-    def _band(self):
-        """The operator's band layout when its union pattern is banded, else None."""
-        return self.Q.pattern.band if self.Q.is_sparse and self.order else None
-
-    def _factored_responses(self, points):
-        """``H`` at each point from an LU of ``Q(p)``, or the first SingularAtSampleError
-        among the output map, the operator and the input map.
-
-        A banded operator's points are factored in one band pass; a point
-        where an entry cancels exactly drops that entry from its own
-        pattern, which may then fall on the other side of the band rule, so
-        it takes ``operator_lu``, as every point of any other operator does.
-        """
-        band = self._band()
-        if band is None:
-            lus = [_outcome(self.operator_lu, point) for point in points]
-        else:
-            entries, cancelled = self.Q.pattern.entries(self.Q.coefficients(points))
-            cancelled = cancelled.any(axis=1)
-            factors = iter(linalg.band_lu_stack(entries[~cancelled], band))
-            lus = []
-            for point, alone in zip(points, cancelled):
-                lu = _outcome(self.operator_lu, point) if alone else next(factors)
-                if isinstance(lu, SingularMatrixError):
-                    lu = self._singular_at(point, lu)
-                lus.append(lu)
-        out = []
-        for c, lu, b in zip(self._maps("C", points), lus, self._maps("B", points)):
-            errors = [x for x in (c, lu, b) if isinstance(x, SingularAtSampleError)]
-            out.append(errors[0] if errors else c @ lu.solve(b))
-        return out
+    @cached_property
+    def _kernel(self):
+        """The kernel that solves with ``Q(p)`` in ``transfer_function``, picked once."""
+        return _SchurKernel.of(self) or _LUKernel(self)
 
 
 def _outcome(f, *args):
@@ -649,29 +623,65 @@ def _outcome(f, *args):
         return exc
 
 
-class _SchurResponse:
-    """``H(s) = C(s) (A0 + c*s*I)^{-1} B(s)`` from one Schur form ``A0 = Z T Z^H``.
+class _LUKernel:
+    """Solves with an LU of ``Q(p)`` at each point, on the maps as they are.
+
+    When the operator's union pattern is banded, the entries of a whole
+    stack are formed at once and factored in one band pass
+    (``linalg.band_lu_stack``), and a point stacks its entries and band
+    factors; otherwise ``operator_lu`` factors each point and a pass takes
+    one point.
+    """
+
+    def __init__(self, sys):
+        self.band = sys.Q.pattern.band if sys.Q.is_sparse and sys.order else None
+        self.sample_bytes = _CHUNK_BYTES  # one point per pass
+        if self.band is not None:  # a point's entries and band factors
+            _, n, kl, ku = self.band
+            self.sample_bytes = 16 * (sys.Q.pattern.indices.size + (2 * kl + ku + 1) * n)
+
+    @staticmethod
+    def into(matrix):
+        return matrix
+
+    out_of = into
+
+    def solve(self, sys, points, rhs):
+        """``Q(p)^{-1} b`` at each point, or the SingularMatrixError of its LU."""
+        if self.band is None:
+            lus = [_outcome(sys.operator_lu, point) for point in points]
+        else:
+            entries = sys.Q.pattern.entries(sys.Q.coefficients(points))
+            lus = linalg.band_lu_stack(entries, self.band)
+        return [x if isinstance(x, SingularMatrixError) else x.solve(b) for x, b in zip(lus, rhs)]
+
+
+class _SchurKernel:
+    """Solves with ``Q(s) = A0 + c*s*I`` from one Schur form ``A0 = Z T Z^H``.
 
     Serves a system whose operator is dense, depends on the Laplace variable
     alone and has exactly two pieces: a base ``A0`` and one term ``c*s``
     times the identity (a first-order realization with ``E = I``; Laub
-    1981). ``responses`` serves a stack of points: the shifts ``c*s`` and
-    the singularity rule are evaluated for the whole stack at once, then
-    each point costs one triangular solve with ``T + c*s*I``. Constant
-    input and output maps are kept projected, as the thin ``Z^H B`` and ``C
-    Z``.
+    1981). It works in Schur coordinates: ``into`` takes an input map to
+    ``Z^H B`` and ``out_of`` an output map to ``C Z``, both kept for
+    constant maps; ``solve`` evaluates the shifts ``c*s`` and the
+    singularity rule for the whole stack at once, then costs one triangular
+    solve with ``T + c*s*I`` per point. The system comes in per call, not
+    held, so the kernel forms no reference cycle with the system that
+    caches it.
     """
 
     def __init__(self, sys, shift):
         self.shift = shift
         self.schur = linalg.ShiftedSchur(sys.Q.base)
+        self.sample_bytes = 16 * sys.order
         z = self.schur.Z
         self.ZhB = None if sys.B.terms else z.conj().T @ sys.B.base
         self.CZ = None if sys.C.terms else sys.C.base @ z
 
     @classmethod
     def of(cls, sys):
-        """The response of ``sys``, or None when its operator has another form."""
+        """The kernel of ``sys``, or None when its operator has another form."""
         Q = sys.Q
         if Q.is_sparse or sys.parameter_names != (LAPLACE,) or len(Q.terms) != 1:
             return None
@@ -681,28 +691,16 @@ class _SchurResponse:
             return cls(sys, shift)
         return None
 
-    def responses(self, sys, points):
-        """``H`` at each point, or the SingularAtSampleError of the point.
+    def into(self, b):
+        return self.schur.Z.conj().T @ b if self.ZhB is None else self.ZhB
 
-        A non-finite ``B(s)`` takes precedence, then a singular operator,
-        then a non-finite ``C(s)``. The system comes in per call, not held,
-        so the cached response forms no reference cycle with the system
-        that caches it.
-        """
-        z = self.schur.Z
-        out = sys._maps("B", points) if self.ZhB is None else [None] * len(points)
-        ok = [i for i, b in enumerate(out) if not isinstance(b, SingularAtSampleError)]
-        rhs = [self.ZhB if out[i] is None else z.conj().T @ out[i] for i in ok]
-        shifts = np.array([self.shift(points[i]) for i in ok], dtype=np.complex128)
-        outputs = sys._maps("C", points) if self.CZ is None else [None] * len(points)
-        for i, y in zip(ok, self.schur.solve(shifts, rhs)):
-            if isinstance(y, SingularMatrixError):
-                out[i] = sys._singular_at(points[i], y)
-            elif isinstance(outputs[i], SingularAtSampleError):
-                out[i] = outputs[i]
-            else:
-                out[i] = (self.CZ if outputs[i] is None else outputs[i] @ z) @ y
-        return out
+    def out_of(self, c):
+        return c @ self.schur.Z if self.CZ is None else self.CZ
+
+    def solve(self, sys, points, rhs):
+        """``(T + c*s*I)^{-1} rhs`` at each point, or the SingularMatrixError of its shift."""
+        shifts = np.array([self.shift(point) for point in points], dtype=np.complex128)
+        return self.schur.solve(shifts, rhs)
 
 
 def _family(matrix):

@@ -52,8 +52,7 @@ def assert_stack_is_one_point_bitwise(sys, ws, points, reference=None, chunk_poi
 
     with pytest.MonkeyPatch.context() as patch:
         if chunk_points is not None:
-            sys.transfer_function(points[:1])  # picks the kernel, which sizes a pass
-            patch.setattr(system, "_CHUNK_BYTES", chunk_points * sys._kernel[1])
+            patch.setattr(system, "_CHUNK_BYTES", chunk_points * sys._kernel.sample_bytes)
         stacked = sys.transfer_function(points)
         errors = rg.true_error(sys, ws, points)
     assert len(stacked) == len(errors) == len(points)

@@ -3,6 +3,7 @@ import pytest
 
 import romgrid as rg
 from romgrid.errors import MissingWorkspaceRomError, SingularReducedSystemError
+from romgrid.estimators import models_of
 
 import oracles
 from conftest import (
@@ -32,15 +33,19 @@ def test_kind_names_round_trip():
 
 
 def test_required_roms_per_kind():
-    req = rg.EstimatorWorkspace.required_roms
+    def req(kind):
+        return [model.field for model in models_of(kind)]
+
     K = rg.EstimatorKind
-    assert req(K.DELTA_1) == ["rom_dual"]
-    assert req(K.DELTA_R) == ["rom_dual"]
-    assert req(K.DELTA_2) == ["rom_dual", "rom_dual_residual"]
-    assert req(K.DELTA_2PR) == ["rom_dual", "rom_primal_residual"]
-    assert req(K.DELTA_1PR) == ["rom_primal_residual"]
-    assert req(K.DELTA_3) == ["rom_dual", "rom_primal_residual"]
-    assert req(K.DELTA_3PR) == ["rom_primal_residual", "rom_primal_residual_residual"]
+    assert req(K.DELTA_1) == ["rom_primal", "rom_dual"]
+    assert req(K.DELTA_R) == ["rom_primal", "rom_dual"]
+    assert req(K.DELTA_2) == ["rom_primal", "rom_dual", "rom_dual_residual"]
+    assert req(K.DELTA_2PR) == ["rom_primal", "rom_dual", "rom_primal_residual"]
+    assert req(K.DELTA_1PR) == ["rom_primal", "rom_primal_residual"]
+    assert req(K.DELTA_3) == ["rom_primal", "rom_dual", "rom_primal_residual"]
+    assert req(K.DELTA_3PR) == [
+        "rom_primal", "rom_primal_residual", "rom_primal_residual_residual"
+    ]
 
 
 def test_estimator_table_points_match_bases():

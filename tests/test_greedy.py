@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import romgrid as rg
 from romgrid.errors import (
@@ -496,7 +497,7 @@ def test_nonfinite_map_is_a_sample_error_naming_the_point(letter, role):
         if letter == "B":
             rg.krylov_block(sys, point["s"], 2)  # a block build
         else:
-            sys.solve_dual(point)
+            sys.operator_lu(point).transposed().solve(sys._map_at("C", point).T)
     V = np.linalg.qr(rg.krylov_block(sys, 1j, 2))[0]
     if letter == "B":
         rom = rg.reduce_system(sys, V)
@@ -515,6 +516,97 @@ def test_nonfinite_map_is_a_sample_error_naming_the_point(letter, role):
         rg.sensitivity_report(sys, ws, point)
     with pytest.raises(SingularAtSampleError, match=named):
         rg.true_error(sys, ws, point, verify_identity=True)
+
+
+def _kernel_system(kernel, base, B, C, n=6):
+    """``Q(s) = base * I + s * I`` on the transfer-function kernel ``kernel``.
+
+    ``"schur"`` stores it dense (the Schur form), ``"band"`` sparse (a
+    diagonal pattern, the band stack) and ``"per-point"`` dense with the
+    term written as ``(s / 2) * (2 I)`` (``operator_lu`` at each point).
+    """
+    sparse = kernel == "band"
+    eye = scipy.sparse.eye_array(n, format="csc") if sparse else np.eye(n)
+    term = (rg.Monomial(1.0, {"s": 1}), eye)
+    if kernel == "per-point":
+        term = (rg.Monomial(0.5, {"s": 1}), 2.0 * eye)
+    Q = rg.AffineMatrix((n, n), base=base * eye, terms=[term])
+    sys = rg.ParametricSystem(Q, B, C, name=f"{kernel}-kernel")
+    assert type(sys._kernel).__name__ == ("_SchurKernel" if kernel == "schur" else "_LUKernel")
+    assert (getattr(sys._kernel, "band", None) is not None) == sparse
+    return sys
+
+
+_KERNELS = ["schur", "band", "per-point"]
+
+
+@pytest.mark.parametrize("kernel", _KERNELS)
+def test_nonfinite_response_is_a_sample_error_naming_the_point(kernel):
+    # Q(0) = 1e-300 I passes the singularity rule, but 1e10 / 1e-300 overflows
+    n = 6
+    B = rg.AffineMatrix.constant(np.full((n, 1), 1e10))
+    sys = _kernel_system(kernel, 1e-300, B, rg.AffineMatrix.constant(np.ones((1, n))))
+    point = {"s": 0.0}
+    sys.operator_lu(point)
+    with pytest.raises(SingularAtSampleError, match=r"transfer function .*non-finite.*'s': 0\.0"):
+        sys.transfer_function(point)
+    stack = [{"s": 0.5j}, point, {"s": 1j}]
+    H = sys.transfer_function(stack)
+    assert H[1] is None and np.isfinite(H[0]).all() and np.isfinite(H[2]).all()
+    V = np.eye(n)[:, :2]
+    ws = rg.EstimatorWorkspace.from_bases(sys, "delta1", V, V_du=V)
+    errors = rg.true_error(sys, ws, stack)
+    assert errors[1] is None and errors[0] is not None and errors[2] is not None
+    with pytest.raises(SingularAtSampleError, match=r"'s': 0\.0"):
+        rg.true_error(sys, ws, point)
+
+
+@pytest.mark.parametrize("kernel", _KERNELS)
+def test_one_error_order_on_every_kernel(kernel):
+    # at s = 1e200j, s^2 overflows in both maps: the input map is named first
+    n = 6
+    rng = np.random.default_rng(7)
+    s2 = rg.Monomial(1.0, {"s": 2})
+    B = rg.AffineMatrix((n, 2), base=rng.standard_normal((n, 2)), terms=[(s2, np.ones((n, 2)))])
+    C = rg.AffineMatrix((1, n), base=rng.standard_normal((1, n)), terms=[(s2, np.ones((1, n)))])
+    sys = _kernel_system(kernel, 3.0, B, C)
+    point = {"s": 1e200j}
+    sys.operator_lu(point)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SingularAtSampleError, match=r"input map .*1e\+200j"):
+            sys.transfer_function(point)
+        H = sys.transfer_function([{"s": 0.5j}, point])
+    assert H[1] is None and np.isfinite(H[0]).all()
+
+
+def test_overflowing_moment_block_skips_the_sample():
+    # Q(s) = 1e-300 I + 2s I: at s = 0 every level of the Krylov block overflows
+    n = 6
+    Q = rg.AffineMatrix(
+        (n, n), base=1e-300 * np.eye(n), terms=[(rg.Monomial(2.0, {"s": 1}), np.eye(n))]
+    )
+    sys = rg.ParametricSystem(
+        Q,
+        rg.AffineMatrix.constant(np.full((n, 1), 1e10)),
+        rg.AffineMatrix.constant(np.ones((1, n))),
+        name="overflowing",
+    )
+    with pytest.raises(SingularAtSampleError, match=r"non-finite entries at \{'s': 0j\}"):
+        rg.krylov_block(sys, 0.0, 2)
+    lu = sys.operator_lu({"s": 0.0})
+    with pytest.raises(SingularAtSampleError, match=r"non-finite entries at \{'s': 0j\}"):
+        rg.krylov_block(sys.dual(), 0.0, 2, lu=lu.transposed())
+    training = [{"s": 0}, {"s": 0.5j}, {"s": 1j}]
+    cfg = rg.GreedyConfig(kind="delta2", training_set=training, tolerance=1e-6)
+    with pytest.warns(RuntimeWarning) as caught:
+        res = rg.run_greedy(sys, cfg)
+    assert res.trace and res.skipped_samples == [0]
+    messages = [str(w.message) for w in caught]
+    assert any(
+        m.startswith("skipping training sample 0 ({'s': 0})") and "non-finite" in m
+        and "operator singular" not in m
+        for m in messages
+    ), messages
 
 
 @pytest.mark.parametrize("case", ["sparse", "dense", "input_map"])

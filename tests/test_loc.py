@@ -2,12 +2,18 @@
 
 Docstring-only, comment-only and blank lines count zero; a statement that
 spans several lines, a multi-line string inside it included, counts each.
+The package's count stays at or below ``CEILING``. A change that lowers the
+count lowers ``CEILING`` to it; a change that raises it raises ``CEILING``
+and says why in ``CHANGES.md``.
 """
 
 import importlib.util
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+#: The most code lines ``tools/loc.py`` may count in ``src/romgrid``.
+CEILING = 2662
 
 FIXTURE = '''"""Module docstring,
 over two lines."""
@@ -58,3 +64,12 @@ def test_package_count_prints_each_module_and_the_total(tmp_path, capsys):
         ["1", "b.py"],
         [str(FIXTURE_LINES + 1), "total"],
     ]
+
+
+def test_package_code_lines_stay_under_the_ceiling(capsys):
+    assert _loc().main([str(ROOT / "src" / "romgrid")]) == 0
+    total = int(capsys.readouterr().out.splitlines()[-1].split()[0])
+    assert total <= CEILING, (
+        f"src/romgrid has {total} code lines, above the ceiling of {CEILING}: "
+        "remove code, or raise CEILING and say why in CHANGES.md"
+    )

@@ -236,13 +236,13 @@ def test_threads_share_one_form():
     form = linalg.ShiftedSchur(2.0 * np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n))
     rhs = complex_randn(rng, n, 2)
     shifts = [1j * k for k in range(8)]
-    expected = [form.solve(shift, rhs) for shift in shifts]
+    expected = form.solve(shifts, [rhs] * len(shifts))
     mismatches = []
 
     def work(offset):
         for step in range(300):
             k = (offset + step) % len(shifts)
-            if not np.array_equal(form.solve(shifts[k], rhs), expected[k]):
+            if not np.array_equal(form.solve(shifts[k : k + 1], [rhs])[0], expected[k]):
                 mismatches.append(k)
 
     interval = getswitchinterval()
