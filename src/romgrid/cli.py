@@ -26,7 +26,7 @@ from .grids import DEFAULT_FREQUENCY_SPEC, parse_grid
 from .manifest import load_system, save_system
 from .projection import Basis
 from .reports import write_report, write_trace_csv, write_trace_json
-from .system import ParametricSystem
+from .system import ParametricSystem, _SchurKernel
 
 __all__ = ["main"]
 
@@ -136,6 +136,11 @@ def _save_run(out_dir, system, source, args, specs, result):
     ws = result.workspace
     np.savez(out / "bases.npz", **{key: basis.columns for key, basis in ws.bases.items()})
     save_system(ws.rom_primal.system, out / "rom", name=f"{system.name}_reduced")
+    kernel = vars(system).get("_kernel")  # cached once built: true errors build it
+    (out / "schur.npz").unlink(missing_ok=True)
+    if isinstance(kernel, _SchurKernel):
+        with kernel.schur.form() as (t, z):
+            np.savez(out / "schur.npz", T=t, Z=z)
     run_meta = {
         "version": __version__,
         "system": source,
@@ -191,6 +196,7 @@ def _rebuild_workspace(run_dir):
         system = generate_synthetic(source["synthetic"])
     else:
         raise RomgridError(f"run directory {run_dir}: run.json field 'system' names no source")
+    _reuse_schur_form(system, run_dir / "schur.npz")
     kind = EstimatorKind.from_name(meta["estimator"])
     needed = [model.key for model in models_of(kind)]
     try:
@@ -210,6 +216,23 @@ def _rebuild_workspace(run_dir):
         raise RomgridError(f"run directory {run_dir}: unreadable bases.npz: {exc}") from exc
     workspace = EstimatorWorkspace.from_bases(system, kind, **bases)
     return system, workspace, meta
+
+
+def _reuse_schur_form(system, path):
+    """Give ``system`` the Schur kernel of the form ``reduce`` stored at ``path``.
+
+    A missing or unreadable file, or a system of another family, leaves the
+    kernel to ``transfer_function``, which builds the form as usual; so does
+    a stored form that ``linalg.ShiftedSchur``'s check rejects.
+    """
+    try:  # np.load leaves a file it opened unclosed when a truncated archive fails to open
+        with open(path, "rb") as handle, np.load(handle) as stored:
+            form = stored["T"], stored["Z"]
+    except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile):
+        return
+    kernel = _SchurKernel.of(system, form)
+    if kernel is not None:
+        system._kernel = kernel  # the cached kernel transfer_function would pick
 
 
 def _cmd_validate(args):

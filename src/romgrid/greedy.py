@@ -297,7 +297,8 @@ def run_greedy(sys, config):
     ``true_error`` call over the samples with an estimate. A training
     sample's full-order ``H`` does not change, so it is computed once per
     run: each iteration gets the samples not seen before in one stacked
-    ``transfer_function`` call.
+    ``transfer_function`` pass, which hands back the cause of each sample
+    it skips for the skip warning.
     """
     state = _GreedyState(sys, config)
     record_true = config.record_true_errors
@@ -321,10 +322,11 @@ def run_greedy(sys, config):
         if record_true:
             usable = [i for i, b in enumerate(breakdowns) if b is not None]
             unseen = [i for i in usable if i not in exact]
-            exact.update(zip(unseen, sys.transfer_function([state.samples[i] for i in unseen])))
-            for i in unseen:
-                if exact[i] is None:
-                    state._skip(i, "operator singular or H not finite", "true-error recording")
+            for i, H in zip(unseen, sys._responses([state.samples[i] for i in unseen])):
+                if isinstance(H, SingularAtSampleError):
+                    state._skip(i, H, "true-error recording")
+                    H = None
+                exact[i] = H
             errors = true_error(
                 sys, ws, [state.samples[i] for i in usable], responses=[exact[i] for i in usable]
             )

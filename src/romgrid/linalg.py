@@ -22,9 +22,13 @@ each, with no sparse object and no pattern scan per operator;
 ``ShiftedSchur`` solves many shifts of one dense matrix from a single Schur
 form, one triangular solve each; and ``lu_solve_stack`` solves a stack of
 small dense systems, one per sample point. Each sample's factors and
-solution are bitwise the ones a call on that sample alone gives.
+solution are bitwise the ones a call on that sample alone gives. A Schur
+form can be stored and reused: ``ShiftedSchur`` takes a stored ``(T, Z)``
+in place of the O(n^3) reduction once an O(n^2) check (Freivalds' random
+vector test of ``A Z = Z T`` and ``Z^H Z = I``) accepts it.
 """
 
+import contextlib
 import threading
 from typing import NamedTuple
 
@@ -349,14 +353,23 @@ class ShiftedSchur:
     Only ``T`` (Fortran order, as LAPACK reads it) and ``Z`` are kept, plus
     O(n) data for the singularity rule.
 
+    ``form`` hands out ``(T, Z)`` for writing, and a pair so written and
+    read back, passed as ``form`` to the constructor, skips the reduction
+    when ``_is_schur_form`` accepts it as a Schur form of ``A``; any other
+    pair is ignored and the form is built. An accepted pair is taken over
+    as it is (``solve`` writes on its ``T``), so it solves bit for bit as
+    the form it was written from.
+
     ``solve`` takes a stack of shifts, one right-hand side each. It writes
     the shifted pivots onto the diagonal of the stored ``T`` in place, under
     a lock, so threads may share one form.
     """
 
-    def __init__(self, a):
+    def __init__(self, a, form=None):
         a = _as_complex_matrix(a, "matrix")
-        if np.any(a.imag):
+        if form is not None and _is_schur_form(a, *form):
+            t, z = form
+        elif np.any(a.imag):
             t, z = scipy.linalg.schur(a, output="complex")
         else:
             t, z = scipy.linalg.rsf2csf(*scipy.linalg.schur(a.real, output="real"))
@@ -370,6 +383,17 @@ class ShiftedSchur:
         np.fill_diagonal(off_diagonal, 0.0)
         self._off_diagonal_max = float(np.max(off_diagonal, initial=0.0))
         self._lock = threading.Lock()
+
+    @contextlib.contextmanager
+    def form(self):
+        """``(T, Z)`` as built, held under the lock for the ``with`` block: to write, not to keep.
+
+        The eigenvalues go back onto the diagonal that ``solve`` overwrites;
+        the stored arrays themselves are handed out, so no copy is made.
+        """
+        with self._lock:
+            self._T[np.diag_indices(self.dim)] = self._eigenvalues
+            yield self._T, self.Z
 
     def solve(self, shifts, rhs):
         """Solve ``(T + shifts[i]*I) y_i = rhs[i]`` for every shift of a 1-d stack.
@@ -398,6 +422,28 @@ class ShiftedSchur:
                 self._T[np.diag_indices(self.dim)] = pivots[i]
                 out.append(_TRTRS(self._T, _as_complex_matrix(b, "right-hand side"))[0])
         return out
+
+
+def _is_schur_form(a, t, z):
+    """Whether ``(t, z)`` is a Schur form ``a = z t z^H`` to working precision, in O(n^2).
+
+    Both must be complex arrays of ``a``'s shape, as built, and ``t`` must
+    be finite and upper triangular. Then Freivalds' check with one
+    fixed-seed vector ``v``: ``a (z v) - z (t v)`` and ``z^H (z v) - v``
+    must stay within ``1e3 * n * eps`` times ``||a||_F ||v||`` and ``||v||``,
+    the roundoff floor of ``true_error``'s identity check.
+    """
+    n = a.shape[0]
+    if any(m.dtype != np.complex128 or m.shape != a.shape for m in (t, z)):
+        return False
+    if not np.isfinite(t).all() or scipy.linalg.bandwidth(t)[0]:
+        return False
+    v = np.random.default_rng(0).standard_normal(n)
+    zv = z @ v
+    floor = 1e3 * n * _EPS * np.linalg.norm(v)
+    residual = np.linalg.norm(a @ zv - z @ (t @ v))
+    unitary = np.linalg.norm((zv.conj() @ z).conj() - v)  # z^H (z v), without a copy of z^H
+    return bool(residual <= floor * np.linalg.norm(a) < np.inf and unitary <= floor)
 
 
 def orthonormalize_append(basis, block):

@@ -582,8 +582,17 @@ class ParametricSystem:
         point sees the operations of a one-point call in the same order, so
         its ``H`` does not depend on the points stacked with it, to the bit.
         """
+        out = self._responses([point] if isinstance(point, Mapping) else point)
+        if not isinstance(point, Mapping):
+            return [None if isinstance(h, SingularAtSampleError) else h for h in out]
+        if isinstance(out[0], SingularAtSampleError):
+            raise out[0]
+        return out[0]
+
+    def _responses(self, points):
+        """``transfer_function`` over a sequence: per point ``H``, or its SingularAtSampleError."""
         kernel = self._kernel
-        points = [point] if isinstance(point, Mapping) else list(point)
+        points = list(points)
         step = max(1, _CHUNK_BYTES // kernel.sample_bytes)
         out = []
         for start in range(0, len(points), step):
@@ -603,11 +612,7 @@ class ParametricSystem:
                         H = kernel.out_of(outputs[i]) @ x
                     responses[i] = _outcome(self._finite, chunk[i], H, "transfer function")
             out += responses
-        if not isinstance(point, Mapping):
-            return [None if isinstance(h, SingularAtSampleError) else h for h in out]
-        if isinstance(out[0], SingularAtSampleError):
-            raise out[0]
-        return out[0]
+        return out
 
     @cached_property
     def _kernel(self):
@@ -668,19 +673,21 @@ class _SchurKernel:
     singularity rule for the whole stack at once, then costs one triangular
     solve with ``T + c*s*I`` per point. The system comes in per call, not
     held, so the kernel forms no reference cycle with the system that
-    caches it.
+    caches it. ``form``, a stored ``(T, Z)`` of ``A0`` (``schur.form()``
+    hands one out for writing), goes to ``linalg.ShiftedSchur``, which uses
+    it only where it passes that class's check and builds the form otherwise.
     """
 
-    def __init__(self, sys, shift):
+    def __init__(self, sys, shift, form=None):
         self.shift = shift
-        self.schur = linalg.ShiftedSchur(sys.Q.base)
+        self.schur = linalg.ShiftedSchur(sys.Q.base, form)
         self.sample_bytes = 16 * sys.order
         z = self.schur.Z
         self.ZhB = None if sys.B.terms else z.conj().T @ sys.B.base
         self.CZ = None if sys.C.terms else sys.C.base @ z
 
     @classmethod
-    def of(cls, sys):
+    def of(cls, sys, form=None):
         """The kernel of ``sys``, or None when its operator has another form."""
         Q = sys.Q
         if Q.is_sparse or sys.parameter_names != (LAPLACE,) or len(Q.terms) != 1:
@@ -688,7 +695,7 @@ class _SchurKernel:
         shift, matrix = Q.terms[0]
         identity = np.array_equal(matrix, np.eye(sys.order))
         if Q.has_base and shift.exponents == {LAPLACE: 1} and identity:
-            return cls(sys, shift)
+            return cls(sys, shift, form)
         return None
 
     def into(self, b):

@@ -218,20 +218,21 @@ def test_grow_factors_each_sample_once_and_builds_each_block_once(
 def test_true_errors_factor_each_training_sample_once(monkeypatch):
     # H(p) of a training sample never changes, so a run factors the
     # full-order operator once per sample for true-error recording: the
-    # stacked transfer-function pass gets only the samples not seen before,
-    # and factors each of them once
+    # stacked transfer-function pass (``_responses``, which keeps each
+    # skipped sample's cause) gets only the samples not seen before, and
+    # factors each of them once
     from romgrid import linalg
 
     sys = rg.rc_ladder(60)
     grid = _ladder_grid(10)
     inside, passed, factored = [], [], []
-    transfer_function, band_lu = sys.transfer_function, linalg._band_lu
+    responses, band_lu = sys._responses, linalg._band_lu
 
     def tracked(points):
         inside.append(True)
         passed.extend(tuple(sorted(point.items())) for point in points)
         try:
-            return transfer_function(points)
+            return responses(points)
         finally:
             inside.pop()
 
@@ -240,7 +241,7 @@ def test_true_errors_factor_each_training_sample_once(monkeypatch):
             factored.append(args)
         return band_lu(*args)
 
-    monkeypatch.setattr(sys, "transfer_function", tracked)
+    monkeypatch.setattr(sys, "_responses", tracked)
     monkeypatch.setattr(linalg, "_band_lu", counting_band_lu)
     cfg = rg.GreedyConfig(
         kind="delta2", training_set=grid, tolerance=1e-8, record_true_errors=True
@@ -607,6 +608,51 @@ def test_overflowing_moment_block_skips_the_sample():
         and "operator singular" not in m
         for m in messages
     ), messages
+
+
+def test_true_error_skips_name_each_samples_cause():
+    # Q(s) = s I - diag(1, ..., 4, -1, -1) is exactly singular at s = 1.
+    # C(s) = C0 + s^5 C1 with C1 only in the last two columns, which Q
+    # decouples and B does not feed. The expansion point is s = 0, where C1's
+    # first four moments vanish, so every basis is zero in those rows and
+    # the sweep reads C1 only as C1 V = 0; at s = 1e32j only the full-order
+    # C(s) = 1e160 * 1e150 overflows. Both samples pass the sweep and are
+    # first met by the true-error recording. (An input map that overflows
+    # cannot get that far: the sweep's primal residual carries B's pieces
+    # times their coefficients, so it overflows too.)
+    n = 6
+    Q = rg.AffineMatrix(
+        (n, n),
+        base=-np.diag([1.0, 2.0, 3.0, 4.0, -1.0, -1.0]),
+        terms=[(rg.Monomial(1.0, {"s": 1}), np.eye(n))],
+    )
+    C1 = np.zeros((1, n))
+    C1[0, 4:] = 1e150
+    C = rg.AffineMatrix(
+        (1, n),
+        base=np.r_[np.ones(4), 0.0, 0.0][None, :],
+        terms=[(rg.Monomial(1.0, {"s": 5}), C1)],
+    )
+    B = rg.AffineMatrix.constant(np.r_[np.ones(4), 0.0, 0.0][:, None])
+    sys = rg.ParametricSystem(Q, B, C, name="two_causes")
+    training = [{"s": s} for s in (0.0, 1.0, 1e32j, 3j, 4j, 5j, 6j)]
+    cfg = rg.GreedyConfig(
+        kind="delta1pr", training_set=training, tolerance=1e-12, max_iterations=1,
+        record_true_errors=True,
+    )
+    with np.errstate(over="ignore"), pytest.warns(RuntimeWarning) as caught:
+        res = rg.run_greedy(sys, cfg)
+    assert res.skipped_samples == [1, 2]
+    messages = [str(w.message) for w in caught]
+    singular, overflow = (
+        [m for m in messages if m.startswith(f"skipping training sample {i} ")] for i in (1, 2)
+    )
+    assert len(singular) == len(overflow) == 1, messages
+    assert singular[0].endswith("during true-error recording")
+    assert overflow[0].endswith("during true-error recording")
+    assert "operator of 'two_causes' is singular at {'s': 1.0}" in singular[0]
+    assert "output map of 'two_causes' has non-finite entries at {'s': 1e+32j}" in overflow[0]
+    assert not any("operator singular or H not finite" in m for m in messages)
 
 
 @pytest.mark.parametrize("case", ["sparse", "dense", "input_map"])

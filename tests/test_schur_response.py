@@ -9,21 +9,29 @@ must give the same verdict at exact eigenvalues and where ``c*s``
 overflows. The same points as one stack, and stacks cut into passes, must
 give each point's one-point response and true error to the bit. Spies on
 ``linalg.ShiftedSchur`` and ``linalg.lu_factor`` show which families build
-a form and that validation factors nothing per sample.
+a form and that validation factors nothing per sample. ``romgrid
+validate`` solves with the form ``romgrid reduce`` stored in ``schur.npz``
+and writes the same bytes as with a form it builds; a spy on the Schur
+reduction shows it builds none, and a stale, damaged or foreign form is
+never used.
 """
 
 import contextlib
+import json
 import re
 import threading
 from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
+import scipy.io
+import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import romgrid as rg
 from romgrid import greedy, linalg
+from romgrid.cli import main
 from romgrid.errors import SingularAtSampleError, SingularMatrixError
 
 from conftest import assert_stack_is_one_point_bitwise, complex_randn, random_orthonormal
@@ -76,9 +84,9 @@ def spies(order):
     build, factor, true_error = linalg.ShiftedSchur, linalg.lu_factor, greedy.true_error
 
     class CountingSchur(build):
-        def __init__(self, a):
+        def __init__(self, a, form=None):
             counts["forms"] += 1
-            super().__init__(a)
+            super().__init__(a, form)
 
     def counting_lu(a):
         if inside and a.shape[0] == order:
@@ -301,3 +309,169 @@ def test_validate_factors_nothing_per_sample():
         report = rg.validate(sys, result, rg.parse_grid("f:1.07e-2:9.3e0:20:log"))
     assert len(report.rows) == 20
     assert counts == {"forms": 1, "lu_under_true_error": 0}
+
+
+@contextlib.contextmanager
+def schur_reductions():
+    """Record the shape of every O(n^3) Schur reduction ``linalg.ShiftedSchur`` runs."""
+    shapes = []
+    schur = scipy.linalg.schur
+
+    def counting(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return schur(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.linalg, "schur", counting)
+        yield shapes
+
+
+def test_a_stored_form_solves_bitwise_as_the_built_one():
+    rng = np.random.default_rng(11)
+    n = 30
+    a = 2.0 * np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n)
+    built = linalg.ShiftedSchur(a)
+    pristine = built._T.copy()
+    shifts, rhs = [0.5j, 2.0 - 1.0j], [complex_randn(rng, n, 2)] * 2
+    expected = built.solve(shifts, rhs)  # leaves the last shift's pivots on the diagonal
+    with built.form() as (t, z):
+        assert t is built._T and z is built.Z  # handed out, not copied
+        assert np.array_equal(t, pristine)
+        stored = t.copy(), z.copy()
+    with schur_reductions() as reductions:
+        loaded = linalg.ShiftedSchur(a, stored)
+    assert reductions == []
+    assert all(np.array_equal(x, y) for x, y in zip(loaded.solve(shifts, rhs), expected))
+    # the check rejects a form of another matrix, and the form is built
+    with schur_reductions() as reductions:
+        other = linalg.ShiftedSchur(a + 1e-6 * np.eye(n, k=3), stored)
+    assert reductions == [(n, n)] and not np.array_equal(other._T, pristine)
+
+
+GRID = "f:1.07e-2:9.3e0:20:log"
+
+
+def _reduce(run_dir, *source, true_errors="on"):
+    argv = ["reduce", *source, "--estimator", "delta2", "--tol", "1e-8",
+            "--train", "f:1e-2:1e1:12:log", "--true-errors", true_errors, "--out", str(run_dir)]
+    assert main(argv) in (0, 3)
+
+
+def _validate(run_dir):
+    """Schur reductions made by ``romgrid validate`` on ``run_dir``, and the bytes it writes."""
+    with schur_reductions() as reductions:
+        assert main(["validate", str(run_dir), "--grid", GRID]) == 0
+    written = [(run_dir / name).read_bytes() for name in ("effectivity.json", "effectivity.csv")]
+    return len(reductions), written
+
+
+@pytest.mark.parametrize("spec", ["mimo_block:60,2,0", "random_stable:40,3"])
+def test_validate_reuses_the_form_reduce_stored(tmp_path, spec):
+    run_dir = tmp_path / "run"
+    _reduce(run_dir, "--synthetic", spec)
+    loaded = _validate(run_dir)
+    (run_dir / "schur.npz").unlink()
+    built = _validate(run_dir)
+    assert loaded[0] == 0 and built[0] == 1
+    assert loaded[1] == built[1]
+
+
+def test_only_a_built_schur_kernel_is_stored(tmp_path):
+    run_dir = tmp_path / "run"
+    _reduce(run_dir, "--synthetic", "mimo_block:60,2,0")
+    assert (run_dir / "schur.npz").is_file()
+    # true errors off build no form, and a rerun into the same directory
+    # leaves no form from the earlier run behind
+    _reduce(run_dir, "--synthetic", "mimo_block:60,2,0", true_errors="off")
+    assert not (run_dir / "schur.npz").exists()
+    assert _validate(run_dir)[0] == 1
+    _reduce(tmp_path / "ladder", "--synthetic", "rc_ladder:40")
+    assert not (tmp_path / "ladder" / "schur.npz").exists()
+
+
+def _dense_manifest(directory, system):
+    """``system`` (``E = I``) as a first-order manifest of array-format, hence dense, matrices."""
+    directory.mkdir()
+    matrices = {"E": np.eye(system.order), "A": -system.Q.base.real,
+                "B": system.B.base.real, "C": system.C.base.real}
+    for role, matrix in matrices.items():
+        scipy.io.mmwrite(str(directory / f"{role}.mtx"), matrix, precision=17)
+    entries = [{"role": role, "file": f"{role}.mtx"} for role in matrices]
+    (directory / "manifest.json").write_text(
+        json.dumps({"form": "first-order", "n": system.order, "n_inputs": system.n_inputs,
+                    "n_outputs": system.n_outputs, "matrices": entries})
+    )
+    return directory / "manifest.json"
+
+
+def _edit_form(edit):
+    def damage(run_dir, model):
+        with np.load(run_dir / "schur.npz") as stored:
+            t, z = edit(stored["T"].copy(), stored["Z"].copy())
+        np.savez(run_dir / "schur.npz", T=t, Z=z)
+    return damage
+
+
+def _edit_manifest(run_dir, model):
+    a = scipy.io.mmread(str(model / "A.mtx"))
+    a[3, 7] += 0.5
+    scipy.io.mmwrite(str(model / "A.mtx"), a, precision=17)
+
+
+def _perturb(t, z):
+    t[0, -1] += 1e-3
+    return t, z
+
+
+def _not_triangular(t, z):
+    # another unitary similarity, A = (Z G) (G^H T G) (Z G)^H, with a full leading 2 x 2 block
+    g = np.eye(len(t), dtype=complex)
+    g[:2, :2] = [[0.6, -0.8], [0.8, 0.6]]
+    return g.conj().T @ t @ g, z @ g
+
+
+def _not_finite(t, z):
+    t[2, 5] = np.nan
+    return t, z
+
+
+def _not_unitary(t, z):
+    return t, 1.5 * z  # A (1.5 Z) = (1.5 Z) T still holds
+
+
+def _foreign(t, z):
+    other = linalg.ShiftedSchur(-rg.mimo_block(60, 2, seed=1).Q.base)
+    with other.form() as form:
+        return form
+
+
+def _truncate(run_dir, model):
+    path = run_dir / "schur.npz"
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _edit_manifest,
+        _edit_form(_perturb),
+        _edit_form(_not_triangular),
+        _edit_form(_not_finite),
+        _edit_form(_not_unitary),
+        _edit_form(lambda t, z: (t[:-1, :-1], z[:-1, :-1])),
+        _truncate,
+        _edit_form(_foreign),
+    ],
+    ids=["stale", "T_entry", "T_not_triangular", "T_not_finite", "Z_not_unitary",
+         "wrong_shape", "truncated", "foreign"],
+)
+def test_a_bad_stored_form_is_never_used(tmp_path, damage):
+    model = _dense_manifest(tmp_path / "model", rg.mimo_block(60, 2))
+    run_dir = tmp_path / "run"
+    _reduce(run_dir, "--manifest", str(model))
+    assert (run_dir / "schur.npz").is_file()
+    damage(run_dir, model.parent)
+    reductions, written = _validate(run_dir)
+    (run_dir / "schur.npz").unlink()
+    assert reductions == 1
+    assert written == _validate(run_dir)[1]

@@ -9,11 +9,15 @@ scenario is a ``romgrid reduce`` followed by ``romgrid validate``, both run
 in process through ``romgrid.cli.main`` into a temporary run directory. Its
 digest covers ``trace.csv``, ``trace.json``, ``effectivity.json`` and the
 arrays of ``bases.npz`` (member names and bytes, not the zip container,
-whose entries carry the time they were written). The output is one
-``<digest>  <scenario>`` line per scenario; two checkouts whose outputs
-are equal produce byte-identical run results on this machine. Run as a
-script it pins BLAS to one thread, as the benchmark does: a threaded BLAS
-sums in another order, and every digest changes with the thread count.
+whose entries carry the time they were written). ``schur.npz`` is left
+out on purpose: it is a cache of the Schur form ``reduce`` built for its
+true errors, which the digested true errors and ``effectivity.json``
+already depend on, and ``validate`` writes the same bytes with or
+without it. The output is one ``<digest>  <scenario>`` line per
+scenario; two checkouts whose outputs are equal produce byte-identical
+run results on this machine. Run as a script it pins BLAS to one thread,
+as the benchmark does: a threaded BLAS sums in another order, and every
+digest changes with the thread count.
 
 ``--values`` prints, as one JSON object keyed by scenario, the numbers a
 change that reorders arithmetic may move: per iteration the points of every
