@@ -22,7 +22,15 @@ class SingularAtSampleError(SingularMatrixError):
 
 
 class SingularReducedSystemError(SingularMatrixError):
-    """A reduced operator is singular at a given sample point."""
+    """A reduced operator is singular, or a reduced quantity not finite, at a sample point.
+
+    ``cause`` is the short reason where the raiser tells the two apart
+    (``estimators.evaluate`` does), else None.
+    """
+
+    def __init__(self, message, cause=None):
+        super().__init__(message)
+        self.cause = cause
 
 
 class MissingParameterError(RomgridError):

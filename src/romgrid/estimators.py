@@ -51,10 +51,11 @@ stack, which calls the same BLAS kernel per sample as a 2-d product. Each
 sample thus sees the same operations in the same order as when it is
 evaluated alone, and its breakdown does not depend on the other points,
 to the bit. A sample whose reduced operator is singular, or whose reduced
-quantities are not finite, is masked instead of raising. The points are
-taken in passes sized by bytes: as many samples as keep the stacked
-operators at the largest reduced dimension within ``_CHUNK_BYTES``, the
-size of 16 samples at r = 80. That bounds the memory of a pass: the
+quantities are not finite, is masked instead of raising; one point is a
+stack of one, which raises its sample's cause. The points are taken in
+passes sized by bytes: as many samples as keep the stacked operators at
+the largest reduced dimension within ``linalg._CHUNK_BYTES``, the size of
+16 samples at r = 80. That bounds the memory of a pass: the
 150-sample validation of a model with r = 78 peaks near 3 MB in passes of
 16, against 28 MB in one stack. A small model takes many samples per pass
 (455 at r = 15, so a 60-sample ladder sweep is one pass), which spreads
@@ -66,20 +67,17 @@ For systems with several inputs/outputs every bilinear form is an
 """
 
 import enum
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    MissingWorkspaceRomError,
-    SingularAtSampleError,
-    SingularReducedSystemError,
-)
+from . import linalg
+from .errors import MissingWorkspaceRomError, RomgridError, SingularReducedSystemError
 from .linalg import lu_solve_stack, scaled_stack
 from .projection import ProjectionState, bordered, reduce_system
+from .system import _outcome, _point_or_stack
 
 __all__ = [
     "EstimatorKind",
@@ -95,8 +93,6 @@ __all__ = [
 ]
 
 _EPS = np.finfo(np.float64).eps
-#: Bytes of stacked reduced operators per pass of ``evaluate``: 16 samples at r = 80.
-_CHUNK_BYTES = 16 * 80 * 80 * np.dtype(np.complex128).itemsize
 
 
 class EstimatorKind(enum.Enum):
@@ -404,8 +400,10 @@ class _StackTerms:
     reads. ``coefficients`` maps each primal family letter to its (samples
     x pieces) monomial values; the dual side reads the same arrays, since
     its ``Q``, ``B`` and ``C`` are the primal ``Q``, ``C`` and ``B``
-    transposed piece by piece. ``usable`` marks the samples whose reduced
-    solves have all succeeded. Nothing here has n rows.
+    transposed piece by piece. ``regular`` marks the samples whose reduced
+    operators have all passed the LU rule; a right-hand side that is not
+    finite is solved all the same, and the finiteness check of
+    ``_stack_breakdowns`` meets what it gives. Nothing here has n rows.
     """
 
     def __init__(self, workspace, offline, coefficients, n_random, rng_seed, xi):
@@ -415,7 +413,7 @@ class _StackTerms:
         self._n_random = n_random
         self._rng_seed = rng_seed
         self._xi = xi
-        self.usable = np.ones(len(coefficients["Q"]), dtype=bool)
+        self.regular = np.ones(len(coefficients["Q"]), dtype=bool)
         self._z = {}
         self._y = {}
 
@@ -439,8 +437,8 @@ class _StackTerms:
             else:
                 rhs = self._tested((model.field, "W", model.side), self.y(model.rhs))
             operators = self._assembled(system.Q, model.side, "Q")
-            self._z[model.field], usable = lu_solve_stack(operators, rhs)
-            self.usable &= usable
+            self._z[model.field], regular = lu_solve_stack(operators, rhs)
+            self.regular &= regular
         return self._z[model.field]
 
     def y(self, name):
@@ -740,8 +738,12 @@ def _require_models(kind, keys):
         )
 
 
-def _stack_breakdowns(kind, terms):
-    """The breakdowns at one stack of samples, None where a sample is unusable."""
+def _stack_breakdowns(kind, terms, points):
+    """Per point of one stack, its breakdown or the SingularReducedSystemError naming its cause.
+
+    The cause is the LU rule where it rejected one of the point's reduced
+    operators, else a reduced quantity that is not finite.
+    """
     spec = ESTIMATORS[kind]
     # an unusable sample carries infinities and NaNs through the stack; it is dropped below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -751,28 +753,37 @@ def _stack_breakdowns(kind, terms):
         if part2 is not None:
             fields["part2"] = _stack_max_abs(part2)
         aux = {f"{name}_norm": terms.norm(name) for name in spec.residuals}
-    usable = terms.usable & np.isfinite([*fields.values(), *aux.values()]).all(axis=0)
+    finite = np.isfinite([*fields.values(), *aux.values()]).all(axis=0)
     return [
         EstimateBreakdown(
             kind=kind,
             **{key: float(values[i]) for key, values in fields.items()},
             aux={key: float(values[i]) for key, values in aux.items()},
         )
-        if ok
-        else None
-        for i, ok in enumerate(usable)
+        if regular and finite[i]
+        else _masked(kind, point, regular)
+        for i, (point, regular) in enumerate(zip(points, terms.regular))
     ]
+
+
+def _masked(kind, point, regular):
+    """The SingularReducedSystemError of a masked point, naming the point and its cause."""
+    cause = "reduced quantity not finite" if regular else "reduced operator singular"
+    return SingularReducedSystemError(f"estimator {kind.value}: {cause} at {point!r}", cause)
 
 
 def evaluate(kind, workspace, sys, point, n_random=20, rng_seed=0, xi=None):
     """Evaluate one estimator at one sample point or at a sequence of them.
 
-    Given one point (a mapping), returns its EstimateBreakdown; a reduced
-    operator that is singular there, or a reduced quantity that is not
-    finite, raises SingularReducedSystemError naming the point. Given a
-    sequence of points, returns a list aligned with it, None where a point
-    would raise. Both go through the same stacked pass, so a point's
-    breakdown does not depend on the points evaluated with it.
+    Given one point (a mapping), returns its EstimateBreakdown. It raises
+    SingularReducedSystemError naming the point where the LU rule rejects
+    one of the point's reduced operators (its ``cause`` reads "reduced
+    operator singular") or, failing that, where a reduced quantity is not
+    finite ("reduced quantity not finite"). Given a sequence of points,
+    returns a list aligned with it, None where a point would raise. One
+    point is a stack of one (``system._point_or_stack``): both go through
+    the same stacked pass, so a point's breakdown does not depend on the
+    points evaluated with it.
 
     ``n_random``/``rng_seed``/``xi`` only affect the randomized kind: the
     weights are drawn once from the seed (or taken verbatim from ``xi``),
@@ -785,29 +796,24 @@ def evaluate(kind, workspace, sys, point, n_random=20, rng_seed=0, xi=None):
     kind = EstimatorKind.from_name(kind)
     _require_models(kind, workspace.bases)
     offline = workspace._offline_terms(kind, sys)
-    single = isinstance(point, Mapping)
-    points = [point] if single else list(point)
-    coefficients = {
-        letter: np.array(
-            [[monomial(p) for monomial in monomials] for p in points], dtype=np.complex128
-        ).reshape(len(points), len(monomials))
-        for letter, monomials in offline.monomials.items()
-    }
     largest = max(1, *(getattr(workspace, model.field).dim for model in models_of(kind)))
-    step = max(1, _CHUNK_BYTES // (np.dtype(np.complex128).itemsize * largest**2))
-    breakdowns = []
-    for start in range(0, len(points), step):
-        chunk = {letter: values[start : start + step] for letter, values in coefficients.items()}
-        terms = _StackTerms(workspace, offline, chunk, n_random, rng_seed, xi)
-        breakdowns += _stack_breakdowns(kind, terms)
-    if not single:
-        return breakdowns
-    if breakdowns[0] is None:
-        raise SingularReducedSystemError(
-            f"estimator {kind.value}: a reduced operator is singular or a reduced quantity "
-            f"is not finite at {point!r}"
-        )
-    return breakdowns[0]
+    step = max(1, linalg._CHUNK_BYTES // (np.dtype(np.complex128).itemsize * largest**2))
+
+    def stacked(points):
+        coefficients = {
+            letter: np.array(
+                [[monomial(p) for monomial in monomials] for p in points], dtype=np.complex128
+            ).reshape(len(points), len(monomials))
+            for letter, monomials in offline.monomials.items()
+        }
+        out = []
+        for start in range(0, len(points), step):
+            chunk = {letter: c[start : start + step] for letter, c in coefficients.items()}
+            terms = _StackTerms(workspace, offline, chunk, n_random, rng_seed, xi)
+            out += _stack_breakdowns(kind, terms, points[start : start + step])
+        return out
+
+    return _point_or_stack(point, stacked)
 
 
 def delta_r(workspace, sys, point, n_samples=20, rng_seed=0, xi=None):
@@ -835,31 +841,29 @@ def true_error(sys, workspace, point, verify_identity=False, responses=None):
     Given one point (a mapping), returns its error; a singular full-order
     operator or a non-finite map raises SingularAtSampleError, a singular
     reduced one SingularReducedSystemError. Given a sequence of points,
-    returns a list aligned with it, None where a point would raise. The
-    full-order ``H`` comes from one stacked ``sys.transfer_function`` pass
-    over the points (one triangular solve per point on a dense
-    frequency-only system, one band LU per point on a banded sparse one),
-    unless the caller already holds it and passes ``responses``, a list
-    aligned with the sequence as that pass returns it. ``H_hat`` comes per
-    point from the reduced primal model. With ``verify_identity`` the direct
+    returns a list aligned with it, None where a point would raise. One
+    point is a stack of one (``system._point_or_stack``). The full-order
+    ``H`` comes from one stacked ``sys.transfer_function`` pass over the
+    points (one triangular solve per point on a dense frequency-only
+    system, one band LU per point on a banded sparse one), unless the
+    caller already holds it and passes ``responses``, a list aligned with
+    the sequence as that pass returns it. ``H_hat`` comes per point from
+    the reduced primal model. With ``verify_identity`` the direct
     difference of transfer functions is cross-checked at every point against
     the exact identity ``H - H_hat = x_du^T r_pr`` (full dual solution from a
     full-order LU, against the reduced primal residual); disagreement beyond
     rounding raises.
     """
-    if isinstance(point, Mapping):
-        return _true_error(sys, workspace, point, sys.transfer_function(point), verify_identity)
-    points = list(point)
-    if responses is None:
-        responses = sys.transfer_function(points)
-    errors = []
-    for point, H in zip(points, responses):
-        try:
-            error = None if H is None else _true_error(sys, workspace, point, H, verify_identity)
-        except (SingularAtSampleError, SingularReducedSystemError):
-            error = None
-        errors.append(error)
-    return errors
+
+    def stacked(points):
+        exact = sys._responses(points) if responses is None else responses
+        return [
+            H if H is None or isinstance(H, RomgridError)
+            else _outcome(_true_error, sys, workspace, p, H, verify_identity)
+            for p, H in zip(points, exact)
+        ]
+
+    return _point_or_stack(point, stacked)
 
 
 def _true_error(sys, workspace, point, H, verify_identity):

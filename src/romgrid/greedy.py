@@ -26,10 +26,7 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import (
-    AllSamplesSingularError,
-    SingularAtSampleError,
-)
+from .errors import AllSamplesSingularError, SingularAtSampleError, SingularReducedSystemError
 from .estimators import (
     ESTIMATORS,
     EstimatorKind,
@@ -260,24 +257,30 @@ class _GreedyState:
         """Evaluate the estimator at every active sample (None where skipped).
 
         One stacked ``evaluate`` call covers the active samples. The sweep
-        factors reduced operators only: a singular or non-finite one skips the
-        sample for this iteration (reduced resonances move as the basis
-        grows). A singular full-order operator, or a full-order solution that
-        is not finite, is met, and deactivates a sample for good, in the
-        block builds and the true-error recording.
+        factors reduced operators only: a singular one, or a reduced quantity
+        that is not finite, skips the sample for this iteration (reduced
+        resonances move as the basis grows), with a warning naming the cause
+        that a one-point ``evaluate`` of the sample raises. A singular
+        full-order operator, or a full-order solution that is not finite, is
+        met, and deactivates a sample for good, in the block builds and the
+        true-error recording.
         """
         active = [index for index, ok in enumerate(self.active) if ok]
         points = [self.samples[index] for index in active]
-        evaluated = evaluate(self.kind, ws, self.sys, points, rng_seed=self.config.rng_seed)
+        seed = self.config.rng_seed
+        evaluated = evaluate(self.kind, ws, self.sys, points, rng_seed=seed)
         breakdowns = [None] * len(self.samples)
         for index, breakdown in zip(active, evaluated):
             if breakdown is None:
-                warnings.warn(
-                    f"training sample {index}: reduced operator singular this "
-                    f"iteration; sample skipped for the sweep",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+                try:
+                    evaluate(self.kind, ws, self.sys, self.samples[index], rng_seed=seed)
+                except SingularReducedSystemError as exc:
+                    warnings.warn(
+                        f"training sample {index}: {exc.cause} this iteration; "
+                        f"sample skipped for the sweep",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
             breakdowns[index] = breakdown
         if all(b is None for b in breakdowns):
             raise AllSamplesSingularError(

@@ -56,6 +56,10 @@ _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).tiny
 #: A column keeping at most this fraction of its norm adds no direction.
 DEFLATION_TOL = 1e-10
+#: Bytes of stacked entries per pass of a stacked kernel: 16 reduced operators at
+#: r = 80 in ``estimators.evaluate``, one point of a 20 000-node ladder in
+#: ``ParametricSystem.transfer_function``.
+_CHUNK_BYTES = 16 * 80 * 80 * np.dtype(np.complex128).itemsize
 # The LAPACK routines behind scipy.linalg.lu_factor/lu_solve, called directly:
 # the same arithmetic without the per-call wrapper cost, which dominates the
 # small reduced systems solved at every estimator sample.
@@ -319,18 +323,21 @@ def lu_solve_stack(a, b):
     ``a`` is (m, n, n), every sample laid out Fortran-contiguous (as
     ``AffineMatrix.assemble_stack`` builds it), and is overwritten by the LU
     factors; ``b`` is (m, n, p). A sample is usable when its matrix passes
-    the rule of ``lu_factor`` and its right-hand side is finite. Only usable
+    the rule of ``lu_factor``; the mask says nothing of ``b``. Only usable
     samples reach LAPACK, one ``getrf`` and one ``getrs`` each, so each
-    solution is bitwise the one ``lu_factor(a[i]).solve(b[i])`` gives.
-    Returns the solutions, laid out per sample as ``getrs`` returns them and
-    zero where a sample is unusable, and the boolean usable mask.
+    solution is bitwise the one ``lu_factor(a[i]).solve(b[i])`` gives. A
+    right-hand side that is not finite, which ``solve`` refuses, is solved
+    as it is, into a solution that is not finite: the caller's finiteness
+    check meets it. Returns the solutions, laid out per sample as ``getrs``
+    returns them and zero where a sample is unusable, and the boolean
+    usable mask.
     """
     m, n, p = b.shape
     x = np.zeros((m, p, n), dtype=np.complex128).transpose(0, 2, 1)
     if n == 0:
         return x, np.ones(m, dtype=bool)
     max_abs = np.max(np.abs(a), axis=(1, 2))
-    usable = _nonsingular(n, max_abs) & np.isfinite(b).all(axis=(1, 2))
+    usable = _nonsingular(n, max_abs)
     pivots = {}
     for i in np.flatnonzero(usable):
         _, pivots[i], _ = _GETRF(a[i], overwrite_a=True)

@@ -5,6 +5,14 @@ A system is a triple of affine matrix families ``Q(p) x = B(p) u``,
 The Laplace variable is an ordinary parameter named ``"s"``, so frequency
 sweeps pass sample points like ``{"s": 2j*pi*f}`` and parametric systems
 simply add more names.
+
+A point is a stack of one. A family assembles by one path per storage: a
+dense family's ``assemble`` is the one-point ``assemble_stack``, a sparse
+family's is one row of its union pattern's ``entries``. The stacked calls,
+``transfer_function`` here and ``evaluate`` and ``true_error`` in
+``estimators``, take one point or a sequence through one adapter,
+``_point_or_stack``: one pass, whose per-point errors a one-point call
+raises and a sequence turns into None.
 """
 
 import weakref
@@ -18,6 +26,7 @@ from . import linalg
 from .errors import (
     DimensionMismatchError,
     MissingParameterError,
+    RomgridError,
     SingularAtSampleError,
     SingularMatrixError,
     UnknownParameterNameError,
@@ -36,10 +45,6 @@ __all__ = [
 
 #: Conventional name of the Laplace variable among the parameters.
 LAPLACE = "s"
-
-#: Bytes of stacked full-order entries per pass of ``transfer_function``, the
-#: budget of ``estimators.evaluate``'s passes: one sample of a 20 000-node ladder.
-_CHUNK_BYTES = 16 * 80 * 80 * 16
 
 
 def frequency_point(f):
@@ -72,15 +77,14 @@ class _UnionPattern:
     or a converted copy for a CSR piece such as the transposed views of a
     dual family) and their positions in the pattern, or None when the piece
     fills the whole pattern, as the pieces of a banded family usually do.
-    Every point is assembled on this one pattern. ``assemble`` forms the
-    entries scipy's sparse add stores when run over the pieces in order, bit
-    for bit: every term adds ``c_j * values_j`` on its own positions and
-    ``+0`` elsewhere, and an entry that comes out exactly zero is reset to
-    ``+0``, as scipy drops it after each add. Such a cancelled entry stays
-    in the pattern as a stored ``+0``, where scipy stores nothing. Without
-    terms the base comes back with its explicit zeros, as ``astype`` keeps
-    them. ``entries`` forms the entries of a stack of points at once, by the
-    same operations in the same order.
+    Every point is assembled on this one pattern. ``entries`` forms, at a
+    stack of points, the entries scipy's sparse add stores when run over the
+    pieces in order, bit for bit: every term adds ``c_j * values_j`` on its
+    own positions and ``+0`` elsewhere, and an entry that comes out exactly
+    zero is reset to ``+0``, as scipy drops it after each add. Such a
+    cancelled entry stays in the pattern as a stored ``+0``, where scipy
+    stores nothing. Without terms the base comes back with its explicit
+    zeros, as ``astype`` keeps them.
     """
 
     def __init__(self, pieces, shape):
@@ -104,23 +108,19 @@ class _UnionPattern:
             for piece, key in zip(pieces, keys)
         ]
 
-    def assemble(self, coefficients):
-        """The family at one point, given each term's coefficient, as a SparseOperator."""
-        out = self.entries(coefficients[None])[0]
-        return linalg.SparseOperator((out, self.indices, self.indptr), shape=self.shape)
-
     def entries(self, coefficients):
         """The stored entries at a stack of points, one row per point.
 
         ``coefficients[i, j]`` is term j's coefficient at point i. Every row
-        is formed by the operations ``assemble`` performs, in its order, so
-        it holds that point's entries to the bit, an exactly cancelled entry
-        as ``+0``. An infinite coefficient times a stored zero is NaN, as in
-        scipy's product; the singularity rule rejects such a point, so the
-        products and sums are formed without floating-point warnings. The
-        values get an explicit unit point axis before they are broadcast,
-        as in ``linalg.scaled_stack``: a lone entry against a lone point
-        would take numpy's one-element product, which rounds otherwise.
+        is formed by the same operations in the same order, so it holds that
+        point's entries to the bit whatever the points stacked with it, an
+        exactly cancelled entry as ``+0``. An infinite coefficient times a
+        stored zero is NaN, as in scipy's product; the singularity rule
+        rejects such a point, so the products and sums are formed without
+        floating-point warnings. The values get an explicit unit point axis
+        before they are broadcast, as in ``linalg.scaled_stack``: a lone
+        entry against a lone point would take numpy's one-element product,
+        which rounds otherwise.
         """
         (at, values), *terms = self.pieces
         m = len(coefficients)
@@ -307,23 +307,28 @@ class AffineMatrix:
         return cls(matrix.shape, base=matrix)
 
     def assemble(self, point):
-        """Evaluate ``M(p)`` at a sample point (a SparseOperator for a sparse family)."""
-        if self.is_sparse:
-            return self.pattern.assemble(self.coefficients([point])[0])
-        out = self.base.copy()
-        for monomial, matrix in self.terms:
-            out += monomial(point) * matrix
-        return out
+        """Evaluate ``M(p)`` at a sample point, as a stack of one: the one-point
+        ``assemble_stack``, or for a sparse family a SparseOperator on one row
+        of its union pattern's ``entries``."""
+        coefficients = self.coefficients([point])
+        if not self.is_sparse:
+            return self.assemble_stack(coefficients)[0]
+        pattern = self.pattern
+        entries = pattern.entries(coefficients)[0]
+        return linalg.SparseOperator((entries, pattern.indices, pattern.indptr), shape=self.shape)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def assemble_stack(self, coefficients):
         """A dense family at a stack of sample points, as one (m, rows, cols) array.
 
-        ``coefficients[i, j]`` is term j's monomial at point i. Every sample
-        is bitwise what ``assemble`` returns: the sums are formed in its order,
-        except that the first term's product is written first and the base
-        added to it, which saves one stack-sized temporary and changes no bit
-        (floating-point addition commutes). Each sample is laid out
-        Fortran-contiguous, as LAPACK reads it.
+        ``coefficients[i, j]`` is term j's monomial at point i; ``assemble``
+        is the one-point stack. The first term's product is written first,
+        then the base and every other term's product are added in order;
+        each sample is that sum, whatever the points stacked with it. An
+        infinite coefficient gives infinities and NaNs, formed without
+        floating-point warnings: the finiteness and singularity rules report
+        such a point. Each sample is laid out Fortran-contiguous, as LAPACK
+        reads it.
         """
         rows, cols = self.shape
         out = np.empty((len(coefficients), cols, rows), dtype=np.complex128).transpose(0, 2, 1)
@@ -565,10 +570,11 @@ class ParametricSystem:
         ``C(p)`` is not finite, ``H(p)`` is not finite (a solve that
         overflows). A point whose ``B(p)`` fails is not factored. Given a
         sequence of points, returns a list aligned with it, None where a
-        point would raise. Both run one loop over passes of at most
-        ``_CHUNK_BYTES`` of stacked entries, which assembles the maps and
-        applies those rules; the operator's structure picks, once, the
-        kernel that solves with ``Q(p)``:
+        point would raise: a point is a stack of one (``_point_or_stack``).
+        Both run one loop over passes of at most ``linalg._CHUNK_BYTES`` of
+        stacked entries, which assembles the maps and applies those rules;
+        the operator's structure picks, once, the kernel that solves with
+        ``Q(p)``:
 
         * a dense frequency-only family ``Q(s) = A0 + c*s*I``: one Schur
           form of ``A0``, built once and kept, then one triangular solve per
@@ -582,18 +588,12 @@ class ParametricSystem:
         point sees the operations of a one-point call in the same order, so
         its ``H`` does not depend on the points stacked with it, to the bit.
         """
-        out = self._responses([point] if isinstance(point, Mapping) else point)
-        if not isinstance(point, Mapping):
-            return [None if isinstance(h, SingularAtSampleError) else h for h in out]
-        if isinstance(out[0], SingularAtSampleError):
-            raise out[0]
-        return out[0]
+        return _point_or_stack(point, self._responses)
 
     def _responses(self, points):
         """``transfer_function`` over a sequence: per point ``H``, or its SingularAtSampleError."""
         kernel = self._kernel
-        points = list(points)
-        step = max(1, _CHUNK_BYTES // kernel.sample_bytes)
+        step = max(1, linalg._CHUNK_BYTES // kernel.sample_bytes)
         out = []
         for start in range(0, len(points), step):
             chunk = points[start : start + step]
@@ -621,11 +621,28 @@ class ParametricSystem:
 
 
 def _outcome(f, *args):
-    """``f(*args)``, or the SingularAtSampleError it raises."""
+    """``f(*args)``, or the SingularMatrixError (at a sample, full or reduced) it raises."""
     try:
         return f(*args)
-    except SingularAtSampleError as exc:
+    except SingularMatrixError as exc:
         return exc
+
+
+def _point_or_stack(point, stacked):
+    """A one-point call or a stacked one, through the same pass.
+
+    ``stacked(points)`` takes a list of points and returns, for each, its
+    value or the RomgridError a one-point call raises there. Given one point
+    (a mapping), it runs as a stack of one: its value comes back, or its
+    error is raised. Given a sequence, the list of values comes back, None
+    where a point failed.
+    """
+    if isinstance(point, Mapping):
+        (out,) = stacked([point])
+        if isinstance(out, RomgridError):
+            raise out
+        return out
+    return [None if isinstance(out, RomgridError) else out for out in stacked(list(point))]
 
 
 class _LUKernel:
@@ -640,7 +657,7 @@ class _LUKernel:
 
     def __init__(self, sys):
         self.band = sys.Q.pattern.band if sys.Q.is_sparse and sys.order else None
-        self.sample_bytes = _CHUNK_BYTES  # one point per pass
+        self.sample_bytes = linalg._CHUNK_BYTES  # one point per pass
         if self.band is not None:  # a point's entries and band factors
             _, n, kl, ku = self.band
             self.sample_bytes = 16 * (sys.Q.pattern.indices.size + (2 * kl + ku + 1) * n)

@@ -38,30 +38,43 @@ def one_point_response(sys, point):
     return sys._map_at("C", point) @ sys.operator_lu(point).solve(sys._map_at("B", point))
 
 
-def assert_stack_is_one_point_bitwise(sys, ws, points, reference=None, chunk_points=None):
-    """``transfer_function`` and ``true_error`` over a stack agree with one-point calls.
+def _breakdown_bits(breakdown):
+    """The bytes of every field of an EstimateBreakdown."""
+    fields = [breakdown.total, breakdown.part1, breakdown.part2, *breakdown.aux.values()]
+    return bits(np.array(fields, dtype=np.float64))
 
-    Every stacked ``H`` and true error equals the one-point result to the
-    bit, and is None exactly where the one-point call raises; ``H`` also
+
+def assert_stack_is_one_point_bitwise(sys, ws, points, reference=None, chunk_points=None):
+    """``transfer_function``, ``true_error`` and ``evaluate`` over a stack match one-point calls.
+
+    Every stacked ``H``, true error and breakdown (of ``ws.kind``) equals
+    the one-point result to the bit, and is None exactly where the
+    one-point call raises, with an error that names the point; ``H`` also
     equals ``reference(sys, point)`` to the bit when one is given. With
     ``chunk_points`` the stacked calls run in passes of that many points.
-    Returns the mask of usable points.
+    Returns the mask of points whose ``H`` is usable.
     """
-    from romgrid import system
+    from romgrid import linalg
     from romgrid.errors import SingularAtSampleError, SingularReducedSystemError
 
     with pytest.MonkeyPatch.context() as patch:
         if chunk_points is not None:
-            patch.setattr(system, "_CHUNK_BYTES", chunk_points * sys._kernel.sample_bytes)
+            patch.setattr(linalg, "_CHUNK_BYTES", chunk_points * sys._kernel.sample_bytes)
         stacked = sys.transfer_function(points)
         errors = rg.true_error(sys, ws, points)
-    assert len(stacked) == len(errors) == len(points)
+        estimates = rg.evaluate(ws.kind, ws, sys, points)
+    assert len(stacked) == len(errors) == len(estimates) == len(points)
     usable = []
-    for point, H, error in zip(points, stacked, errors):
+    for point, H, error, estimate in zip(points, stacked, errors, estimates):
+        try:
+            want_estimate = rg.evaluate(ws.kind, ws, sys, point)
+            assert np.array_equal(_breakdown_bits(estimate), _breakdown_bits(want_estimate)), point
+        except SingularReducedSystemError as exc:
+            assert estimate is None and repr(point) in str(exc), point
         try:
             want = sys.transfer_function(point)
-        except SingularAtSampleError:
-            assert H is None and error is None, point
+        except SingularAtSampleError as exc:
+            assert H is None and error is None and repr(point) in str(exc), point
             usable.append(False)
             continue
         assert np.array_equal(bits(H), bits(want)), point
@@ -70,10 +83,34 @@ def assert_stack_is_one_point_bitwise(sys, ws, points, reference=None, chunk_poi
         try:
             want_error = rg.true_error(sys, ws, point)
             assert np.array_equal(bits(np.float64(error)), bits(np.float64(want_error))), point
-        except SingularReducedSystemError:
-            assert error is None, point
+        except SingularReducedSystemError as exc:
+            assert error is None and repr(point) in str(exc), point
         usable.append(True)
     return usable
+
+
+def decoupled_system(overflowing=None):
+    """``Q(s) = s I - diag(1, 2, 3, 4, -1, -1)``, exactly singular at s = 1, and a basis.
+
+    ``B = C^T`` is one on the first four coordinates. ``overflowing``
+    (``"B"`` or ``"C"``) adds ``s^5 M1`` to that map, ``M1`` 1e150 on the
+    last two coordinates, which Q decouples: at s = 1e32j the term is 1e310.
+    The basis spans ``e1 + e2`` and ``e3 + e4``, so reduced maps never see
+    ``M1`` and every reduced operator is regular away from s = 1.5 and 3.5.
+    """
+    n = 6
+    Q = rg.AffineMatrix(
+        (n, n),
+        base=-np.diag([1.0, 2.0, 3.0, 4.0, -1.0, -1.0]),
+        terms=[(rg.Monomial(1.0, {"s": 1}), np.eye(n))],
+    )
+    near = np.r_[np.ones(4), 0.0, 0.0][:, None]
+    far = [(rg.Monomial(1.0, {"s": 5}), np.r_[np.zeros(4), 1e150, 1e150][:, None])]
+    B = rg.AffineMatrix((n, 1), base=near, terms=far if overflowing == "B" else ())
+    C = rg.AffineMatrix((n, 1), base=near, terms=far if overflowing == "C" else ()).transposed()
+    V = np.zeros((n, 2))
+    V[:2, 0] = V[2:4, 1] = np.sqrt(0.5)
+    return rg.ParametricSystem(Q, B, C, name="decoupled"), V
 
 
 def random_point(rng):

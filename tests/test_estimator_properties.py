@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import romgrid as rg
 from romgrid.errors import SingularReducedSystemError
-from romgrid import estimators
+from romgrid import linalg
 from romgrid.estimators import ESTIMATORS, PRIMAL
 
 import oracles
@@ -222,7 +222,7 @@ def passes_of(chunk, kind, ws):
     """Patch ``evaluate``'s byte budget so that each pass on ``ws`` takes ``chunk`` samples."""
     models = (PRIMAL,) + ESTIMATORS[rg.EstimatorKind.from_name(kind)].models
     largest = max(getattr(ws, model.field).dim for model in models)
-    return mock.patch.object(estimators, "_CHUNK_BYTES", chunk * 16 * largest**2)
+    return mock.patch.object(linalg, "_CHUNK_BYTES", chunk * 16 * largest**2)
 
 
 def one_at_a_time(kind, ws, sys, points, seed):

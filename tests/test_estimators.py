@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import romgrid as rg
-from romgrid.errors import MissingWorkspaceRomError, SingularReducedSystemError
+from romgrid.errors import (
+    MissingWorkspaceRomError,
+    SingularAtSampleError,
+    SingularReducedSystemError,
+)
 from romgrid.estimators import models_of
 
 import oracles
 from conftest import (
+    assert_stack_is_one_point_bitwise,
     complex_randn,
+    decoupled_system,
     dense_at,
     full_workspace,
     moment_bases,
@@ -318,6 +326,63 @@ def test_true_error_reports_a_singular_reduced_operator():
         rg.true_error(sys, ws, point)
     with pytest.raises(SingularReducedSystemError):
         rg.evaluate("delta1", ws, sys, point)
+
+
+_NOT_FINITE, _SINGULAR = "reduced quantity not finite", "reduced operator singular"
+_FULL, _REDUCED = SingularAtSampleError, SingularReducedSystemError
+#: case -> the error types a one-point ``transfer_function`` and ``true_error``
+#: raise (None: a value), and per kind the cause a one-point ``evaluate`` raises
+_ONE_POINT_CASES = {
+    "singular full operator": (_FULL, _FULL, {"delta1pr": None, "delta2": None}),
+    # C is the dual side's input map, which delta2 reads
+    "non-finite map": (_FULL, _FULL, {"delta1pr": None, "delta2": _NOT_FINITE}),
+    "singular reduced operator": (None, _REDUCED, {"delta1pr": _SINGULAR, "delta2": _SINGULAR}),
+    "non-finite reduced quantity": (_FULL, _FULL, {"delta1pr": _NOT_FINITE, "delta2": _NOT_FINITE}),
+}
+
+
+def _one_point_case(case):
+    """The system, basis and point of one of ``_ONE_POINT_CASES``."""
+    if case == "singular reduced operator":
+        return reduced_resonance_system(), np.eye(2)[:, 1:], {"s": 1.0}
+    if case == "singular full operator":
+        return *decoupled_system(), {"s": 1.0}
+    return *decoupled_system("C" if case == "non-finite map" else "B"), {"s": 1e32j}
+
+
+@settings(max_examples=16, deadline=None, derandomize=True, database=None)
+@given(
+    case=st.sampled_from(sorted(_ONE_POINT_CASES)),
+    kind=st.sampled_from(["delta1pr", "delta2"]),
+    others=st.lists(st.floats(0.1, 3.0), max_size=4),
+    at=st.integers(0, 4),
+)
+def test_one_point_calls_raise_their_cause_and_stacks_match_them(case, kind, others, at):
+    # a one-point call is a stack of one: it raises the error type it always
+    # raised, naming the point (and, for evaluate, the cause), and a stack
+    # around that point gives None there and every other point's own value
+    sys, V, point = _one_point_case(case)
+    response, error, causes = _ONE_POINT_CASES[case]
+    ws = rg.EstimatorWorkspace.from_bases(sys, kind, V, V_du=V, V_rdu=V, V_rpr=V)
+    one_point = [(sys.transfer_function, response), (lambda p: rg.true_error(sys, ws, p), error)]
+    for call, raised in one_point:
+        if raised is None:
+            call(point)
+            continue
+        with pytest.raises(raised) as info:
+            call(point)
+        assert type(info.value) is raised and repr(point) in str(info.value)
+    if causes[kind] is None:
+        rg.evaluate(kind, ws, sys, point)
+    else:
+        with pytest.raises(_REDUCED) as info:
+            rg.evaluate(kind, ws, sys, point)
+        assert type(info.value) is _REDUCED and info.value.cause == causes[kind]
+        assert repr(point) in str(info.value)
+    stack = [{"s": 1j * y} for y in others]
+    stack.insert(min(at, len(stack)), point)
+    usable = assert_stack_is_one_point_bitwise(sys, ws, stack)
+    assert usable == [p is not point or response is None for p in stack]
 
 
 def test_exact_dual_rom_makes_delta1_exact(rng):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from romgrid.errors import (
 )
 from romgrid.linalg import gram_deviation
 
-from conftest import random_system, reduced_resonance_system
+from conftest import decoupled_system, random_system, reduced_resonance_system
 
 
 def _breakdown(kind, total, part1=None, part2=0.0, aux=None):
@@ -454,7 +455,8 @@ def test_primal_only_kinds_never_build_the_dual(monkeypatch):
 @pytest.mark.parametrize("storage", ["sparse", "dense"])
 def test_nonfinite_operator_is_a_sample_error_naming_the_point(storage):
     sys = _ladder(storage)
-    with pytest.warns(RuntimeWarning):  # numpy reports the overflow itself
+    with warnings.catch_warnings():  # the rules report the overflow; numpy says nothing
+        warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(SingularAtSampleError, match=r"1\.5e\+308j.*non-finite"):
             sys.operator_lu(_EXTREME)
         # on the first two nodes the reduced C_mat has diagonal 1.6, so s * C_r overflows too
@@ -573,10 +575,9 @@ def test_one_error_order_on_every_kernel(kernel):
     sys = _kernel_system(kernel, 3.0, B, C)
     point = {"s": 1e200j}
     sys.operator_lu(point)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(SingularAtSampleError, match=r"input map .*1e\+200j"):
-            sys.transfer_function(point)
-        H = sys.transfer_function([{"s": 0.5j}, point])
+    with pytest.raises(SingularAtSampleError, match=r"input map .*1e\+200j"):
+        sys.transfer_function(point)
+    H = sys.transfer_function([{"s": 0.5j}, point])
     assert H[1] is None and np.isfinite(H[0]).all()
 
 
@@ -640,10 +641,11 @@ def test_true_error_skips_name_each_samples_cause():
         kind="delta1pr", training_set=training, tolerance=1e-12, max_iterations=1,
         record_true_errors=True,
     )
-    with np.errstate(over="ignore"), pytest.warns(RuntimeWarning) as caught:
+    with pytest.warns(RuntimeWarning) as caught:
         res = rg.run_greedy(sys, cfg)
     assert res.skipped_samples == [1, 2]
     messages = [str(w.message) for w in caught]
+    assert not any(" encountered in " in m for m in messages), messages  # none of numpy's
     singular, overflow = (
         [m for m in messages if m.startswith(f"skipping training sample {i} ")] for i in (1, 2)
     )
@@ -653,6 +655,26 @@ def test_true_error_skips_name_each_samples_cause():
     assert "operator of 'two_causes' is singular at {'s': 1.0}" in singular[0]
     assert "output map of 'two_causes' has non-finite entries at {'s': 1e+32j}" in overflow[0]
     assert not any("operator singular or H not finite" in m for m in messages)
+
+
+def test_sweep_warning_names_a_non_finite_reduced_quantity():
+    # B(s) = B0 + s^5 B1 with B1 = 1e150 on the rows Q decouples: at s = 1e32j
+    # every reduced operator passes the LU rule, but the primal residual
+    # carries B1's piece times 1e160 and its coordinates overflow, so the
+    # sweep masks the sample for a reduced quantity, not for its operator
+    sys, _ = decoupled_system("B")
+    training = [{"s": s} for s in (0.0, 1e32j, 0.5j, 1j, 2j)]
+    cfg = rg.GreedyConfig(
+        kind="delta1pr", training_set=training, tolerance=1e-12, max_iterations=1,
+        record_true_errors=False,
+    )
+    with pytest.warns(RuntimeWarning) as caught:
+        res = rg.run_greedy(sys, cfg)
+    assert [str(w.message) for w in caught] == [
+        "training sample 1: reduced quantity not finite this iteration; "
+        "sample skipped for the sweep"
+    ]
+    assert res.skipped_samples == []
 
 
 @pytest.mark.parametrize("case", ["sparse", "dense", "input_map"])
@@ -670,7 +692,10 @@ def test_nonfinite_samples_are_skipped_by_sweep_and_validation(case):
     assert res.skipped_samples == [0]
     messages = [str(w.message) for w in caught]
     assert any(m.startswith("skipping training sample 0 ") for m in messages)
-    assert any(m.startswith("training sample 3: reduced operator singular") for m in messages)
+    # the ladders' reduced operators overflow at the extreme point; the input
+    # map case's reduced operator is regular and its right-hand side overflows
+    cause = "reduced quantity not finite" if case == "input_map" else "reduced operator singular"
+    assert f"training sample 3: {cause} this iteration; sample skipped for the sweep" in messages
     assert report.skipped_singular == 1
     assert len(report.rows) == 4
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from romgrid.errors import (
     ZeroToNegativePowerError,
 )
 
-from conftest import complex_randn, dense_at, random_point, random_system
+from conftest import bits, complex_randn, dense_at, random_point, random_system
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +93,36 @@ def test_affine_assemble_stack_is_assemble_bitwise(shape, terms, samples):
     for i, point in enumerate(points):
         assert stack[i].flags.f_contiguous
         assert np.array_equal(stack[i], fam.assemble(point))
+
+
+@pytest.mark.parametrize("terms", [0, 1, 2])
+def test_dense_assemble_is_the_one_point_stack(terms):
+    # a dense family at one point is the one-row stack, bit for bit, signed
+    # zeros and the NaNs of an overflowing coefficient (s**5 at s = 1e70)
+    # included; both are the first product, plus the base, plus the rest in
+    # order, and neither lets numpy warn
+    rng = np.random.default_rng(40 + terms)
+    base = complex_randn(rng, 3, 4)
+    base[0, :2] = [complex(-0.0, -0.0), complex(-0.0, 0.0)]
+    monomials = [rg.Monomial(1.0, {"s": 5}), rg.Monomial(-2.0 + 1j, {"s": 1, "d": -1})][:terms]
+    pieces = [complex_randn(rng, 3, 4) for _ in monomials]
+    for piece in pieces:
+        piece[0, :2] = [complex(-0.0, 0.0), 0.0]
+    fam = rg.AffineMatrix((3, 4), base=base, terms=list(zip(monomials, pieces)))
+    for point in ({"s": 0.5 - 1j, "d": 2.0}, {"s": 0.0, "d": -1.0}, {"s": 1e70, "d": 0.5}):
+        coefficients = fam.coefficients([point])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            one = fam.assemble(point)
+            stack = fam.assemble_stack(coefficients)
+        assert one.shape == (3, 4) and one.flags.f_contiguous
+        assert np.array_equal(bits(one), bits(stack[0])), point
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = base if not terms else coefficients[0, 0] * pieces[0] + base
+            for c, piece in zip(coefficients[0, 1:], pieces[1:]):
+                want = want + c * piece
+        assert np.array_equal(bits(one), bits(want)), point
+        assert np.isfinite(one).all() == (point["s"] != 1e70 or not terms)
 
 
 def test_affine_transpose_and_scale_and_plus():
