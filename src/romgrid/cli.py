@@ -368,7 +368,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (RomgridError, ValueError) as exc:
+    except (RomgridError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

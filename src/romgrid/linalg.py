@@ -10,22 +10,29 @@ The operator's structure picks the LU, with no setting: a 2-d ndarray is
 factored by LAPACK ``getrf``; a ``scipy.sparse`` matrix whose band holds at
 least half nonzeros (``band_layout``, read from its pattern) by LAPACK's
 band LU ``gbtrf``; any other sparse matrix by SuperLU (``splu``, sparse LU
-with partial pivoting). All three return the same ``LUFactorization`` and
-obey the same singularity rule, so callers never branch on the storage.
-Sparse operators stay sparse: ``SparseOperator`` is the CSC type assembled
-full-order operators come in.
+with partial pivoting). Sparse operators stay sparse: ``SparseOperator`` is
+the CSC type assembled full-order operators come in.
 
-Three kernels serve a stack of samples, each under the same rule, with the
-rule evaluated for the whole stack at once: ``band_lu_stack`` factors the
-entries of many operators that share one banded pattern, one ``gbtrf``
-each, with no sparse object and no pattern scan per operator;
-``ShiftedSchur`` solves many shifts of one dense matrix from a single Schur
-form, one triangular solve each; and ``lu_solve_stack`` solves a stack of
-small dense systems, one per sample point. Each sample's factors and
-solution are bitwise the ones a call on that sample alone gives. A Schur
-form can be stored and reused: ``ShiftedSchur`` takes a stored ``(T, Z)``
-in place of the O(n^3) reduction once an O(n^2) check (Freivalds' random
-vector test of ``A Z = Z T`` and ``Z^H Z = I``) accepts it.
+One factor contract: every kernel that hands out factorizations does so
+through ``_factor_stack``, the one routine that applies the singularity
+rule (``_nonsingular``) to a stack of samples and returns, per sample, an
+``LUFactorization`` or the SingularMatrixError the rule gives. Callers
+never branch on the kernel, and every solve goes through
+``LUFactorization.solve``. ``lu_factor`` is a stack of one, whichever of
+its three kernels runs; ``band_lu_stack`` factors the entries of many
+operators that share one banded pattern, one ``gbtrf`` each, with no
+sparse object and no pattern scan per operator; ``ShiftedSchur.factor``
+factors many shifts of one dense matrix from a single Schur form, each
+solving with one triangular solve. Each sample's factors are bitwise the
+ones a call on that sample alone gives. A Schur form can be stored and
+reused: ``ShiftedSchur`` takes a stored ``(T, Z)`` in place of the O(n^3)
+reduction once an O(n^2) check (Freivalds' random vector test of ``A Z =
+Z T`` and ``Z^H Z = I``) accepts it.
+
+``lu_solve_stack``, which solves a stack of small dense systems, one per
+sample point, applies the same rule vectorized over the stack and hands
+out solutions rather than factorizations: per-sample factor objects would
+double its cost per sample.
 """
 
 import contextlib
@@ -93,25 +100,26 @@ class SparseOperator(scipy.sparse.csc_array):
 
 
 class LUFactorization:
-    """LU factorization with partial pivoting of a square complex matrix.
+    """A factorization of a square complex matrix that passed the singularity rule.
 
-    Holds the solve of one kernel's factors, packed LAPACK factors (general
-    or band) or a SuperLU object, and exposes block solves for ``A X = B``.
-    ``transposed()`` is the factorization of ``A^T`` (plain transpose, no
-    conjugation) on the same factors, so one factorization serves both a
-    system and its dual.
+    Holds the solve of one kernel's factors: packed LAPACK factors (general
+    or band), a SuperLU object, or a shifted Schur triangle, which solves
+    in Schur coordinates. Only ``_factor_stack`` makes one of a nonempty
+    matrix. ``solve`` is the one place a kernel's solve is called: it checks
+    the right-hand side's shape and finiteness first. ``transposed()`` is
+    the factorization of ``A^T`` (plain transpose, no conjugation) on the
+    same factors, so one factorization serves both a system and its dual.
     """
 
-    def __init__(self, kernel_solve, dim, max_abs, transposed=False):
+    def __init__(self, kernel_solve, dim, transposed=False):
         # kernel_solve(b, trans) solves with A (trans 0) or A^T (trans 1)
         self._kernel_solve = kernel_solve
         self.dim = dim
-        self.max_abs = max_abs
         self._transposed = transposed
 
     def transposed(self):
         """The factorization of ``A^T``: the same factors, solved the other way round."""
-        return LUFactorization(self._kernel_solve, self.dim, self.max_abs, not self._transposed)
+        return LUFactorization(self._kernel_solve, self.dim, not self._transposed)
 
     def solve(self, rhs):
         """Solve ``A X = rhs`` for a vector or block."""
@@ -131,10 +139,10 @@ def lu_factor(a):
 
     A dense matrix goes to ``getrf``. A sparse one goes to the band LU
     ``gbtrf`` when ``band_layout`` finds its band at least half full, and
-    to SuperLU otherwise. Every kernel's factorization is rejected by the
-    rule of ``_nonsingular``: when an entry is not finite, or the smallest
-    pivot magnitude (the diagonal of ``U``) falls below ``dim * eps *
-    max|A|``.
+    to SuperLU otherwise. Whichever kernel runs, the matrix is a stack of
+    one for ``_factor_stack``, and is rejected by the rule of
+    ``_nonsingular``: when an entry is not finite, or the smallest pivot
+    magnitude (the diagonal of ``U``) falls below ``dim * eps * max|A|``.
     """
     sparse = scipy.sparse.issparse(a)
     if sparse:
@@ -146,28 +154,63 @@ def lu_factor(a):
     n, m = a.shape
     if n != m:
         raise DimensionMismatchError(f"cannot factor a {n}x{m} matrix")
-    # NaN propagates through the max, so a non-finite entry makes max_abs non-finite
-    max_abs = float(np.max(np.abs(entries))) if entries.size else 0.0
     if n == 0:
-        return LUFactorization(None, 0, 0.0)
-    _check_nonsingular(n, max_abs)
-    if sparse:
+        return LUFactorization(None, 0)
+
+    def factor(_):
+        if not sparse:
+            return _dense_lu(a)
         a.sum_duplicates()  # in place, as splu does; a no-op on canonical CSC
         layout = band_layout(a.indices, a.indptr)
-        if layout is not None:
-            kernel_solve, pivots = _band_lu(a.data, layout)
-        else:
-            kernel_solve, pivots = _superlu(a, n)
-    else:
-        # exact zero pivots (LAPACK info > 0) are reported through the rule below
-        lu, piv, _ = _GETRF(a)
-        pivots = np.diag(lu)
+        return _superlu(a, n) if layout is None else _band_lu(a.data, layout)
 
-        def kernel_solve(b, trans):
-            return _GETRS(lu, piv, b, trans=trans)[0]
+    # NaN propagates through the max, so a non-finite entry makes max|A| non-finite
+    (lu,) = _factor_stack(n, [np.max(np.abs(entries), initial=0.0)], factor)
+    if isinstance(lu, SingularMatrixError):
+        raise lu
+    return lu
 
-    _check_nonsingular(n, max_abs, pivots)
-    return LUFactorization(kernel_solve, n, max_abs)
+
+def _dense_lu(a):
+    """``getrf`` of a dense matrix: the solve and the pivots, the diagonal of ``U``.
+
+    Exact zero pivots (``info > 0``) are reported through the singularity rule.
+    """
+    lu, piv, _ = _GETRF(a)
+
+    def kernel_solve(b, trans):
+        return _GETRS(lu, piv, b, trans=trans)[0]
+
+    return kernel_solve, np.diag(lu)
+
+
+def _factor_stack(n, max_abs, factor):
+    """Apply the singularity rule to a stack of samples of dimension ``n``: its one home.
+
+    ``max_abs[i]`` is sample ``i``'s largest entry magnitude, and
+    ``factor(i)`` factors the sample, returning the kernel's solve
+    (``kernel_solve(b, trans)``, as ``LUFactorization`` holds it) and its
+    pivots, the diagonal of ``U``. The rule runs per sample, its two stages
+    in order: a sample whose ``max_abs`` fails is never factored, and the
+    smallest pivot magnitude of one that is decides the rest. Samples are
+    factored in order, so each kernel makes the same LAPACK calls on the
+    same operands as one call per sample would. Returns a list aligned with
+    the samples: sample ``i``'s ``LUFactorization``, or the
+    SingularMatrixError of ``_singular_error``. A kernel that stops at an
+    exact zero pivot of its own (SuperLU) raises its error instead.
+
+    The rule is applied to scalars, not vectorized over the stack: most
+    stacks here are ``lu_factor``'s stack of one, where array set-up costs
+    more than the rule itself.
+    """
+    out = []
+    for i, max_abs_i in enumerate(max_abs):
+        error = _singular_error(n, max_abs_i)
+        if error is None:
+            kernel_solve, pivots = factor(i)
+            error = _singular_error(n, max_abs_i, np.min(np.abs(pivots)))
+        out.append(error or LUFactorization(kernel_solve, n))
+    return out
 
 
 class BandLayout(NamedTuple):
@@ -226,26 +269,15 @@ def band_lu_stack(entries, layout):
 
     Row ``i`` of ``entries`` holds operator ``i``'s stored entries in the
     order of the CSC pattern ``layout`` was read from (``band_layout``).
-    The singularity rule runs over the whole stack: ``max|A_i|`` for every
-    sample first, then one ``gbtrf`` (``_band_lu``) for each sample that
-    passes, then the pivots. Returns a list aligned with the rows: sample
-    ``i``'s ``LUFactorization``, the same factors to the bit as
+    ``max|A_i|`` is taken for the whole stack at once; ``_factor_stack``
+    then applies the rule, with one ``gbtrf`` (``_band_lu``) for each
+    sample whose ``max|A_i|`` passes. Returns a list aligned with the rows:
+    sample ``i``'s ``LUFactorization``, the same factors to the bit as
     ``lu_factor`` gives for the operator, or the SingularMatrixError it
     raises.
     """
-    n = layout.n
     max_abs = np.max(np.abs(entries), axis=1, initial=0.0)
-    min_pivot = np.full(len(entries), np.nan)
-    solves = {}
-    for i in np.flatnonzero(_nonsingular(n, max_abs)):
-        solves[i], pivots = _band_lu(entries[i], layout)
-        min_pivot[i] = np.min(np.abs(pivots))
-    return [
-        LUFactorization(solves[i], n, float(max_abs[i]))
-        if ok
-        else _singular_error(n, max_abs[i], min_pivot[i] if i in solves else None)
-        for i, ok in enumerate(_nonsingular(n, max_abs, min_pivot))
-    ]
+    return _factor_stack(layout.n, max_abs, lambda i: _band_lu(entries[i], layout))
 
 
 def _superlu(a, n):
@@ -298,13 +330,6 @@ def _singular_error(n, max_abs, min_pivot=None):
     )
 
 
-def _check_nonsingular(n, max_abs, pivots=None):
-    """Raise the ``_singular_error`` of one matrix, if it has one."""
-    error = _singular_error(n, max_abs, None if pivots is None else float(np.min(np.abs(pivots))))
-    if error is not None:
-        raise error
-
-
 def scaled_stack(values, matrix, out=None):
     """The stack ``values[i] * matrix`` over samples ``i``, an (m, rows, cols) array.
 
@@ -331,6 +356,14 @@ def lu_solve_stack(a, b):
     check meets it. Returns the solutions, laid out per sample as ``getrs``
     returns them and zero where a sample is unusable, and the boolean
     usable mask.
+
+    This is the one kernel outside ``_factor_stack``: it runs the rule's
+    two stages itself, each vectorized over the stack, and makes no
+    factorization object. Sent through ``_factor_stack`` and per-sample
+    ``LUFactorization`` solves, with the same bits, a stack of 60 samples
+    at r = 15 cost about twice as much per sample (18 against 8 us, one
+    BLAS thread), and the estimator sweeps solve hundreds of such stacks
+    per reduction.
     """
     m, n, p = b.shape
     x = np.zeros((m, p, n), dtype=np.complex128).transpose(0, 2, 1)
@@ -364,12 +397,13 @@ class ShiftedSchur:
     read back, passed as ``form`` to the constructor, skips the reduction
     when ``_is_schur_form`` accepts it as a Schur form of ``A``; any other
     pair is ignored and the form is built. An accepted pair is taken over
-    as it is (``solve`` writes on its ``T``), so it solves bit for bit as
+    as it is (a solve writes on its ``T``), so it solves bit for bit as
     the form it was written from.
 
-    ``solve`` takes a stack of shifts, one right-hand side each. It writes
-    the shifted pivots onto the diagonal of the stored ``T`` in place, under
-    a lock, so threads may share one form.
+    ``factor`` takes a stack of shifts and hands out one factorization of
+    ``T + shift*I`` each. Each solve writes its shift's pivots onto the
+    diagonal of the stored ``T`` in place and runs one ``trtrs``, under a
+    lock, so threads may share one form.
     """
 
     def __init__(self, a, form=None):
@@ -383,6 +417,7 @@ class ShiftedSchur:
         self._T = np.asfortranarray(t, dtype=np.complex128)
         self.Z = z
         self.dim = a.shape[0]
+        self._diagonal_at = np.diag_indices(self.dim)
         self._eigenvalues = np.diag(t).copy()
         # max|A + shift*I| in O(n): the diagonal moves with the shift, the rest does not
         self._diagonal = np.diag(a).copy()
@@ -395,40 +430,39 @@ class ShiftedSchur:
     def form(self):
         """``(T, Z)`` as built, held under the lock for the ``with`` block: to write, not to keep.
 
-        The eigenvalues go back onto the diagonal that ``solve`` overwrites;
+        The eigenvalues go back onto the diagonal that a solve overwrites;
         the stored arrays themselves are handed out, so no copy is made.
         """
         with self._lock:
-            self._T[np.diag_indices(self.dim)] = self._eigenvalues
+            self._T[self._diagonal_at] = self._eigenvalues
             yield self._T, self.Z
 
-    def solve(self, shifts, rhs):
-        """Solve ``(T + shifts[i]*I) y_i = rhs[i]`` for every shift of a 1-d stack.
+    def factor(self, shifts):
+        """Factor ``A + shifts[i]*I`` for every shift of a 1-d stack, in Schur coordinates.
 
-        ``rhs[i]`` is ``Z^H b`` in Schur coordinates, and ``Z y_i`` solves
-        ``(A + shifts[i]*I) x = b``. Each shift is judged by the rule
-        ``lu_factor`` applies to ``A + shift*I``, with pivots ``diag(T) +
-        shift``, for the whole stack at once; a shift that is not finite
-        makes the matrix non-finite. Then every shift that passes gets one
-        triangular solve. Returns a list aligned with the shifts, holding
-        ``y_i`` or the SingularMatrixError of that shift.
+        Each shift is judged by the rule ``lu_factor`` applies to ``A +
+        shift*I``, with pivots ``diag(T) + shift`` (``_factor_stack``); a
+        shift that is not finite makes the matrix non-finite. Returns a list
+        aligned with the shifts, holding the SingularMatrixError of a shift
+        or its ``LUFactorization`` of ``T + shift*I``: its ``solve(Z^H b)``
+        is ``y`` with ``Z y = (A + shift*I)^{-1} b``, one triangular solve.
         """
         shifts = np.asarray(shifts, dtype=np.complex128)
         max_abs = np.max(
             np.abs(self._diagonal + shifts[:, None]), axis=1, initial=self._off_diagonal_max
         )
         pivots = self._eigenvalues + shifts[:, None]
-        min_pivot = np.min(np.abs(pivots), axis=1)
-        usable = _nonsingular(self.dim, max_abs, min_pivot)
-        out = []
-        with self._lock:
-            for i, b in enumerate(rhs):
-                if not usable[i]:
-                    out.append(_singular_error(self.dim, max_abs[i], min_pivot[i]))
-                    continue
-                self._T[np.diag_indices(self.dim)] = pivots[i]
-                out.append(_TRTRS(self._T, _as_complex_matrix(b, "right-hand side"))[0])
-        return out
+        return _factor_stack(self.dim, max_abs, lambda i: (self._solver(pivots[i]), pivots[i]))
+
+    def _solver(self, pivots):
+        """The solve with ``T`` whose diagonal is ``pivots``, written onto it under the lock."""
+
+        def kernel_solve(b, trans):
+            with self._lock:
+                self._T[self._diagonal_at] = pivots
+                return _TRTRS(self._T, b, trans=trans)[0]
+
+        return kernel_solve
 
 
 def _is_schur_form(a, t, z):

@@ -572,13 +572,14 @@ class ParametricSystem:
         sequence of points, returns a list aligned with it, None where a
         point would raise: a point is a stack of one (``_point_or_stack``).
         Both run one loop over passes of at most ``linalg._CHUNK_BYTES`` of
-        stacked entries, which assembles the maps and applies those rules;
-        the operator's structure picks, once, the kernel that solves with
-        ``Q(p)``:
+        stacked entries, which assembles the maps, applies those rules and
+        makes the one solve call, ``lu.solve(kernel.into(b))``; the
+        operator's structure picks, once, the kernel that factors ``Q(p)``,
+        each under ``linalg``'s one singularity rule:
 
         * a dense frequency-only family ``Q(s) = A0 + c*s*I``: one Schur
-          form of ``A0``, built once and kept, then one triangular solve per
-          point (``_SchurKernel``);
+          form of ``A0``, built once and kept, then one shifted triangle per
+          point, which solves in Schur coordinates (``_SchurKernel``);
         * a sparse family whose union pattern is banded (``lu_factor``'s
           band rule): the entries of every point formed at once on the
           pattern, then one band LU per point (``linalg.band_lu_stack``);
@@ -599,15 +600,15 @@ class ParametricSystem:
             chunk = points[start : start + step]
             responses = self._maps("B", chunk)
             ok = [i for i, b in enumerate(responses) if not isinstance(b, SingularAtSampleError)]
-            rhs = [kernel.into(responses[i]) for i in ok]
-            states = kernel.solve(self, [chunk[i] for i in ok], rhs)
+            lus = kernel.factor(self, [chunk[i] for i in ok])
             outputs = self._maps("C", chunk)
-            for i, x in zip(ok, states):
-                if isinstance(x, SingularMatrixError):
-                    responses[i] = self._singular_at(chunk[i], x)
+            for i, lu in zip(ok, lus):
+                if isinstance(lu, SingularMatrixError):
+                    responses[i] = self._singular_at(chunk[i], lu)
                 elif isinstance(outputs[i], SingularAtSampleError):
                     responses[i] = outputs[i]
                 else:
+                    x = lu.solve(kernel.into(responses[i]))
                     with np.errstate(over="ignore", invalid="ignore"):  # checked next
                         H = kernel.out_of(outputs[i]) @ x
                     responses[i] = _outcome(self._finite, chunk[i], H, "transfer function")
@@ -616,7 +617,7 @@ class ParametricSystem:
 
     @cached_property
     def _kernel(self):
-        """The kernel that solves with ``Q(p)`` in ``transfer_function``, picked once."""
+        """The kernel that factors ``Q(p)`` in ``transfer_function``, picked once."""
         return _SchurKernel.of(self) or _LUKernel(self)
 
 
@@ -646,7 +647,7 @@ def _point_or_stack(point, stacked):
 
 
 class _LUKernel:
-    """Solves with an LU of ``Q(p)`` at each point, on the maps as they are.
+    """Factors ``Q(p)`` by LU at each point; its factorizations solve on the maps as they are.
 
     When the operator's union pattern is banded, the entries of a whole
     stack are formed at once and factored in one band pass
@@ -668,31 +669,30 @@ class _LUKernel:
 
     out_of = into
 
-    def solve(self, sys, points, rhs):
-        """``Q(p)^{-1} b`` at each point, or the SingularMatrixError of its LU."""
+    def factor(self, sys, points):
+        """The LU of ``Q(p)`` at each point, or its SingularMatrixError."""
         if self.band is None:
-            lus = [_outcome(sys.operator_lu, point) for point in points]
-        else:
-            entries = sys.Q.pattern.entries(sys.Q.coefficients(points))
-            lus = linalg.band_lu_stack(entries, self.band)
-        return [x if isinstance(x, SingularMatrixError) else x.solve(b) for x, b in zip(lus, rhs)]
+            return [_outcome(sys.operator_lu, point) for point in points]
+        entries = sys.Q.pattern.entries(sys.Q.coefficients(points))
+        return linalg.band_lu_stack(entries, self.band)
 
 
 class _SchurKernel:
-    """Solves with ``Q(s) = A0 + c*s*I`` from one Schur form ``A0 = Z T Z^H``.
+    """Factors ``Q(s) = A0 + c*s*I`` from one Schur form ``A0 = Z T Z^H``.
 
     Serves a system whose operator is dense, depends on the Laplace variable
     alone and has exactly two pieces: a base ``A0`` and one term ``c*s``
     times the identity (a first-order realization with ``E = I``; Laub
     1981). It works in Schur coordinates: ``into`` takes an input map to
     ``Z^H B`` and ``out_of`` an output map to ``C Z``, both kept for
-    constant maps; ``solve`` evaluates the shifts ``c*s`` and the
-    singularity rule for the whole stack at once, then costs one triangular
-    solve with ``T + c*s*I`` per point. The system comes in per call, not
-    held, so the kernel forms no reference cycle with the system that
-    caches it. ``form``, a stored ``(T, Z)`` of ``A0`` (``schur.form()``
-    hands one out for writing), goes to ``linalg.ShiftedSchur``, which uses
-    it only where it passes that class's check and builds the form otherwise.
+    constant maps; ``factor`` evaluates the shifts ``c*s`` for the whole
+    stack at once and hands out ``linalg.ShiftedSchur.factor``'s
+    factorizations of ``T + c*s*I``, each solving with one triangular
+    solve. The system comes in per call, not held, so the kernel forms no
+    reference cycle with the system that caches it. ``form``, a stored
+    ``(T, Z)`` of ``A0`` (``schur.form()`` hands one out for writing), goes
+    to ``linalg.ShiftedSchur``, which uses it only where it passes that
+    class's check and builds the form otherwise.
     """
 
     def __init__(self, sys, shift, form=None):
@@ -721,10 +721,10 @@ class _SchurKernel:
     def out_of(self, c):
         return c @ self.schur.Z if self.CZ is None else self.CZ
 
-    def solve(self, sys, points, rhs):
-        """``(T + c*s*I)^{-1} rhs`` at each point, or the SingularMatrixError of its shift."""
+    def factor(self, sys, points):
+        """The factorization of ``T + c*s*I`` at each point, or the SingularMatrixError of its shift."""
         shifts = np.array([self.shift(point) for point in points], dtype=np.complex128)
-        return self.schur.solve(shifts, rhs)
+        return self.schur.factor(shifts)
 
 
 def _family(matrix):

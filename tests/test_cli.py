@@ -140,6 +140,34 @@ def test_compare_prints_table_and_csv(tmp_path, capsys):
     assert "delta2_max_true_error" in header
 
 
+def _blocked_output(tmp_path, command, finished_run):
+    """argv of ``command`` whose output lands where the file system refuses it."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    if command == "reduce":  # a run directory inside a file
+        return ["reduce", "--synthetic", "rc_ladder:20", "--train", "f:1e-3:1e1:6:log",
+                "--out", str(blocker / "run")]
+    if command == "compare":  # a table whose parent directory is a file
+        return ["compare", "--synthetic", "rc_ladder:20", "--estimators", "delta2",
+                "--train", "f:1e-3:1e1:6:log", "--out", str(blocker / "x.csv")]
+    run_dir = tmp_path / "run"  # a run directory whose effectivity.csv is a directory
+    shutil.copytree(finished_run, run_dir)
+    (run_dir / "effectivity.csv").mkdir()
+    return ["validate", str(run_dir)]
+
+
+@pytest.mark.parametrize("command", ["reduce", "compare", "validate"])
+def test_an_output_the_file_system_refuses_is_one_error_line(
+    tmp_path, capsys, finished_run, command
+):
+    argv = _blocked_output(tmp_path, command, finished_run)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_demo_runs(capsys):
     assert main(["demo"]) == 0
     assert "converged" in capsys.readouterr().out

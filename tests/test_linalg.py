@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from romgrid.errors import SingularMatrixError
 from romgrid.linalg import (
+    ShiftedSchur,
     _as_complex_matrix,
+    band_layout,
+    band_lu_stack,
     gram_deviation,
     lu_factor,
     lu_solve_stack,
@@ -88,6 +92,99 @@ def test_lu_solve_stack_applies_the_pivot_threshold():
     with pytest.raises(SingularMatrixError, match="singular to working precision"):
         lu_factor(near[0])
     lu_factor(near[1])
+
+
+VERDICT_N = 4
+# one diagonal per case; every kernel below sees the same max|A| and the
+# same pivots (the diagonal of an upper triangular matrix), so the rule
+# must give each the same verdict, and a rejection the same message
+VERDICT_CASES = {
+    "regular": [2.0, 3.0, 4.0, 5.0],
+    "zero": [0.0] * VERDICT_N,
+    "non_finite": [2.0, 3.0, np.inf, 5.0],
+    "pivot_below_threshold": [1.0, 1.0, 1.0, 0.9 * VERDICT_N * _EPS],
+}
+
+
+def _upper(diagonal, corner):
+    """``diag(diagonal)`` plus entry ``(0, corner)``, 0.5 where the matrix is not zero."""
+    a = np.diag(np.asarray(diagonal, dtype=complex))
+    a[0, corner] = 0.5 if np.any(a) else 0.0
+    return a
+
+
+def _stored(dense, corner):
+    """``dense`` as CSC storing the diagonal and entry ``(0, corner)``, zeros included."""
+    rows = np.r_[np.arange(VERDICT_N), 0]
+    cols = np.r_[np.arange(VERDICT_N), corner]
+    return scipy.sparse.csc_array((dense[rows, cols], (rows, cols)), shape=dense.shape)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except SingularMatrixError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("case", sorted(VERDICT_CASES))
+def test_every_kernel_gives_one_verdict(case):
+    diagonal = VERDICT_CASES[case]
+    # (0, 1) keeps the pattern banded (kl = 0, ku = 1); (0, n - 1) fills too
+    # little of its band, so SuperLU factors it
+    band, general = _upper(diagonal, 1), _upper(diagonal, VERDICT_N - 1)
+    band_sparse, general_sparse = _stored(band, 1), _stored(general, VERDICT_N - 1)
+    assert band_layout(band_sparse.indices, band_sparse.indptr) is not None
+    assert band_layout(general_sparse.indices, general_sparse.indptr) is None
+    # the Schur form cannot hold a non-finite matrix: a non-finite shift makes one
+    schur_base = _upper(np.where(np.isfinite(diagonal), diagonal, 0.0), 1)
+    shift = np.inf if case == "non_finite" else 0.0
+    layout = band_layout(band_sparse.indices, band_sparse.indptr)
+    stack = np.stack([_stored(_upper(VERDICT_CASES["regular"], 1), 1).data, band_sparse.data])
+    outcomes = {
+        "dense": _outcome(lu_factor, band),
+        "band": _outcome(lu_factor, band_sparse),
+        "superlu": _outcome(lu_factor, general_sparse),
+        "band_lu_stack": band_lu_stack(stack, layout)[1],
+        "schur": ShiftedSchur(schur_base).factor([0.5j, shift])[1],
+    }
+    singular = {name: isinstance(out, SingularMatrixError) for name, out in outcomes.items()}
+    _, usable = lu_solve_stack(_fortran_stack([band]), np.ones((1, VERDICT_N, 1), dtype=complex))
+    assert set(singular.values()) == {case != "regular"}
+    assert usable.tolist() == [case == "regular"]
+    with ShiftedSchur(schur_base).form() as (_, z):
+        assert np.array_equal(z, np.eye(VERDICT_N))  # so Schur coordinates are the plain ones
+    if case != "regular":
+        assert {type(out) for out in outcomes.values()} == {SingularMatrixError}
+        assert len({str(out) for out in outcomes.values()}) == 1
+        return
+    rhs = complex_randn(np.random.default_rng(3), VERDICT_N, 2)
+    x, _ = lu_solve_stack(_fortran_stack([band]), rhs[None])
+    assert np.array_equal(x[0], outcomes["dense"].solve(rhs))
+    dense_general = lu_factor(general)
+    for transposed in (False, True):
+        solved = {
+            name: (lu.transposed() if transposed else lu).solve(rhs)
+            for name, lu in {**outcomes, "dense_general": dense_general}.items()
+        }
+        assert np.array_equal(solved["band_lu_stack"], solved["band"])
+        for name in ("band", "schur"):
+            assert np.allclose(solved[name], solved["dense"], rtol=0, atol=1e-14)
+        assert np.allclose(solved["superlu"], solved["dense_general"], rtol=0, atol=1e-14)
+
+
+def test_a_schur_factorization_solves_bitwise_as_lu_factor_of_its_shifted_triangle():
+    rng = np.random.default_rng(9)
+    n = 12
+    schur = ShiftedSchur(2.0 * np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n))
+    with schur.form() as (t, _):
+        t = t.copy()
+    shifts = [0.3j, 1.0 - 2.0j, -0.5]
+    rhs = complex_randn(rng, n, 3)
+    for shift, lu in zip(shifts, schur.factor(shifts)):
+        triangle = lu_factor(t + shift * np.eye(n))
+        assert np.array_equal(lu.solve(rhs), triangle.solve(rhs))
+        assert np.array_equal(lu.transposed().solve(rhs), triangle.transposed().solve(rhs))
 
 
 def test_lu_vector_rhs_keeps_shape():

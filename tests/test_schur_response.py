@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 import romgrid as rg
 from romgrid import greedy, linalg
 from romgrid.cli import main
-from romgrid.errors import SingularAtSampleError, SingularMatrixError
+from romgrid.errors import DimensionMismatchError, SingularAtSampleError, SingularMatrixError
 
 from conftest import assert_stack_is_one_point_bitwise, complex_randn, random_orthonormal
 
@@ -237,20 +237,21 @@ def test_rules_agree_where_the_coefficient_overflows(drawn):
 
 
 def test_threads_share_one_form():
-    # solve writes shifted pivots onto the stored triangle; with the lock
-    # taken away, a switch between that write and the solve mixes shifts
+    # a factorization's solve writes its shifted pivots onto the stored
+    # triangle; with the lock taken away, a switch between that write and
+    # the solve mixes shifts
     rng = np.random.default_rng(5)
     n = 40
     form = linalg.ShiftedSchur(2.0 * np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n))
     rhs = complex_randn(rng, n, 2)
     shifts = [1j * k for k in range(8)]
-    expected = form.solve(shifts, [rhs] * len(shifts))
+    expected = [lu.solve(rhs) for lu in form.factor(shifts)]
     mismatches = []
 
     def work(offset):
         for step in range(300):
             k = (offset + step) % len(shifts)
-            if not np.array_equal(form.solve(shifts[k : k + 1], [rhs])[0], expected[k]):
+            if not np.array_equal(form.factor(shifts[k : k + 1])[0].solve(rhs), expected[k]):
                 mismatches.append(k)
 
     interval = getswitchinterval()
@@ -265,6 +266,16 @@ def test_threads_share_one_form():
         setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert mismatches == []
+
+
+def test_a_right_hand_side_with_the_wrong_row_count_is_refused():
+    # trtrs reports a bad leading dimension only through its info flag; the
+    # factorization checks the shape first, as every kernel's does
+    n = 6
+    (lu,) = linalg.ShiftedSchur(2.0 * np.eye(n) + np.eye(n, k=1)).factor([1j])
+    for view in (lu, lu.transposed()):
+        with pytest.raises(DimensionMismatchError, match=f"{n - 1} rows"):
+            view.solve(np.ones((n - 1, 1)))
 
 
 def _dense_ladder():
@@ -333,7 +344,8 @@ def test_a_stored_form_solves_bitwise_as_the_built_one():
     built = linalg.ShiftedSchur(a)
     pristine = built._T.copy()
     shifts, rhs = [0.5j, 2.0 - 1.0j], [complex_randn(rng, n, 2)] * 2
-    expected = built.solve(shifts, rhs)  # leaves the last shift's pivots on the diagonal
+    # leaves the last shift's pivots on the diagonal
+    expected = [lu.solve(b) for lu, b in zip(built.factor(shifts), rhs)]
     with built.form() as (t, z):
         assert t is built._T and z is built.Z  # handed out, not copied
         assert np.array_equal(t, pristine)
@@ -341,7 +353,8 @@ def test_a_stored_form_solves_bitwise_as_the_built_one():
     with schur_reductions() as reductions:
         loaded = linalg.ShiftedSchur(a, stored)
     assert reductions == []
-    assert all(np.array_equal(x, y) for x, y in zip(loaded.solve(shifts, rhs), expected))
+    solved = [lu.solve(b) for lu, b in zip(loaded.factor(shifts), rhs)]
+    assert all(np.array_equal(x, y) for x, y in zip(solved, expected))
     # the check rejects a form of another matrix, and the form is built
     with schur_reductions() as reductions:
         other = linalg.ShiftedSchur(a + 1e-6 * np.eye(n, k=3), stored)

@@ -458,6 +458,37 @@ def test_band_lu_rejects_singular_operators_by_the_dense_rule(case, defect):
         lu_factor(dense)
 
 
+def test_band_lu_stack_gives_each_operator_its_lu_factor_verdict():
+    # one banded pattern, four operators: regular, a zero column (an exact
+    # zero pivot in every kernel), a non-finite entry, identically zero
+    rng = np.random.default_rng(17)
+    n = 9
+    a, _ = _band_matrix(rng, n, 2, 1, dominance=2.0)
+    stack = np.stack([a.data, a.data, a.data, np.zeros_like(a.data)])
+    cols = np.repeat(np.arange(n), np.diff(a.indptr))
+    stack[1, cols == 4] = 0.0
+    stack[2, 5] = np.inf
+    rhs = complex_randn(rng, n, 2)
+    stacked = linalg.band_lu_stack(stack, linalg.band_layout(a.indices, a.indptr))
+    for entries, got in zip(stack, stacked):
+        operator = scipy.sparse.csc_array((entries, a.indices, a.indptr), shape=(n, n))
+        outcomes = []
+        for matrix in (operator, operator.toarray()):
+            try:
+                outcomes.append(lu_factor(matrix))
+            except SingularMatrixError as exc:
+                outcomes.append(exc)
+        band, full = outcomes
+        if isinstance(band, SingularMatrixError):
+            assert type(got) is type(band) is type(full) is SingularMatrixError
+            assert str(got) == str(band) == str(full)
+            continue
+        assert isinstance(full, linalg.LUFactorization)
+        for view in (lambda lu: lu, lambda lu: lu.transposed()):
+            assert np.array_equal(view(got).solve(rhs), view(band).solve(rhs))
+    assert [isinstance(got, SingularMatrixError) for got in stacked] == [False, True, True, True]
+
+
 band_family_cases = st.fixed_dictionaries({
     "seed": st.integers(0, 2**32 - 1),
     "n": st.integers(3, 40),
