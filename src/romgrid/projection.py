@@ -139,7 +139,11 @@ class ProjectionState:
     new]`` and ``W_new^T P_j[:, old]``, new rows ``W_new^T B_k`` and new
     columns ``C_k V_new``. ``added`` holds the blocks ``M_j V_new`` of the
     last extension (empty when V did not grow), which the estimators'
-    residual factorizations read.
+    residual factorizations read. The reduced operator pieces are grown
+    Fortran-contiguous, the layout ``assemble_stack`` writes and LAPACK
+    reads, so assembling a reduced operator reads and writes contiguously;
+    every other product keeps numpy's default layout, under which its
+    matmuls round as they always have.
 
     The commutation check probes the family at one generic ``point``. The
     state grows ``probed = W^T Q(point) V`` by the same borders, ``W^T
@@ -154,7 +158,7 @@ class ProjectionState:
         self.added = []
         self._pieces = [matrix for _, matrix in sys.Q.monomial_pieces()]
         self.products = [[] for _ in self._pieces]
-        self._Q = [np.zeros((0, 0), dtype=np.complex128) for _ in self._pieces]
+        self._Q = [np.zeros((0, 0), dtype=np.complex128, order="F") for _ in self._pieces]
         self._B = [np.zeros((0, sys.n_inputs), dtype=np.complex128) for _ in _matrices(sys.B)]
         self._C = [np.zeros((sys.n_outputs, 0), dtype=np.complex128) for _ in _matrices(sys.C)]
         rng = np.random.default_rng(12345)
@@ -177,7 +181,7 @@ class ProjectionState:
             self.added = _products(self._pieces, v_new)
         for j, kept in enumerate(self.products):
             new = wt @ self.added[j] if self.added else np.zeros((W.dim, 0), dtype=np.complex128)
-            self._Q[j] = bordered(self._Q[j], [w_new.T @ block for block in kept], new)
+            self._Q[j] = bordered(self._Q[j], [w_new.T @ block for block in kept], new, order="F")
             if self.added:
                 kept.append(self.added[j])
         self._B = [
@@ -192,7 +196,7 @@ class ProjectionState:
         below = [(probe.T @ w_new).T @ self.model.V.columns] if v0 else []
         self.probed = bordered(self.probed, below, wt @ (probe @ v_new))
         Q = self.sys.Q
-        pieces = self._Q if Q.has_base or not Q.terms else [np.zeros((W.dim, V.dim))] + self._Q
+        pieces = self._Q if Q.has_base or not Q.terms else [np.zeros_like(self._Q[0])] + self._Q
         reduced = ParametricSystem(
             _family(Q, pieces),
             _family(self.sys.B, self._B),
@@ -204,15 +208,15 @@ class ProjectionState:
         return self.model
 
 
-def bordered(old, below, right):
+def bordered(old, below, right, order="C"):
     """``old`` grown by new rows and columns: ``[[old, right_top], [below, right_bottom]]``.
 
     ``right`` holds the new columns over all rows; ``below`` lists the new
     rows' entries under ``old``'s columns as column blocks, left to right,
-    which together span those columns.
+    which together span those columns. ``order`` is the result's layout.
     """
     rows, cols = old.shape
-    out = np.empty((right.shape[0], cols + right.shape[1]), dtype=np.complex128)
+    out = np.empty((right.shape[0], cols + right.shape[1]), dtype=np.complex128, order=order)
     out[:rows, :cols] = old
     start = 0
     for block in below:

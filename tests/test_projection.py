@@ -9,10 +9,11 @@ from romgrid.errors import (
     SingularReducedSystemError,
 )
 from romgrid.linalg import gram_deviation
-from romgrid.projection import ProjectionState, _check_commutation
+from romgrid.projection import ProjectionState, _check_commutation, _matrices
 
 import oracles
 from conftest import (
+    bits,
     complex_randn,
     dense_at,
     random_orthonormal,
@@ -88,6 +89,36 @@ def test_corrupted_reduced_term_fails_commutation_check(rng):
         _check_commutation(state, rom)
     assert isinstance(err.value, RomgridError)
     assert "commutation" in str(err.value)
+
+
+@pytest.mark.parametrize("base", [True, False])
+def test_reduced_operator_pieces_are_fortran_ordered_and_assemble_as_c_ordered(rng, base):
+    # LAPACK's layout changes no bit: each piece only scales and adds
+    # entrywise, so a C-ordered copy of the family assembles to the same
+    # stack, one point or many (without a base, the state prepends a zero one)
+    sys = random_system(rng, 16)
+    if not base:
+        sys = rg.ParametricSystem(
+            rg.AffineMatrix(sys.Q.shape, terms=list(sys.Q.terms)
+                            + [(rg.Monomial(1.0, {"s": 2}), 0.1 * np.eye(16))]),
+            sys.B, sys.C,
+        )
+    state = ProjectionState(sys)
+    V = rg.Basis.empty(16)
+    for width in (3, 2, 4):
+        V = V.appended(complex_randn(rng, 16, width))
+        Q = rg.reduce_system(sys, V, state=state).system.Q
+        assert all(piece.flags.f_contiguous for piece in _matrices(Q))
+        assert len(Q.terms) == len(sys.Q.terms)
+        copy = Q.map_matrices(np.ascontiguousarray)
+        assert not any(piece.flags.f_contiguous for piece in _matrices(copy))
+        for m in (1, 2, 7):
+            coefficients = Q.coefficients([random_point(rng) for _ in range(m)])
+            assert np.array_equal(
+                bits(Q.assemble_stack(coefficients)), bits(copy.assemble_stack(coefficients))
+            )
+        point = random_point(rng)
+        assert np.array_equal(bits(Q.assemble(point)), bits(copy.assemble(point)))
 
 
 @pytest.mark.parametrize("narrower", ["V", "W"])
