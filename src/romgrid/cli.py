@@ -5,11 +5,26 @@ system), ``validate`` (effectivity study of a finished run on a fresh
 grid), ``compare`` (several estimators side by side on one system), and
 ``demo`` (a self-contained end-to-end example). Run directories written by
 ``reduce`` contain the trace (CSV + JSON), the bases (NPZ), the reduced
-model as an affine manifest, and ``run.json`` with enough metadata for
-``validate`` to rebuild the workspace.
+model as an affine manifest, the greedy's last online workspace
+(``workspace.npz``, ``EstimatorWorkspace.to_arrays``), the Schur form its
+true errors used where they built one (``schur.npz``), and ``run.json``
+with enough metadata for ``validate`` to rebuild the system and the
+workspace, and the SHA-256 of ``workspace.npz``.
+
+``validate`` rebuilds the system and reads the bases, then evaluates the
+stored workspace where all of these hold: the file's digest is the one
+``run.json`` records, it was written for the estimator ``run.json`` names,
+and ``EstimatorWorkspace.from_arrays`` accepts every reduced model's maps
+against the system and the bases (``projection.check_reduction``). Its
+effectivity report is then the one ``greedy.validate`` gives in the
+process that reduced, bit for bit. Otherwise it rebuilds the workspace
+from the bases (``EstimatorWorkspace.from_bases``), whose offline step
+rounds differently: the estimates and true errors agree to roundoff.
 """
 
 import argparse
+import hashlib
+import io
 import json
 import pathlib
 import sys as _sys
@@ -137,10 +152,14 @@ def _save_run(out_dir, system, source, args, specs, result):
     np.savez(out / "bases.npz", **{key: basis.columns for key, basis in ws.bases.items()})
     save_system(ws.rom_primal.system, out / "rom", name=f"{system.name}_reduced")
     kernel = vars(system).get("_kernel")  # cached once built: true errors build it
-    (out / "schur.npz").unlink(missing_ok=True)
+    for name in ("schur.npz", "effectivity.csv", "effectivity.json"):  # an earlier run's files
+        (out / name).unlink(missing_ok=True)
     if isinstance(kernel, _SchurKernel):
         with kernel.schur.form() as (t, z):
             np.savez(out / "schur.npz", T=t, Z=z)
+    stored = io.BytesIO()
+    np.savez(stored, **ws.to_arrays())
+    (out / "workspace.npz").write_bytes(stored.getvalue())
     run_meta = {
         "version": __version__,
         "system": source,
@@ -155,6 +174,7 @@ def _save_run(out_dir, system, source, args, specs, result):
         "rom_dim": ws.rom_primal.dim,
         "converged": result.converged,
         "stop_reason": result.stop_reason.value,
+        "workspace_sha256": hashlib.sha256(stored.getbuffer()).hexdigest(),
     }
     (out / "run.json").write_text(json.dumps(run_meta, indent=2) + "\n")
 
@@ -214,8 +234,27 @@ def _rebuild_workspace(run_dir):
             }
     except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise RomgridError(f"run directory {run_dir}: unreadable bases.npz: {exc}") from exc
-    workspace = EstimatorWorkspace.from_bases(system, kind, **bases)
+    workspace = _stored_workspace(run_dir / "workspace.npz", meta, system, bases)
+    if workspace is None or workspace.kind is not kind:
+        workspace = EstimatorWorkspace.from_bases(system, kind, **bases)
     return system, workspace, meta
+
+
+def _stored_workspace(path, meta, system, bases):
+    """The online workspace ``reduce`` stored at ``path``, or None where it is refused.
+
+    The file's SHA-256 must be the one run.json records, and
+    ``EstimatorWorkspace.from_arrays`` must accept it against the
+    regenerated system and the stored bases.
+    """
+    try:
+        data = path.read_bytes()
+        if hashlib.sha256(data).hexdigest() != meta.get("workspace_sha256"):
+            return None
+        with np.load(io.BytesIO(data)) as stored:
+            return EstimatorWorkspace.from_arrays(system, bases, dict(stored))
+    except (OSError, KeyError, ValueError, RomgridError, zipfile.BadZipFile):
+        return None
 
 
 def _reuse_schur_form(system, path):

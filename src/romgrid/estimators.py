@@ -30,7 +30,9 @@ by ``append`` and keeps the n-row products and ``U``, and each greedy
 iteration projects and factors only the columns it adds (the standard
 incremental reduced-basis offline step, as in Haasdonk's 2017 tutorial).
 ``EstimatorWorkspace.from_bases`` is the same step on all the columns at
-once. The online step evaluates the monomial coefficients, solves the
+once. ``EstimatorWorkspace.to_arrays`` and ``from_arrays`` hand a workspace
+to a later process as its r-sized arrays, which then evaluates it bit for
+bit without the offline step. The online step evaluates the monomial coefficients, solves the
 reduced models, assembling their own reduced maps, and multiplies small
 matrices, so its cost does not depend on the full order n: a residual is
 ``r = U y`` with coordinates ``y = R F``, a bilinear form ``X^T r`` is
@@ -73,7 +75,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from . import linalg
+from . import linalg, projection
 from .errors import MissingWorkspaceRomError, RomgridError, SingularReducedSystemError
 from .linalg import lu_solve_stack, scaled_stack
 from .projection import ProjectionState, bordered, reduce_system
@@ -245,6 +247,11 @@ class _OfflineTerms:
     projections: dict
 
 
+def _monomials(sys):
+    """The coefficient monomials of every primal family's pieces, by family letter."""
+    return {letter: [m for m, _ in getattr(sys, letter).monomial_pieces()] for letter in "BQC"}
+
+
 class GrowingWorkspace:
     """The one owner of a run's n-row state, for one kind and system.
 
@@ -304,9 +311,7 @@ class GrowingWorkspace:
         wanted = set(spec.residuals) | {model.rhs for model in spec.models if model.rhs}
         self.residuals = [model for model in REDUCED_MODELS if model.residual in wanted]
         self.readers = spec.models
-        self.monomials = {
-            letter: [m for m, _ in getattr(sys, letter).monomial_pieces()] for letter in "BQC"
-        }
+        self.monomials = _monomials(sys)
         self.residual_bases = {
             model.side: np.zeros((sys.order, 0), dtype=np.complex128) for model in self.residuals
         }
@@ -665,6 +670,55 @@ class EstimatorWorkspace:
         test = {"V": W, "V_du": W_du, "V_rdu": W_rdu, "V_rpr": W_rpr, "V_rrpr": W_rrpr}
         supplied = {key: basis for key, basis in trial.items() if basis is not None}
         return GrowingWorkspace(sys, kind, supplied, test).extend()
+
+    def to_arrays(self):
+        """The online workspace of the workspace's own kind, as named arrays for ``np.savez``.
+
+        Every reduced model's pieces, base first, and the kind's offline
+        factors and projections: all r-sized. ``from_arrays`` reads them back.
+        """
+        offline = self._offline[self.kind]
+        arrays = {"kind": np.array(self.kind.value)}
+        for model in REDUCED_MODELS:
+            rom = getattr(self, model.field)
+            for letter in "QBC" if rom is not None else "":
+                for j, matrix in enumerate(projection._matrices(getattr(rom.system, letter))):
+                    arrays[f"{model.key}.{letter}.{j}"] = matrix
+        for name, (R_B, T) in offline.factors.items():
+            arrays.update({f"T.{name}": T} if R_B is None else {f"T.{name}": T, f"R_B.{name}": R_B})
+        arrays.update({".".join(("XU", *key)): xu for key, xu in offline.projections.items()})
+        return arrays
+
+    @classmethod
+    def from_arrays(cls, sys, bases, arrays):
+        """The workspace ``to_arrays`` wrote, on ``sys`` and Galerkin bases ``{key: Basis}``.
+
+        ``arrays`` lists the arrays in the order ``to_arrays`` wrote them, as
+        ``np.load`` hands them back. The workspace carries its kind's offline
+        terms against ``sys`` and holds the arrays as they are, so it
+        evaluates bit for bit as the workspace that wrote them. A model is
+        taken where ``bases`` holds its basis, and only if its stored pieces
+        match ``sys``'s families in number and it passes
+        ``projection.check_reduction`` against ``sys`` and that basis; else
+        ValueError, KeyError or ProjectionMismatchError.
+        """
+
+        def stored(prefix):
+            # the arrays whose names start with ``prefix``, by the rest of the name
+            return {key[len(prefix) :]: a for key, a in arrays.items() if key.startswith(prefix)}
+
+        models = {}
+        for model in (model for model in REDUCED_MODELS if model.key in bases):
+            side, basis = model.system_of(sys), bases[model.key]
+            pieces = {letter: list(stored(f"{model.key}.{letter}.").values()) for letter in "QBC"}
+            models[model.field] = projection.reduced_model(side, pieces, basis, basis)
+            projection.check_reduction(side, models[model.field])
+        workspace = cls(kind=str(arrays["kind"]), **models)
+        factors = {name: (stored("R_B.").get(name), T) for name, T in stored("T.").items()}
+        projections = {tuple(key.split(".")): xu for key, xu in stored("XU.").items()}
+        terms = _OfflineTerms(sys, _monomials(sys), factors, projections)
+        workspace._offline[workspace.kind] = terms
+        return workspace
 
 
 @dataclass

@@ -158,13 +158,10 @@ class ProjectionState:
         self.added = []
         self._pieces = [matrix for _, matrix in sys.Q.monomial_pieces()]
         self.products = [[] for _ in self._pieces]
-        self._Q = [np.zeros((0, 0), dtype=np.complex128, order="F") for _ in self._pieces]
+        self._Q = [np.zeros((0, 0), dtype=np.complex128) for _ in self._pieces]
         self._B = [np.zeros((0, sys.n_inputs), dtype=np.complex128) for _ in _matrices(sys.B)]
         self._C = [np.zeros((sys.n_outputs, 0), dtype=np.complex128) for _ in _matrices(sys.C)]
-        rng = np.random.default_rng(12345)
-        self.point = {
-            name: complex(0.5 + rng.random(), rng.random()) for name in sys.parameter_names
-        }
+        self.point = _probe_point(sys)
         self.probed = np.zeros((0, 0), dtype=np.complex128)
 
     def extend(self, V, W):
@@ -197,14 +194,7 @@ class ProjectionState:
         self.probed = bordered(self.probed, below, wt @ (probe @ v_new))
         Q = self.sys.Q
         pieces = self._Q if Q.has_base or not Q.terms else [np.zeros_like(self._Q[0])] + self._Q
-        reduced = ParametricSystem(
-            _family(Q, pieces),
-            _family(self.sys.B, self._B),
-            _family(self.sys.C, self._C),
-            parameter_names=self.sys.parameter_names,
-            name=f"{self.sys.name}:reduced",
-        )
-        self.model = ReducedModel(reduced, V, W)
+        self.model = reduced_model(self.sys, {"Q": pieces, "B": self._B, "C": self._C}, V, W)
         return self.model
 
 
@@ -226,6 +216,25 @@ def bordered(old, below, right, order="C"):
     return out
 
 
+def reduced_model(sys, pieces, V, W):
+    """The ReducedModel on V and W whose families take ``sys``'s coefficients.
+
+    ``pieces`` maps each family letter to its reduced matrices, base first
+    (as ``_matrices`` lists them).
+    """
+    families = [_family(getattr(sys, letter), pieces[letter]) for letter in "QBC"]
+    reduced = ParametricSystem(
+        *families, parameter_names=sys.parameter_names, name=f"{sys.name}:reduced"
+    )
+    return ReducedModel(reduced, V, W)
+
+
+def _probe_point(sys):
+    """The generic point, from a fixed seed, at which the commutation checks probe ``sys``."""
+    rng = np.random.default_rng(12345)
+    return {name: complex(0.5 + rng.random(), rng.random()) for name in sys.parameter_names}
+
+
 def _matrices(family):
     """The base and every term matrix of a family, as ``map_matrices`` visits them."""
     return [family.base] + [matrix for _, matrix in family.terms]
@@ -234,7 +243,7 @@ def _matrices(family):
 def _family(family, matrices):
     """``family``'s coefficients on new matrices, given base first as by ``_matrices``."""
     base, *rest = matrices
-    terms = [(monomial, matrix) for (monomial, _), matrix in zip(family.terms, rest)]
+    terms = [(monomial, matrix) for (monomial, _), matrix in zip(family.terms, rest, strict=True)]
     return AffineMatrix(base.shape, base=base, terms=terms)
 
 
@@ -275,14 +284,35 @@ def reduce_system(sys, V, W=None, state=None):
     return model
 
 
-def _check_commutation(state, model, tol=1e-12):
+def check_reduction(sys, model):
+    """Raise ProjectionMismatchError unless ``model`` is ``sys`` projected onto its bases.
+
+    For a model built elsewhere (read from a file, say): Freivalds' form of
+    the commutation check, with fixed-seed vectors ``v`` and ``u``. At the
+    probe point, ``W^T (Q (V v))``, ``W^T (B u)`` and ``C (V v)`` must match
+    the reduced operator, input and output maps times ``v`` or ``u``, to the
+    tolerance of ``_check_commutation``: O(n^2 + n r) on a dense system.
+    Bases whose shapes do not fit the model raise ValueError.
+    """
+    point, rng = _probe_point(sys), np.random.default_rng(0)
+    v, u = rng.standard_normal(model.dim), rng.standard_normal(sys.n_inputs)
+    wt, Vv, reduced = model.W.columns.T, model.V.columns @ v, model.system
+    _commutes(point, wt @ (sys.Q.assemble(point) @ Vv), reduced.Q.assemble(point) @ v)
+    _commutes(point, wt @ (sys.B.assemble(point) @ u), reduced.B.assemble(point) @ u)
+    _commutes(point, sys.C.assemble(point) @ Vv, reduced.C.assemble(point) @ v)
+
+
+def _check_commutation(state, model):
     # Projecting the assembled operator must match assembling the projected
     # family; a probe at one generic point guards the termwise build.
-    point = state.point
-    full = state.probed
-    small = model.system.Q.assemble(point)
-    scale = max(float(np.max(np.abs(full))), 1.0)
-    deviation = float(np.max(np.abs(full - small)))
+    _commutes(state.point, state.probed, model.system.Q.assemble(state.point))
+
+
+def _commutes(point, full, small, tol=1e-12):
+    """Raise ProjectionMismatchError where ``small`` is off ``full`` by more than
+    ``tol`` times ``full``'s largest entry (at least 1)."""
+    scale = max(float(np.max(np.abs(full), initial=0.0)), 1.0)
+    deviation = float(np.max(np.abs(full - small), initial=0.0))
     if deviation > tol * scale:
         raise ProjectionMismatchError(
             f"projection/assembly commutation off by {deviation:.3e} (scale {scale:.3e}) "

@@ -230,6 +230,20 @@ def test_reduce_reruns_are_byte_identical(tmp_path, estimator):
     assert written == (second / "trace.csv").read_bytes()
 
 
+def test_reduce_removes_the_reports_of_an_earlier_run(tmp_path, capsys):
+    # the effectivity report of a validated ladder run says nothing about
+    # another model reduced into the same directory
+    out = tmp_path / "run"
+    assert main(["reduce", "--synthetic", "rc_ladder:40", "--train", "f:1e-3:1e1:10:log",
+                 "--out", str(out)]) == 0
+    assert main(["validate", str(out)]) == 0
+    assert (out / "effectivity.csv").is_file() and (out / "effectivity.json").is_file()
+    main(["reduce", "--synthetic", "random_stable:30", "--train", "f:1e-2:1e1:10:log",
+          "--out", str(out)])
+    assert json.loads((out / "run.json").read_text())["system"] == {"synthetic": "random_stable:30"}
+    assert not (out / "effectivity.csv").exists() and not (out / "effectivity.json").exists()
+
+
 @pytest.fixture(scope="module")
 def finished_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("finished") / "run"

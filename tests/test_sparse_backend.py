@@ -437,21 +437,33 @@ def test_band_lu_matches_dense_getrf_and_transpose_is_plain(case):
 def test_band_lu_rejects_singular_operators_by_the_dense_rule(case, defect):
     rng = np.random.default_rng(case["seed"])
     n = max(case["n"], 3)
-    _, dense = _band_matrix(rng, n, case["kl"], case["ku"], dominance=2.0)
+    band, dense = _band_matrix(rng, n, case["kl"], case["ku"], dominance=2.0)
     j = int(rng.integers(n - 1))
     if defect == "zero_column":
         dense[:, j] = 0.0
     elif defect == "dependent_row":
-        # scaling by a power of two is exact, so elimination keeps row j
-        # exactly half of row j + 1 and ends at an exact zero pivot in
-        # either kernel (a roundoff-level pivot is not reproducible across
-        # kernels, whose operations come in different orders)
-        dense[j] = 0.5 * dense[j + 1]
+        # rows j and j + 1 equal, nonzero only in one column c inside both
+        # rows' bands, and column c zero in every other row (both rows zero
+        # where the bands share no column): elimination before column c
+        # leaves the two rows as they are, and at column c one of them
+        # cancels the other exactly, so either kernel ends at an exact zero
+        # pivot (a roundoff-level pivot is not reproducible across kernels,
+        # whose operations come in different orders)
+        shared = range(max(j + 1 - case["kl"], 0), min(j + case["ku"], n - 1) + 1)
+        dense[[j, j + 1]] = 0.0
+        if len(shared):
+            c = int(rng.choice(shared))
+            dense[:, c] = 0.0
+            dense[[j, j + 1], c] = complex_randn(rng, 1)[0]
     else:
         dense[j, j] = complex(np.inf, 0.0)
+    # the damaged operator on the undamaged band pattern, its zeros stored
+    columns = np.repeat(np.arange(n), np.diff(band.indptr))
+    entries = dense[band.indices, columns]
+    operator = scipy.sparse.csc_array((entries, band.indices, band.indptr), shape=(n, n))
     message = "non-finite" if defect == "non_finite" else "singular"
     with kernels_called() as called, pytest.raises(SingularMatrixError, match=message):
-        lu_factor(scipy.sparse.csc_array(dense))
+        lu_factor(operator)
     # a non-finite operator is rejected before any kernel runs
     assert [kernel for kernel, *_ in called] == ([] if defect == "non_finite" else ["band"])
     with pytest.raises(SingularMatrixError, match=message):

@@ -1,0 +1,213 @@
+"""The online workspace ``romgrid reduce`` stores and ``romgrid validate`` evaluates.
+
+``reduce`` writes the greedy's final workspace as ``workspace.npz`` and
+records its SHA-256 in ``run.json``; ``validate`` evaluates it where the
+acceptance rule takes it and rebuilds the workspace from the bases where it
+does not.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import shutil
+
+import numpy as np
+import pytest
+import scipy.io
+
+import romgrid as rg
+from romgrid.cli import main
+from romgrid.estimators import REDUCED_MODELS
+from romgrid.projection import _matrices
+from romgrid.reports import write_report
+
+from conftest import _breakdown_bits
+
+TRAIN = "f:1e-2:1e1:12:log"
+GRID = "f:1.07e-2:9.3e0:20:log"
+KINDS = ("delta_r", "delta1", "delta1pr", "delta2", "delta2pr", "delta3", "delta3pr")
+
+
+def _reduce(run_dir, *source, estimator="delta2", tol="1e-8"):
+    argv = ["reduce", *source, "--estimator", estimator, "--tol", tol, "--train", TRAIN,
+            "--true-errors", "on", "--out", str(run_dir)]
+    assert main(argv) in (0, 3)
+
+
+@contextlib.contextmanager
+def rebuilds():
+    """Yields the list of ``EstimatorWorkspace.from_bases`` calls made meanwhile."""
+    calls = []
+    build = rg.EstimatorWorkspace.from_bases.__func__
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            rg.EstimatorWorkspace, "from_bases",
+            classmethod(lambda cls, *args, **kwargs: calls.append(1) or build(cls, *args, **kwargs)),
+        )
+        yield calls
+
+
+def _validate(run_dir):
+    """The workspaces ``romgrid validate`` rebuilds on ``run_dir``, and the bytes it writes."""
+    with rebuilds() as calls:
+        assert main(["validate", str(run_dir), "--grid", GRID]) == 0
+    written = [(run_dir / name).read_bytes() for name in ("effectivity.json", "effectivity.csv")]
+    return len(calls), written
+
+
+@pytest.mark.parametrize("spec, estimator", [("mimo_block:60,2,0", "delta2"),
+                                             ("rc_ladder:80", "delta3pr")])
+def test_cli_validate_writes_what_in_process_validate_writes(tmp_path, spec, estimator):
+    run_dir = tmp_path / "run"
+    _reduce(run_dir, "--synthetic", spec, estimator=estimator)
+    rebuilt, written = _validate(run_dir)
+    assert rebuilt == 0
+    system = rg.generate_synthetic(spec)
+    config = rg.GreedyConfig(kind=estimator, training_set=rg.parse_grid([TRAIN]),
+                             tolerance=1e-8, record_true_errors=True)
+    result = rg.run_greedy(system, config)
+    report = rg.validate(system, result, rg.parse_grid([GRID]))
+    write_report(report, csv_path=tmp_path / "report.csv", json_path=tmp_path / "report.json")
+    assert written == [(tmp_path / name).read_bytes() for name in ("report.json", "report.csv")]
+
+
+class _Unusable:
+    """A full-order array the online step must not touch: every use raises."""
+
+    def _used(self, *args, **kwargs):
+        raise AssertionError("the online step used a full-order array")
+
+    __array__ = __matmul__ = __rmatmul__ = __mul__ = __rmul__ = __add__ = __radd__ = _used
+    __getitem__ = __len__ = __iter__ = _used
+
+    def __getattr__(self, name):
+        self._used()
+
+
+def _make_unusable(system):
+    """Replace every full-order array of ``system`` and of its dual, in place, by ``_Unusable``."""
+    for side in (system, system.dual()):
+        for letter in "QBC":
+            family = getattr(side, letter)
+            family.base = _Unusable()
+            family.terms = tuple((monomial, _Unusable()) for monomial, _ in family.terms)
+            vars(family).pop("pattern", None)
+        vars(side).pop("_kernel", None)
+
+
+def _bits(breakdown):
+    return None if breakdown is None else _breakdown_bits(breakdown).tobytes()
+
+
+PARAMETRIC = (["f:1e-2:1e0:8:log", "d=0.5,1,2", "alpha=0.02", "beta=0.05"],
+              ["f:1.3e-2:0.9:5:log", "d=0.7,1.5", "alpha=0.02", "beta=0.05"])
+FREQUENCY = ([TRAIN], [GRID])
+STORED_CASES = [("random_stable:30,2", kind, FREQUENCY) for kind in KINDS] + [
+    (spec, kind, grids)
+    for spec, grids in (("rc_ladder:60", FREQUENCY), ("symmetric_second_order:20", PARAMETRIC))
+    for kind in ("delta2", "delta3pr")
+]
+
+
+@pytest.mark.parametrize("spec, kind, grids", STORED_CASES,
+                         ids=[f"{spec}-{kind}" for spec, kind, _ in STORED_CASES])
+def test_a_loaded_workspace_evaluates_as_the_one_reduce_held(spec, kind, grids):
+    system = rg.generate_synthetic(spec)
+    train, grid = (rg.parse_grid(specs) for specs in grids)
+    config = rg.GreedyConfig(kind=kind, training_set=train, tolerance=1e-6, max_iterations=8,
+                             record_true_errors=False)
+    held = rg.run_greedy(system, config).workspace
+    want = rg.evaluate(kind, held, system, grid)
+    stored = io.BytesIO()
+    np.savez(stored, **held.to_arrays())
+    stored.seek(0)
+    with np.load(stored) as arrays:
+        loaded = rg.EstimatorWorkspace.from_arrays(system, held.bases, dict(arrays))
+    assert loaded.kind is held.kind and loaded.bases.keys() == held.bases.keys()
+    # the reduced operators load in the layout they were grown in
+    for model in REDUCED_MODELS:
+        rom = getattr(loaded, model.field)
+        if rom is not None:
+            assert all(piece.flags.f_contiguous for piece in _matrices(rom.system.Q))
+            rom.V = rom.W = _Unusable()
+    _make_unusable(system)
+    got = rg.evaluate(kind, loaded, system, grid)
+    assert [_bits(b) for b in got] == [_bits(b) for b in want]
+    assert _bits(rg.evaluate(kind, loaded, system, grid[0])) == _bits(want[0])
+
+
+def _resave(run_dir, edit, record=False):
+    """``workspace.npz`` with one array edited; ``record`` writes its new SHA-256 into run.json."""
+    path = run_dir / "workspace.npz"
+    with np.load(path) as stored:
+        arrays = dict(stored)
+    edit(arrays)
+    np.savez(path, **arrays)
+    if record:
+        meta = json.loads((run_dir / "run.json").read_text())
+        meta["workspace_sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        (run_dir / "run.json").write_text(json.dumps(meta))
+
+
+def _nudge(name):
+    def edit(arrays):
+        arrays[name][0, 0] += 1e-3
+    return edit
+
+
+def _missing(run_dir, model):
+    (run_dir / "workspace.npz").unlink()
+
+
+def _truncated(run_dir, model):
+    path = run_dir / "workspace.npz"
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _edited_array(run_dir, model):
+    _resave(run_dir, _nudge("T.r_pr"))
+
+
+def _piece_edited_and_recorded(name):
+    return lambda run_dir, model: _resave(run_dir, _nudge(name), record=True)
+
+
+def _foreign(run_dir, model):
+    other = run_dir.parent / "other"
+    _reduce(other, "--manifest", str(model / "manifest.json"), tol="1e-4")
+    shutil.copyfile(other / "workspace.npz", run_dir / "workspace.npz")
+
+
+def _manifest_edited(run_dir, model):
+    path = str(model / "Q_base.mtx")
+    a = scipy.io.mmread(path).tocsc()
+    a[3, 3] += 0.5
+    scipy.io.mmwrite(path, a, precision=17)
+
+
+def _other_kind(run_dir, model):
+    meta = json.loads((run_dir / "run.json").read_text())
+    meta["estimator"] = "delta1"  # its bases, V and V_du, are stored
+    (run_dir / "run.json").write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [_missing, _truncated, _edited_array, _foreign, _manifest_edited, _other_kind,
+     _piece_edited_and_recorded("V.Q.0"), _piece_edited_and_recorded("V_du.B.0"),
+     _piece_edited_and_recorded("V_rdu.C.0")],
+    ids=["missing", "truncated", "array_edited", "foreign", "manifest_edited", "other_kind",
+         "Q_piece_recorded", "dual_B_piece_recorded", "dual_C_piece_recorded"],
+)
+def test_a_bad_stored_workspace_falls_back_to_the_rebuild(tmp_path, damage):
+    model = tmp_path / "model"
+    rg.save_system(rg.mimo_block(60, 2), model)
+    run_dir = tmp_path / "run"
+    _reduce(run_dir, "--manifest", str(model / "manifest.json"))
+    assert _validate(run_dir)[0] == 0
+    damage(run_dir, model)
+    rebuilt, written = _validate(run_dir)
+    (run_dir / "workspace.npz").unlink(missing_ok=True)
+    assert rebuilt == 1
+    assert written == _validate(run_dir)[1]
