@@ -3,28 +3,34 @@
 Subcommands: ``reduce`` (greedy reduction of a manifest or synthetic
 system), ``validate`` (effectivity study of a finished run on a fresh
 grid), ``compare`` (several estimators side by side on one system), and
-``demo`` (a self-contained end-to-end example). Run directories written by
+``demo`` (``reduce`` on a fixed ladder). Run directories written by
 ``reduce`` contain the trace (CSV + JSON), the bases (NPZ), the reduced
-model as an affine manifest, the greedy's last online workspace
-(``workspace.npz``, ``EstimatorWorkspace.to_arrays``), the Schur form its
-true errors used where they built one (``schur.npz``), and ``run.json``
-with enough metadata for ``validate`` to rebuild the system and the
-workspace, and the SHA-256 of ``workspace.npz``.
+model as an affine manifest, one stored state, ``workspace.npz``, and
+``run.json`` with enough metadata for ``validate`` to rebuild the system and
+the workspace. ``workspace.npz`` holds the greedy's last online workspace
+(``EstimatorWorkspace.to_arrays``) and, where the true errors built one,
+the Schur form they used (``schur.T`` and ``schur.Z``); ``run.json``
+records the SHA-256 of the file's zip directory: each member's name,
+CRC-32 and size.
 
-``validate`` rebuilds the system and reads the bases, then evaluates the
-stored workspace where all of these hold: the file's digest is the one
-``run.json`` records, it was written for the estimator ``run.json`` names,
-and ``EstimatorWorkspace.from_arrays`` accepts every reduced model's maps
-against the system and the bases (``projection.check_reduction``). Its
-effectivity report is then the one ``greedy.validate`` gives in the
-process that reduced, bit for bit. Otherwise it rebuilds the workspace
-from the bases (``EstimatorWorkspace.from_bases``), whose offline step
-rounds differently: the estimates and true errors agree to roundoff.
+``validate`` rebuilds the system and reads the bases, then takes the stored
+state by one rule, whole or not at all: the directory digest is the one
+``run.json`` records (and ``np.load`` checks every member's CRC-32 as it
+reads it), the workspace is for the estimator ``run.json`` names, and every
+array group passes its identity against the rebuilt system and the bases:
+the Schur form ``linalg._is_schur_form``, each reduced model
+``projection.check_reduction``, and the residual factors
+``estimators._check_factors``. Its effectivity report is then the one
+``greedy.validate`` gives in the process that reduced, bit for bit.
+Otherwise it rebuilds the workspace from the bases
+(``EstimatorWorkspace.from_bases``) and the Schur form from the system; the
+rebuild's offline step rounds differently, so the estimates and true errors
+agree to roundoff.
 """
 
 import argparse
+import contextlib
 import hashlib
-import io
 import json
 import pathlib
 import sys as _sys
@@ -41,7 +47,7 @@ from .grids import DEFAULT_FREQUENCY_SPEC, parse_grid
 from .manifest import load_system, save_system
 from .projection import Basis
 from .reports import write_report, write_trace_csv, write_trace_json
-from .system import ParametricSystem, _SchurKernel
+from .system import _SchurKernel
 
 __all__ = ["main"]
 
@@ -151,15 +157,13 @@ def _save_run(out_dir, system, source, args, specs, result):
     ws = result.workspace
     np.savez(out / "bases.npz", **{key: basis.columns for key, basis in ws.bases.items()})
     save_system(ws.rom_primal.system, out / "rom", name=f"{system.name}_reduced")
-    kernel = vars(system).get("_kernel")  # cached once built: true errors build it
-    for name in ("schur.npz", "effectivity.csv", "effectivity.json"):  # an earlier run's files
+    for name in ("effectivity.csv", "effectivity.json"):  # an earlier run's files
         (out / name).unlink(missing_ok=True)
-    if isinstance(kernel, _SchurKernel):
-        with kernel.schur.form() as (t, z):
-            np.savez(out / "schur.npz", T=t, Z=z)
-    stored = io.BytesIO()
-    np.savez(stored, **ws.to_arrays())
-    (out / "workspace.npz").write_bytes(stored.getvalue())
+    kernel = vars(system).get("_kernel")  # cached once built: true errors build it
+    form = kernel.schur.form() if isinstance(kernel, _SchurKernel) else contextlib.nullcontext(())
+    with form as schur:
+        np.savez(out / "workspace.npz", **ws.to_arrays(),
+                 **dict(zip(("schur.T", "schur.Z"), schur)))
     run_meta = {
         "version": __version__,
         "system": source,
@@ -174,7 +178,7 @@ def _save_run(out_dir, system, source, args, specs, result):
         "rom_dim": ws.rom_primal.dim,
         "converged": result.converged,
         "stop_reason": result.stop_reason.value,
-        "workspace_sha256": hashlib.sha256(stored.getbuffer()).hexdigest(),
+        "workspace_directory_sha256": _directory_sha256(out / "workspace.npz"),
     }
     (out / "run.json").write_text(json.dumps(run_meta, indent=2) + "\n")
 
@@ -216,12 +220,10 @@ def _rebuild_workspace(run_dir):
         system = generate_synthetic(source["synthetic"])
     else:
         raise RomgridError(f"run directory {run_dir}: run.json field 'system' names no source")
-    _reuse_schur_form(system, run_dir / "schur.npz")
     kind = EstimatorKind.from_name(meta["estimator"])
-    needed = [model.key for model in models_of(kind)]
     try:
         with np.load(run_dir / "bases.npz") as stored:
-            missing = [key for key in needed if key not in stored.files]
+            missing = [model.key for model in models_of(kind) if model.key not in stored.files]
             if missing:
                 raise RomgridError(
                     f"run directory {run_dir}: bases.npz lacks {missing}, "
@@ -234,44 +236,45 @@ def _rebuild_workspace(run_dir):
             }
     except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise RomgridError(f"run directory {run_dir}: unreadable bases.npz: {exc}") from exc
-    workspace = _stored_workspace(run_dir / "workspace.npz", meta, system, bases)
-    if workspace is None or workspace.kind is not kind:
-        workspace = EstimatorWorkspace.from_bases(system, kind, **bases)
-    return system, workspace, meta
+    workspace = _stored_state(run_dir / "workspace.npz", meta, system, kind, bases)
+    return system, workspace or EstimatorWorkspace.from_bases(system, kind, **bases), meta
 
 
-def _stored_workspace(path, meta, system, bases):
-    """The online workspace ``reduce`` stored at ``path``, or None where it is refused.
+def _stored_state(path, meta, system, kind, bases):
+    """The workspace ``reduce`` stored at ``path``, or None where the file is refused.
 
-    The file's SHA-256 must be the one run.json records, and
-    ``EstimatorWorkspace.from_arrays`` must accept it against the
-    regenerated system and the stored bases.
-    """
-    try:
-        data = path.read_bytes()
-        if hashlib.sha256(data).hexdigest() != meta.get("workspace_sha256"):
-            return None
-        with np.load(io.BytesIO(data)) as stored:
-            return EstimatorWorkspace.from_arrays(system, bases, dict(stored))
-    except (OSError, KeyError, ValueError, RomgridError, zipfile.BadZipFile):
-        return None
-
-
-def _reuse_schur_form(system, path):
-    """Give ``system`` the Schur kernel of the form ``reduce`` stored at ``path``.
-
-    A missing or unreadable file, or a system of another family, leaves the
-    kernel to ``transfer_function``, which builds the form as usual; so does
-    a stored form that ``linalg.ShiftedSchur``'s check rejects.
+    The file is taken whole or not at all (see the module docstring): its
+    directory digest must be the one in ``meta``, its workspace ``kind``'s,
+    a stored Schur form one of ``system``'s operator (``linalg.ShiftedSchur``
+    refuses any other), and ``EstimatorWorkspace.from_arrays`` must accept
+    the reduced models and residual factors against ``system`` and
+    ``bases``. An accepted form becomes ``system``'s Schur kernel.
     """
     try:  # np.load leaves a file it opened unclosed when a truncated archive fails to open
         with open(path, "rb") as handle, np.load(handle) as stored:
-            form = stored["T"], stored["Z"]
-    except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile):
-        return
-    kernel = _SchurKernel.of(system, form)
+            if _directory_sha256(handle) != meta.get("workspace_directory_sha256"):
+                return None
+            arrays = dict(stored)
+        form = [arrays.pop("schur.T"), arrays.pop("schur.Z")] if "schur.T" in arrays else None
+        kernel = _SchurKernel.of(system, form) if form else None
+        if str(arrays["kind"]) != kind.value or (form and kernel is None):
+            return None
+        workspace = EstimatorWorkspace.from_arrays(system, bases, arrays)
+    except (OSError, KeyError, ValueError, EOFError, RomgridError, zipfile.BadZipFile):
+        return None
     if kernel is not None:
         system._kernel = kernel  # the cached kernel transfer_function would pick
+    return workspace
+
+
+def _directory_sha256(file):
+    """SHA-256 of a zip archive's directory: every member's name, CRC-32 and size.
+
+    ``file`` is the archive's path or an open binary file, which stays open.
+    """
+    with zipfile.ZipFile(file) as archive:
+        listing = [(info.filename, info.CRC, info.file_size) for info in archive.infolist()]
+    return hashlib.sha256(json.dumps(listing).encode()).hexdigest()
 
 
 def _cmd_validate(args):
@@ -305,21 +308,16 @@ def _cmd_compare(args):
     system, _ = _load_source(args)
     _, grid = _training_set(args, system)
     kinds = [EstimatorKind.from_name(token.strip()) for token in args.estimators.split(",")]
-    runs = {}
-    for kind in kinds:
-        config = _greedy_config(args, grid, kind=kind)
-        runs[kind] = run_greedy(system, config)
+    runs = {kind: run_greedy(system, _greedy_config(args, grid, kind=kind)) for kind in kinds}
     depth = max(len(r.trace) for r in runs.values())
-    header = ["iteration"]
-    for kind in kinds:
-        header += [f"{kind.value}_max_estimate", f"{kind.value}_max_true_error", f"{kind.value}_rom_dim"]
+    columns = ("max_estimate", "max_true_error", "rom_dim")
+    header = ["iteration"] + [f"{kind.value}_{column}" for kind in kinds for column in columns]
     rows = []
     for i in range(depth):
         row = [str(i + 1)]
         for kind in kinds:
-            trace = runs[kind].trace
-            if i < len(trace):
-                record = trace[i]
+            if i < len(runs[kind].trace):
+                record = runs[kind].trace[i]
                 true_text = "" if record.max_true_error is None else f"{record.max_true_error:.17g}"
                 row += [f"{record.max_estimate:.17g}", true_text, str(record.rom_dimension)]
             else:
@@ -348,20 +346,7 @@ def _cmd_compare(args):
 
 def _cmd_demo(args):
     print("demo: RC ladder (n=200), two-part dual-residual estimator, tol 1e-3")
-    system = generate_synthetic("rc_ladder:200")
-    grid = parse_grid([DEFAULT_FREQUENCY_SPEC])
-    config = GreedyConfig(
-        kind=EstimatorKind.DELTA_2,
-        training_set=grid,
-        tolerance=1e-3,
-    )
-    result = run_greedy(system, config)
-    _print_trace(result.trace)
-    print(
-        f"{'converged' if result.converged else 'stopped'} after {len(result.trace)} "
-        f"iteration(s); reduced dimension {result.workspace.rom_primal.dim} of {system.order}"
-    )
-    return 0 if result.converged else 3
+    return _cmd_reduce(build_parser().parse_args(["reduce", "--synthetic", "rc_ladder:200"]))
 
 
 def build_parser():

@@ -78,7 +78,7 @@ import scipy.linalg
 from . import linalg, projection
 from .errors import MissingWorkspaceRomError, RomgridError, SingularReducedSystemError
 from .linalg import lu_solve_stack, scaled_stack
-from .projection import ProjectionState, bordered, reduce_system
+from .projection import ProjectionState, _commutes, bordered, reduce_system
 from .system import _outcome, _point_or_stack
 
 __all__ = [
@@ -699,7 +699,8 @@ class EstimatorWorkspace:
         evaluates bit for bit as the workspace that wrote them. A model is
         taken where ``bases`` holds its basis, and only if its stored pieces
         match ``sys``'s families in number and it passes
-        ``projection.check_reduction`` against ``sys`` and that basis; else
+        ``projection.check_reduction`` against ``sys`` and that basis; the
+        offline terms are taken only if they pass ``_check_factors``. Else
         ValueError, KeyError or ProjectionMismatchError.
         """
 
@@ -717,8 +718,39 @@ class EstimatorWorkspace:
         factors = {name: (stored("R_B.").get(name), T) for name, T in stored("T.").items()}
         projections = {tuple(key.split(".")): xu for key, xu in stored("XU.").items()}
         terms = _OfflineTerms(sys, _monomials(sys), factors, projections)
+        _check_factors(models, terms)
         workspace._offline[workspace.kind] = terms
         return workspace
+
+
+def _check_factors(models, terms):
+    """Raise ProjectionMismatchError unless ``terms`` factor the residual pieces of ``models``.
+
+    ``models`` maps each model's field to its ``ReducedModel``. For a
+    workspace read from a file: ``U`` is not stored, so each residual
+    is checked through what ``U`` being orthonormal implies. Fixed-seed
+    weights ``f`` over its pieces ``P`` (``[B_k | Q_j V]``, or ``[Q_j V]``
+    alone where ``R_B`` is None) must give ``||P f|| = ||y||`` with ``y =
+    [R_B | T] f``, and ``X^T P f = (X^T U) y`` for every stored projection
+    onto the residual's side, to the tolerance of the commutation checks:
+    O(n^2 + n r) per residual on a dense system.
+    """
+    rng = np.random.default_rng(0)
+    for name, (R_B, T) in terms.factors.items():
+        model = _RESIDUAL_OF[name]
+        side, V = model.system_of(terms.sys), models[model.field].V.columns
+        inputs = [] if R_B is None else [matrix for _, matrix in side.B.monomial_pieces()]
+        pieces = [matrix for _, matrix in side.Q.monomial_pieces()]
+        g = rng.standard_normal((len(inputs), side.n_inputs, 1))
+        f = rng.standard_normal((len(pieces), V.shape[1], 1))
+        Pf = sum(m @ w for m, w in zip(inputs, g)) + sum(m @ (V @ w) for m, w in zip(pieces, f))
+        y = T @ f.reshape(-1, 1)
+        if R_B is not None:
+            y = _sum_rows(R_B @ g.reshape(-1, 1), y)
+        _commutes(name, np.linalg.norm(Pf), np.linalg.norm(y))
+        for (field, letter, of_side), xu in terms.projections.items():
+            if of_side == model.side:
+                _commutes(name, getattr(models[field], letter).columns.T @ Pf, xu[:, : len(y)] @ y)
 
 
 @dataclass

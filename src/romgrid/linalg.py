@@ -27,7 +27,8 @@ solving with one triangular solve. Each sample's factors are bitwise the
 ones a call on that sample alone gives. A Schur form can be stored and
 reused: ``ShiftedSchur`` takes a stored ``(T, Z)`` in place of the O(n^3)
 reduction once an O(n^2) check (Freivalds' random vector test of ``A Z =
-Z T`` and ``Z^H Z = I``) accepts it.
+Z T`` and ``Z^H Z = I``) accepts it, and raises ValueError where the
+check refuses it.
 
 ``lu_solve_stack``, which solves a stack of small dense systems, one per
 sample point, applies the same rule vectorized over the stack and hands
@@ -394,11 +395,11 @@ class ShiftedSchur:
     O(n) data for the singularity rule.
 
     ``form`` hands out ``(T, Z)`` for writing, and a pair so written and
-    read back, passed as ``form`` to the constructor, skips the reduction
-    when ``_is_schur_form`` accepts it as a Schur form of ``A``; any other
-    pair is ignored and the form is built. An accepted pair is taken over
-    as it is (a solve writes on its ``T``), so it solves bit for bit as
-    the form it was written from.
+    read back, passed as ``form`` to the constructor, skips the reduction.
+    ``_is_schur_form`` must accept it as a Schur form of ``A``; any other
+    pair raises ValueError. An accepted pair is taken over as it is (a
+    solve writes on its ``T``), so it solves bit for bit as the form it was
+    written from.
 
     ``factor`` takes a stack of shifts and hands out one factorization of
     ``T + shift*I`` each. Each solve writes its shift's pivots onto the
@@ -408,7 +409,9 @@ class ShiftedSchur:
 
     def __init__(self, a, form=None):
         a = _as_complex_matrix(a, "matrix")
-        if form is not None and _is_schur_form(a, *form):
+        if form is not None:
+            if not _is_schur_form(a, *form):
+                raise ValueError("the stored pair is not a Schur form of the matrix")
             t, z = form
         elif np.any(a.imag):
             t, z = scipy.linalg.schur(a, output="complex")

@@ -149,7 +149,8 @@ class ProjectionState:
     state grows ``probed = W^T Q(point) V`` by the same borders, ``W^T
     (Q(point) V_new)`` and ``(Q(point)^T W_new)^T V_old``, with ``Q(point)``
     assembled from the full-order pieces, so every entry of the projected
-    probe operator comes from the assembled operator, computed once.
+    probe operator comes from the assembled operator. The system assembles
+    it once (``ParametricSystem._probe``) for all its states and checks.
     """
 
     def __init__(self, sys):
@@ -161,7 +162,7 @@ class ProjectionState:
         self._Q = [np.zeros((0, 0), dtype=np.complex128) for _ in self._pieces]
         self._B = [np.zeros((0, sys.n_inputs), dtype=np.complex128) for _ in _matrices(sys.B)]
         self._C = [np.zeros((sys.n_outputs, 0), dtype=np.complex128) for _ in _matrices(sys.C)]
-        self.point = _probe_point(sys)
+        self.point = sys._probe[0]
         self.probed = np.zeros((0, 0), dtype=np.complex128)
 
     def extend(self, V, W):
@@ -188,7 +189,7 @@ class ProjectionState:
             np.concatenate([old, m @ v_new], axis=1)
             for old, m in zip(self._C, _matrices(self.sys.C))
         ]
-        probe = self.sys.Q.assemble(self.point)
+        probe = self.sys._probe[1]
         # V_old's border is a full-order product the first extension would throw away
         below = [(probe.T @ w_new).T @ self.model.V.columns] if v0 else []
         self.probed = bordered(self.probed, below, wt @ (probe @ v_new))
@@ -227,12 +228,6 @@ def reduced_model(sys, pieces, V, W):
         *families, parameter_names=sys.parameter_names, name=f"{sys.name}:reduced"
     )
     return ReducedModel(reduced, V, W)
-
-
-def _probe_point(sys):
-    """The generic point, from a fixed seed, at which the commutation checks probe ``sys``."""
-    rng = np.random.default_rng(12345)
-    return {name: complex(0.5 + rng.random(), rng.random()) for name in sys.parameter_names}
 
 
 def _matrices(family):
@@ -294,10 +289,10 @@ def check_reduction(sys, model):
     tolerance of ``_check_commutation``: O(n^2 + n r) on a dense system.
     Bases whose shapes do not fit the model raise ValueError.
     """
-    point, rng = _probe_point(sys), np.random.default_rng(0)
+    (point, probe), rng = sys._probe, np.random.default_rng(0)
     v, u = rng.standard_normal(model.dim), rng.standard_normal(sys.n_inputs)
     wt, Vv, reduced = model.W.columns.T, model.V.columns @ v, model.system
-    _commutes(point, wt @ (sys.Q.assemble(point) @ Vv), reduced.Q.assemble(point) @ v)
+    _commutes(point, wt @ (probe @ Vv), reduced.Q.assemble(point) @ v)
     _commutes(point, wt @ (sys.B.assemble(point) @ u), reduced.B.assemble(point) @ u)
     _commutes(point, sys.C.assemble(point) @ Vv, reduced.C.assemble(point) @ v)
 

@@ -620,6 +620,16 @@ class ParametricSystem:
         """The kernel that factors ``Q(p)`` in ``transfer_function``, picked once."""
         return _SchurKernel.of(self) or _LUKernel(self)
 
+    @cached_property
+    def _probe(self):
+        """A generic point, from a fixed seed, and ``Q`` there, assembled once.
+
+        The commutation checks of ``projection`` probe the system there.
+        """
+        rng = np.random.default_rng(12345)
+        point = {name: complex(0.5 + rng.random(), rng.random()) for name in self.parameter_names}
+        return point, self.Q.assemble(point)
+
 
 def _outcome(f, *args):
     """``f(*args)``, or the SingularMatrixError (at a sample, full or reduced) it raises."""
@@ -691,8 +701,8 @@ class _SchurKernel:
     solve. The system comes in per call, not held, so the kernel forms no
     reference cycle with the system that caches it. ``form``, a stored
     ``(T, Z)`` of ``A0`` (``schur.form()`` hands one out for writing), goes
-    to ``linalg.ShiftedSchur``, which uses it only where it passes that
-    class's check and builds the form otherwise.
+    to ``linalg.ShiftedSchur``, which takes it in place of the reduction
+    where it passes that class's check and raises ValueError otherwise.
     """
 
     def __init__(self, sys, shift, form=None):

@@ -7,10 +7,15 @@ envelope checks run at O(1) scales where absolute tolerances mean
 something.
 """
 
+import contextlib
+import json
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 import romgrid as rg
+from romgrid.cli import _directory_sha256
 
 # registry the acceptance tests append to; printed at the end of the run
 ACCEPTANCE_LINES = []
@@ -22,6 +27,38 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_sep("=", "acceptance criteria")
     for line in ACCEPTANCE_LINES:
         terminalreporter.write_line(line)
+
+
+@contextlib.contextmanager
+def schur_reductions():
+    """Record the shape of every O(n^3) Schur reduction ``linalg.ShiftedSchur`` runs."""
+    shapes = []
+    schur = scipy.linalg.schur
+
+    def counting(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return schur(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.linalg, "schur", counting)
+        yield shapes
+
+
+def resave_workspace(run_dir, edit, record=False):
+    """Rewrite a run's ``workspace.npz`` with ``edit`` applied to its arrays (a dict).
+
+    ``record`` writes the new file's directory digest into run.json, as
+    ``romgrid reduce`` does, so that the checks behind the digest are reached.
+    """
+    path = run_dir / "workspace.npz"
+    with np.load(path) as stored:
+        arrays = dict(stored)
+    edit(arrays)
+    np.savez(path, **arrays)
+    if record:
+        meta = json.loads((run_dir / "run.json").read_text())
+        meta["workspace_directory_sha256"] = _directory_sha256(path)
+        (run_dir / "run.json").write_text(json.dumps(meta))
 
 
 def complex_randn(rng, *shape):

@@ -10,10 +10,10 @@ overflows. The same points as one stack, and stacks cut into passes, must
 give each point's one-point response and true error to the bit. Spies on
 ``linalg.ShiftedSchur`` and ``linalg.lu_factor`` show which families build
 a form and that validation factors nothing per sample. ``romgrid
-validate`` solves with the form ``romgrid reduce`` stored in ``schur.npz``
-and writes the same bytes as with a form it builds; a spy on the Schur
-reduction shows it builds none, and a stale, damaged or foreign form is
-never used.
+validate`` solves with the form ``romgrid reduce`` stored in
+``workspace.npz`` and writes the same bytes as with a form it builds; a spy
+on the Schur reduction shows it builds none, and a stale, damaged or
+foreign form is never used: it refuses the whole file.
 """
 
 import contextlib
@@ -25,7 +25,6 @@ from sys import getswitchinterval, setswitchinterval
 import numpy as np
 import pytest
 import scipy.io
-import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +33,13 @@ from romgrid import greedy, linalg
 from romgrid.cli import main
 from romgrid.errors import DimensionMismatchError, SingularAtSampleError, SingularMatrixError
 
-from conftest import assert_stack_is_one_point_bitwise, complex_randn, random_orthonormal
+from conftest import (
+    assert_stack_is_one_point_bitwise,
+    complex_randn,
+    random_orthonormal,
+    resave_workspace,
+    schur_reductions,
+)
 
 _EPS = np.finfo(np.float64).eps
 
@@ -322,21 +327,6 @@ def test_validate_factors_nothing_per_sample():
     assert counts == {"forms": 1, "lu_under_true_error": 0}
 
 
-@contextlib.contextmanager
-def schur_reductions():
-    """Record the shape of every O(n^3) Schur reduction ``linalg.ShiftedSchur`` runs."""
-    shapes = []
-    schur = scipy.linalg.schur
-
-    def counting(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return schur(a, *args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scipy.linalg, "schur", counting)
-        yield shapes
-
-
 def test_a_stored_form_solves_bitwise_as_the_built_one():
     rng = np.random.default_rng(11)
     n = 30
@@ -355,10 +345,10 @@ def test_a_stored_form_solves_bitwise_as_the_built_one():
     assert reductions == []
     solved = [lu.solve(b) for lu, b in zip(loaded.factor(shifts), rhs)]
     assert all(np.array_equal(x, y) for x, y in zip(solved, expected))
-    # the check rejects a form of another matrix, and the form is built
-    with schur_reductions() as reductions:
-        other = linalg.ShiftedSchur(a + 1e-6 * np.eye(n, k=3), stored)
-    assert reductions == [(n, n)] and not np.array_equal(other._T, pristine)
+    # the check refuses a form of another matrix, and nothing is built
+    with schur_reductions() as reductions, pytest.raises(ValueError, match="Schur form"):
+        linalg.ShiftedSchur(a + 1e-6 * np.eye(n, k=3), stored)
+    assert reductions == []
 
 
 GRID = "f:1.07e-2:9.3e0:20:log"
@@ -378,12 +368,22 @@ def _validate(run_dir):
     return len(reductions), written
 
 
+def _stored_arrays(run_dir):
+    with np.load(run_dir / "workspace.npz") as stored:
+        return stored.files
+
+
+def _drop_form(arrays):
+    del arrays["schur.T"], arrays["schur.Z"]
+
+
 @pytest.mark.parametrize("spec", ["mimo_block:60,2,0", "random_stable:40,3"])
 def test_validate_reuses_the_form_reduce_stored(tmp_path, spec):
     run_dir = tmp_path / "run"
     _reduce(run_dir, "--synthetic", spec)
     loaded = _validate(run_dir)
-    (run_dir / "schur.npz").unlink()
+    # the same workspace without the form, recorded: the workspace is still taken
+    resave_workspace(run_dir, _drop_form, record=True)
     built = _validate(run_dir)
     assert loaded[0] == 0 and built[0] == 1
     assert loaded[1] == built[1]
@@ -392,14 +392,15 @@ def test_validate_reuses_the_form_reduce_stored(tmp_path, spec):
 def test_only_a_built_schur_kernel_is_stored(tmp_path):
     run_dir = tmp_path / "run"
     _reduce(run_dir, "--synthetic", "mimo_block:60,2,0")
-    assert (run_dir / "schur.npz").is_file()
+    assert {"schur.T", "schur.Z"} <= set(_stored_arrays(run_dir))
     # true errors off build no form, and a rerun into the same directory
     # leaves no form from the earlier run behind
     _reduce(run_dir, "--synthetic", "mimo_block:60,2,0", true_errors="off")
-    assert not (run_dir / "schur.npz").exists()
+    assert not any(name.startswith("schur.") for name in _stored_arrays(run_dir))
     assert _validate(run_dir)[0] == 1
     _reduce(tmp_path / "ladder", "--synthetic", "rc_ladder:40")
-    assert not (tmp_path / "ladder" / "schur.npz").exists()
+    assert not any(name.startswith("schur.") for name in _stored_arrays(tmp_path / "ladder"))
+    assert not list(tmp_path.glob("*/schur.npz"))
 
 
 def _dense_manifest(directory, system):
@@ -417,11 +418,15 @@ def _dense_manifest(directory, system):
     return directory / "manifest.json"
 
 
-def _edit_form(edit):
+def _edit_form(edit, record=False):
+    """Damage that edits the stored form; ``record`` writes the edited file's digest to run.json."""
+
+    def edit_arrays(arrays):
+        arrays["schur.T"], arrays["schur.Z"] = edit(arrays["schur.T"], arrays["schur.Z"])
+
     def damage(run_dir, model):
-        with np.load(run_dir / "schur.npz") as stored:
-            t, z = edit(stored["T"].copy(), stored["Z"].copy())
-        np.savez(run_dir / "schur.npz", T=t, Z=z)
+        resave_workspace(run_dir, edit_arrays, record=record)
+
     return damage
 
 
@@ -452,6 +457,10 @@ def _not_unitary(t, z):
     return t, 1.5 * z  # A (1.5 Z) = (1.5 Z) T still holds
 
 
+def _wrong_shape(t, z):
+    return t[:-1, :-1], z[:-1, :-1]
+
+
 def _foreign(t, z):
     other = linalg.ShiftedSchur(-rg.mimo_block(60, 2, seed=1).Q.base)
     with other.form() as form:
@@ -459,32 +468,39 @@ def _foreign(t, z):
 
 
 def _truncate(run_dir, model):
-    path = run_dir / "schur.npz"
+    path = run_dir / "workspace.npz"
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
 
-@pytest.mark.parametrize(
-    "damage",
-    [
-        _edit_manifest,
-        _edit_form(_perturb),
-        _edit_form(_not_triangular),
-        _edit_form(_not_finite),
-        _edit_form(_not_unitary),
-        _edit_form(lambda t, z: (t[:-1, :-1], z[:-1, :-1])),
-        _truncate,
-        _edit_form(_foreign),
-    ],
-    ids=["stale", "T_entry", "T_not_triangular", "T_not_finite", "Z_not_unitary",
-         "wrong_shape", "truncated", "foreign"],
-)
-def test_a_bad_stored_form_is_never_used(tmp_path, damage):
+STRUCTURAL = {"T_entry": _perturb, "T_not_triangular": _not_triangular,
+              "T_not_finite": _not_finite, "Z_not_unitary": _not_unitary,
+              "wrong_shape": _wrong_shape, "foreign": _foreign}
+#: Each damage, with whether it reaches ``_is_schur_form``: an edit the
+#: digest in run.json does not record is refused before the form is looked at.
+DAMAGES = {"stale": (_edit_manifest, True), "truncated": (_truncate, False)}
+DAMAGES.update({name: (_edit_form(edit), False) for name, edit in STRUCTURAL.items()})
+DAMAGES.update({f"{name}_recorded": (_edit_form(edit, record=True), True)
+                for name, edit in STRUCTURAL.items()})
+
+
+@pytest.mark.parametrize("damage, checked", DAMAGES.values(), ids=DAMAGES.keys())
+def test_a_bad_stored_form_is_never_used(tmp_path, damage, checked):
     model = _dense_manifest(tmp_path / "model", rg.mimo_block(60, 2))
     run_dir = tmp_path / "run"
     _reduce(run_dir, "--manifest", str(model))
-    assert (run_dir / "schur.npz").is_file()
+    assert "schur.T" in _stored_arrays(run_dir)
     damage(run_dir, model.parent)
-    reductions, written = _validate(run_dir)
-    (run_dir / "schur.npz").unlink()
+    verdicts, check = [], linalg._is_schur_form
+
+    def spy(*args):
+        verdicts.append(check(*args))
+        return verdicts[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_is_schur_form", spy)
+        reductions, written = _validate(run_dir)
+    assert verdicts == ([False] if checked else [])
+    # the whole file is refused: the rebuild writes the same bytes
+    (run_dir / "workspace.npz").unlink()
     assert reductions == 1
     assert written == _validate(run_dir)[1]

@@ -1,9 +1,10 @@
 """The online workspace ``romgrid reduce`` stores and ``romgrid validate`` evaluates.
 
-``reduce`` writes the greedy's final workspace as ``workspace.npz`` and
-records its SHA-256 in ``run.json``; ``validate`` evaluates it where the
-acceptance rule takes it and rebuilds the workspace from the bases where it
-does not.
+``reduce`` writes the greedy's final workspace as ``workspace.npz``, with
+the Schur form its true errors built where they built one, and records the
+SHA-256 of the file's zip directory in ``run.json``; ``validate`` evaluates
+it where the acceptance rule takes the file and rebuilds the workspace from
+the bases where it does not.
 """
 
 import contextlib
@@ -15,14 +16,17 @@ import shutil
 import numpy as np
 import pytest
 import scipy.io
+import scipy.linalg
+import scipy.sparse
 
 import romgrid as rg
 from romgrid.cli import main
+from romgrid.errors import ProjectionMismatchError
 from romgrid.estimators import REDUCED_MODELS
 from romgrid.projection import _matrices
 from romgrid.reports import write_report
 
-from conftest import _breakdown_bits
+from conftest import _breakdown_bits, resave_workspace, schur_reductions
 
 TRAIN = "f:1e-2:1e1:12:log"
 GRID = "f:1.07e-2:9.3e0:20:log"
@@ -54,6 +58,12 @@ def _validate(run_dir):
         assert main(["validate", str(run_dir), "--grid", GRID]) == 0
     written = [(run_dir / name).read_bytes() for name in ("effectivity.json", "effectivity.csv")]
     return len(calls), written
+
+
+def _rebuilt(run_dir):
+    """The bytes ``romgrid validate`` writes on ``run_dir`` without its stored state."""
+    (run_dir / "workspace.npz").unlink(missing_ok=True)
+    return _validate(run_dir)[1]
 
 
 @pytest.mark.parametrize("spec, estimator", [("mimo_block:60,2,0", "delta2"),
@@ -137,19 +147,6 @@ def test_a_loaded_workspace_evaluates_as_the_one_reduce_held(spec, kind, grids):
     assert _bits(rg.evaluate(kind, loaded, system, grid[0])) == _bits(want[0])
 
 
-def _resave(run_dir, edit, record=False):
-    """``workspace.npz`` with one array edited; ``record`` writes its new SHA-256 into run.json."""
-    path = run_dir / "workspace.npz"
-    with np.load(path) as stored:
-        arrays = dict(stored)
-    edit(arrays)
-    np.savez(path, **arrays)
-    if record:
-        meta = json.loads((run_dir / "run.json").read_text())
-        meta["workspace_sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
-        (run_dir / "run.json").write_text(json.dumps(meta))
-
-
 def _nudge(name):
     def edit(arrays):
         arrays[name][0, 0] += 1e-3
@@ -166,11 +163,23 @@ def _truncated(run_dir, model):
 
 
 def _edited_array(run_dir, model):
-    _resave(run_dir, _nudge("T.r_pr"))
+    resave_workspace(run_dir, _nudge("T.r_pr"))
+
+
+def _byte_flipped(run_dir, model):
+    # one byte of an array's data, in place: the zip directory is unchanged,
+    # and np.load's CRC-32 check refuses the member as it reads it
+    path = run_dir / "workspace.npz"
+    data = bytearray(path.read_bytes())
+    with np.load(path) as stored:
+        at = data.find(stored["T.r_pr"].tobytes()[:64])
+    assert at > 0
+    data[at + 9] ^= 0x40
+    path.write_bytes(bytes(data))
 
 
 def _piece_edited_and_recorded(name):
-    return lambda run_dir, model: _resave(run_dir, _nudge(name), record=True)
+    return lambda run_dir, model: resave_workspace(run_dir, _nudge(name), record=True)
 
 
 def _foreign(run_dir, model):
@@ -194,11 +203,14 @@ def _other_kind(run_dir, model):
 
 @pytest.mark.parametrize(
     "damage",
-    [_missing, _truncated, _edited_array, _foreign, _manifest_edited, _other_kind,
+    [_missing, _truncated, _edited_array, _byte_flipped, _foreign, _manifest_edited, _other_kind,
      _piece_edited_and_recorded("V.Q.0"), _piece_edited_and_recorded("V_du.B.0"),
-     _piece_edited_and_recorded("V_rdu.C.0")],
-    ids=["missing", "truncated", "array_edited", "foreign", "manifest_edited", "other_kind",
-         "Q_piece_recorded", "dual_B_piece_recorded", "dual_C_piece_recorded"],
+     _piece_edited_and_recorded("V_rdu.C.0"), _piece_edited_and_recorded("T.r_pr"),
+     _piece_edited_and_recorded("R_B.r_du"),
+     _piece_edited_and_recorded("XU.rom_dual_residual.W.dual")],
+    ids=["missing", "truncated", "array_edited", "byte_flipped", "foreign", "manifest_edited",
+         "other_kind", "Q_piece_recorded", "dual_B_piece_recorded", "dual_C_piece_recorded",
+         "T_factor_recorded", "R_B_factor_recorded", "projection_recorded"],
 )
 def test_a_bad_stored_workspace_falls_back_to_the_rebuild(tmp_path, damage):
     model = tmp_path / "model"
@@ -208,6 +220,67 @@ def test_a_bad_stored_workspace_falls_back_to_the_rebuild(tmp_path, damage):
     assert _validate(run_dir)[0] == 0
     damage(run_dir, model)
     rebuilt, written = _validate(run_dir)
-    (run_dir / "workspace.npz").unlink(missing_ok=True)
     assert rebuilt == 1
-    assert written == _validate(run_dir)[1]
+    assert written == _rebuilt(run_dir)
+
+
+def test_stale_residual_factors_fall_back_to_the_rebuild(tmp_path):
+    # Q_base += 0.5 u e_7^T with a real u that every stored basis X meets in
+    # X^T u = 0: every reduced map W^T Q V, W^T B and C V stays as it was, and
+    # only the residual factors (R_B, T) of [B_k | Q_j V] go stale
+    model = tmp_path / "model"
+    rg.save_system(rg.mimo_block(300, 2), model)
+    run_dir = tmp_path / "run"
+    _reduce(run_dir, "--manifest", str(model / "manifest.json"))
+    assert _validate(run_dir)[0] == 0
+    with np.load(run_dir / "bases.npz") as stored:
+        bases = {key: rg.Basis(stored[key], label=key) for key in stored.files}
+    span = scipy.linalg.orth(np.hstack([part(b.columns) for b in bases.values()
+                                        for part in (np.real, np.imag)]))
+    u = np.random.default_rng(7).standard_normal(300)
+    for _ in range(2):
+        u -= span @ (span.T @ u)
+    assert all(np.abs(b.columns.T @ u).max() < 1e-13 for b in bases.values())
+    a = scipy.io.mmread(str(model / "Q_base.mtx")).toarray()
+    a[:, 7] += 0.5 * u / np.linalg.norm(u)
+    scipy.io.mmwrite(str(model / "Q_base.mtx"), scipy.sparse.coo_matrix(a), precision=17)
+    system = rg.load_system(model / "manifest.json")
+    with np.load(run_dir / "workspace.npz") as stored:
+        arrays = dict(stored)
+    with pytest.raises(ProjectionMismatchError, match="r_pr"):
+        rg.EstimatorWorkspace.from_arrays(system, bases, arrays)
+    arrays = {key: a for key, a in arrays.items() if not key.startswith(("T.", "R_B.", "XU."))}
+    models = rg.EstimatorWorkspace.from_arrays(system, bases, arrays)  # the maps all pass
+    assert models.kind is rg.EstimatorKind.DELTA_2
+    rebuilt, written = _validate(run_dir)
+    assert rebuilt == 1
+    assert written == _rebuilt(run_dir)
+
+
+@pytest.mark.parametrize("spec", ["mimo_block:60,2,0", "rc_ladder:80"])
+def test_a_fresh_run_is_validated_from_its_stored_state(tmp_path, spec):
+    run_dir = tmp_path / "run"
+    _reduce(run_dir, "--synthetic", spec)
+    with schur_reductions() as reductions:
+        rebuilt, _ = _validate(run_dir)
+    assert rebuilt == 0 and reductions == []
+
+
+def test_a_run_directory_from_before_the_one_file_validates_by_the_rebuild(tmp_path):
+    # the earlier layout: the Schur form in schur.npz, and run.json holding
+    # the SHA-256 of workspace.npz's bytes
+    run_dir = tmp_path / "run"
+    _reduce(run_dir, "--synthetic", "mimo_block:60,2,0")
+    with np.load(run_dir / "workspace.npz") as stored:
+        arrays = dict(stored)
+    np.savez(run_dir / "schur.npz", T=arrays.pop("schur.T"), Z=arrays.pop("schur.Z"))
+    np.savez(run_dir / "workspace.npz", **arrays)
+    meta = json.loads((run_dir / "run.json").read_text())
+    del meta["workspace_directory_sha256"]
+    meta["workspace_sha256"] = hashlib.sha256((run_dir / "workspace.npz").read_bytes()).hexdigest()
+    (run_dir / "run.json").write_text(json.dumps(meta))
+    with schur_reductions() as reductions:
+        rebuilt, written = _validate(run_dir)
+    assert rebuilt == 1 and len(reductions) == 1
+    (run_dir / "schur.npz").unlink()
+    assert written == _rebuilt(run_dir)

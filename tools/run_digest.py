@@ -9,15 +9,13 @@ scenario is a ``romgrid reduce`` followed by ``romgrid validate``, both run
 in process through ``romgrid.cli.main`` into a temporary run directory. Its
 digest covers ``trace.csv``, ``trace.json``, ``effectivity.json`` and the
 arrays of ``bases.npz`` (member names and bytes, not the zip container,
-whose entries carry the time they were written). ``schur.npz`` is left
-out on purpose: it is a cache of the Schur form ``reduce`` built for its
-true errors, which the digested true errors and ``effectivity.json``
-already depend on, and ``validate`` writes the same bytes with or
-without it. ``workspace.npz`` is left out as well: it is the greedy's
-last online workspace, which ``validate`` evaluates when it accepts the
-file, so ``effectivity.json`` already depends on it; the file itself
-holds zip entry times and is hashed in ``run.json``, which is not
-digested. The output is one ``<digest>  <scenario>`` line per
+whose entries carry the time they were written). ``workspace.npz`` is left
+out on purpose: it is the run's stored state, the greedy's last online
+workspace and the Schur form ``reduce`` built for its true errors, which
+``validate`` evaluates when it accepts the file, so the digested true
+errors and ``effectivity.json`` already depend on it. ``run.json``, which
+records the digest of that file's zip directory, is not digested either.
+The output is one ``<digest>  <scenario>`` line per
 scenario; two checkouts whose outputs are equal produce byte-identical
 run results on this machine. Run as a script it pins BLAS to one thread,
 as the benchmark does: a threaded BLAS sums in another order, and every
