@@ -250,8 +250,8 @@ def test_stale_residual_factors_fall_back_to_the_rebuild(tmp_path):
     with pytest.raises(ProjectionMismatchError, match="r_pr"):
         rg.EstimatorWorkspace.from_arrays(system, bases, arrays)
     arrays = {key: a for key, a in arrays.items() if not key.startswith(("T.", "R_B.", "XU."))}
-    models = rg.EstimatorWorkspace.from_arrays(system, bases, arrays)  # the maps all pass
-    assert models.kind is rg.EstimatorKind.DELTA_2
+    maps_only = rg.EstimatorWorkspace.from_arrays(system, bases, arrays)  # the maps all pass
+    assert maps_only.kind is rg.EstimatorKind.DELTA_2
     rebuilt, written = _validate(run_dir)
     assert rebuilt == 1
     assert written == _rebuilt(run_dir)
