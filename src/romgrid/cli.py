@@ -20,9 +20,11 @@ reads it), the workspace is for the estimator ``run.json`` names, and every
 array group passes its identity against the rebuilt system and the bases:
 the Schur form ``linalg._is_schur_form``, each reduced model
 ``projection.check_reduction``, and the residual factors
-``estimators._check_factors``. Its effectivity report is then the one
-``greedy.validate`` gives in the process that reduced, bit for bit.
-Otherwise it rebuilds the workspace from the bases
+``estimators._check_factors``. All three judge by one scale-free roundoff
+rule, ``linalg.identity_holds``, which refuses a non-finite deviation, and
+``reduce`` holds every model it builds to the same rule. Its effectivity
+report is then the one ``greedy.validate`` gives in the process that
+reduced, bit for bit. Otherwise it rebuilds the workspace from the bases
 (``EstimatorWorkspace.from_bases``) and the Schur form from the system; the
 rebuild's offline step rounds differently, so the estimates and true errors
 agree to roundoff.

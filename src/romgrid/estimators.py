@@ -732,8 +732,9 @@ def _check_factors(models, terms):
     weights ``f`` over its pieces ``P`` (``[B_k | Q_j V]``, or ``[Q_j V]``
     alone where ``R_B`` is None) must give ``||P f|| = ||y||`` with ``y =
     [R_B | T] f``, and ``X^T P f = (X^T U) y`` for every stored projection
-    onto the residual's side, to the tolerance of the commutation checks:
-    O(n^2 + n r) per residual on a dense system.
+    onto the residual's side, each under the one roundoff rule
+    (``linalg.identity_holds`` at the side's order): O(n^2 + n r) per
+    residual on a dense system.
     """
     rng = np.random.default_rng(0)
     for name, (R_B, T) in terms.factors.items():
@@ -747,10 +748,11 @@ def _check_factors(models, terms):
         y = T @ f.reshape(-1, 1)
         if R_B is not None:
             y = _sum_rows(R_B @ g.reshape(-1, 1), y)
-        _commutes(name, np.linalg.norm(Pf), np.linalg.norm(y))
+        _commutes(name, np.linalg.norm(Pf), np.linalg.norm(y), len(Pf))
         for (field, letter, of_side), xu in terms.projections.items():
             if of_side == model.side:
-                _commutes(name, getattr(models[field], letter).columns.T @ Pf, xu[:, : len(y)] @ y)
+                X = getattr(models[field], letter).columns
+                _commutes(name, X.T @ Pf, xu[:, : len(y)] @ y, len(Pf))
 
 
 @dataclass

@@ -30,6 +30,11 @@ reduction once an O(n^2) check (Freivalds' random vector test of ``A Z =
 Z T`` and ``Z^H Z = I``) accepts it, and raises ValueError where the
 check refuses it.
 
+One roundoff rule judges every identity checked against a system:
+``identity_holds``. The Schur form's check here, ``projection``'s check of
+a reduced model and ``estimators``' check of stored residual factors all
+decide through it.
+
 ``lu_solve_stack``, which solves a stack of small dense systems, one per
 sample point, applies the same rule vectorized over the stack and hands
 out solutions rather than factorizations: per-sample factor objects would
@@ -58,12 +63,16 @@ __all__ = [
     "scaled_stack",
     "orthonormalize_append",
     "gram_deviation",
+    "identity_holds",
 ]
 
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).tiny
 #: A column keeping at most this fraction of its norm adds no direction.
 DEFLATION_TOL = 1e-10
+#: An identity checked against a system may miss by this many ``n * eps`` of its
+#: largest entry (``identity_holds``).
+ROUNDOFF = 10
 #: Bytes of stacked entries per pass of a stacked kernel: 16 reduced operators at
 #: r = 80 in ``estimators.evaluate``, one point of a 20 000-node ladder in
 #: ``ParametricSystem.transfer_function``.
@@ -473,9 +482,8 @@ def _is_schur_form(a, t, z):
 
     Both must be complex arrays of ``a``'s shape, as built, and ``t`` must
     be finite and upper triangular. Then Freivalds' check with one
-    fixed-seed vector ``v``: ``a (z v) - z (t v)`` and ``z^H (z v) - v``
-    must stay within ``1e3 * n * eps`` times ``||a||_F ||v||`` and ``||v||``,
-    the roundoff floor of ``true_error``'s identity check.
+    fixed-seed vector ``v``: ``identity_holds`` must accept ``z (t v)``
+    against ``a (z v)`` and ``z^H (z v)`` against ``v``.
     """
     n = a.shape[0]
     if any(m.dtype != np.complex128 or m.shape != a.shape for m in (t, z)):
@@ -484,10 +492,28 @@ def _is_schur_form(a, t, z):
         return False
     v = np.random.default_rng(0).standard_normal(n)
     zv = z @ v
-    floor = 1e3 * n * _EPS * np.linalg.norm(v)
-    residual = np.linalg.norm(a @ zv - z @ (t @ v))
-    unitary = np.linalg.norm((zv.conj() @ z).conj() - v)  # z^H (z v), without a copy of z^H
-    return bool(residual <= floor * np.linalg.norm(a) < np.inf and unitary <= floor)
+    # z^H (z v), without a copy of z^H
+    return identity_holds(a @ zv, z @ (t @ v), n) and identity_holds(v, (zv.conj() @ z).conj(), n)
+
+
+def identity_holds(full, small, n):
+    """Whether ``small`` equals ``full`` to the roundoff of length-``n`` sums: the one rule.
+
+    ``full`` is an identity's side computed from the system's own arrays,
+    ``small`` the side computed from what is checked against them (a
+    reduced model, stored factors, a Schur form); both are arrays of one
+    shape, or scalars. The rule accepts when ``max|full - small| <=
+    ROUNDOFF * n * eps * max|full|``. The error bound of an inner product
+    of length ``n`` grows like ``n * eps`` times the magnitudes summed
+    (Higham 2002, section 3.1); the rule takes ``full``'s largest entry for
+    those, which holds where the sums do not cancel, as for the generic
+    vectors of Freivalds' test. The rule is scale-free and has no absolute
+    floor, and it refuses a deviation that is not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite deviation is refused
+        deviation = np.max(np.abs(full - small), initial=0.0)
+    bound = ROUNDOFF * n * _EPS * np.max(np.abs(full), initial=0.0)
+    return bool(deviation <= bound < np.inf)  # False for a NaN, and for an infinite bound
 
 
 def orthonormalize_append(basis, block):

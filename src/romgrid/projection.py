@@ -9,7 +9,10 @@ appending, so a ``ProjectionState`` keeps the products ``M_j V`` and
 extends a reduced model by its border blocks (``bordered``) when the bases
 grow. The state holds no basis of its own: it reads the old columns from the
 model it built last, and whoever grows the bases (the estimators'
-``GrowingWorkspace``) hands the grown ones to ``reduce_system``.
+``GrowingWorkspace``) hands the grown ones to ``reduce_system``. Every
+model ``reduce_system`` builds, and every one read back from a file, is
+checked against the system by ``check_reduction``, under the one roundoff
+rule ``linalg.identity_holds``.
 """
 
 import numpy as np
@@ -143,14 +146,9 @@ class ProjectionState:
     Fortran-contiguous, the layout ``assemble_stack`` writes and LAPACK
     reads, so assembling a reduced operator reads and writes contiguously;
     every other product keeps numpy's default layout, under which its
-    matmuls round as they always have.
-
-    The commutation check probes the family at one generic ``point``. The
-    state grows ``probed = W^T Q(point) V`` by the same borders, ``W^T
-    (Q(point) V_new)`` and ``(Q(point)^T W_new)^T V_old``, with ``Q(point)``
-    assembled from the full-order pieces, so every entry of the projected
-    probe operator comes from the assembled operator. The system assembles
-    it once (``ParametricSystem._probe``) for all its states and checks.
+    matmuls round as they always have. The state forms nothing for the
+    check of the model it builds: ``check_reduction`` needs the bases and
+    the system only.
     """
 
     def __init__(self, sys):
@@ -162,8 +160,6 @@ class ProjectionState:
         self._Q = [np.zeros((0, 0), dtype=np.complex128) for _ in self._pieces]
         self._B = [np.zeros((0, sys.n_inputs), dtype=np.complex128) for _ in _matrices(sys.B)]
         self._C = [np.zeros((sys.n_outputs, 0), dtype=np.complex128) for _ in _matrices(sys.C)]
-        self.point = sys._probe[0]
-        self.probed = np.zeros((0, 0), dtype=np.complex128)
 
     def extend(self, V, W):
         """The reduced model on V and W, projecting only the columns gained since the last one."""
@@ -189,10 +185,6 @@ class ProjectionState:
             np.concatenate([old, m @ v_new], axis=1)
             for old, m in zip(self._C, _matrices(self.sys.C))
         ]
-        probe = self.sys._probe[1]
-        # V_old's border is a full-order product the first extension would throw away
-        below = [(probe.T @ w_new).T @ self.model.V.columns] if v0 else []
-        self.probed = bordered(self.probed, below, wt @ (probe @ v_new))
         Q = self.sys.Q
         pieces = self._Q if Q.has_base or not Q.terms else [np.zeros_like(self._Q[0])] + self._Q
         self.model = reduced_model(self.sys, {"Q": pieces, "B": self._B, "C": self._C}, V, W)
@@ -256,8 +248,9 @@ def reduce_system(sys, V, W=None, state=None):
     ``sys`` onto leading columns of V and W: only the columns gained since
     are projected and the state is updated in place; bases narrower than the
     state's raise ValueError. Without it the whole bases are projected,
-    through a new state. The build is always checked: assembly-then-projection
-    must match projection-then-assembly at one nonzero sample point.
+    through a new state. Every model built is checked by ``check_reduction``,
+    as a model read from a file is; a state whose bases did not grow hands
+    back its last model, already checked.
     """
     if not isinstance(V, Basis):
         V = Basis(V)
@@ -273,43 +266,34 @@ def reduce_system(sys, V, W=None, state=None):
         state = ProjectionState(sys)
     elif state.sys is not sys:
         raise ValueError("the projection state belongs to another system")
+    built = state.model
     model = state.extend(V, W)
-    if V.dim > 0:
-        _check_commutation(state, model)
+    if model is not built:
+        check_reduction(sys, model)
     return model
 
 
 def check_reduction(sys, model):
     """Raise ProjectionMismatchError unless ``model`` is ``sys`` projected onto its bases.
 
-    For a model built elsewhere (read from a file, say): Freivalds' form of
-    the commutation check, with fixed-seed vectors ``v`` and ``u``. At the
-    probe point, ``W^T (Q (V v))``, ``W^T (B u)`` and ``C (V v)`` must match
-    the reduced operator, input and output maps times ``v`` or ``u``, to the
-    tolerance of ``_check_commutation``: O(n^2 + n r) on a dense system.
-    Bases whose shapes do not fit the model raise ValueError.
+    Freivalds' form of the commutation check, with fixed-seed vectors ``v``
+    and ``u``, at the system's probe point (``ParametricSystem._probe``):
+    ``W^T (Q (V v))``, ``W^T (B u)`` and ``C (V v)`` must match the reduced
+    operator, input and output maps times ``v`` or ``u`` under the one
+    roundoff rule, ``linalg.identity_holds`` at the system's order: O(n^2 +
+    n r) on a dense system. Bases whose shapes do not fit the model raise
+    ValueError.
     """
     (point, probe), rng = sys._probe, np.random.default_rng(0)
     v, u = rng.standard_normal(model.dim), rng.standard_normal(sys.n_inputs)
     wt, Vv, reduced = model.W.columns.T, model.V.columns @ v, model.system
-    _commutes(point, wt @ (probe @ Vv), reduced.Q.assemble(point) @ v)
-    _commutes(point, wt @ (sys.B.assemble(point) @ u), reduced.B.assemble(point) @ u)
-    _commutes(point, sys.C.assemble(point) @ Vv, reduced.C.assemble(point) @ v)
+    Bu, n = sys.B.assemble(point) @ u, sys.order
+    _commutes(f"Q_r at {point!r}", wt @ (probe @ Vv), reduced.Q.assemble(point) @ v, n)
+    _commutes(f"B_r at {point!r}", wt @ Bu, reduced.B.assemble(point) @ u, n)
+    _commutes(f"C_r at {point!r}", sys.C.assemble(point) @ Vv, reduced.C.assemble(point) @ v, n)
 
 
-def _check_commutation(state, model):
-    # Projecting the assembled operator must match assembling the projected
-    # family; a probe at one generic point guards the termwise build.
-    _commutes(state.point, state.probed, model.system.Q.assemble(state.point))
-
-
-def _commutes(point, full, small, tol=1e-12):
-    """Raise ProjectionMismatchError where ``small`` is off ``full`` by more than
-    ``tol`` times ``full``'s largest entry (at least 1)."""
-    scale = max(float(np.max(np.abs(full), initial=0.0)), 1.0)
-    deviation = float(np.max(np.abs(full - small), initial=0.0))
-    if deviation > tol * scale:
-        raise ProjectionMismatchError(
-            f"projection/assembly commutation off by {deviation:.3e} (scale {scale:.3e}) "
-            f"at {point!r}"
-        )
+def _commutes(what, full, small, n):
+    """Raise ProjectionMismatchError naming ``what`` unless ``linalg.identity_holds`` accepts."""
+    if not linalg.identity_holds(full, small, n):
+        raise ProjectionMismatchError(f"projection/assembly commutation of {what} fails")

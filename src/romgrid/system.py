@@ -624,8 +624,12 @@ class ParametricSystem:
     def _probe(self):
         """A generic point, from a fixed seed, and ``Q`` there, assembled once.
 
-        The commutation checks of ``projection`` probe the system there.
+        ``projection.check_reduction`` probes the system there. A dual takes
+        its origin's point and a transposed view of its origin's ``Q``.
         """
+        origin = self._origin() if self._origin is not None else None
+        if origin is not None:
+            return origin._probe[0], origin._probe[1].T
         rng = np.random.default_rng(12345)
         point = {name: complex(0.5 + rng.random(), rng.random()) for name in self.parameter_names}
         return point, self.Q.assemble(point)

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from romgrid.errors import SingularMatrixError
 from romgrid.linalg import (
+    ROUNDOFF,
     ShiftedSchur,
     _as_complex_matrix,
     band_layout,
     band_lu_stack,
     gram_deviation,
+    identity_holds,
     lu_factor,
     lu_solve_stack,
     orthonormalize_append,
@@ -290,6 +292,20 @@ def test_orthonormalize_append_sets_subnormal_entries_to_zero():
     assert out.shape == (n, 2) and gram_deviation(out) < 1e-13
     parts = np.concatenate([out.real.ravel(), out.imag.ravel()])
     assert not np.any((parts != 0) & (np.abs(parts) < tiny))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-9, 1.0, 1e9, 1e300])
+def test_the_identity_rule_is_scale_free_and_refuses_what_is_not_finite(scale):
+    full = scale * np.random.default_rng(2).standard_normal(50)
+    n, allowed = 50, ROUNDOFF * 50 * np.finfo(float).eps
+    assert identity_holds(full, full, n) and identity_holds(0.0 * full, 0.0 * full, n)
+    assert identity_holds(full, full * (1 + 0.5 * allowed), n)
+    assert not identity_holds(full, full * (1 + 2 * allowed), n)
+    assert not identity_holds(0.0 * full, np.full(50, 1e-300), n)  # no absolute floor
+    for bad in (np.nan, np.inf):
+        small = full.copy()
+        small[3] = bad
+        assert not identity_holds(full, small, n) and not identity_holds(small, small, n)
 
 
 def test_gram_deviation_detects_skew():

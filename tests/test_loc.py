@@ -13,7 +13,7 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 #: The most code lines ``tools/loc.py`` may count in ``src/romgrid``.
-CEILING = 2730
+CEILING = 2728
 
 FIXTURE = '''"""Module docstring,
 over two lines."""

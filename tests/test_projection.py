@@ -9,7 +9,7 @@ from romgrid.errors import (
     SingularReducedSystemError,
 )
 from romgrid.linalg import gram_deviation
-from romgrid.projection import ProjectionState, _check_commutation, _matrices
+from romgrid.projection import ProjectionState, _matrices, check_reduction
 
 import oracles
 from conftest import (
@@ -80,15 +80,50 @@ def test_corrupted_reduced_term_fails_commutation_check(rng):
     # a reduced affine term that no longer matches its full-order term is
     # reported as a romgrid error, not a bare AssertionError
     sys = random_system(rng, 12)
-    state = ProjectionState(sys)
-    rom = rg.reduce_system(sys, random_orthonormal(rng, 12, 3), state=state)
-    _check_commutation(state, rom)
+    rom = rg.reduce_system(sys, random_orthonormal(rng, 12, 3))
+    check_reduction(sys, rom)
     _, term = rom.system.Q.terms[0]
     term[0, 0] += 1e-3
     with pytest.raises(ProjectionMismatchError) as err:
-        _check_commutation(state, rom)
+        check_reduction(sys, rom)
     assert isinstance(err.value, RomgridError)
     assert "commutation" in str(err.value)
+
+
+@pytest.mark.parametrize("letter", "QBC")
+@pytest.mark.parametrize("scale", [1e-9, 1e-6, 1.0, 1e6])
+def test_the_reduction_check_is_scale_free(rng, scale, letter):
+    # the tolerance follows the size of the full side: a fresh reduction
+    # passes reduce_system's own check, and with the operator scaled by 1e-9
+    # a reduced piece off by 1e-6 of itself is refused too, W^T B included
+    sys = rg.mimo_block(60, 2)
+    Q = sys.Q.map_matrices(lambda m: scale * m)
+    scaled = rg.ParametricSystem(Q, sys.B, sys.C, parameter_names=sys.parameter_names)
+    rom = rg.reduce_system(scaled, random_orthonormal(rng, 60, 6))
+    _matrices(getattr(rom.system, letter))[0][...] *= 1 + 1e-6
+    with pytest.raises(ProjectionMismatchError, match=f"{letter}_r"):
+        check_reduction(scaled, rom)
+
+
+def test_a_dual_probes_with_its_primal_operator_transposed():
+    # one assembly of Q at the probe point serves a system and its dual
+    sys = rg.mimo_block(60, 2)
+    calls = []
+    assemble = rg.AffineMatrix.assemble
+
+    def spy(family, point):
+        calls.append((family, point))
+        return assemble(family, point)
+
+    config = rg.GreedyConfig(kind="delta2", training_set=rg.parse_grid(["f:1e-2:1e1:8:log"]),
+                             tolerance=1e-8, record_true_errors=False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rg.AffineMatrix, "assemble", spy)
+        rg.run_greedy(sys, config)
+    point, probe = sys._probe
+    full_order = (sys.Q, sys.dual().Q)
+    assert [f for f, p in calls if p == point and any(f is q for q in full_order)] == [sys.Q]
+    assert np.shares_memory(sys.dual()._probe[1], probe)
 
 
 @pytest.mark.parametrize("base", [True, False])

@@ -182,6 +182,12 @@ def _piece_edited_and_recorded(name):
     return lambda run_dir, model: resave_workspace(run_dir, _nudge(name), record=True)
 
 
+def _not_finite_and_recorded(name):
+    def edit(arrays):
+        arrays[name][0, 0] = np.nan
+    return lambda run_dir, model: resave_workspace(run_dir, edit, record=True)
+
+
 def _foreign(run_dir, model):
     other = run_dir.parent / "other"
     _reduce(other, "--manifest", str(model / "manifest.json"), tol="1e-4")
@@ -207,10 +213,12 @@ def _other_kind(run_dir, model):
      _piece_edited_and_recorded("V.Q.0"), _piece_edited_and_recorded("V_du.B.0"),
      _piece_edited_and_recorded("V_rdu.C.0"), _piece_edited_and_recorded("T.r_pr"),
      _piece_edited_and_recorded("R_B.r_du"),
-     _piece_edited_and_recorded("XU.rom_dual_residual.W.dual")],
+     _piece_edited_and_recorded("XU.rom_dual_residual.W.dual"),
+     _not_finite_and_recorded("T.r_pr"), _not_finite_and_recorded("XU.rom_dual_residual.W.dual")],
     ids=["missing", "truncated", "array_edited", "byte_flipped", "foreign", "manifest_edited",
          "other_kind", "Q_piece_recorded", "dual_B_piece_recorded", "dual_C_piece_recorded",
-         "T_factor_recorded", "R_B_factor_recorded", "projection_recorded"],
+         "T_factor_recorded", "R_B_factor_recorded", "projection_recorded",
+         "T_factor_nan_recorded", "projection_nan_recorded"],
 )
 def test_a_bad_stored_workspace_falls_back_to_the_rebuild(tmp_path, damage):
     model = tmp_path / "model"
