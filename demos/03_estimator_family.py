@@ -53,7 +53,7 @@ def main():
         if true_err is None:
             rom = ws.rom_primal
             true_err = np.abs(H - rom.transfer_function(probe)).max()
-        est = rg.evaluate(rg.EstimatorKind.from_name(kind), ws, sys, probe)
+        est = rg.evaluate(kind, ws, sys, probe)
         print(f"{kind:>8} {est.part1:>10.3e} {est.part2:>10.3e} "
               f"{est.total:>10.3e} {est.total / true_err:>12.3f}")
     print(f"{'true':>8} {'':>10} {'':>10} {true_err:>10.3e}")
@@ -62,7 +62,7 @@ def main():
     print()
     ws = rg.EstimatorWorkspace.from_bases(sys, "delta_r", V, V_du=V_du)
     for K in (5, 20, 80):
-        val = rg.delta_r(ws, sys, probe, n_samples=K, rng_seed=1)
+        val = rg.evaluate("delta_r", ws, sys, probe, n_random=K, rng_seed=1).total
         print(f"delta_r with {K:>3} sketch samples: {val:.3e}")
 
     # sensitivity report: computable terms that bracket the truth without

@@ -29,7 +29,6 @@ from .estimators import (
     EstimatorKind,
     EstimatorWorkspace,
     SensitivityReport,
-    delta_r,
     evaluate,
     sensitivity_report,
     true_error,
@@ -114,7 +113,6 @@ __all__ = [
     "StopReason",
     "UnknownParameterNameError",
     "ZeroToNegativePowerError",
-    "delta_r",
     "evaluate",
     "expansion_block",
     "DEFAULT_FREQUENCY_SPEC",

@@ -122,7 +122,7 @@ def _training_set(args, system):
 def _greedy_config(args, grid, kind=None):
     record = {"auto": None, "on": True, "off": False}[args.true_errors]
     return GreedyConfig(
-        kind=kind if kind is not None else EstimatorKind.from_name(args.estimator),
+        kind=kind if kind is not None else EstimatorKind(args.estimator),
         training_set=grid,
         tolerance=args.tol,
         max_iterations=args.max_iter,
@@ -222,7 +222,7 @@ def _rebuild_workspace(run_dir):
         system = generate_synthetic(source["synthetic"])
     else:
         raise RomgridError(f"run directory {run_dir}: run.json field 'system' names no source")
-    kind = EstimatorKind.from_name(meta["estimator"])
+    kind = EstimatorKind(meta["estimator"])
     try:
         with np.load(run_dir / "bases.npz") as stored:
             missing = [model.key for model in models_of(kind) if model.key not in stored.files]
@@ -232,7 +232,7 @@ def _rebuild_workspace(run_dir):
                     f"which estimator {kind.value} needs"
                 )
             bases = {
-                model.key: Basis(stored[model.key], label=model.key)
+                model.key: Basis(stored[model.key])
                 for model in REDUCED_MODELS
                 if model.key in stored.files
             }
@@ -309,7 +309,7 @@ def _cmd_validate(args):
 def _cmd_compare(args):
     system, _ = _load_source(args)
     _, grid = _training_set(args, system)
-    kinds = [EstimatorKind.from_name(token.strip()) for token in args.estimators.split(",")]
+    kinds = [EstimatorKind(token.strip()) for token in args.estimators.split(",")]
     runs = {kind: run_greedy(system, _greedy_config(args, grid, kind=kind)) for kind in kinds}
     depth = max(len(r.trace) for r in runs.values())
     columns = ("max_estimate", "max_true_error", "rom_dim")

@@ -62,7 +62,7 @@ class GreedyConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        self.kind = EstimatorKind.from_name(self.kind)
+        self.kind = EstimatorKind(self.kind)
         self.training_set = [dict(p) for p in self.training_set]
         if not self.training_set:
             raise ValueError("training set must not be empty")
@@ -123,7 +123,7 @@ def select_points(kind, symmetric_variant, breakdowns):
     meant to improve (the estimator's second part, a residual norm, or
     its first part).
     """
-    kind = EstimatorKind.from_name(kind)
+    kind = EstimatorKind(kind)
     spec = ESTIMATORS[kind]
 
     def across(name):
@@ -160,7 +160,7 @@ class _GreedyState:
         self.q = config.q if config.q is not None else (1 if sys.is_parametric else 3)
         self.models = models_of(self.kind)
         self.growth = GrowingWorkspace(
-            sys, self.kind, {model.key: Basis.empty(sys.order, model.key) for model in self.models}
+            sys, self.kind, {model.key: Basis.empty(sys.order) for model in self.models}
         )
 
         # main starts at the first sample, alpha at the last, beta and gamma at the middle one

@@ -70,8 +70,8 @@ _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).tiny
 #: A column keeping at most this fraction of its norm adds no direction.
 DEFLATION_TOL = 1e-10
-#: An identity checked against a system may miss by this many ``n * eps`` of its
-#: largest entry (``identity_holds``).
+#: An identity checked against a system may miss by this many ``n * eps`` of the
+#: magnitudes its sums add up (``identity_holds``).
 ROUNDOFF = 10
 #: Bytes of stacked entries per pass of a stacked kernel: 16 reduced operators at
 #: r = 80 in ``estimators.evaluate``, one point of a 20 000-node ladder in
@@ -496,23 +496,25 @@ def _is_schur_form(a, t, z):
     return identity_holds(a @ zv, z @ (t @ v), n) and identity_holds(v, (zv.conj() @ z).conj(), n)
 
 
-def identity_holds(full, small, n):
+def identity_holds(full, small, n, magnitude=None):
     """Whether ``small`` equals ``full`` to the roundoff of length-``n`` sums: the one rule.
 
     ``full`` is an identity's side computed from the system's own arrays,
     ``small`` the side computed from what is checked against them (a
     reduced model, stored factors, a Schur form); both are arrays of one
     shape, or scalars. The rule accepts when ``max|full - small| <=
-    ROUNDOFF * n * eps * max|full|``. The error bound of an inner product
-    of length ``n`` grows like ``n * eps`` times the magnitudes summed
-    (Higham 2002, section 3.1); the rule takes ``full``'s largest entry for
-    those, which holds where the sums do not cancel, as for the generic
-    vectors of Freivalds' test. The rule is scale-free and has no absolute
-    floor, and it refuses a deviation that is not finite.
+    ROUNDOFF * n * eps * max(magnitude)``. The error bound of an inner
+    product of length ``n`` grows like ``n * eps`` times the magnitudes
+    summed (Higham 2002, section 3.1): ``magnitude`` holds them, ``|X| |y|``
+    for ``full = X y``. Without it the rule takes ``|full|``, which holds
+    where the sums do not cancel, as for the generic vectors of Freivalds'
+    test. The rule is scale-free and has no absolute floor, and it refuses
+    a deviation that is not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite deviation is refused
-        deviation = np.max(np.abs(full - small), initial=0.0)
-    bound = ROUNDOFF * n * _EPS * np.max(np.abs(full), initial=0.0)
+        deviation = np.abs(full - small).max(initial=0.0)
+    magnitude = np.abs(full) if magnitude is None else np.asarray(magnitude)
+    bound = ROUNDOFF * n * _EPS * magnitude.max(initial=0.0)
     return bool(deviation <= bound < np.inf)  # False for a NaN, and for an infinite bound
 
 

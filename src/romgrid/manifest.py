@@ -45,10 +45,11 @@ from .system import (
 
 __all__ = ["load_system", "save_system", "read_matrix", "write_matrix"]
 
+#: Each form's constructor and its roles, in the constructor's argument order.
 _FORMS = {
-    "affine-q": ("Q", "B", "C"),
-    "first-order": ("E", "A", "B", "C"),
-    "second-order": ("M", "D", "T", "B", "C"),
+    "affine-q": (ParametricSystem, ("Q", "B", "C")),
+    "first-order": (from_first_order, ("E", "A", "B", "C")),
+    "second-order": (from_second_order, ("M", "D", "T", "B", "C")),
 }
 
 
@@ -175,50 +176,25 @@ def load_system(manifest_path):
     declared = {p["name"] if isinstance(p, dict) else str(p) for p in doc.get("parameters", [])}
     declared.add(LAPLACE)
 
+    constructor, roles = _FORMS[form]
     by_role = {}
-    allowed = set(_FORMS[form])
     for entry in entries:
         role = entry.get("role")
-        if role not in allowed:
+        if role not in roles:
             raise ManifestError(
-                f"{path}: role {role!r} not allowed for form {form!r} (allowed: {sorted(allowed)})"
+                f"{path}: role {role!r} not allowed for form {form!r} (allowed: {sorted(roles)})"
             )
         by_role.setdefault(role, []).append(entry)
-    missing = [role for role in _FORMS[form] if role not in by_role]
+    missing = [role for role in roles if role not in by_role]
     if missing:
         raise ManifestError(f"{path}: form {form!r} misses roles {missing}")
 
-    shapes = {
-        "Q": (n, n),
-        "E": (n, n),
-        "A": (n, n),
-        "M": (n, n),
-        "D": (n, n),
-        "T": (n, n),
-        "B": (n, n_inputs),
-        "C": (n_outputs, n),
-    }
-    directory = path.parent
-    families = {
-        role: _build_family(by_role[role], shapes[role], declared, directory, path)
-        for role in by_role
-    }
-    name = doc.get("name", path.stem)
-    parameter_names = sorted(declared)
-    if form == "affine-q":
-        return ParametricSystem(
-            families["Q"], families["B"], families["C"],
-            parameter_names=parameter_names, name=name,
-        )
-    if form == "first-order":
-        return from_first_order(
-            families["E"], families["A"], families["B"], families["C"],
-            parameter_names=parameter_names, name=name,
-        )
-    return from_second_order(
-        families["M"], families["D"], families["T"], families["B"], families["C"],
-        parameter_names=parameter_names, name=name,
-    )
+    shapes = {"B": (n, n_inputs), "C": (n_outputs, n)}
+    families = [
+        _build_family(by_role[role], shapes.get(role, (n, n)), declared, path.parent, path)
+        for role in roles
+    ]
+    return constructor(*families, parameter_names=sorted(declared), name=doc.get("name", path.stem))
 
 
 def _family_entries(role, family, directory, stem):

@@ -14,13 +14,14 @@ point for every level:
 Every block is capped at ``MAX_BLOCK_COLUMNS`` columns, read at each call.
 ``expansion_block`` picks the builder for a system. Dual-side blocks come
 from running the same builders on ``sys.dual()``. Every builder takes the
-factorization of the operator at the point, as ``solve_primal`` does, so a
-caller can factor once and serve several blocks: a dual block reuses the
-primal LU of ``Q(p)`` through its ``transposed()`` view, a solve with
-``Q(p)^T`` on the same factors, instead of factoring ``Q(p)^T`` again.
-A level, or the right-hand side it solves for, that is not finite (a solve
-that overflows) raises SingularAtSampleError naming the point, as a
-singular operator does, by the system's one finiteness rule.
+factorization of the operator at the point, so a caller can factor once
+and serve several blocks: a dual block reuses the primal LU of ``Q(p)``
+through its ``transposed()`` view, a solve with ``Q(p)^T`` on the same
+factors, instead of factoring ``Q(p)^T`` again. Every level, the first
+included, is one ``_level`` solve: a level, or the right-hand side it
+solves for, that is not finite (a solve that overflows) raises
+SingularAtSampleError naming the point, as a singular operator does, by
+the system's one finiteness rule.
 """
 
 import numpy as np
@@ -54,7 +55,7 @@ def krylov_block(sys, s, q, lu=None):
     if lu is None:
         lu = sys.operator_lu(point)
     e_matrix = sys.Q.diff(LAPLACE).assemble(point)
-    level = sys.solve_primal(point, lu)
+    level = _level(sys, point, lu, sys._map_at("B", point))
     levels = [level]
     total = level.shape[1]
     for _ in range(1, q):
@@ -81,10 +82,9 @@ def multimoment_block(sys, point, q, lu=None):
         raise ValueError(f"highest level index q must be >= 0, got {q}")
     if lu is None:
         lu = sys.operator_lu(point)
-    r0_pieces = sys.B.pieces()
-    if not r0_pieces:
+    if not (sys.B.has_base or sys.B.terms):
         raise DimensionMismatchError("input family has no nonzero pieces")
-    level = _level(sys, point, lu, np.hstack(r0_pieces))
+    level = _level(sys, point, lu, np.hstack([m for _, m in sys.B.monomial_pieces()]))
     blocks = [level]
     total = level.shape[1]
     operator_terms = [matrix for _, matrix in sys.Q.terms]

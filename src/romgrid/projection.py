@@ -35,20 +35,19 @@ __all__ = [
 
 
 class Basis:
-    """Orthonormal column block with a role label.
+    """Orthonormal column block.
 
     Immutable by convention: ``appended`` returns a new Basis whose leading
     columns are exactly the old ones, which is what keeps span-containment
     arguments across greedy iterations exact.
     """
 
-    def __init__(self, columns, label="V"):
+    def __init__(self, columns):
         self.columns = linalg._as_complex_matrix(columns, "basis")
-        self.label = label
 
     @classmethod
-    def empty(cls, rows, label="V"):
-        return cls(np.zeros((rows, 0), dtype=np.complex128), label=label)
+    def empty(cls, rows):
+        return cls(np.zeros((rows, 0), dtype=np.complex128))
 
     @property
     def rows(self):
@@ -63,10 +62,10 @@ class Basis:
         extended = linalg.orthonormalize_append(self.columns, block)
         if extended is self.columns:
             return self
-        return Basis(extended, label=self.label)
+        return Basis(extended)
 
     def __repr__(self):
-        return f"Basis({self.label!r}, {self.rows}x{self.dim})"
+        return f"Basis({self.rows}x{self.dim})"
 
 
 class ReducedModel:
@@ -74,7 +73,7 @@ class ReducedModel:
 
     ``system`` is the reduced ParametricSystem (same coefficients, small
     matrices); ``V``/``W`` are the full-order bases used to build it. Solves
-    return both the reduced coordinates and the lifted full-order vector.
+    return reduced coordinates ``z``; the full-order state is ``V.columns @ z``.
     """
 
     def __init__(self, system, V, W):
@@ -94,17 +93,14 @@ class ReducedModel:
                 f"reduced operator ({self.dim} dofs) is singular at {point!r}: {exc}"
             ) from exc
 
-    def solve(self, point, rhs=None, reduced=False):
-        """Solve the reduced system and lift.
+    def solve(self, point, rhs=None):
+        """Reduced coordinates ``z`` of the solution at ``point``.
 
         With ``rhs=None`` the right-hand side is the reduced input map
         evaluated at ``point``; otherwise ``rhs`` is a full-order block that
-        is compressed as ``W^T rhs``. Returns ``(z, lifted)`` where
-        ``lifted = V z``. With ``reduced=True`` the call stays in reduced
-        coordinates: ``rhs`` is an already compressed block (``dim`` rows)
-        and ``lifted`` is None, so nothing of full-order size is formed. A
-        singular operator, or a non-finite input map where ``rhs`` is None,
-        raises SingularReducedSystemError naming the point.
+        is compressed as ``W^T rhs``. A singular operator, or a non-finite
+        input map where ``rhs`` is None, raises SingularReducedSystemError
+        naming the point.
         """
         lu = self.operator_lu(point)
         if rhs is None:
@@ -115,14 +111,13 @@ class ReducedModel:
                 )
         else:
             rhs = linalg._as_complex_matrix(rhs, "right-hand side", finite=False)
-            reduced_rhs = rhs if reduced else self.W.columns.T @ rhs
-        z = lu.solve(reduced_rhs)
-        return z, None if reduced else self.V.columns @ z
+            reduced_rhs = self.W.columns.T @ rhs
+        return lu.solve(reduced_rhs)
 
     def transfer_function(self, point):
         """Reduced ``H_hat(p) = C_r(p) Q_r(p)^{-1} B_r(p)``; a singular reduced
         operator raises SingularReducedSystemError."""
-        z, _ = self.solve(point, reduced=True)
+        z = self.solve(point)
         return self.system.C.assemble(point) @ z
 
 
@@ -155,11 +150,14 @@ class ProjectionState:
         self.sys = sys
         self.model = None
         self.added = []
-        self._pieces = [matrix for _, matrix in sys.Q.monomial_pieces()]
-        self.products = [[] for _ in self._pieces]
-        self._Q = [np.zeros((0, 0), dtype=np.complex128) for _ in self._pieces]
-        self._B = [np.zeros((0, sys.n_inputs), dtype=np.complex128) for _ in _matrices(sys.B)]
-        self._C = [np.zeros((sys.n_outputs, 0), dtype=np.complex128) for _ in _matrices(sys.C)]
+        self._pieces = {
+            letter: [matrix for _, matrix in getattr(sys, letter).monomial_pieces()]
+            for letter in "QBC"
+        }
+        self.products = [[] for _ in self._pieces["Q"]]
+        self._Q = [np.zeros((0, 0), dtype=np.complex128) for _ in self._pieces["Q"]]
+        self._B = [np.zeros((0, sys.n_inputs), dtype=np.complex128) for _ in self._pieces["B"]]
+        self._C = [np.zeros((sys.n_outputs, 0), dtype=np.complex128) for _ in self._pieces["C"]]
 
     def extend(self, V, W):
         """The reduced model on V and W, projecting only the columns gained since the last one."""
@@ -172,22 +170,17 @@ class ProjectionState:
         v_new, w_new = V.columns[:, v0:], W.columns[:, w0:]
         wt = W.columns.T
         if V.dim > v0:
-            self.added = _products(self._pieces, v_new)
+            self.added = [matrix @ v_new for matrix in self._pieces["Q"]]
         for j, kept in enumerate(self.products):
             new = wt @ self.added[j] if self.added else np.zeros((W.dim, 0), dtype=np.complex128)
             self._Q[j] = bordered(self._Q[j], [w_new.T @ block for block in kept], new, order="F")
             if self.added:
                 kept.append(self.added[j])
-        self._B = [
-            np.concatenate([old, w_new.T @ m]) for old, m in zip(self._B, _matrices(self.sys.B))
-        ]
+        self._B = [np.concatenate([old, w_new.T @ m]) for old, m in zip(self._B, self._pieces["B"])]
         self._C = [
-            np.concatenate([old, m @ v_new], axis=1)
-            for old, m in zip(self._C, _matrices(self.sys.C))
+            np.concatenate([old, m @ v_new], axis=1) for old, m in zip(self._C, self._pieces["C"])
         ]
-        Q = self.sys.Q
-        pieces = self._Q if Q.has_base or not Q.terms else [np.zeros_like(self._Q[0])] + self._Q
-        self.model = reduced_model(self.sys, {"Q": pieces, "B": self._B, "C": self._C}, V, W)
+        self.model = reduced_model(self.sys, {"Q": self._Q, "B": self._B, "C": self._C}, V, W)
         return self.model
 
 
@@ -212,8 +205,8 @@ def bordered(old, below, right, order="C"):
 def reduced_model(sys, pieces, V, W):
     """The ReducedModel on V and W whose families take ``sys``'s coefficients.
 
-    ``pieces`` maps each family letter to its reduced matrices, base first
-    (as ``_matrices`` lists them).
+    ``pieces`` maps each family letter to its reduced matrices, in the
+    order of ``sys``'s ``monomial_pieces``.
     """
     families = [_family(getattr(sys, letter), pieces[letter]) for letter in "QBC"]
     reduced = ParametricSystem(
@@ -222,21 +215,12 @@ def reduced_model(sys, pieces, V, W):
     return ReducedModel(reduced, V, W)
 
 
-def _matrices(family):
-    """The base and every term matrix of a family, as ``map_matrices`` visits them."""
-    return [family.base] + [matrix for _, matrix in family.terms]
-
-
 def _family(family, matrices):
-    """``family``'s coefficients on new matrices, given base first as by ``_matrices``."""
-    base, *rest = matrices
-    terms = [(monomial, matrix) for (monomial, _), matrix in zip(family.terms, rest, strict=True)]
-    return AffineMatrix(base.shape, base=base, terms=terms)
-
-
-def _products(pieces, columns):
-    """``M_j @ columns`` for every piece: sparse-times-block or one GEMM each."""
-    return [matrix @ columns for matrix in pieces]
+    """``family``'s coefficients on new matrices, given in its ``monomial_pieces`` order."""
+    pieces = list(zip(family.monomial_pieces(), matrices, strict=True))
+    base = pieces.pop(0)[1] if len(pieces) > len(family.terms) else None
+    terms = [(monomial, matrix) for (monomial, _), matrix in pieces]
+    return AffineMatrix(matrices[0].shape, base=base, terms=terms)
 
 
 def reduce_system(sys, V, W=None, state=None):
@@ -257,7 +241,7 @@ def reduce_system(sys, V, W=None, state=None):
     if W is None:
         W = V
     elif not isinstance(W, Basis):
-        W = Basis(W, label="W")
+        W = Basis(W)
     if V.rows != sys.order or W.rows != sys.order:
         raise DimensionMismatchError(
             f"bases with {V.rows}/{W.rows} rows do not match system order {sys.order}"
@@ -277,20 +261,31 @@ def check_reduction(sys, model):
     """Raise ProjectionMismatchError unless ``model`` is ``sys`` projected onto its bases.
 
     Freivalds' form of the commutation check, with fixed-seed vectors ``v``
-    and ``u``, at the system's probe point (``ParametricSystem._probe``):
-    ``W^T (Q (V v))``, ``W^T (B u)`` and ``C (V v)`` must match the reduced
-    operator, input and output maps times ``v`` or ``u`` under the one
-    roundoff rule, ``linalg.identity_holds`` at the system's order: O(n^2 +
-    n r) on a dense system. Bases whose shapes do not fit the model raise
-    ValueError.
+    and ``u``, at the system's probe point, where ``ParametricSystem._probe``
+    holds ``Q``, ``B`` and ``C``: ``W^T (Q (V v))``, ``W^T (B u)`` and ``C (V
+    v)`` must match the reduced operator, input and output maps times ``v``
+    or ``u`` under the one roundoff rule, ``linalg.identity_holds`` at the
+    system's order. Each is measured against the magnitudes its last sum
+    adds up, ``|X| |y|`` for ``X y``: ``|C| |V v|``, and for ``W^T y`` the
+    bound ``||y||`` of ``|W^T| |y|`` that W's orthonormal columns give. So
+    an output map orthogonal to the trial basis, whose ``C (V v)`` is
+    roundoff, is judged by the size of ``C`` and ``V v``. O(n^2 + n r) on a
+    dense system. Bases whose shapes do not fit the model raise ValueError.
     """
-    (point, probe), rng = sys._probe, np.random.default_rng(0)
+    (point, Q, B, C), rng = sys._probe, np.random.default_rng(0)
     v, u = rng.standard_normal(model.dim), rng.standard_normal(sys.n_inputs)
     wt, Vv, reduced = model.W.columns.T, model.V.columns @ v, model.system
-    Bu, n = sys.B.assemble(point) @ u, sys.order
-    _commutes(f"Q_r at {point!r}", wt @ (probe @ Vv), reduced.Q.assemble(point) @ v, n)
-    _commutes(f"B_r at {point!r}", wt @ Bu, reduced.B.assemble(point) @ u, n)
-    _commutes(f"C_r at {point!r}", sys.C.assemble(point) @ Vv, reduced.C.assemble(point) @ v, n)
+    QVv, Bu = Q @ Vv, B @ u
+    checks = (  # |W^T| |y| is at most ||y|| entrywise, W having orthonormal columns
+        ("Q_r", wt @ QVv, reduced.Q.assemble(point) @ v, np.linalg.norm(QVv)),
+        ("B_r", wt @ Bu, reduced.B.assemble(point) @ u, np.linalg.norm(Bu)),
+        ("C_r", C @ Vv, reduced.C.assemble(point) @ v, np.abs(C) @ np.abs(Vv)),
+    )
+    for what, full, small, magnitude in checks:
+        if not linalg.identity_holds(full, small, sys.order, magnitude):
+            raise ProjectionMismatchError(
+                f"projection/assembly commutation of {what} at {point!r} fails"
+            )
 
 
 def _commutes(what, full, small, n):

@@ -424,10 +424,6 @@ class AffineMatrix:
             return [(Monomial(), self.base)] + list(self.terms)
         return list(self.terms)
 
-    def pieces(self):
-        """Constituent matrices: base (when nonzero) then every term matrix."""
-        return [m for _, m in self.monomial_pieces() if m is not self.base or self.has_base]
-
     def __repr__(self):
         return f"AffineMatrix(shape={self.shape}, terms={len(self.terms)})"
 
@@ -556,11 +552,6 @@ class ParametricSystem:
         except SingularMatrixError as exc:
             raise self._singular_at(point, exc) from exc
 
-    def solve_primal(self, point, lu=None):
-        """Full-order state block ``x = Q(p)^{-1} B(p)`` (n x n_inputs), checked finite."""
-        lu = lu or self.operator_lu(point)
-        return self._finite(point, lu.solve(self._map_at("B", point)), "state")
-
     def transfer_function(self, point):
         """Transfer matrix ``H(p) = C(p) Q(p)^{-1} B(p)`` (n_outputs x n_inputs).
 
@@ -622,17 +613,19 @@ class ParametricSystem:
 
     @cached_property
     def _probe(self):
-        """A generic point, from a fixed seed, and ``Q`` there, assembled once.
+        """A generic point, from a fixed seed, and ``Q``, ``B`` and ``C`` there, assembled once.
 
         ``projection.check_reduction`` probes the system there. A dual takes
-        its origin's point and a transposed view of its origin's ``Q``.
+        its origin's point and transposed views of its origin's ``Q``, ``C``
+        and ``B``.
         """
         origin = self._origin() if self._origin is not None else None
         if origin is not None:
-            return origin._probe[0], origin._probe[1].T
+            point, Q, B, C = origin._probe
+            return point, Q.T, C.T, B.T
         rng = np.random.default_rng(12345)
         point = {name: complex(0.5 + rng.random(), rng.random()) for name in self.parameter_names}
-        return point, self.Q.assemble(point)
+        return point, self.Q.assemble(point), self.B.assemble(point), self.C.assemble(point)
 
 
 def _outcome(f, *args):

@@ -218,7 +218,7 @@ def random_bases(rng, n, dims=(4, 3, 3, 4, 3), petrov=False):
 
 def full_workspace(sys, kind, bases):
     if isinstance(kind, str):
-        kind = rg.EstimatorKind.from_name(kind)
+        kind = rg.EstimatorKind(kind)
     return rg.EstimatorWorkspace.from_bases(sys, kind, **bases)
 
 
@@ -237,8 +237,8 @@ def moment_bases(rng, sys, points, q=2, dims=None):
     like a mid-greedy snapshot rather than a random subspace.
     """
     n = sys.order
-    V = rg.Basis.empty(n, "V")
-    V_du = rg.Basis.empty(n, "V_du")
+    V = rg.Basis.empty(n)
+    V_du = rg.Basis.empty(n)
     for pt in points:
         blk = rg.krylov_block(sys, pt[rg.LAPLACE], q)
         dblk = rg.krylov_block(sys.dual(), pt[rg.LAPLACE], q)

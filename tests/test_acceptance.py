@@ -150,7 +150,7 @@ def test_criterion_3_sensitivity_envelopes():
             }
             for kind in kinds:
                 wsk = full_workspace(sys, kind, bases)
-                est = rg.evaluate(rg.EstimatorKind.from_name(kind), wsk, sys, pt).total
+                est = rg.evaluate(rg.EstimatorKind(kind), wsk, sys, pt).total
                 lo, hi = oracles.envelope(kind, est, terms)
                 assert lo - 1e-12 <= rep.true_error <= hi + 1e-12, (
                     f"trial {trial} {kind}: err {rep.true_error:.6e} outside "
@@ -176,7 +176,7 @@ def test_criterion_4_estimator_orderings():
             for _ in range(4):
                 pt = random_point(rng)
                 val = {
-                    k: rg.evaluate(rg.EstimatorKind.from_name(k), w, sys, pt).total
+                    k: rg.evaluate(rg.EstimatorKind(k), w, sys, pt).total
                     for k, w in ws.items()
                 }
                 assert val["delta2"] >= val["delta1"]
@@ -202,7 +202,7 @@ def test_criterion_5_randomized_factorization():
             for seed in range(20):
                 pt = random_point(rng)
                 d1 = rg.evaluate(rg.EstimatorKind.DELTA_1, ws1, sys, pt).total
-                got = rg.delta_r(wsr, sys, pt, n_samples=K, rng_seed=seed)
+                got = rg.evaluate("delta_r", wsr, sys, pt, n_random=K, rng_seed=seed).total
                 xi = np.random.default_rng(seed).standard_normal(K)
                 want = np.linalg.norm(xi) / K * d1
                 assert got == pytest.approx(want, rel=1e-13)

@@ -107,7 +107,7 @@ def test_online_evaluate_matches_oracle_chains(case, kind):
     bases = draw_bases(rng, case["n"], case["petrov"])
     point = sample_point(rng, case["parametric"])
     ws = full_workspace(sys, kind, bases)
-    got = rg.evaluate(rg.EstimatorKind.from_name(kind), ws, sys, point, rng_seed=case["seed"] % 97)
+    got = rg.evaluate(rg.EstimatorKind(kind), ws, sys, point, rng_seed=case["seed"] % 97)
 
     Q, B, C = dense_at(sys, point)
     xi = np.random.default_rng(case["seed"] % 97).standard_normal(20)
@@ -139,7 +139,7 @@ def test_residual_norms_near_convergence(case):
     got = {}
     for kind in ("delta1", "delta1pr"):
         ws = full_workspace(sys, kind, bases)
-        got.update(rg.evaluate(rg.EstimatorKind.from_name(kind), ws, sys, point).aux)
+        got.update(rg.evaluate(rg.EstimatorKind(kind), ws, sys, point).aux)
     norms = oracles.residual_norms(Q, B, C, bases)
     floor = 1e3 * n * _EPS * max(np.linalg.norm(B, 2), np.linalg.norm(C, 2))
     for name in ("r_pr_norm", "r_du_norm", "r_rpr_norm"):
@@ -171,7 +171,7 @@ def test_workspace_evaluated_against_two_systems(rng):
         ws = full_workspace(sys_a, kind, bases)
         answers = {}
         for label, system in (("a", sys_a), ("b", sys_b), ("a", sys_a), ("b", sys_b)):
-            got = rg.evaluate(rg.EstimatorKind.from_name(kind), ws, system, point)
+            got = rg.evaluate(rg.EstimatorKind(kind), ws, system, point)
             Q, B, C = dense_at(system, point)
             p1, p2 = oracle_parts(kind, Q, B, C, bases, None)
             total = np.max(p1 if p2 is None else p1 + p2)
@@ -209,7 +209,7 @@ def test_tiny_pieces_with_huge_coefficients(rng, petrov):
     norms = oracles.residual_norms(Q, B, C, bases)
     for kind in KINDS:
         ws = full_workspace(sys, kind, bases)
-        got = rg.evaluate(rg.EstimatorKind.from_name(kind), ws, sys, point, rng_seed=3)
+        got = rg.evaluate(rg.EstimatorKind(kind), ws, sys, point, rng_seed=3)
         xi = np.random.default_rng(3).standard_normal(20)
         p1, p2 = oracle_parts(kind, Q, B, C, bases, xi)
         total = np.max(p1 if p2 is None else p1 + p2)
@@ -220,7 +220,7 @@ def test_tiny_pieces_with_huge_coefficients(rng, petrov):
 
 def passes_of(chunk, kind, ws):
     """Patch ``evaluate``'s byte budget so that each pass on ``ws`` takes ``chunk`` samples."""
-    models = (PRIMAL,) + ESTIMATORS[rg.EstimatorKind.from_name(kind)].models
+    models = (PRIMAL,) + ESTIMATORS[rg.EstimatorKind(kind)].models
     largest = max(getattr(ws, model.field).dim for model in models)
     return mock.patch.object(linalg, "_CHUNK_BYTES", chunk * 16 * largest**2)
 
@@ -290,7 +290,7 @@ def test_singular_and_nonfinite_samples_are_none_in_place(seed, ports, kind, chu
     indices = {key: rng.choice(n, int(rng.integers(1, 5)), replace=False) for key in BASIS_KEYS}
     bases = {key: np.eye(n)[:, chosen] for key, chosen in indices.items()}
     ws = full_workspace(sys, kind, bases)
-    used = ["V"] + [model.key for model in ESTIMATORS[rg.EstimatorKind.from_name(kind)].models]
+    used = ["V"] + [model.key for model in ESTIMATORS[rg.EstimatorKind(kind)].models]
     resonant = {int(k) + 1 for key in used for k in indices[key]}
     points = [{"s": complex(0.3, w)} for w in rng.uniform(0.1, 4.0, count)]
     expected = set()

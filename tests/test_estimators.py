@@ -35,9 +35,9 @@ DETERMINISTIC_KINDS = ["delta1", "delta2", "delta2pr", "delta1pr", "delta3", "de
 
 def test_kind_names_round_trip():
     for name in DETERMINISTIC_KINDS + ["delta_r"]:
-        assert rg.EstimatorKind.from_name(name).value == name
-    with pytest.raises(ValueError):
-        rg.EstimatorKind.from_name("delta9")
+        assert rg.EstimatorKind(name).value == name
+    with pytest.raises(ValueError, match=r"unknown estimator 'delta9'; choose from \['delta_r'"):
+        rg.EstimatorKind("delta9")
 
 
 def test_required_roms_per_kind():
@@ -90,7 +90,7 @@ def test_estimate_matches_oracle(kind, seed, petrov):
     bases = random_bases(rng, n, petrov=petrov)
     ws = full_workspace(sys, kind, bases)
     pt = random_point(rng)
-    got = rg.evaluate(rg.EstimatorKind.from_name(kind), ws, sys, pt).total
+    got = rg.evaluate(rg.EstimatorKind(kind), ws, sys, pt).total
     ref = oracles.estimate(kind, *dense_at(sys, pt), bases)
     assert got == pytest.approx(ref, rel=1e-12)
 
@@ -105,7 +105,7 @@ def test_zero_port_map_gives_zero_estimates(rng, zero):
     bases = random_bases(rng, 12)
     pt = random_point(rng)
     for kind in DETERMINISTIC_KINDS + ["delta_r"]:
-        b = rg.evaluate(rg.EstimatorKind.from_name(kind), full_workspace(sys, kind, bases), sys, pt)
+        b = rg.evaluate(rg.EstimatorKind(kind), full_workspace(sys, kind, bases), sys, pt)
         assert b.total == 0.0, kind
 
 
@@ -157,7 +157,7 @@ def test_kinds_without_dual_residual_rules_skip_it(rng, monkeypatch):
 
     monkeypatch.setattr(sys, "dual", no_dual)
     for kind in ("delta_r", "delta3"):
-        b = rg.evaluate(rg.EstimatorKind.from_name(kind), workspaces[kind], sys, pt)
+        b = rg.evaluate(rg.EstimatorKind(kind), workspaces[kind], sys, pt)
         assert "r_du_norm" not in b.aux
     with pytest.raises(AssertionError):
         rg.evaluate(rg.EstimatorKind.DELTA_1, workspaces["delta1"], sys, pt)
@@ -177,7 +177,7 @@ def test_mimo_estimates_are_channelwise(rng):
     Q, B, C = dense_at(sys, pt)
     for kind in ("delta1", "delta3pr"):
         ws = full_workspace(sys, kind, bases)
-        total = rg.evaluate(rg.EstimatorKind.from_name(kind), ws, sys, pt).total
+        total = rg.evaluate(rg.EstimatorKind(kind), ws, sys, pt).total
         per_channel = np.zeros((n_out, n_in))
         for i in range(n_out):
             for k in range(n_in):
@@ -257,7 +257,7 @@ def test_delta_r_scales_delta1_by_weight_norm(rng):
     wsr = full_workspace(sys, "delta_r", bases)
     for n_samples in (10, 20):
         for seed in range(5):
-            got = rg.delta_r(wsr, sys, pt, n_samples=n_samples, rng_seed=seed)
+            got = rg.evaluate("delta_r", wsr, sys, pt, n_random=n_samples, rng_seed=seed).total
             xi = np.random.default_rng(seed).standard_normal(n_samples)
             expected = np.linalg.norm(xi) / n_samples * d1
             assert got == pytest.approx(expected, rel=1e-13)
@@ -273,7 +273,7 @@ def test_delta_r_with_unit_weights(rng):
     ).total
     wsr = full_workspace(sys, "delta_r", bases)
     K = 16
-    got = rg.delta_r(wsr, sys, pt, n_samples=K, xi=np.ones(K))
+    got = rg.evaluate("delta_r", wsr, sys, pt, n_random=K, xi=np.ones(K)).total
     assert got == pytest.approx(d1 * np.sqrt(K) / K, rel=1e-13)
 
 
@@ -282,8 +282,8 @@ def test_delta_r_deterministic_given_seed(rng):
     bases = random_bases(rng, 15)
     wsr = full_workspace(sys, "delta_r", bases)
     pt = random_point(rng)
-    a = rg.delta_r(wsr, sys, pt, rng_seed=42)
-    b = rg.delta_r(wsr, sys, pt, rng_seed=42)
+    a = rg.evaluate("delta_r", wsr, sys, pt, rng_seed=42).total
+    b = rg.evaluate("delta_r", wsr, sys, pt, rng_seed=42).total
     assert a == b
 
 
@@ -445,7 +445,7 @@ def test_two_part_estimates_dominate_their_base(seed):
     vals = {}
     for kind in DETERMINISTIC_KINDS:
         ws = full_workspace(sys, kind, bases)
-        vals[kind] = rg.evaluate(rg.EstimatorKind.from_name(kind), ws, sys, pt).total
+        vals[kind] = rg.evaluate(rg.EstimatorKind(kind), ws, sys, pt).total
     assert vals["delta2"] >= vals["delta1"]
     assert vals["delta2pr"] >= vals["delta1"]
     assert vals["delta3"] >= vals["delta1pr"]
@@ -468,7 +468,7 @@ def test_error_envelopes_contain_truth(seed):
     )}
     for kind in DETERMINISTIC_KINDS:
         wsk = full_workspace(sys, kind, bases)
-        est = rg.evaluate(rg.EstimatorKind.from_name(kind), wsk, sys, pt).total
+        est = rg.evaluate(rg.EstimatorKind(kind), wsk, sys, pt).total
         lo, hi = oracles.envelope(kind, est, terms)
         assert lo - 1e-12 <= rep.true_error <= hi + 1e-12, kind
 

@@ -20,7 +20,7 @@ def _breakdown(kind, total, part1=None, part2=0.0, aux=None):
     if part1 is None:
         part1 = total
     return rg.EstimateBreakdown(
-        kind=rg.EstimatorKind.from_name(kind),
+        kind=rg.EstimatorKind(kind),
         total=total,
         part1=part1,
         part2=part2,

@@ -461,7 +461,8 @@ def test_sparse_system_round_trip_stays_sparse(tmp_path):
     sys = rg.rc_ladder(30)
     loaded = rg.load_system(rg.save_system(sys, tmp_path / "a"))
     assert loaded.Q.is_sparse
-    assert all(m.dtype == np.float64 for m in loaded.Q.pieces())  # real data stays real
+    # real data stays real
+    assert all(m.dtype == np.float64 for _, m in loaded.Q.monomial_pieces())
     assert not loaded.B.is_sparse and not loaded.C.is_sparse
     for pt in ({"s": 0.3 + 0.7j}, {"s": 2j * np.pi * 1e-3}):
         got, want = loaded.Q.assemble(pt), sys.Q.assemble(pt)

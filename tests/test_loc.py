@@ -2,9 +2,10 @@
 
 Docstring-only, comment-only and blank lines count zero; a statement that
 spans several lines, a multi-line string inside it included, counts each.
-The package's count stays at or below ``CEILING``. A change that lowers the
-count lowers ``CEILING`` to it; a change that raises it raises ``CEILING``
-and says why in ``CHANGES.md``.
+The package's count equals ``CEILING``, so the ceiling is a ratchet that
+follows every change: a change that lowers the count lowers ``CEILING`` to
+it; a change that raises it raises ``CEILING`` and says why in
+``CHANGES.md``.
 """
 
 import importlib.util
@@ -12,8 +13,8 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-#: The most code lines ``tools/loc.py`` may count in ``src/romgrid``.
-CEILING = 2728
+#: The code lines ``tools/loc.py`` counts in ``src/romgrid``.
+CEILING = 2682
 
 FIXTURE = '''"""Module docstring,
 over two lines."""
@@ -72,4 +73,8 @@ def test_package_code_lines_stay_under_the_ceiling(capsys):
     assert total <= CEILING, (
         f"src/romgrid has {total} code lines, above the ceiling of {CEILING}: "
         "remove code, or raise CEILING and say why in CHANGES.md"
+    )
+    assert total == CEILING, (
+        f"src/romgrid has {total} code lines, below the ceiling of {CEILING}: "
+        "lower CEILING to the count"
     )

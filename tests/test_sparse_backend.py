@@ -324,7 +324,7 @@ def test_family_storage_follows_its_pieces():
     sparse = scipy.sparse.eye_array(n, format="csc")
     s = rg.Monomial(1.0, {"s": 1})
     family = rg.AffineMatrix((n, n), base=sparse, terms=[(s, 2 * sparse)])
-    assert family.is_sparse and all(m.dtype == np.float64 for m in family.pieces())
+    assert family.is_sparse and all(m.dtype == np.float64 for _, m in family.monomial_pieces())
     transposed = family.transposed()  # views of the same stored entries, not copies
     assert transposed.is_sparse and np.shares_memory(transposed.base.data, family.base.data)
     assembled = family.assemble({"s": 1j})

@@ -23,10 +23,9 @@ import romgrid as rg
 from romgrid.cli import main
 from romgrid.errors import ProjectionMismatchError
 from romgrid.estimators import REDUCED_MODELS
-from romgrid.projection import _matrices
 from romgrid.reports import write_report
 
-from conftest import _breakdown_bits, resave_workspace, schur_reductions
+from conftest import _breakdown_bits, bits, resave_workspace, schur_reductions
 
 TRAIN = "f:1e-2:1e1:12:log"
 GRID = "f:1.07e-2:9.3e0:20:log"
@@ -139,12 +138,73 @@ def test_a_loaded_workspace_evaluates_as_the_one_reduce_held(spec, kind, grids):
     for model in REDUCED_MODELS:
         rom = getattr(loaded, model.field)
         if rom is not None:
-            assert all(piece.flags.f_contiguous for piece in _matrices(rom.system.Q))
+            assert all(piece.flags.f_contiguous for _, piece in rom.system.Q.monomial_pieces())
             rom.V = rom.W = _Unusable()
     _make_unusable(system)
     got = rg.evaluate(kind, loaded, system, grid)
     assert [_bits(b) for b in got] == [_bits(b) for b in want]
     assert _bits(rg.evaluate(kind, loaded, system, grid[0])) == _bits(want[0])
+
+
+def _without_bases(n=20):
+    """``symmetric_second_order(n)`` with ``B = d B_1`` and ``C = C_1 / d``: terms and no base."""
+    system = rg.symmetric_second_order(n)
+    b = system.B.base
+    B = rg.AffineMatrix(b.shape, terms=[(rg.Monomial(1.0, {"d": 1}), b)])
+    C = rg.AffineMatrix(b.T.shape, terms=[(rg.Monomial(1.0, {"d": -1}), b.T)])
+    return rg.ParametricSystem(system.Q, B, C, parameter_names=system.parameter_names)
+
+
+@pytest.mark.parametrize("kind", ["delta2", "delta3pr"])
+def test_maps_without_a_base_are_stored_by_their_pieces(tmp_path, kind):
+    # the stored members follow monomial_pieces: <key>.B.0 is the term and no
+    # zero base is stored, and validate takes that state bit for bit
+    model, run_dir = tmp_path / "model", tmp_path / "run"
+    rg.save_system(_without_bases(), model)
+    train, grid = PARAMETRIC
+    assert main(["reduce", "--manifest", str(model / "manifest.json"), "--estimator", kind,
+                 "--tol", "1e-6", "--max-iter", "8", "--true-errors", "on", "--out", str(run_dir),
+                 *(a for spec in train for a in ("--train", spec))]) in (0, 3)
+    system = rg.load_system(model / "manifest.json")
+    config = rg.GreedyConfig(kind=kind, training_set=rg.parse_grid(train), tolerance=1e-6,
+                             max_iterations=8, record_true_errors=True)
+    result = rg.run_greedy(system, config)
+    with np.load(run_dir / "workspace.npz") as stored:
+        for model_role in REDUCED_MODELS:
+            rom = getattr(result.workspace, model_role.field)
+            for letter in "BC" if rom is not None else "":
+                key = f"{model_role.key}.{letter}."
+                assert [name for name in stored.files if name.startswith(key)] == [key + "0"]
+                term = getattr(rom.system, letter).terms[0][1]
+                assert np.array_equal(bits(stored[key + "0"]), bits(term))
+    grid_args = [a for spec in grid for a in ("--grid", spec)]
+    with rebuilds() as calls:
+        assert main(["validate", str(run_dir), *grid_args]) == 0
+    assert calls == []
+    report = rg.validate(system, result, rg.parse_grid(grid))
+    write_report(report, csv_path=tmp_path / "report.csv", json_path=tmp_path / "report.json")
+    for suffix in ("json", "csv"):
+        want = (tmp_path / f"report.{suffix}").read_bytes()
+        assert (run_dir / f"effectivity.{suffix}").read_bytes() == want
+
+
+def test_a_reduced_base_that_is_exactly_zero_is_still_a_stored_piece():
+    # C's base reads only coordinates that V has none of, so C_0 V is exactly
+    # zero; it is stored as V.C.0 all the same, in C's monomial_pieces order
+    n, s = 6, rg.Monomial(1.0, {"s": 1})
+    Q = rg.AffineMatrix((n, n), base=-np.diag(np.arange(1.0, n + 1)), terms=[(s, np.eye(n))])
+    B = rg.AffineMatrix.constant(np.r_[1.0, 1.0, 1.0, 0, 0, 0][:, None])
+    C = rg.AffineMatrix((1, n), base=np.r_[0, 0, 0, 0, 1.0, 1.0][None, :],
+                        terms=[(s, np.eye(n)[:1])])
+    system = rg.ParametricSystem(Q, B, C)
+    bases = {"V": rg.Basis(np.eye(n)[:, :3]), "V_du": rg.Basis(np.eye(n)[:, 2:])}
+    held = rg.EstimatorWorkspace.from_bases(system, "delta1", bases["V"], V_du=bases["V_du"])
+    arrays = held.to_arrays()
+    assert not np.any(arrays["V.C.0"]) and np.array_equal(arrays["V.C.1"], [[1.0, 0, 0]])
+    loaded = rg.EstimatorWorkspace.from_arrays(system, bases, arrays)
+    point = {"s": 0.3 + 1j}
+    assert _bits(rg.evaluate("delta1", loaded, system, point)) == _bits(
+        rg.evaluate("delta1", held, system, point))
 
 
 def _nudge(name):
@@ -242,7 +302,7 @@ def test_stale_residual_factors_fall_back_to_the_rebuild(tmp_path):
     _reduce(run_dir, "--manifest", str(model / "manifest.json"))
     assert _validate(run_dir)[0] == 0
     with np.load(run_dir / "bases.npz") as stored:
-        bases = {key: rg.Basis(stored[key], label=key) for key in stored.files}
+        bases = {key: rg.Basis(stored[key]) for key in stored.files}
     span = scipy.linalg.orth(np.hstack([part(b.columns) for b in bases.values()
                                         for part in (np.real, np.imag)]))
     u = np.random.default_rng(7).standard_normal(300)
