@@ -664,7 +664,7 @@ class EstimatorWorkspace:
     def to_arrays(self):
         """The online workspace of the workspace's own kind, as named arrays for ``np.savez``.
 
-        Every reduced model's pieces, in the ``monomial_pieces`` order of
+        Every reduced model's ``pieces``, in the ``monomial_pieces`` order of
         the family it reduces (a reduced base that is exactly zero is a piece
         where that family has a base), and the kind's offline factors and
         projections: all r-sized. ``from_arrays`` reads them back.
@@ -674,10 +674,7 @@ class EstimatorWorkspace:
         for model in REDUCED_MODELS:
             rom = getattr(self, model.field)
             for letter in "QBC" if rom is not None else "":
-                pieces = getattr(model.system_of(offline.sys), letter).monomial_pieces()
-                reduced = getattr(rom.system, letter)
-                matrices = [reduced.base] + [matrix for _, matrix in reduced.terms]
-                for j, matrix in enumerate(matrices[-len(pieces) :]):
+                for j, matrix in enumerate(rom.pieces[letter]):
                     arrays[f"{model.key}.{letter}.{j}"] = matrix
         for name, (R_B, T) in offline.factors.items():
             arrays.update({f"T.{name}": T} if R_B is None else {f"T.{name}": T, f"R_B.{name}": R_B})

@@ -15,6 +15,8 @@ checked against the system by ``check_reduction``, under the one roundoff
 rule ``linalg.identity_holds``.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from . import linalg
@@ -39,7 +41,9 @@ class Basis:
 
     Immutable by convention: ``appended`` returns a new Basis whose leading
     columns are exactly the old ones, which is what keeps span-containment
-    arguments across greedy iterations exact.
+    arguments across greedy iterations exact. A basis built from given
+    columns keeps them as they are, orthonormal or not; ``column_norm``
+    is their largest 2-norm.
     """
 
     def __init__(self, columns):
@@ -57,29 +61,46 @@ class Basis:
     def dim(self):
         return self.columns.shape[1]
 
+    @cached_property
+    def column_norm(self):
+        """The largest column 2-norm, 1 for orthonormal columns: entrywise,
+        ``|W^T| |y| <= column_norm * ||y||``."""
+        return _largest_norm(self.columns)
+
     def appended(self, block):
         """New basis extended by the directions ``block`` adds (may be none)."""
         extended = linalg.orthonormalize_append(self.columns, block)
         if extended is self.columns:
             return self
-        return Basis(extended)
+        grown = Basis(extended)
+        grown.column_norm = max(self.column_norm, _largest_norm(extended[:, self.dim :]))
+        return grown
 
     def __repr__(self):
         return f"Basis({self.rows}x{self.dim})"
+
+
+def _largest_norm(columns):
+    return float(np.linalg.norm(columns, axis=0).max(initial=0.0))
 
 
 class ReducedModel:
     """Projected system together with its trial/test bases.
 
     ``system`` is the reduced ParametricSystem (same coefficients, small
-    matrices); ``V``/``W`` are the full-order bases used to build it. Solves
-    return reduced coordinates ``z``; the full-order state is ``V.columns @ z``.
+    matrices); ``V``/``W`` are the full-order bases used to build it.
+    ``pieces`` maps each family letter to ``system``'s matrices in the
+    ``monomial_pieces`` order of the family they reduce, the one list of
+    them: a reduced base is a piece where that family's base is one, even
+    where it came out exactly zero. Solves return reduced coordinates
+    ``z``; the full-order state is ``V.columns @ z``.
     """
 
-    def __init__(self, system, V, W):
+    def __init__(self, system, V, W, pieces):
         self.system = system
         self.V = V
         self.W = W
+        self.pieces = pieces
 
     @property
     def dim(self):
@@ -208,11 +229,12 @@ def reduced_model(sys, pieces, V, W):
     ``pieces`` maps each family letter to its reduced matrices, in the
     order of ``sys``'s ``monomial_pieces``.
     """
+    pieces = {letter: list(pieces[letter]) for letter in "QBC"}  # the caller may refill its lists
     families = [_family(getattr(sys, letter), pieces[letter]) for letter in "QBC"]
     reduced = ParametricSystem(
         *families, parameter_names=sys.parameter_names, name=f"{sys.name}:reduced"
     )
-    return ReducedModel(reduced, V, W)
+    return ReducedModel(reduced, V, W, pieces)
 
 
 def _family(family, matrices):
@@ -267,28 +289,29 @@ def check_reduction(sys, model):
     or ``u`` under the one roundoff rule, ``linalg.identity_holds`` at the
     system's order. Each is measured against the magnitudes its last sum
     adds up, ``|X| |y|`` for ``X y``: ``|C| |V v|``, and for ``W^T y`` the
-    bound ``||y||`` of ``|W^T| |y|`` that W's orthonormal columns give. So
-    an output map orthogonal to the trial basis, whose ``C (V v)`` is
-    roundoff, is judged by the size of ``C`` and ``V v``. O(n^2 + n r) on a
-    dense system. Bases whose shapes do not fit the model raise ValueError.
+    bound ``W.column_norm * ||y||`` of ``|W^T| |y|`` (Cauchy-Schwarz, column
+    by column), which scales with W whether or not its columns are
+    orthonormal. So an output map orthogonal to the trial basis, whose ``C
+    (V v)`` is roundoff, is judged by the size of ``C`` and ``V v``. O(n^2 +
+    n r) on a dense system. Bases whose shapes do not fit the model raise
+    ValueError.
     """
     (point, Q, B, C), rng = sys._probe, np.random.default_rng(0)
     v, u = rng.standard_normal(model.dim), rng.standard_normal(sys.n_inputs)
     wt, Vv, reduced = model.W.columns.T, model.V.columns @ v, model.system
-    QVv, Bu = Q @ Vv, B @ u
-    checks = (  # |W^T| |y| is at most ||y|| entrywise, W having orthonormal columns
-        ("Q_r", wt @ QVv, reduced.Q.assemble(point) @ v, np.linalg.norm(QVv)),
-        ("B_r", wt @ Bu, reduced.B.assemble(point) @ u, np.linalg.norm(Bu)),
+    QVv, Bu, w = Q @ Vv, B @ u, model.W.column_norm
+    checks = (
+        ("Q_r", wt @ QVv, reduced.Q.assemble(point) @ v, w * np.linalg.norm(QVv)),
+        ("B_r", wt @ Bu, reduced.B.assemble(point) @ u, w * np.linalg.norm(Bu)),
         ("C_r", C @ Vv, reduced.C.assemble(point) @ v, np.abs(C) @ np.abs(Vv)),
     )
     for what, full, small, magnitude in checks:
-        if not linalg.identity_holds(full, small, sys.order, magnitude):
-            raise ProjectionMismatchError(
-                f"projection/assembly commutation of {what} at {point!r} fails"
-            )
+        _commutes(what, full, small, sys.order, magnitude, point)
 
 
-def _commutes(what, full, small, n):
-    """Raise ProjectionMismatchError naming ``what`` unless ``linalg.identity_holds`` accepts."""
-    if not linalg.identity_holds(full, small, n):
-        raise ProjectionMismatchError(f"projection/assembly commutation of {what} fails")
+def _commutes(what, full, small, n, magnitude=None, point=None):
+    """Raise ProjectionMismatchError naming ``what``, and ``point`` if given, unless
+    ``linalg.identity_holds`` accepts; the message is formatted only then."""
+    if not linalg.identity_holds(full, small, n, magnitude):
+        where = "" if point is None else f" at {point!r}"
+        raise ProjectionMismatchError(f"projection/assembly commutation of {what}{where} fails")

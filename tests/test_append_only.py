@@ -117,12 +117,15 @@ def assert_same(got, want, tol):
 def assert_oracle(kind, sys, points, arrays, workspace, one_shot=None):
     """The workspace's breakdowns at ``points`` match the dense oracle chains on ``arrays``.
 
-    With ``one_shot`` they also match that workspace's, to the same tolerance:
-    1e-10 of the estimate, plus the roundoff of what it is formed from,
-    ``ROUNDOFF * n * eps * ||C|| ||r_pr||``. Where V nearly contains V_rpr
-    (a block moved by 1e-13 of its size), ``W_rpr^T r_pr`` cancels to that
-    distance, and ``delta1pr``, ``|C x_rpr_hat|`` alone, is then roundoff
-    of those magnitudes in every route, the oracle's included.
+    With ``one_shot`` they also match that workspace's, to the same
+    tolerance: 1e-10 of the estimate. ``delta1pr`` alone, ``|C x_rpr_hat|``,
+    also has the roundoff of what it is formed from, ``ROUNDOFF * n * eps *
+    ||C|| ||r_pr||``: where V nearly contains V_rpr (a block moved by 1e-13
+    of its size), ``W_rpr^T r_pr`` cancels to that distance, and no float64
+    route meets 1e-10 of the estimate. In one such drawn case (seed 53,
+    n = 36, sparse, step 2) the estimate is 6.5e-6 against ``||r_pr||`` of
+    16, and grown, one-shot and oracle estimates miss its value computed
+    with 50 digits (mpmath) by 1.6e-10, 4.2e-10 and 7.0e-10 of it.
     """
     got = rg.evaluate(kind, workspace, sys, points, rng_seed=5)
     want = None if one_shot is None else rg.evaluate(kind, one_shot, sys, points, rng_seed=5)
@@ -133,8 +136,9 @@ def assert_oracle(kind, sys, points, arrays, workspace, one_shot=None):
         p1, p2 = oracle_parts(kind.value, Q, B, C, arrays, xi)
         scale = max(np.max(p1), 0.0 if p2 is None else np.max(p2))
         norms = oracles.residual_norms(Q, B, C, arrays)
-        roundoff = ROUNDOFF * len(Q) * EPS * np.linalg.norm(C, 2) * norms["r_pr_norm"]
-        tol = 1e-10 * scale + roundoff
+        tol = 1e-10 * scale
+        if kind is rg.EstimatorKind.DELTA_1PR:
+            tol += ROUNDOFF * len(Q) * EPS * np.linalg.norm(C, 2) * norms["r_pr_norm"]
         if want is not None:
             assert_same(breakdown, want[i], tol)
         assert breakdown.total == pytest.approx(np.max(p1 if p2 is None else p1 + p2), abs=tol)

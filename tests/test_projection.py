@@ -105,6 +105,22 @@ def test_the_reduction_check_is_scale_free(rng, scale, letter):
         check_reduction(scaled, rom)
 
 
+@pytest.mark.parametrize("letter", "QBC")
+@pytest.mark.parametrize("scale", [1e-9, 1e6])
+def test_the_reduction_check_follows_the_test_basis_scale(rng, scale, letter):
+    # a Petrov-Galerkin W is taken as given, orthonormal or not, and the bound
+    # of |W^T| |y| grows with its longest column: with W scaled by 1e6 a
+    # fresh reduction passes reduce_system's own check, and with W scaled by
+    # 1e-9 a reduced piece off by 1e-6 of itself is still refused
+    sys = rg.mimo_block(60, 2)
+    V, W = random_orthonormal(rng, 60, 6), scale * random_orthonormal(rng, 60, 6)
+    rom = rg.reduce_system(sys, V, W)
+    assert rom.W.column_norm == pytest.approx(scale)
+    getattr(rom.system, letter).monomial_pieces()[0][1][...] *= 1 + 1e-6
+    with pytest.raises(ProjectionMismatchError, match=f"{letter}_r"):
+        check_reduction(sys, rom)
+
+
 def test_an_output_map_orthogonal_to_the_trial_basis_is_accepted(rng):
     # both sides of the C_r check are then roundoff: the rule measures their
     # deviation against |C| |V v|, the magnitudes the sum adds up, not |C V v|
