@@ -73,7 +73,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg, projection
 from .errors import MissingWorkspaceRomError, RomgridError, SingularReducedSystemError
@@ -158,41 +157,6 @@ REDUCED_MODELS = (PRIMAL, DUAL, DUAL_RESIDUAL, PRIMAL_RESIDUAL, PRIMAL_RESIDUAL_
 _RESIDUAL_OF = {model.residual: model for model in REDUCED_MODELS if model.residual}
 
 
-def _side_by_side(blocks):
-    """The blocks' columns in one column-major array, which LAPACK factors in place."""
-    out = np.empty(
-        (blocks[0].shape[0], sum(block.shape[1] for block in blocks)),
-        dtype=np.complex128,
-        order="F",
-    )
-    start = 0
-    for block in blocks:
-        out[:, start : start + block.shape[1]] = block
-        start += block.shape[1]
-    return out
-
-
-def _orthonormal_factor(block, norms=None):
-    """``block = U T`` with orthonormal ``U`` of the block's numerical rank; overwrites ``block``.
-
-    Column-pivoted QR of the block with every column scaled by its entry of
-    ``norms`` (default: the column's own norm), truncated where the diagonal
-    falls below roundoff; the scales go back into ``T``. A column is so
-    dropped only where it depends on the kept ones to roundoff of its own
-    norm, however small that norm is beside the other columns' (an affine
-    piece can be tiny and still carry a huge coefficient). Being
-    rank-revealing, it pads ``U`` with no arbitrary unit columns, which need
-    not be orthogonal to an earlier block.
-    """
-    if norms is None:
-        norms = np.linalg.norm(block, axis=0)
-    norms = np.where(norms > 0.0, norms, 1.0)
-    block /= norms
-    U, T, order = scipy.linalg.qr(block, overwrite_a=True, mode="economic", pivoting=True)
-    rank = int(np.count_nonzero(np.abs(np.diag(T)) > max(block.shape) * _EPS))
-    return U[:, :rank], T[:rank, np.argsort(order)] * norms
-
-
 def _merged_by_piece(T, block, pieces):
     """The columns of ``T`` and ``block``, both piece-major, merged piece by piece.
 
@@ -260,11 +224,10 @@ class GrowingWorkspace:
     * each model is extended by ``reduce_system`` through its
       ``ProjectionState``, which forms the new products ``M_j V_new``;
     * the new stack columns of each residual (the input pieces once, then
-      ``M_j V_new``) are reorthogonalized twice against the side's residual
-      basis ``U`` (coefficients ``S``), the remainder is factored by
-      ``_orthonormal_factor`` (``U_new T``), ``U_new`` gets one more pass
-      against ``U`` and is appended to it, and the residual's factor grows
-      by the block column ``[S; T]``;
+      ``M_j V_new``) are appended to the side's residual basis ``U`` by
+      ``linalg._extend``, the routine that grows the trial bases, at a
+      threshold of ``max(n, m) * eps`` of each column's own norm, and the
+      residual's factor grows by the columns' coordinates in the grown ``U``;
     * each projection ``X^T U`` onto a basis that reads the residuals grows
       by its new rows and columns.
 
@@ -346,24 +309,10 @@ class GrowingWorkspace:
         return workspace
 
     def _append(self, side, block):
-        """Extend a side's residual basis by ``block`` (overwritten); returns its coordinates."""
-        U = self.residual_bases[side]
-        norms = np.linalg.norm(block, axis=0)
-        S = np.zeros((U.shape[1], block.shape[1]), dtype=np.complex128)
-        for _ in range(2):
-            step = (block.conj().T @ U).conj().T
-            block -= U @ step
-            S += step
-        U_new, T = _orthonormal_factor(block, norms)
-        # a kept column whose remainder is small beside its norm carries the
-        # passes' roundoff along U, magnified by that ratio: one more pass of
-        # the unit columns, and a QR to make them orthonormal again, keep U
-        # orthonormal to roundoff, which every later column relies on
-        step = (U_new.conj().T @ U).conj().T
-        U_new -= U @ step
-        U_new, R = np.linalg.qr(U_new)
-        self.residual_bases[side] = _side_by_side([U, U_new])
-        return np.concatenate([S + step @ T, R @ T])
+        """Extend a side's residual basis by ``block``; returns the block's coordinates in it."""
+        U, coordinates = linalg._extend(self.residual_bases[side], block, max(block.shape) * _EPS)
+        self.residual_bases[side] = U
+        return coordinates
 
     def _grow_residual(self, model):
         """Extend the factor ``(R_B, T)`` of the model's residual by its new stack columns."""
@@ -371,9 +320,9 @@ class GrowingWorkspace:
         R_B, T = self.factors.get(model.residual, (None, np.zeros((0, 0), dtype=np.complex128)))
         if model.rhs is None and R_B is None:
             inputs = model.system_of(self.sys).B.monomial_pieces()
-            R_B = self._append(model.side, _side_by_side([matrix for _, matrix in inputs]))
+            R_B = self._append(model.side, np.hstack([matrix for _, matrix in inputs]))
         if state.added:
-            block = self._append(model.side, _side_by_side(state.added))
+            block = self._append(model.side, np.hstack(state.added))
             T = _merged_by_piece(T, block, len(state.added))
         self.factors[model.residual] = (R_B, T)
 

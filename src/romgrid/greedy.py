@@ -294,7 +294,10 @@ def run_greedy(sys, config):
 
     Stops when the worst estimate over the training set falls to the
     configured tolerance, when ``max_iterations`` is exhausted, or when an
-    iteration deflates away entirely (no basis progress possible).
+    iteration deflates away entirely (no basis progress possible). A run
+    that converges while its recorded max true error exceeds the tolerance
+    still converges, with a RuntimeWarning naming the true error, the
+    estimate and the tolerance: the estimate missed the error.
 
     With true errors recorded, each iteration makes one stacked
     ``true_error`` call over the samples with an estimate. A training
@@ -347,6 +350,13 @@ def run_greedy(sys, config):
         if max_estimate <= config.tolerance:
             converged = True
             stop_reason = StopReason.TOLERANCE_MET
+            if max_true is not None and max_true > config.tolerance:
+                warnings.warn(
+                    f"converged on a max estimate of {max_estimate:.3e}, within tolerance "
+                    f"{config.tolerance:.3e}, but the recorded max true error is {max_true:.3e}",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
             break
         chosen = select_points(config.kind, config.symmetric_variant, breakdowns)
         previous_main = state.points["main"]

@@ -2,9 +2,18 @@
 
 Everything downstream funnels its factorizations and basis growth through
 this module: LU with an explicit singularity threshold, block solves whose
-``transposed()`` view solves with ``A^T`` on the same factors, and
-append-only orthonormalization, deflating at ``DEFLATION_TOL``, by block
-classical Gram-Schmidt run twice, so basis growth runs in matrix products.
+``transposed()`` view solves with ``A^T`` on the same factors, and basis
+growth.
+
+One routine grows every orthonormal basis: ``_extend``, block classical
+Gram-Schmidt run twice, so basis growth runs in matrix products. It hands
+back the grown basis and the block's coordinates in it, and drops a column
+whose remainder is at most a threshold times the column's own norm. Its two
+callers need two thresholds. The trial bases grow through
+``orthonormalize_append`` at ``DEFLATION_TOL`` and ignore the coordinates.
+The residual bases of ``estimators.GrowingWorkspace`` grow at ``max(n, m) *
+eps`` of an ``n x m`` block, so a tiny affine piece with a huge coefficient
+keeps its direction, and keep the coordinates as the residual factors.
 
 The operator's structure picks the LU, with no setting: a 2-d ndarray is
 factored by LAPACK ``getrf``; a ``scipy.sparse`` matrix whose band holds at
@@ -68,7 +77,7 @@ __all__ = [
 
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).tiny
-#: A column keeping at most this fraction of its norm adds no direction.
+#: A trial-basis column keeping at most this fraction of its norm adds no direction.
 DEFLATION_TOL = 1e-10
 #: An identity checked against a system may miss by this many ``n * eps`` of the
 #: magnitudes its sums add up (``identity_holds``).
@@ -519,7 +528,24 @@ def identity_holds(full, small, n, magnitude=None):
 
 
 def orthonormalize_append(basis, block):
-    """Extend an orthonormal basis by the directions a block adds.
+    """Extend an orthonormal trial basis by the directions a block adds.
+
+    The one append routine, ``_extend``, at ``DEFLATION_TOL``: block
+    classical Gram-Schmidt run twice, dropping a column whose remainder is
+    at most 1e-10 of its norm. Existing columns come back bitwise
+    unchanged, and ``basis`` itself comes back when the block adds nothing.
+    The trial bases grow only through this name; the block's coordinates
+    are not kept.
+    """
+    return _extend(basis, block, DEFLATION_TOL)[0]
+
+
+def _extend(basis, block, tol):
+    """Extend an orthonormal basis by a block's directions; the one append routine.
+
+    Returns the grown basis ``G`` and the block's coordinates ``C`` in it, a
+    ``(G.shape[1], m)`` array with ``G C = block`` up to each dropped
+    column's remainder and roundoff.
 
     Block classical Gram-Schmidt run twice (CGS2; Giraud, Langou &
     Rozložník 2005): the whole block is projected against the existing
@@ -529,8 +555,11 @@ def orthonormalize_append(basis, block):
     the roundoff it leaves along the existing columns is no longer small
     relative to what remains, so the column gets one more pass against the
     whole basis ("twice is enough"). A column is dropped when its remaining
-    norm is at most ``DEFLATION_TOL`` times its original norm; zero columns
-    are skipped. ``basis`` may be None or have zero columns.
+    norm is at most ``tol`` times its original norm, however small that norm
+    is beside the other columns' (an affine piece can be tiny and still carry
+    a huge coefficient); zero columns are skipped. The coordinates gather
+    what every pass removed, and a kept column's remaining norm is its
+    diagonal entry. ``basis`` may be None or have zero columns.
 
     Block entries below the smallest normal float are set to zero first.
     Moment vectors of long, slowly decaying chains (a 20 000-node ladder)
@@ -540,7 +569,7 @@ def orthonormalize_append(basis, block):
     squares to zero and the column is skipped as zero anyway.
 
     Existing columns come back bitwise unchanged, and ``basis`` itself comes
-    back when the block adds nothing. Otherwise the result is the leading
+    back when the block adds nothing. Otherwise the basis is the leading
     columns of one new Fortran-ordered array, sized for the whole block, with
     unitarily orthonormal columns (``V^H V = I``).
     """
@@ -561,8 +590,9 @@ def orthonormalize_append(basis, block):
     out[:, k:] = block
     for part in (out[:, k:].real, out[:, k:].imag):
         part[np.abs(part) < _TINY] = 0.0
+    coordinates = np.zeros((k + m, m), dtype=np.complex128)
     for _ in range(2):
-        _project_out(out[:, k:], out[:, :k])
+        coordinates[:k] += _project_out(out[:, k:], out[:, :k])
     kept = k
     for j in range(m):
         if original_norms[j] == 0.0:
@@ -570,27 +600,28 @@ def orthonormalize_append(basis, block):
         v = out[:, k + j]
         before = np.linalg.norm(v)
         for _ in range(2):
-            _project_out(v, out[:, k:kept])
+            coordinates[k:kept, j] += _project_out(v, out[:, k:kept])
         remaining = np.linalg.norm(v)
         if remaining < 0.5 * before:
-            _project_out(v, out[:, :kept])
+            coordinates[:kept, j] += _project_out(v, out[:, :kept])
             remaining = np.linalg.norm(v)
-        if remaining <= DEFLATION_TOL * original_norms[j]:
+        if remaining <= tol * original_norms[j]:
             continue
         out[:, kept] = v / remaining
+        coordinates[kept, j] = remaining
         kept += 1
-    if kept == k:
-        return basis
-    return out[:, :kept]
+    return (basis if kept == k else out[:, :kept]), coordinates[:kept]
 
 
 def _project_out(v, q):
-    """One classical Gram-Schmidt pass in place: ``v -= q (q^H v)``.
+    """One classical Gram-Schmidt pass in place: ``v -= q (q^H v)``; returns ``q^H v``.
 
     ``q^H v`` is formed as ``(v^H q)^H``, which conjugates a copy of ``v``
     rather than of the (larger) ``q``.
     """
-    v -= q @ (v.conj().T @ q).conj().T
+    step = (v.conj().T @ q).conj().T
+    v -= q @ step
+    return step
 
 
 def gram_deviation(v):

@@ -258,8 +258,8 @@ class AffineMatrix:
     is a few vector operations over the stored entries. Every point has
     that one pattern: each entry scipy's sparse sums store is stored bit
     for bit, and an entry that cancels exactly stays as a stored ``+0``.
-    Families are not modified after construction, so the pattern and the
-    derivative families ``diff`` builds are kept.
+    Families are not modified after construction, so the pattern, whether
+    the base is nonzero and the derivative families ``diff`` builds are kept.
 
     Parameters
     ----------
@@ -353,9 +353,9 @@ class AffineMatrix:
             dtype=np.complex128,
         ).reshape(len(points), len(self.terms))
 
-    @property
+    @cached_property
     def has_base(self):
-        """True when the constant part is nonzero."""
+        """True when the constant part is nonzero; the base is scanned once."""
         if self.is_sparse:
             return bool(np.any(self.base.data))
         return bool(np.any(self.base))

@@ -216,7 +216,7 @@ def n_row_arrays(obj, n, skip, seen=None):
 def test_greedy_projects_and_factors_only_the_columns_each_iteration_adds(monkeypatch):
     sys = rg.rc_ladder(150)
     events = []
-    extend, factor = projection.ProjectionState.extend, estimators._orthonormal_factor
+    extend, append = projection.ProjectionState.extend, estimators.GrowingWorkspace._append
     workspace = greedy._GreedyState.workspace
 
     def spy_extend(state, V, W):
@@ -225,9 +225,9 @@ def test_greedy_projects_and_factors_only_the_columns_each_iteration_adds(monkey
             events.append(("products", state.added[0].shape[1]))
         return model
 
-    def spy_factor(block, norms=None):
+    def spy_append(growth, side, block):  # the residual factors grow by the block's coordinates
         events.append(("factor", block.shape[1]))
-        return factor(block, norms)
+        return append(growth, side, block)
 
     def owned_by_growth(state):
         # every n-row array of the run, other than the system's, is the owner's
@@ -244,7 +244,7 @@ def test_greedy_projects_and_factors_only_the_columns_each_iteration_adds(monkey
         return ws
 
     monkeypatch.setattr(projection.ProjectionState, "extend", spy_extend)
-    monkeypatch.setattr(estimators, "_orthonormal_factor", spy_factor)
+    monkeypatch.setattr(estimators.GrowingWorkspace, "_append", spy_append)
     monkeypatch.setattr(greedy._GreedyState, "workspace", spy_workspace)
     config = rg.GreedyConfig(
         kind="delta2",

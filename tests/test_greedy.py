@@ -304,10 +304,37 @@ def test_plain_delta1_collapses_on_symmetric_systems():
     # numerically zero while the true error is not
     sys = rg.rc_ladder(100)
     cfg = rg.GreedyConfig(kind="delta1", training_set=_ladder_grid(20), tolerance=1e-5)
-    res = rg.run_greedy(sys, cfg)
+    with pytest.warns(RuntimeWarning, match="recorded max true error"):
+        res = rg.run_greedy(sys, cfg)
     assert res.converged and len(res.trace) == 1
     assert res.trace[0].max_estimate <= 1e-12
     assert res.trace[0].max_true_error > 1e-3
+
+
+@pytest.mark.parametrize("kind, warns", [("delta1", True), ("delta3pr", False)])
+def test_convergence_beside_a_larger_recorded_true_error_warns(kind, warns):
+    # delta1 collapses on the symmetric ladder and converges at iteration 1
+    # on a roundoff estimate; delta3pr's recorded true error meets the tolerance
+    sys = rg.rc_ladder(300)
+    cfg = rg.GreedyConfig(
+        kind=kind, training_set=rg.parse_grid("f:1e-3:1e1:40:log"), tolerance=1e-8,
+        record_true_errors=True,
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = rg.run_greedy(sys, cfg)
+    assert res.converged and res.stop_reason is rg.StopReason.TOLERANCE_MET
+    last = res.trace[-1]
+    assert last.max_estimate <= 1e-8
+    messages = [str(w.message) for w in caught if "true error" in str(w.message)]
+    if not warns:
+        assert last.max_true_error <= 1e-8 and messages == []
+        return
+    assert last.max_true_error > 0.1
+    (message,) = messages
+    for value in (last.max_true_error, last.max_estimate, 1e-8):
+        assert f"{value:.3e}" in message
+    assert "training sample" not in message
 
 
 def test_parametric_greedy_converges():

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from romgrid.errors import SingularMatrixError
 from romgrid.linalg import (
+    DEFLATION_TOL,
     ROUNDOFF,
     ShiftedSchur,
     _as_complex_matrix,
+    _extend,
     band_layout,
     band_lu_stack,
     gram_deviation,
@@ -231,6 +233,11 @@ def test_as_complex_matrix_rejects_nonfinite():
         _as_complex_matrix(np.array([[np.inf]]), "x")
 
 
+def _remainders(grown, coordinates, block):
+    """Each block column's distance from its coordinates' image, and its norm."""
+    return zip(np.linalg.norm(block - grown @ coordinates, axis=0), np.linalg.norm(block, axis=0))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_orthonormalize_append_extends_span(seed):
     rng = np.random.default_rng(seed)
@@ -260,6 +267,15 @@ def test_orthonormalize_append_deflates_dependent_columns():
     mixed = np.hstack([basis[:, :1], fresh, basis @ complex_randn(rng, 5, 1)])
     out = orthonormalize_append(basis, mixed)
     assert out.shape == (n, 6)
+    # a column half the tolerance clear of the span is dropped, and its
+    # coordinates leave that half, the part no kept direction holds
+    inside = basis @ complex_randn(rng, 5, 1)
+    outside = fresh - basis @ (basis.conj().T @ fresh)
+    near = inside / np.linalg.norm(inside) + 0.5 * DEFLATION_TOL * outside / np.linalg.norm(outside)
+    grown, coordinates = _extend(basis, near, DEFLATION_TOL)
+    assert grown is basis and coordinates.shape == (5, 1)
+    ((remainder, norm),) = _remainders(grown, coordinates, near)
+    assert 0.49 * DEFLATION_TOL * norm <= remainder <= DEFLATION_TOL * norm
 
 
 def test_orthonormalize_scales_are_respected():
@@ -272,6 +288,19 @@ def test_orthonormalize_scales_are_respected():
     out = orthonormalize_append(basis, tiny)
     assert out.shape == (n, 1)
     assert np.isclose(np.linalg.norm(out[:, 0]), 1.0)
+    # at the residual bases' threshold, an affine piece scaled by 1e-12 beside
+    # unit pieces keeps its own direction, and its coordinates reproduce it to
+    # roundoff of its own norm, not of the unit pieces'
+    rng = np.random.default_rng(4)
+    n = 30
+    basis = random_orthonormal(rng, n, 3)
+    block = complex_randn(rng, n, 4)
+    block[:, 2] *= 1e-12
+    grown, coordinates = _extend(basis, block, max(block.shape) * _EPS)
+    assert grown.shape == (n, 7) and gram_deviation(grown) <= 1e-14
+    assert np.array_equal(grown[:, :3], basis)
+    for remainder, norm in _remainders(grown, coordinates, block):
+        assert remainder <= ROUNDOFF * n * _EPS * norm
 
 
 def test_orthonormalize_append_sets_subnormal_entries_to_zero():
@@ -376,6 +405,14 @@ def test_orthonormalize_append_matches_column_by_column_oracle(case):
     k = basis.shape[1]
     got = orthonormalize_append(basis, block)
     expected = oracles.orthonormalize_append(basis, block)
+    # the trial path is the one routine's basis, whose coordinates reproduce
+    # each kept column to roundoff and leave of a dropped one at most the tolerance
+    grown, coordinates = _extend(basis, block, DEFLATION_TOL)
+    assert grown is basis if got is basis else np.array_equal(grown, got)
+    assert coordinates.shape == (grown.shape[1], block.shape[1])
+    for (relation, gap), (remainder, norm) in zip(case[3], _remainders(grown, coordinates, block)):
+        kept = relation == "random" or gap > 0
+        assert remainder <= (ROUNDOFF * case[0] * _EPS if kept else DEFLATION_TOL) * norm
     # every drawn column is in the span or 1.1 x the tolerance clear of it
     assert got.shape == expected.shape
     if expected is basis:

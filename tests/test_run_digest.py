@@ -49,6 +49,7 @@ def test_scenario_values_are_reproducible_and_a_moved_point_is_flagged():
     assert same["structure"] == [] and same["points"] == []
     assert same["max_estimate"] == same["validation_true_errors"] == 0.0
     assert same["gram_deviation"] <= 1e-13
+    assert first["residual_dims"] and same["residual_dims"] == []
 
     moved = copy.deepcopy(first)
     moved["iterations"][1]["points"]["alpha"] = moved["iterations"][0]["points"]["main"]
@@ -78,17 +79,23 @@ def test_compare_exits_nonzero_when_structure_or_points_differ(tmp_path, capsys)
     # an estimate that moves, with the same points and structure, passes
     nudged = dumps["nudged_estimate"] = copy.deepcopy(first)
     nudged["iterations"][-1]["max_estimate"] *= 1.0 + 1e-9
+    # a residual basis of another size is information, not structure
+    grown = dumps["grown_residual_basis"] = copy.deepcopy(first)
+    residual = next(iter(grown["residual_dims"]))
+    grown["residual_dims"][residual] += 2
     paths = {}
     for label, dump in dumps.items():
         paths[label] = tmp_path / f"{label}.json"
         paths[label].write_text(json.dumps({name: dump}))
     expected = {
-        "parent": 0, "nudged_estimate": 0, "moved_point": 1, "other_dim": 1,
-        "one_more_skipped": 1, "other_sample": 1,
+        "parent": 0, "nudged_estimate": 0, "grown_residual_basis": 0, "moved_point": 1,
+        "other_dim": 1, "one_more_skipped": 1, "other_sample": 1,
     }
     for label, code in expected.items():
         assert tool.main(["--compare", str(paths["parent"]), str(paths[label])]) == code, label
-        assert name in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert name in out
+        assert (f"residual dims {residual} " in out) == (label == "grown_residual_basis"), label
 
 
 def test_permuted_ladder_is_the_ladder_factored_by_superlu(monkeypatch):

@@ -307,6 +307,31 @@ def test_mimo_block_shapes_and_frozen():
     assert H[1, 1] == pytest.approx(0.2606136119082048 - 0.631828919636368j, rel=1e-12)
 
 
+def test_a_greedy_run_scans_each_family_base_at_most_once(monkeypatch):
+    # families are not modified after construction, so whether the base is
+    # nonzero is read once per family, however often its pieces are listed
+    families, scans = [], []
+    init, any_ = rg.AffineMatrix.__init__, np.any
+
+    def spy_init(family, *args, **kwargs):
+        init(family, *args, **kwargs)
+        families.append(family)
+
+    def spy_any(a, *args, **kwargs):
+        scans.append(a)  # held, so no id is reused while the run lasts
+        return any_(a, *args, **kwargs)
+
+    monkeypatch.setattr(rg.AffineMatrix, "__init__", spy_init)
+    monkeypatch.setattr(np, "any", spy_any)
+    sys = rg.mimo_block(60, 2)
+    config = rg.GreedyConfig(kind="delta3pr", training_set=rg.parse_grid("f:1e-2:1e1:20:log"))
+    rg.run_greedy(sys, config)
+    monkeypatch.undo()
+    bases = {id(family.base.data if family.is_sparse else family.base) for family in families}
+    scanned = [id(a) for a in scans if id(a) in bases]
+    assert scanned and len(scanned) == len(set(scanned))
+
+
 def test_generate_synthetic_parses_specs():
     direct = rg.rc_ladder(8)
     parsed = rg.generate_synthetic("rc_ladder:8")

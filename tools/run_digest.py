@@ -26,16 +26,20 @@ change that reorders arithmetic may move: per iteration the points of every
 role, ``rom_dim``, ``max_estimate`` and ``max_true_error``; the final
 ``rom_dim``, convergence and stop reason; the sample, estimate and true
 error of every validation row, and the number of validation samples
-skipped as singular; and the dimension and ``gram_deviation`` of every
-stored basis. ``--compare`` reads two such dumps and prints one line per
-scenario: structural mismatches (iteration count, ``rom_dim`` per
-iteration, convergence, stop reason, final basis dimensions, the
-validation rows' samples, the skip count), the (iteration, role) pairs
-whose points differ, the largest
-deviation of the estimates (per iteration and in validation) relative to
-the run's largest estimate, the same for the true errors, and the largest
-``gram_deviation``. It exits with status 1 when any scenario's structure
-or points differ, so the comparison can gate a change.
+skipped as singular; the dimension and ``gram_deviation`` of every
+stored basis; and, per residual, the row count of its stored factor
+(``T.<name>`` in ``workspace.npz``), the size of its residual basis.
+``--compare`` reads two such dumps and prints one line per scenario:
+structural mismatches (iteration count, ``rom_dim`` per iteration,
+convergence, stop reason, final basis dimensions, the validation rows'
+samples, the skip count), the (iteration, role) pairs whose points differ,
+the largest deviation of the estimates (per iteration and in validation)
+relative to the run's largest estimate, the same for the true errors, the
+largest ``gram_deviation``, and the residual-basis sizes that differ. It
+exits with status 1 when any scenario's structure or points differ, so the
+comparison can gate a change. The residual-basis sizes are information,
+not structure: a change to how residual bases grow moves them while every
+run result holds.
 
 The set:
 
@@ -193,6 +197,12 @@ def values(name):
         report = json.loads((run / "effectivity.json").read_text())
         with np.load(run / "bases.npz") as stored:
             bases = {key: stored[key] for key in sorted(stored.files)}
+        with np.load(run / "workspace.npz") as stored:
+            factors = {
+                key[2:]: stored[key].shape[0]
+                for key in sorted(stored.files)
+                if key.startswith("T.")
+            }
     rows = trace["trace"]
     return {
         "iterations": [
@@ -213,6 +223,7 @@ def values(name):
         "validation_true_errors": [row["true_error"] for row in report["rows"]],
         "basis_dims": {key: basis.shape[1] for key, basis in bases.items()},
         "gram_deviation": {key: gram_deviation(basis) for key, basis in bases.items()},
+        "residual_dims": factors,
     }
 
 
@@ -245,8 +256,11 @@ def compare(parent, change):
     the deviations of ``max_estimate`` and the validation estimates relative
     to the run's largest estimate, those of ``max_true_error`` and the
     validation true errors relative to the run's largest true error (largest
-    over trace and validation, both dumps), and ``gram_deviation``, the
-    largest over both dumps' bases.
+    over trace and validation, both dumps), ``gram_deviation``, the
+    largest over both dumps' bases, and ``residual_dims``, the residuals
+    whose basis sizes differ as ``(name, parent size, change size)``, None
+    where a dump has no such residual (a dump written before the sizes were
+    recorded has none).
     """
     out = {}
     for name in parent:
@@ -289,6 +303,12 @@ def compare(parent, change):
         found["gram_deviation"] = max(
             [*a["gram_deviation"].values(), *b["gram_deviation"].values()]
         )
+        sizes_a, sizes_b = a.get("residual_dims", {}), b.get("residual_dims", {})
+        found["residual_dims"] = [
+            (key, sizes_a.get(key), sizes_b.get(key))
+            for key in sorted(sizes_a.keys() | sizes_b.keys())
+            if sizes_a.get(key) != sizes_b.get(key)
+        ]
         out[name] = found
     return out
 
@@ -304,13 +324,15 @@ def _print_comparison(parent_path, change_path):
         differs = differs or bool(found["structure"] or found["points"])
         structure = "; ".join(found["structure"]) or "same"
         points = ", ".join(f"{role}@{iteration}" for iteration, role in found["points"]) or "same"
+        sizes = ", ".join(f"{key} {a} -> {b}" for key, a, b in found["residual_dims"]) or "same"
         print(
             f"{name}: structure {structure}; points {points}; "
             f"max_estimate {found['max_estimate']:.2e}; "
             f"max_true_error {found['max_true_error']:.2e}; "
             f"validation estimates {found['validation_estimates']:.2e}, "
             f"true errors {found['validation_true_errors']:.2e}; "
-            f"gram_deviation {found['gram_deviation']:.1e}"
+            f"gram_deviation {found['gram_deviation']:.1e}; "
+            f"residual dims {sizes}"
         )
     return 1 if differs else 0
 
