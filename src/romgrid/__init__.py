@@ -5,7 +5,7 @@ Build a parametric linear system (``from_first_order``,
 the seven output-error estimators, and let ``run_greedy`` grow the
 projection bases until the worst estimate over a training grid meets the
 tolerance. Everything the estimators need online is reduced-order; exact
-errors and envelope diagnostics are available for validation.
+errors (``true_error``, ``validate``) are available for validation.
 """
 
 __version__ = "0.1.0"
@@ -28,9 +28,7 @@ from .estimators import (
     EstimateBreakdown,
     EstimatorKind,
     EstimatorWorkspace,
-    SensitivityReport,
     evaluate,
-    sensitivity_report,
     true_error,
 )
 from .generators import (
@@ -106,7 +104,6 @@ __all__ = [
     "ReducedModel",
     "RomgridError",
     "SelectedPoints",
-    "SensitivityReport",
     "SingularAtSampleError",
     "SingularMatrixError",
     "SingularReducedSystemError",
@@ -134,7 +131,6 @@ __all__ = [
     "run_greedy",
     "save_system",
     "select_points",
-    "sensitivity_report",
     "symmetric_second_order",
     "true_error",
     "validate",

@@ -5,8 +5,7 @@ solution's residual ``r_pr = B - Q x_pr_hat``, approximate dual solutions,
 and approximate solutions of residual systems (linear systems whose
 right-hand side is one of those residuals). None of them needs an inf-sup
 or smallest-singular-value computation, and none needs a full-order
-factorization; full-order solves appear only in the diagnostic routines
-``true_error`` and ``sensitivity_report``.
+factorization; full-order solves appear only in ``true_error``.
 
 The exact error obeys ``H - H_hat = x_du^T r_pr`` with the full dual
 solution ``Q^T x_du = C^T``; every estimator replaces ``x_du`` (or the
@@ -86,10 +85,8 @@ __all__ = [
     "REDUCED_MODELS",
     "EstimatorWorkspace",
     "EstimateBreakdown",
-    "SensitivityReport",
     "evaluate",
     "true_error",
-    "sensitivity_report",
 ]
 
 _EPS = np.finfo(np.float64).eps
@@ -307,6 +304,19 @@ class GrowingWorkspace:
             self.sys, self.monomials, dict(self.factors), dict(self.projections)
         )
         return workspace
+
+    def collapsed(self):
+        """Whether the kind's estimate is zero by construction, whatever the error.
+
+        A kind whose row reads the dual model alone estimates ``x_du_hat^T
+        r_pr``. When ``V`` does not fill the space and ``span(V_du)`` lies in
+        ``span(V)`` (``V_du`` adds no column to ``V`` at ``DEFLATION_TOL``),
+        Galerkin orthogonality, ``V^T r_pr = 0``, makes that vanish.
+        """
+        V, V_du = self.bases["V"], self.bases.get("V_du")
+        if ESTIMATORS[self.kind].models != (DUAL,) or V.dim == V.rows:
+            return False
+        return linalg._extend(V.columns, V_du.columns, linalg.DEFLATION_TOL)[0].shape[1] == V.dim
 
     def _append(self, side, block):
         """Extend a side's residual basis by ``block``; returns the block's coordinates in it."""
@@ -599,11 +609,12 @@ class EstimatorWorkspace:
 
         Dual-side models are reductions of the transposed system, so the
         same Galerkin/Petrov-Galerkin machinery serves both sides. Bases
-        beyond the kind's requirements are projected too (diagnostics use
-        them); missing required ones raise. This is one extension of an
-        empty ``GrowingWorkspace`` by all the columns, the same code the
-        greedy loop extends by each iteration's new columns; the workspace
-        comes back with the offline terms of ``kind`` against ``sys``.
+        beyond the kind's requirements are projected too (``evaluate``
+        reads them for another kind); missing required ones raise. This is
+        one extension of an empty ``GrowingWorkspace`` by all the columns,
+        the same code the greedy loop extends by each iteration's new
+        columns; the workspace comes back with the offline terms of ``kind``
+        against ``sys``.
         """
         trial = {"V": V, "V_du": V_du, "V_rdu": V_rdu, "V_rpr": V_rpr, "V_rrpr": V_rrpr}
         test = {"V": W, "V_du": W_du, "V_rdu": W_rdu, "V_rpr": W_rpr, "V_rrpr": W_rrpr}
@@ -719,35 +730,6 @@ class EstimateBreakdown:
         if name in ("total", "part1", "part2"):
             return getattr(self, name)
         return self.aux.get(name)
-
-
-@dataclass
-class SensitivityReport:
-    """Full-order diagnostic quantities for the error-envelope statements.
-
-    Each ``epsilonX``/``deltaX_term`` pairs with the corresponding
-    estimator to bracket the true error, e.g. ``Delta1 - epsilon1 <= err
-    <= Delta1 + epsilon1``. All quantities need full-order solves, so this
-    is a test-and-diagnosis tool, not an online estimator.
-
-    ``epsilon3`` is ``|(x_du - x_du_hat)^T r_pr|`` and coincides with
-    ``epsilon1`` by definition; the companion ``epsilon3_residual``
-    replaces ``r_pr`` by ``r_rpr`` and is the slack that provably closes
-    the upper envelope of Delta3.
-    """
-
-    epsilon1: float
-    epsilon1_pr: float
-    epsilon2: float
-    epsilon2_pr: float
-    epsilon3: float
-    epsilon3_residual: float
-    epsilon3_pr: float
-    delta2_term: float
-    delta2_pr_term: float
-    delta3_term: float
-    delta3_pr_term: float
-    true_error: float
 
 
 def _max_abs(matrix):
@@ -885,8 +867,12 @@ def _true_error(sys, workspace, point, H, verify_identity):
     err_mat = H - H_hat
     direct = _max_abs(err_mat)
     if verify_identity:
-        *_, r_pr, x_du = _full_order_chain(sys, workspace, point)
-        identity_mat = x_du.T @ r_pr
+        # a singular operator or a map that is not finite raises SingularAtSampleError
+        # naming the point
+        lu, Bp, Cp = sys.operator_lu(point), sys._map_at("B", point), sys._map_at("C", point)
+        rom = workspace.rom_primal
+        r_pr = Bp - sys.Q.assemble(point) @ (rom.V.columns @ rom.solve(point))
+        identity_mat = lu.transposed().solve(Cp.T).T @ r_pr
         deviation = _max_abs(err_mat - identity_mat)
         scale = max(_max_abs(H), _max_abs(H_hat))
         floor = 1e3 * sys.order * _EPS * scale
@@ -897,72 +883,3 @@ def _true_error(sys, workspace, point, H, verify_identity):
                 f"differ by {deviation:.3e} (allowed {allowed:.3e})"
             )
     return direct
-
-
-def _full_order_chain(sys, workspace, point):
-    """``(lu, Q(p), C(p), r_pr, x_du)``: the full-order terms of ``H - H_hat = x_du^T r_pr``.
-
-    The maps are assembled before the reduced solve, so a singular operator
-    or a map that is not finite raises SingularAtSampleError naming the point.
-    """
-    lu = sys.operator_lu(point)
-    Bp = sys._map_at("B", point)
-    Cp = sys._map_at("C", point)
-    Qp = sys.Q.assemble(point)
-    r_pr = Bp - Qp @ (workspace.rom_primal.V.columns @ workspace.rom_primal.solve(point))
-    x_du = lu.transposed().solve(Cp.T)
-    return lu, Qp, Cp, r_pr, x_du
-
-
-def sensitivity_report(sys, workspace, point):
-    """All envelope diagnostics at one sample point (single-channel systems).
-
-    Solves the full dual and residual systems once each (sharing one LU)
-    and returns every epsilon/delta scalar alongside the true error, taken
-    as ``|C x_rpr|``. Requires a workspace carrying all four optional
-    reduced models.
-    """
-    if sys.n_inputs != 1 or sys.n_outputs != 1:
-        raise ValueError("sensitivity diagnostics are defined for single-channel systems")
-    ws = workspace
-    missing = [model.field for model in REDUCED_MODELS if getattr(ws, model.field) is None]
-    if missing:
-        raise MissingWorkspaceRomError(f"sensitivity diagnostics require {missing}")
-
-    lu, Qp, Cp, r_pr, x_du = _full_order_chain(sys, ws, point)
-
-    def lifted(rom, rhs=None):
-        return rom.V.columns @ rom.solve(point, rhs)
-
-    xhat_du = lifted(ws.rom_dual)
-    r_du = Cp.T - Qp.T @ xhat_du
-
-    x_rdu = lu.transposed().solve(r_du)
-    xhat_rdu = lifted(ws.rom_dual_residual, r_du)
-
-    x_rpr = lu.solve(r_pr)
-    xhat_rpr = lifted(ws.rom_primal_residual, r_pr)
-    r_rpr = r_pr - Qp @ xhat_rpr
-
-    x_rrpr = lu.solve(r_rpr)
-    xhat_rrpr = lifted(ws.rom_primal_residual_residual, r_rpr)
-
-    def scalar(matrix):
-        return float(np.abs(matrix[0, 0]))
-
-    du_gap = x_du - xhat_du
-    rpr_gap = x_rpr - xhat_rpr
-    return SensitivityReport(
-        epsilon1=scalar(du_gap.T @ r_pr),
-        epsilon1_pr=scalar(Cp @ rpr_gap),
-        epsilon2=scalar((x_rdu - xhat_rdu).T @ r_pr),
-        epsilon2_pr=scalar(r_du.T @ rpr_gap),
-        epsilon3=scalar(du_gap.T @ r_pr),
-        epsilon3_residual=scalar(du_gap.T @ r_rpr),
-        epsilon3_pr=scalar(Cp @ (x_rrpr - xhat_rrpr)),
-        delta2_term=scalar(xhat_rdu.T @ r_pr),
-        delta2_pr_term=scalar(r_du.T @ xhat_rpr),
-        delta3_term=scalar(xhat_du.T @ r_rpr),
-        delta3_pr_term=scalar(Cp @ xhat_rrpr),
-        true_error=scalar(Cp @ x_rpr),
-    )

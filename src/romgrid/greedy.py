@@ -12,7 +12,9 @@ the estimate (or the relevant part of it) is worst:
 * with ``symmetric_variant`` the dual basis gets its own gamma point
   instead of sharing the main point, the fix for (nearly) symmetric
   systems where shared points make the dual basis collapse onto the
-  primal one and Delta1-type estimates vanish spuriously.
+  primal one and Delta1-type estimates vanish spuriously. A run whose
+  estimate vanished that way stops with ``StopReason.ESTIMATE_COLLAPSED``
+  instead of converging (see ``run_greedy``).
 
 Which bases a kind grows, and which breakdown quantity each of its points
 maximizes, is read from ``estimators.ESTIMATORS``; which point grows which
@@ -82,6 +84,7 @@ class StopReason(Enum):
     TOLERANCE_MET = "tolerance_met"
     MAX_ITERATIONS = "max_iterations"
     STAGNATION_ALL_POINTS_USED = "stagnation_all_points_used"
+    ESTIMATE_COLLAPSED = "estimate_collapsed"
 
 
 @dataclass
@@ -299,6 +302,17 @@ def run_greedy(sys, config):
     still converges, with a RuntimeWarning naming the true error, the
     estimate and the tolerance: the estimate missed the error.
 
+    An estimate that meets the tolerance only because it is zero by
+    construction does not converge: where ``delta1`` or ``delta_r`` (the
+    kinds whose row reads the dual model alone) would converge while
+    ``span(V_du)`` lies in ``span(V)`` and ``V`` does not fill the space
+    (``GrowingWorkspace.collapsed``), the run stops with
+    ``StopReason.ESTIMATE_COLLAPSED``, ``converged`` False, and one
+    RuntimeWarning naming the remedy: the symmetric variant for ``delta1``
+    without it, else a two-part kind (``delta_r`` has no variant). That is
+    the shared-point collapse on symmetric systems (``Q^T = Q``, ``C^T =
+    B``).
+
     With true errors recorded, each iteration makes one stacked
     ``true_error`` call over the samples with an estimate. A training
     sample's full-order ``H`` does not change, so it is computed once per
@@ -347,6 +361,18 @@ def run_greedy(sys, config):
                 rom_dimension=state.growth.bases["V"].dim,
             )
         )
+        if max_estimate <= config.tolerance and state.growth.collapsed():
+            stop_reason = StopReason.ESTIMATE_COLLAPSED
+            remedy = "symmetric_variant=True (--symmetric-variant)"
+            if ESTIMATORS[config.kind].gamma is None or config.symmetric_variant:
+                remedy = "a two-part kind"
+            warnings.warn(
+                f"{config.kind.value} estimate {max_estimate:.3e} collapsed: span(V_du) lies in "
+                f"span(V), so Galerkin orthogonality zeroes it whatever the error; use {remedy}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            break
         if max_estimate <= config.tolerance:
             converged = True
             stop_reason = StopReason.TOLERANCE_MET
@@ -381,7 +407,7 @@ def validate(sys, result, validation_set, kind=None, rng_seed=0):
 
     ``result`` may be a GreedyResult or a bare workspace. Returns an
     EffectivityReport with per-sample rows and min/max effectivities, both
-    overall and restricted to samples whose true error exceeds the
+    overall and restricted to samples whose true error is at least the
     rounding-noise threshold 1e-11 (below it, ratios measure noise).
     The estimates come from one stacked ``evaluate`` call over the set,
     the true errors from one stacked ``true_error`` call over the samples

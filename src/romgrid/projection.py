@@ -114,25 +114,18 @@ class ReducedModel:
                 f"reduced operator ({self.dim} dofs) is singular at {point!r}: {exc}"
             ) from exc
 
-    def solve(self, point, rhs=None):
-        """Reduced coordinates ``z`` of the solution at ``point``.
+    def solve(self, point):
+        """Reduced coordinates ``z`` of the solution at ``point``, against the reduced input map.
 
-        With ``rhs=None`` the right-hand side is the reduced input map
-        evaluated at ``point``; otherwise ``rhs`` is a full-order block that
-        is compressed as ``W^T rhs``. A singular operator, or a non-finite
-        input map where ``rhs`` is None, raises SingularReducedSystemError
-        naming the point.
+        A singular operator, or an input map that is not finite, raises
+        SingularReducedSystemError naming the point.
         """
         lu = self.operator_lu(point)
-        if rhs is None:
-            reduced_rhs = self.system.B.assemble(point)
-            if not np.isfinite(reduced_rhs).all():
-                raise SingularReducedSystemError(
-                    f"reduced input map ({self.dim} dofs) has non-finite entries at {point!r}"
-                )
-        else:
-            rhs = linalg._as_complex_matrix(rhs, "right-hand side", finite=False)
-            reduced_rhs = self.W.columns.T @ rhs
+        reduced_rhs = self.system.B.assemble(point)
+        if not np.isfinite(reduced_rhs).all():
+            raise SingularReducedSystemError(
+                f"reduced input map ({self.dim} dofs) has non-finite entries at {point!r}"
+            )
         return lu.solve(reduced_rhs)
 
     def transfer_function(self, point):

@@ -212,7 +212,7 @@ class EffectivityReport:
     """Per-sample estimate/true-error pairs plus summary statistics.
 
     Effectivities are reported twice: over all rows, and restricted to
-    rows whose true error exceeds ``filter_threshold`` (ratios below it
+    rows whose true error is at least ``filter_threshold`` (ratios below it
     measure rounding noise, not estimator quality). When no row passes the
     filter, the filtered fields are None, and ``all_below_threshold`` is
     set if there are rows at all: a report without rows (every sample

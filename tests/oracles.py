@@ -214,7 +214,9 @@ def identity_matrix(Q, B, C, b):
 def sensitivity_terms(Q, B, C, b):
     """All envelope ingredients for a SISO workspace, as a plain dict.
 
-    Keys mirror the library's report fields so tests can compare one-to-one.
+    These are the full-order sensitivity terms of the paper's envelope
+    statements, which ``envelope`` reads; the library does not compute them,
+    since they need the full solutions its estimators avoid.
     """
     if B.shape[1] != 1 or C.shape[0] != 1:
         raise ValueError("sensitivity oracle is single-input single-output only")

@@ -137,24 +137,16 @@ def test_criterion_3_sensitivity_envelopes():
             n = int(rng.integers(10, 61))
             sys = random_system(rng, n)
             bases = random_bases(rng, n, petrov=(trial % 2 == 1))
-            ws = full_workspace(sys, "delta3pr", bases)
             pt = random_point(rng)
-            rep = rg.sensitivity_report(sys, ws, pt)
-            terms = {
-                k: getattr(rep, k)
-                for k in (
-                    "epsilon1", "epsilon1_pr", "epsilon2", "epsilon2_pr",
-                    "epsilon3_residual", "epsilon3_pr",
-                    "delta2_term", "delta2_pr_term", "delta3_term", "delta3_pr_term",
-                )
-            }
+            # the full-order terms come from the dense oracle, as in the paper's proofs
+            terms = oracles.sensitivity_terms(*dense_at(sys, pt), bases)
+            err = terms["true_error"]
             for kind in kinds:
                 wsk = full_workspace(sys, kind, bases)
                 est = rg.evaluate(rg.EstimatorKind(kind), wsk, sys, pt).total
                 lo, hi = oracles.envelope(kind, est, terms)
-                assert lo - 1e-12 <= rep.true_error <= hi + 1e-12, (
-                    f"trial {trial} {kind}: err {rep.true_error:.6e} outside "
-                    f"[{lo:.6e}, {hi:.6e}]"
+                assert lo - 1e-12 <= err <= hi + 1e-12, (
+                    f"trial {trial} {kind}: err {err:.6e} outside [{lo:.6e}, {hi:.6e}]"
                 )
                 checked += 1
         detail.append(f"200 workspaces x 6 envelopes = {checked} containments")
@@ -285,6 +277,7 @@ def test_criterion_8_symmetric_underestimation_and_fix():
         plain = rg.run_greedy(sys, rg.GreedyConfig(
             kind="delta1", training_set=grid, tolerance=1e-4, max_iterations=8,
         ))
+        assert not plain.converged and plain.stop_reason is rg.StopReason.ESTIMATE_COLLAPSED
         rep_plain = rg.validate(sys, plain, grid)
         assert rep_plain.min_eff_filtered is not None
         assert rep_plain.min_eff_filtered < 0.1

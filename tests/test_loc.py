@@ -14,7 +14,7 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 #: The code lines ``tools/loc.py`` counts in ``src/romgrid``.
-CEILING = 2668
+CEILING = 2619
 
 FIXTURE = '''"""Module docstring,
 over two lines."""

@@ -211,9 +211,6 @@ def test_reduced_solve_with_and_without_rhs(rng):
     pt = random_point(rng)
     Q, B, _ = dense_at(sys, pt)
     assert np.allclose(V @ rom.solve(pt), oracles.lifted_solve(Q, B, V, W), atol=1e-11)
-    rhs = complex_randn(rng, 16, 1)
-    lifted = V @ rom.solve(pt, rhs=rhs)
-    assert np.allclose(lifted, oracles.lifted_solve(Q, rhs, V, W), atol=1e-11)
 
 
 def test_singular_reduced_operator_raises():

@@ -146,12 +146,6 @@ def test_sparse_and_dense_twins_agree(case):
                     sys, ws, stack, reference=one_point_response, chunk_points=chunk
                 )
                 assert usable[0]
-    if case["ports"] == 1:
-        got = vars(rg.sensitivity_report(sparse, ws_s, point))
-        want = vars(rg.sensitivity_report(dense, ws_d, point))
-        tol = 1e-10 * max(want.values())
-        for name, value in got.items():
-            assert value == pytest.approx(want[name], abs=tol), name
 
     q = 1 if case["parametric"] else 2
     for side_s, side_d in ((sparse, dense), (sparse.dual(), dense.dual())):

@@ -170,7 +170,7 @@ def _run(name):
             reduce_args = [manifest if a == _PERMUTED_LADDER else a for a in reduce_args]
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["reduce", *reduce_args, "--out", run_dir])
-            if code not in (0, 3):  # 3: stopped by the iteration cap, still a result
+            if code not in (0, 3):  # 3: stopped without converging, still a result
                 raise RuntimeError(f"{name}: romgrid reduce exited with {code}")
             code = cli.main(["validate", run_dir, *validate_args])
             if code != 0:
