@@ -181,11 +181,10 @@ def _sum_rows(a, b):
 class _OfflineTerms:
     """Reduced images of one system's affine pieces, for one estimator kind.
 
-    ``monomials`` maps each primal family letter to the coefficient
-    monomials of its pieces. ``factors`` maps a residual to the blocks
-    ``(R_B, T)`` of its coordinates in its side's residual basis ``U``:
-    ``R_B`` for the input pieces (None for a residual model's residual) and
-    ``T`` for the operator pieces times the model's basis, piece by piece.
+    ``factors`` maps a residual to the blocks ``(R_B, T)`` of its
+    coordinates in its side's residual basis ``U``: ``R_B`` for the input
+    pieces (None for a residual model's residual) and ``T`` for the
+    operator pieces times the model's basis, piece by piece.
     Each block has the rows of the columns of ``U`` there were when it last
     grew; the coordinates along later columns are zero. ``projections``
     maps a (model field, ``"V"`` or ``"W"``, side) key to ``X^T U``. See
@@ -193,14 +192,8 @@ class _OfflineTerms:
     """
 
     sys: object
-    monomials: dict
     factors: dict
     projections: dict
-
-
-def _monomials(sys):
-    """The coefficient monomials of every primal family's pieces, by family letter."""
-    return {letter: [m for m, _ in getattr(sys, letter).monomial_pieces()] for letter in "BQC"}
 
 
 class GrowingWorkspace:
@@ -261,7 +254,6 @@ class GrowingWorkspace:
         wanted = set(spec.residuals) | {model.rhs for model in spec.models if model.rhs}
         self.residuals = [model for model in REDUCED_MODELS if model.residual in wanted]
         self.readers = spec.models
-        self.monomials = _monomials(sys)
         self.residual_bases = {
             model.side: np.zeros((sys.order, 0), dtype=np.complex128) for model in self.residuals
         }
@@ -301,7 +293,7 @@ class GrowingWorkspace:
                 self._grow_projection((model.field, "W", model.side), rom.W)
         workspace = EstimatorWorkspace(kind=self.kind, **models)
         workspace._offline[self.kind] = _OfflineTerms(
-            self.sys, self.monomials, dict(self.factors), dict(self.projections)
+            self.sys, dict(self.factors), dict(self.projections)
         )
         return workspace
 
@@ -360,13 +352,12 @@ class _StackTerms:
     ``_stack_breakdowns`` meets what it gives. Nothing here has n rows.
     """
 
-    def __init__(self, workspace, offline, coefficients, n_random, rng_seed, xi):
+    def __init__(self, workspace, offline, coefficients, n_random, rng_seed):
         self.workspace = workspace
         self.offline = offline
         self._coefficients = coefficients
         self._n_random = n_random
         self._rng_seed = rng_seed
-        self._xi = xi
         self.regular = np.ones(len(coefficients["Q"]), dtype=bool)
         self._z = {}
         self._y = {}
@@ -439,9 +430,7 @@ class _StackTerms:
 
     @cached_property
     def xi(self):
-        if self._xi is None:
-            return np.random.default_rng(self._rng_seed).standard_normal(int(self._n_random))
-        return np.asarray(self._xi, dtype=np.float64)
+        return np.random.default_rng(self._rng_seed).standard_normal(int(self._n_random))
 
 
 def _delta_r_parts(t):
@@ -669,7 +658,7 @@ class EstimatorWorkspace:
         workspace = cls(kind=str(arrays["kind"]), **models)
         factors = {name: (stored("R_B.").get(name), T) for name, T in stored("T.").items()}
         projections = {tuple(key.split(".")): xu for key, xu in stored("XU.").items()}
-        terms = _OfflineTerms(sys, _monomials(sys), factors, projections)
+        terms = _OfflineTerms(sys, factors, projections)
         _check_factors(models, terms)
         workspace._offline[workspace.kind] = terms
         return workspace
@@ -783,7 +772,7 @@ def _masked(kind, point, regular):
     return SingularReducedSystemError(f"estimator {kind.value}: {cause} at {point!r}", cause)
 
 
-def evaluate(kind, workspace, sys, point, n_random=20, rng_seed=0, xi=None):
+def evaluate(kind, workspace, sys, point, n_random=20, rng_seed=0):
     """Evaluate one estimator at one sample point or at a sequence of them.
 
     Given one point (a mapping), returns its EstimateBreakdown. It raises
@@ -796,9 +785,10 @@ def evaluate(kind, workspace, sys, point, n_random=20, rng_seed=0, xi=None):
     the same stacked pass, so a point's breakdown does not depend on the
     points evaluated with it.
 
-    ``n_random``/``rng_seed``/``xi`` only affect the randomized kind: the
-    weights are drawn once from the seed (or taken verbatim from ``xi``),
-    so a sweep with a fixed seed uses the same weights at every sample.
+    ``n_random``/``rng_seed`` only affect the randomized kind: its
+    ``n_random`` normal weights are drawn once from the seed, so a sweep
+    with a fixed seed uses the same weights at every sample. The
+    coefficient monomials are read from ``sys``'s families.
     For several channels each field is the max over (output, input) pairs.
     A workspace from ``from_bases`` or ``run_greedy`` carries the offline
     terms of its own kind and system; the first call for another pair runs
@@ -811,16 +801,16 @@ def evaluate(kind, workspace, sys, point, n_random=20, rng_seed=0, xi=None):
     step = max(1, linalg._CHUNK_BYTES // (np.dtype(np.complex128).itemsize * largest**2))
 
     def stacked(points):
-        coefficients = {
-            letter: np.array(
+        coefficients = {}
+        for letter in "BQC":
+            monomials = [m for m, _ in getattr(sys, letter).monomial_pieces()]
+            coefficients[letter] = np.array(
                 [[monomial(p) for monomial in monomials] for p in points], dtype=np.complex128
             ).reshape(len(points), len(monomials))
-            for letter, monomials in offline.monomials.items()
-        }
         out = []
         for start in range(0, len(points), step):
             chunk = {letter: c[start : start + step] for letter, c in coefficients.items()}
-            terms = _StackTerms(workspace, offline, chunk, n_random, rng_seed, xi)
+            terms = _StackTerms(workspace, offline, chunk, n_random, rng_seed)
             out += _stack_breakdowns(kind, terms, points[start : start + step])
         return out
 
@@ -853,7 +843,7 @@ def true_error(sys, workspace, point, verify_identity=False, responses=None):
     def stacked(points):
         exact = sys._responses(points) if responses is None else responses
         return [
-            H if H is None or isinstance(H, RomgridError)
+            H if isinstance(H, RomgridError)
             else _outcome(_true_error, sys, workspace, p, H, verify_identity)
             for p, H in zip(points, exact)
         ]

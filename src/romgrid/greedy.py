@@ -296,8 +296,11 @@ def run_greedy(sys, config):
     """Run the estimator-driven greedy loop; see the module docstring.
 
     Stops when the worst estimate over the training set falls to the
-    configured tolerance, when ``max_iterations`` is exhausted, or when an
-    iteration deflates away entirely (no basis progress possible). A run
+    configured tolerance, when ``max_iterations`` is exhausted, or with
+    ``StopReason.STAGNATION_ALL_POINTS_USED`` when an iteration's blocks
+    add no column to any basis, the first iteration's included: the
+    workspace on the unchanged bases is the result, and a run that stops
+    so at its first iteration has an empty trace and empty bases. A run
     that converges while its recorded max true error exceeds the tolerance
     still converges, with a RuntimeWarning naming the true error, the
     estimate and the tolerance: the estimate missed the error.
@@ -318,7 +321,8 @@ def run_greedy(sys, config):
     sample's full-order ``H`` does not change, so it is computed once per
     run: each iteration gets the samples not seen before in one stacked
     ``transfer_function`` pass, which hands back the cause of each sample
-    it skips for the skip warning.
+    it skips for the skip warning; the cause stays in the cache in place of
+    ``H``, and ``true_error`` passes it on as that sample's outcome.
     """
     state = _GreedyState(sys, config)
     record_true = config.record_true_errors
@@ -326,16 +330,15 @@ def run_greedy(sys, config):
         record_true = sys.order <= 1000
 
     trace = []
-    exact = {}  # training-sample index -> full-order H(p), None where singular; once per run
+    exact = {}  # training-sample index -> H(p) or its SingularAtSampleError; once per run
     converged = False
     stop_reason = StopReason.MAX_ITERATIONS
-    ws = None
     for iteration in range(1, config.max_iterations + 1):
         added = state.grow()
-        if added == 0 and trace:
+        ws = state.workspace()
+        if added == 0:
             stop_reason = StopReason.STAGNATION_ALL_POINTS_USED
             break
-        ws = state.workspace()
         breakdowns = state.sweep(ws)
         max_estimate = max(b.total for b in breakdowns if b is not None)
         max_true = None
@@ -345,7 +348,6 @@ def run_greedy(sys, config):
             for i, H in zip(unseen, sys._responses([state.samples[i] for i in unseen])):
                 if isinstance(H, SingularAtSampleError):
                     state._skip(i, H, "true-error recording")
-                    H = None
                 exact[i] = H
             errors = true_error(
                 sys, ws, [state.samples[i] for i in usable], responses=[exact[i] for i in usable]
@@ -385,14 +387,10 @@ def run_greedy(sys, config):
                 )
             break
         chosen = select_points(config.kind, config.symmetric_variant, breakdowns)
-        previous_main = state.points["main"]
         for role in ROLES:
             index = getattr(chosen, role)
             if index is not None:
                 state.points[role] = index
-        if chosen.main == previous_main and added == 0:
-            stop_reason = StopReason.STAGNATION_ALL_POINTS_USED
-            break
     return GreedyResult(
         workspace=ws,
         trace=trace,
@@ -402,10 +400,11 @@ def run_greedy(sys, config):
     )
 
 
-def validate(sys, result, validation_set, kind=None, rng_seed=0):
+def validate(sys, result, validation_set, rng_seed=0):
     """Measure estimate vs true error on an independent sample set.
 
-    ``result`` may be a GreedyResult or a bare workspace. Returns an
+    ``result`` may be a GreedyResult or a bare workspace; the estimator is
+    the workspace's own kind. Returns an
     EffectivityReport with per-sample rows and min/max effectivities, both
     overall and restricted to samples whose true error is at least the
     rounding-noise threshold 1e-11 (below it, ratios measure noise).
@@ -417,10 +416,8 @@ def validate(sys, result, validation_set, kind=None, rng_seed=0):
     claims nothing about the model.
     """
     ws = getattr(result, "workspace", result)
-    if kind is None:
-        kind = ws.kind
     points = list(validation_set)
-    breakdowns = evaluate(kind, ws, sys, points, rng_seed=rng_seed)
+    breakdowns = evaluate(ws.kind, ws, sys, points, rng_seed=rng_seed)
     usable = [(point, b) for point, b in zip(points, breakdowns) if b is not None]
     errors = true_error(sys, ws, [point for point, _ in usable])
     rows = [

@@ -12,7 +12,10 @@ model it built last, and whoever grows the bases (the estimators'
 ``GrowingWorkspace``) hands the grown ones to ``reduce_system``. Every
 model ``reduce_system`` builds, and every one read back from a file, is
 checked against the system by ``check_reduction``, under the one roundoff
-rule ``linalg.identity_holds``.
+rule ``linalg.identity_holds``. A reduced model is served at a sample point
+by its own reduced ``ParametricSystem``: the operator LU, the finiteness
+rule of the maps and their errors are that system's, raised as
+SingularReducedSystemError.
 """
 
 from functools import cached_property
@@ -23,7 +26,7 @@ from . import linalg
 from .errors import (
     DimensionMismatchError,
     ProjectionMismatchError,
-    SingularMatrixError,
+    SingularAtSampleError,
     SingularReducedSystemError,
 )
 from .system import AffineMatrix, ParametricSystem
@@ -93,7 +96,8 @@ class ReducedModel:
     ``monomial_pieces`` order of the family they reduce, the one list of
     them: a reduced base is a piece where that family's base is one, even
     where it came out exactly zero. Solves return reduced coordinates
-    ``z``; the full-order state is ``V.columns @ z``.
+    ``z``; the full-order state is ``V.columns @ z``. ``solve`` and
+    ``transfer_function`` apply ``system``'s own point rules.
     """
 
     def __init__(self, system, V, W, pieces):
@@ -106,27 +110,18 @@ class ReducedModel:
     def dim(self):
         return self.system.order
 
-    def operator_lu(self, point):
-        try:
-            return linalg.lu_factor(self.system.Q.assemble(point))
-        except SingularMatrixError as exc:
-            raise SingularReducedSystemError(
-                f"reduced operator ({self.dim} dofs) is singular at {point!r}: {exc}"
-            ) from exc
-
     def solve(self, point):
         """Reduced coordinates ``z`` of the solution at ``point``, against the reduced input map.
 
-        A singular operator, or an input map that is not finite, raises
-        SingularReducedSystemError naming the point.
+        The point rules are ``system``'s own: ``system.operator_lu`` and
+        ``system._map_at``, operator first. A singular operator, or an input
+        map that is not finite, raises SingularReducedSystemError naming the
+        point, its message starting "reduced operator" or "reduced input map".
         """
-        lu = self.operator_lu(point)
-        reduced_rhs = self.system.B.assemble(point)
-        if not np.isfinite(reduced_rhs).all():
-            raise SingularReducedSystemError(
-                f"reduced input map ({self.dim} dofs) has non-finite entries at {point!r}"
-            )
-        return lu.solve(reduced_rhs)
+        try:
+            return self.system.operator_lu(point).solve(self.system._map_at("B", point))
+        except SingularAtSampleError as exc:
+            raise SingularReducedSystemError(f"reduced {exc}") from exc
 
     def transfer_function(self, point):
         """Reduced ``H_hat(p) = C_r(p) Q_r(p)^{-1} B_r(p)``; a singular reduced

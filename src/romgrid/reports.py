@@ -4,7 +4,9 @@ Trace CSVs use the fixed header
 ``iteration,main_point,alpha_point,beta_point,gamma_point,max_estimate,max_true_error,rom_dim``
 with sample points rendered one parameter per ``name=<re><+im>i`` token,
 semicolon-separated, all floats at 17 significant digits so a write/read
-round trip is exact and reruns are byte-identical. A JSON mirror carries
+round trip is exact and reruns are byte-identical; a point value is read
+back by ``parse_scalar``, the reader of grid values, so a real ``1.5``
+reads as well as a complex ``1.5-2i``. A JSON mirror carries
 the same rows with points as ``{name: [re, im]}`` pairs. Each row type has
 one field schema; a (point, number) codec per format turns it into CSV or
 JSON values and back.
@@ -110,7 +112,8 @@ def parse_scalar(text):
 
 
 def parse_point(text):
-    """Inverse of format_point; empty text -> None."""
+    """Inverse of format_point; empty text -> None. Each value is read by
+    ``parse_scalar``, so a real payload such as ``s=1.5`` parses too."""
     if not text:
         return None
     point = {}
@@ -118,10 +121,7 @@ def parse_point(text):
         name, _, payload = token.partition("=")
         if not payload:
             raise ValueError(f"malformed point token {token!r}")
-        match = _COMPLEX_RE.match(payload)
-        if not match:
-            raise ValueError(f"malformed complex value {payload!r}")
-        point[name] = complex(float(match.group(1)), float(match.group(2)))
+        point[name] = parse_scalar(payload)
     return point
 
 
@@ -212,11 +212,12 @@ class EffectivityReport:
     """Per-sample estimate/true-error pairs plus summary statistics.
 
     Effectivities are reported twice: over all rows, and restricted to
-    rows whose true error is at least ``filter_threshold`` (ratios below it
-    measure rounding noise, not estimator quality). When no row passes the
-    filter, the filtered fields are None, and ``all_below_threshold`` is
-    set if there are rows at all: a report without rows (every sample
-    skipped, or an empty grid) claims nothing about the model.
+    rows whose true error is at least ``filter_threshold``, the constant
+    1e-11 (ratios below it measure rounding noise, not estimator quality).
+    When no row passes the filter, the filtered fields are None, and
+    ``all_below_threshold`` is set if there are rows at all: a report
+    without rows (every sample skipped, or an empty grid) claims nothing
+    about the model.
     """
 
     rows: list = field(default_factory=list)
@@ -230,12 +231,12 @@ class EffectivityReport:
     all_below_threshold: bool = False
 
     @classmethod
-    def from_rows(cls, rows, skipped_singular=0, filter_threshold=1e-11):
+    def from_rows(cls, rows, skipped_singular=0):
         effs = [r.effectivity for r in rows if r.effectivity is not None]
         filtered = [
             r.effectivity
             for r in rows
-            if r.effectivity is not None and r.true_error >= filter_threshold
+            if r.effectivity is not None and r.true_error >= cls.filter_threshold
         ]
         return cls(
             rows=list(rows),
@@ -243,7 +244,6 @@ class EffectivityReport:
             max_eff_all=max(effs) if effs else None,
             min_eff_filtered=min(filtered) if filtered else None,
             max_eff_filtered=max(filtered) if filtered else None,
-            filter_threshold=filter_threshold,
             max_true_error=max((r.true_error for r in rows), default=0.0),
             skipped_singular=skipped_singular,
             all_below_threshold=bool(rows) and not filtered,
@@ -270,9 +270,4 @@ def read_report(json_path):
     rows = [
         _record(EffectivityRow, row, _EFFECTIVITY_FIELDS, _JSON_READ) for row in payload["rows"]
     ]
-    summary = payload["summary"]
-    return EffectivityReport.from_rows(
-        rows,
-        skipped_singular=summary["skipped_singular"],
-        filter_threshold=summary["filter_threshold"],
-    )
+    return EffectivityReport.from_rows(rows, payload["summary"]["skipped_singular"])

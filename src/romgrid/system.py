@@ -692,18 +692,18 @@ class _SchurKernel:
     times the identity (a first-order realization with ``E = I``; Laub
     1981). It works in Schur coordinates: ``into`` takes an input map to
     ``Z^H B`` and ``out_of`` an output map to ``C Z``, both kept for
-    constant maps; ``factor`` evaluates the shifts ``c*s`` for the whole
-    stack at once and hands out ``linalg.ShiftedSchur.factor``'s
-    factorizations of ``T + c*s*I``, each solving with one triangular
-    solve. The system comes in per call, not held, so the kernel forms no
-    reference cycle with the system that caches it. ``form``, a stored
-    ``(T, Z)`` of ``A0`` (``schur.form()`` hands one out for writing), goes
-    to ``linalg.ShiftedSchur``, which takes it in place of the reduction
-    where it passes that class's check and raises ValueError otherwise.
+    constant maps; ``factor`` takes the shifts ``c*s`` for the whole stack
+    at once, as the coefficients of ``Q``'s one term, and hands out
+    ``linalg.ShiftedSchur.factor``'s factorizations of ``T + c*s*I``, each
+    solving with one triangular solve. The system comes in per call, not
+    held, so the kernel forms no reference cycle with the system that
+    caches it. ``form``, a stored ``(T, Z)`` of ``A0`` (``schur.form()``
+    hands one out for writing), goes to ``linalg.ShiftedSchur``, which
+    takes it in place of the reduction where it passes that class's check
+    and raises ValueError otherwise.
     """
 
-    def __init__(self, sys, shift, form=None):
-        self.shift = shift
+    def __init__(self, sys, form=None):
         self.schur = linalg.ShiftedSchur(sys.Q.base, form)
         self.sample_bytes = 16 * sys.order
         z = self.schur.Z
@@ -719,7 +719,7 @@ class _SchurKernel:
         shift, matrix = Q.terms[0]
         identity = np.array_equal(matrix, np.eye(sys.order))
         if Q.has_base and shift.exponents == {LAPLACE: 1} and identity:
-            return cls(sys, shift, form)
+            return cls(sys, form)
         return None
 
     def into(self, b):
@@ -730,8 +730,7 @@ class _SchurKernel:
 
     def factor(self, sys, points):
         """The factorization of ``T + c*s*I`` at each point, or the SingularMatrixError of its shift."""
-        shifts = np.array([self.shift(point) for point in points], dtype=np.complex128)
-        return self.schur.factor(shifts)
+        return self.schur.factor(sys.Q.coefficients(points)[:, 0])
 
 
 def _family(matrix):

@@ -263,20 +263,6 @@ def test_delta_r_scales_delta1_by_weight_norm(rng):
             assert got == pytest.approx(expected, rel=1e-13)
 
 
-def test_delta_r_with_unit_weights(rng):
-    # all-ones sketch weights reduce to delta1 / sqrt(K)
-    sys = random_system(rng, 15)
-    bases = random_bases(rng, 15)
-    pt = random_point(rng)
-    d1 = rg.evaluate(
-        rg.EstimatorKind.DELTA_1, full_workspace(sys, "delta1", bases), sys, pt
-    ).total
-    wsr = full_workspace(sys, "delta_r", bases)
-    K = 16
-    got = rg.evaluate("delta_r", wsr, sys, pt, n_random=K, xi=np.ones(K)).total
-    assert got == pytest.approx(d1 * np.sqrt(K) / K, rel=1e-13)
-
-
 def test_delta_r_deterministic_given_seed(rng):
     sys = random_system(rng, 15)
     bases = random_bases(rng, 15)

@@ -163,6 +163,30 @@ def test_greedy_stagnates_when_points_exhausted():
     assert len(res.trace) < 30
 
 
+def test_a_first_iteration_that_adds_no_column_stagnates():
+    # the input map s * b vanishes at s = 0, where every expansion point
+    # starts, so the first blocks are empty: with every basis empty every
+    # estimate is 0, which must not read as convergence (true error 0.43)
+    ladder = rg.rc_ladder(20)
+    b = ladder.B.base
+    B = rg.AffineMatrix(b.shape, terms=[(rg.Monomial(1.0, {"s": 1}), b)])
+    sys = rg.ParametricSystem(ladder.Q, B, ladder.C, name="vanishing_input")
+    grid = [{"s": 0}, {"s": 1j}, {"s": 0}]
+    for record in (True, False):
+        cfg = rg.GreedyConfig(
+            kind="delta1pr", training_set=grid, tolerance=1e-8, record_true_errors=record
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = rg.run_greedy(sys, cfg)
+        assert res.stop_reason is rg.StopReason.STAGNATION_ALL_POINTS_USED
+        assert not res.converged and res.trace == []
+        assert {key: basis.dim for key, basis in res.workspace.bases.items()} == {
+            "V": 0, "V_rpr": 0
+        }
+    assert rg.true_error(sys, res.workspace, {"s": 1j}) > 0.4
+
+
 def test_greedy_true_error_recording_switch():
     sys = rg.rc_ladder(60)
     cfg = rg.GreedyConfig(
@@ -538,7 +562,7 @@ def test_nonfinite_operator_is_a_sample_error_naming_the_point(storage):
         # on the first two nodes the reduced C_mat has diagonal 1.6, so s * C_r overflows too
         rom = rg.reduce_system(sys, rg.Basis(np.eye(sys.order)[:, :2]))
         with pytest.raises(SingularReducedSystemError, match=r"1\.5e\+308j.*non-finite"):
-            rom.operator_lu(_EXTREME)
+            rom.solve(_EXTREME)
 
 
 def test_overflowing_coefficient_is_a_sample_error():
@@ -557,6 +581,33 @@ def _overflowing_map(letter):
     M = maps[letter].base
     maps[letter] = rg.AffineMatrix(M.shape, base=M, terms=[(rg.Monomial(1e-3, {"s": 2}), M)])
     return rg.ParametricSystem(base.Q, maps["B"], maps["C"], name="overflowing"), {"s": 1.5e200j}
+
+
+@pytest.mark.parametrize("case", ["singular operator", "non-finite input map"])
+def test_a_reduced_model_refuses_where_its_own_system_refuses(case):
+    # ReducedModel.solve is its reduced ParametricSystem's solve, under that
+    # system's rules; its error says "reduced" and names the point
+    if case == "singular operator":
+        sys, point, regular = reduced_resonance_system(), {"s": 1.0}, {"s": 0.5j}
+        V = np.eye(2)[:, 1:]
+        sys.transfer_function(point)  # the full operator is regular here
+    else:
+        (sys, point), regular = _overflowing_map("B"), {"s": 1j}
+        V = np.linalg.qr(rg.krylov_block(sys, 1j, 2))[0]
+    rom = rg.reduce_system(sys, V)
+
+    def own_solve(p):
+        return rom.system.operator_lu(p).solve(rom.system._map_at("B", p))
+
+    with pytest.raises(SingularAtSampleError) as refused:
+        own_solve(point)
+    assert repr(point) in str(refused.value)
+    what = "operator" if case == "singular operator" else "input map"
+    with pytest.raises(SingularReducedSystemError, match=f"^reduced {what} ") as raised:
+        rom.solve(point)
+    assert str(raised.value) == f"reduced {refused.value}"
+    z = rom.solve(regular)
+    assert z.tobytes() == own_solve(regular).tobytes()
 
 
 def _nonfinite_case(case):
@@ -840,6 +891,6 @@ def test_validate_accepts_workspace_or_result():
     res = rg.run_greedy(sys, cfg)
     grid = _ladder_grid(5)
     a = rg.validate(sys, res, grid)
-    b = rg.validate(sys, res.workspace, grid, kind="delta1pr")
+    b = rg.validate(sys, res.workspace, grid)
     assert [r.estimate for r in a.rows] == [r.estimate for r in b.rows]
 

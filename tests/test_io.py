@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -40,6 +41,12 @@ def test_format_point_full_precision():
 def test_format_point_none_is_empty():
     assert format_point(None) == ""
     assert parse_point("") is None
+
+
+def test_parse_point_reads_real_and_complex_values():
+    assert parse_point("d=1.5;s=-2+0.5i") == {"d": 1.5 + 0j, "s": complex(-2.0, 0.5)}
+    with pytest.raises(ValueError, match="malformed scalar value 'zz'"):
+        parse_point("s=zz")
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +233,12 @@ def test_grid_rejects_values_that_are_not_finite(spec):
     with pytest.raises(ValueError, match="not finite") as raised:
         rg.parse_grid(["d=1", spec])
     assert repr(spec) in str(raised.value)
+
+
+@pytest.mark.parametrize("spec", ["f:abc:10:5", "f:1:10:5.5", "d=1,zz"])
+def test_grid_errors_name_the_component_that_does_not_parse(spec):
+    with pytest.raises(ValueError, match=re.escape(spec)):
+        rg.parse_grid(["w=1", spec])
 
 
 def test_default_spec_parses_to_sixty_points():

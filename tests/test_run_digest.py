@@ -50,6 +50,10 @@ def test_scenario_values_are_reproducible_and_a_moved_point_is_flagged():
     assert same["max_estimate"] == same["validation_true_errors"] == 0.0
     assert same["gram_deviation"] <= 1e-13
     assert first["residual_dims"] and same["residual_dims"] == []
+    # V_rdu receives V_du's blocks; the sine of V_du outside it is small, not zero
+    assert list(first["containment"]) == ["V_du in V_rdu"]
+    assert 0.0 <= first["containment"]["V_du in V_rdu"] < 1e-3
+    assert same["containment"] == []
 
     moved = copy.deepcopy(first)
     moved["iterations"][1]["points"]["alpha"] = moved["iterations"][0]["points"]["main"]
@@ -83,19 +87,31 @@ def test_compare_exits_nonzero_when_structure_or_points_differ(tmp_path, capsys)
     grown = dumps["grown_residual_basis"] = copy.deepcopy(first)
     residual = next(iter(grown["residual_dims"]))
     grown["residual_dims"][residual] += 2
+    # so is a containment that moved, or one an older dump did not record
+    loosened = dumps["loosened_containment"] = copy.deepcopy(first)
+    loosened["containment"]["V_du in V_rdu"] = 0.5
+    older = dumps["older_dump"] = copy.deepcopy(first)
+    del older["containment"], older["residual_dims"]
     paths = {}
     for label, dump in dumps.items():
         paths[label] = tmp_path / f"{label}.json"
         paths[label].write_text(json.dumps({name: dump}))
     expected = {
-        "parent": 0, "nudged_estimate": 0, "grown_residual_basis": 0, "moved_point": 1,
-        "other_dim": 1, "one_more_skipped": 1, "other_sample": 1,
+        "parent": 0, "nudged_estimate": 0, "grown_residual_basis": 0, "loosened_containment": 0,
+        "older_dump": 0, "moved_point": 1, "other_dim": 1, "one_more_skipped": 1,
+        "other_sample": 1,
     }
+    printed = {}
     for label, code in expected.items():
         assert tool.main(["--compare", str(paths["parent"]), str(paths[label])]) == code, label
-        out = capsys.readouterr().out
+        out = printed[label] = capsys.readouterr().out
         assert name in out
-        assert (f"residual dims {residual} " in out) == (label == "grown_residual_basis"), label
+        sized = label in ("grown_residual_basis", "older_dump")
+        assert (f"residual dims {residual} " in out) == sized, label
+        nested = "containment V_du in V_rdu " in out
+        assert nested == (label in ("loosened_containment", "older_dump")), label
+    assert " -> 5.0e-01; " in printed["loosened_containment"]
+    assert " -> none; " in printed["older_dump"]
 
 
 def test_permuted_ladder_is_the_ladder_factored_by_superlu(monkeypatch):

@@ -27,19 +27,23 @@ role, ``rom_dim``, ``max_estimate`` and ``max_true_error``; the final
 ``rom_dim``, convergence and stop reason; the sample, estimate and true
 error of every validation row, and the number of validation samples
 skipped as singular; the dimension and ``gram_deviation`` of every
-stored basis; and, per residual, the row count of its stored factor
-(``T.<name>`` in ``workspace.npz``), the size of its residual basis.
+stored basis; per nested pair of stored bases (``ReducedModelRole.contains``)
+its ``containment``, the largest sine of the inner span outside the outer
+one, ``||(I - Q Q^H) P||_2`` for outer basis ``Q`` and inner basis ``P``;
+and, per residual, the row count of its stored factor (``T.<name>`` in
+``workspace.npz``), the size of its residual basis.
 ``--compare`` reads two such dumps and prints one line per scenario:
 structural mismatches (iteration count, ``rom_dim`` per iteration,
 convergence, stop reason, final basis dimensions, the validation rows'
 samples, the skip count), the (iteration, role) pairs whose points differ,
 the largest deviation of the estimates (per iteration and in validation)
 relative to the run's largest estimate, the same for the true errors, the
-largest ``gram_deviation``, and the residual-basis sizes that differ. It
-exits with status 1 when any scenario's structure or points differ, so the
-comparison can gate a change. The residual-basis sizes are information,
-not structure: a change to how residual bases grow moves them while every
-run result holds.
+largest ``gram_deviation``, the containments and the residual-basis
+sizes that differ. It exits with status 1 when any scenario's structure or
+points differ, so the comparison can gate a change. The containments and
+residual-basis sizes are information, not structure: a change to how bases
+grow moves them while every run result holds, and a dump written before
+they were recorded has none.
 
 The set:
 
@@ -97,6 +101,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from romgrid import cli  # noqa: E402
+from romgrid.estimators import REDUCED_MODELS  # noqa: E402
 from romgrid.generators import rc_ladder  # noqa: E402
 from romgrid.linalg import gram_deviation  # noqa: E402
 from romgrid.manifest import save_system  # noqa: E402
@@ -223,8 +228,32 @@ def values(name):
         "validation_true_errors": [row["true_error"] for row in report["rows"]],
         "basis_dims": {key: basis.shape[1] for key, basis in bases.items()},
         "gram_deviation": {key: gram_deviation(basis) for key, basis in bases.items()},
+        "containment": _containment(bases),
         "residual_dims": factors,
     }
+
+
+def _containment(bases):
+    """``"<inner> in <outer>"`` -> ``||(I - Q Q^H) P||_2`` for every nested pair of ``bases``."""
+    out = {}
+    for model in (model for model in REDUCED_MODELS if model.key in bases):
+        for inner in (key for key in model.contains if key in bases):
+            Q, P = bases[model.key], bases[inner]
+            out[f"{inner} in {model.key}"] = float(np.linalg.norm(P - Q @ (Q.conj().T @ P), 2))
+    return out
+
+
+def _changed(a, b, key):
+    """``(name, value in a, value in b)`` for each entry of the dumps' ``key`` maps that differs.
+
+    None stands for an entry a dump lacks; a dump without the map has none.
+    """
+    first, second = a.get(key, {}), b.get(key, {})
+    return [
+        (name, first.get(name), second.get(name))
+        for name in sorted(first.keys() | second.keys())
+        if first.get(name) != second.get(name)
+    ]
 
 
 def _largest(*series):
@@ -257,10 +286,9 @@ def compare(parent, change):
     to the run's largest estimate, those of ``max_true_error`` and the
     validation true errors relative to the run's largest true error (largest
     over trace and validation, both dumps), ``gram_deviation``, the
-    largest over both dumps' bases, and ``residual_dims``, the residuals
-    whose basis sizes differ as ``(name, parent size, change size)``, None
-    where a dump has no such residual (a dump written before the sizes were
-    recorded has none).
+    largest over both dumps' bases, and ``containment`` and
+    ``residual_dims``, the nested pairs and residuals whose figures differ,
+    as ``(name, parent value, change value)`` (see ``_changed``).
     """
     out = {}
     for name in parent:
@@ -303,12 +331,8 @@ def compare(parent, change):
         found["gram_deviation"] = max(
             [*a["gram_deviation"].values(), *b["gram_deviation"].values()]
         )
-        sizes_a, sizes_b = a.get("residual_dims", {}), b.get("residual_dims", {})
-        found["residual_dims"] = [
-            (key, sizes_a.get(key), sizes_b.get(key))
-            for key in sorted(sizes_a.keys() | sizes_b.keys())
-            if sizes_a.get(key) != sizes_b.get(key)
-        ]
+        found["containment"] = _changed(a, b, "containment")
+        found["residual_dims"] = _changed(a, b, "residual_dims")
         out[name] = found
     return out
 
@@ -325,6 +349,9 @@ def _print_comparison(parent_path, change_path):
         structure = "; ".join(found["structure"]) or "same"
         points = ", ".join(f"{role}@{iteration}" for iteration, role in found["points"]) or "same"
         sizes = ", ".join(f"{key} {a} -> {b}" for key, a, b in found["residual_dims"]) or "same"
+        nested = ", ".join(
+            f"{key} {_sine(a)} -> {_sine(b)}" for key, a, b in found["containment"]
+        ) or "same"
         print(
             f"{name}: structure {structure}; points {points}; "
             f"max_estimate {found['max_estimate']:.2e}; "
@@ -332,9 +359,13 @@ def _print_comparison(parent_path, change_path):
             f"validation estimates {found['validation_estimates']:.2e}, "
             f"true errors {found['validation_true_errors']:.2e}; "
             f"gram_deviation {found['gram_deviation']:.1e}; "
-            f"residual dims {sizes}"
+            f"containment {nested}; residual dims {sizes}"
         )
     return 1 if differs else 0
+
+
+def _sine(value):
+    return "none" if value is None else f"{value:.1e}"
 
 
 def main(argv=None):
